@@ -28,7 +28,7 @@ from .burnside import (BurnsideElement, BurnsideRing, burnside_ring,
 from .cells import CellSpace, chi
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 from .euler import (chi_k, chi_k_averaging, chi_k_equivariant,
-                    chi_k_equivariant_tuples, chi_orb, set_cross_check)
+                    chi_k_equivariant_tuples, chi_orb)
 from .groups import (FiniteGroup, Subgroup, commuting_tuple_classes,
                      conjugacy_classes, cyclic, dihedral, make_group,
                      product, subgroup_lattice, symmetric, trivial_group,
@@ -58,7 +58,7 @@ __all__ = [
     "geometric_power_oracle", "integer_power_oracle", "lambda_factorize",
     "lext", "make_group", "orbifold_class_from_datum", "phi_k",
     "point_biset", "power", "power_L", "product", "rhs_theorem1",
-    "rhs_theorem2", "set_cross_check", "specialize_L", "subgroup_lattice",
+    "rhs_theorem2", "specialize_L", "subgroup_lattice",
     "symmetric", "symmetric_power", "table_of_marks", "trivial_group",
     "verify_axioms", "verify_lemma1", "verify_props12", "verify_theorem1",
     "wreath", "wreath_power", "zeta_L", "zeta_series",

@@ -20,21 +20,17 @@ from .groups import FiniteGroup, SubgroupLattice, subgroup_lattice
 class BurnsideRing:
     """A(G) with the table of marks precomputed over the canonical basis."""
 
-    def __init__(self, G: FiniteGroup, lattice: SubgroupLattice,
-                 marks_rows=None):
+    def __init__(self, G: FiniteGroup, lattice: SubgroupLattice):
         self.group = G
         self.lattice = lattice
         self.n = len(lattice.classes)
-        if marks_rows is None:
-            marks_rows = tuple(
-                tuple(self._mark(K, H) for H in lattice.classes)
-                for K in lattice.classes)
-        self.marks_rows = tuple(tuple(row) for row in marks_rows)
+        self.marks_rows = tuple(
+            tuple(self._mark(K, H) for H in lattice.classes)
+            for K in lattice.classes)
         for i, row in enumerate(self.marks_rows):
             if row[i] <= 0 or any(row[j] for j in range(i + 1, self.n)):
                 raise InvariantViolation("table of marks is not lower triangular")
         self._zeta: dict = {}
-        self._full_actions: dict = {}
 
     def _mark(self, K, H) -> int:
         """|(G/K)^H| = number of cosets gK with g^-1 H g contained in K."""
@@ -133,26 +129,6 @@ class BurnsideRing:
             self._zeta[key] = class_of(symmetric_power(self.coset_biset(i), k))
         return self._zeta[key]
 
-    def full_action(self, X: BiSet) -> list[tuple[int, ...]]:
-        """Permutation of X for every element of G, composed along the
-        generator-word spanning tree."""
-        G = self.group
-        prev = G._word_table()
-        perms: list[tuple[int, ...] | None] = [None] * G.order
-        perms[0] = tuple(range(X.size))
-
-        def perm_of(y: int) -> tuple[int, ...]:
-            p = perms[y]
-            if p is None:
-                x, i = prev[y]
-                base = perm_of(x)
-                gen = X.actB[i]
-                p = tuple(base[gen[q]] for q in range(X.size))
-                perms[y] = p
-            return p
-
-        return [perm_of(y) for y in range(G.order)]
-
     def __repr__(self) -> str:
         return f"<BurnsideRing A({self.group.label}) rank={self.n}>"
 
@@ -237,8 +213,9 @@ def class_of(X: BiSet) -> BurnsideElement:
     for H in ring.lattice.classes:
         fixed = range(X.size)
         for g in H.generators:
-            fixed = [p for p in fixed if X.act("B", g, p) == p]
-        marks.append(len(list(fixed)))
+            perm = X.perm("B", g)
+            fixed = [p for p in fixed if perm[p] == p]
+        marks.append(len(fixed))
     return ring.from_marks(marks)
 
 
@@ -255,7 +232,7 @@ def chi_equivariant(X: BiSet | CellSpace) -> BurnsideElement:
     _require_b_set(X)
     ring = burnside_ring(X.gB)
     G = X.gB
-    full = ring.full_action(X)
+    full = [X.perm("B", g) for g in G.elements()]
     strata: dict[int, list[int]] = {}
     for p in range(X.size):
         iso = frozenset(g for g in G.elements() if full[g][p] == p)

@@ -1,9 +1,13 @@
-"""Disk cache for subgroup lattices and tables of marks.
+"""Disk cache for subgroup lattices.
 
 Entries are keyed by a digest of the sorted Cayley table, carry a format
 version, and are revalidated on load against a recomputed fingerprint
-(group order, conjugacy class count).  Writes go through a temp file and
-an atomic replace so concurrent runs never see partial entries.
+(group order, conjugacy class count).  An entry stores only generators of
+the subgroup class representatives.  On load the lattice is rebuilt from
+them by conjugation and checked to reach every subgroup, and the table of
+marks is recomputed, so an entry can spare the subgroup search but never
+change a result.  Writes go through a temp file and an atomic replace so
+concurrent runs never see partial entries.
 
 The cache directory comes from the --cache-dir flag or the EQUICHAR_CACHE
 environment variable; with neither set, caching is off.
@@ -17,10 +21,10 @@ import os
 import tempfile
 
 from .burnside import BurnsideRing, burnside_ring
-from .groups import (TABLE_LIMIT, FiniteGroup, Subgroup, SubgroupLattice,
-                     conjugacy_classes)
+from .groups import (TABLE_LIMIT, FiniteGroup, classify_subgroups, closure,
+                     conjugacy_classes, cyclic_subgroups, is_int_lists)
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 ENV_VAR = "EQUICHAR_CACHE"
 
 
@@ -69,10 +73,7 @@ def save_ring(ring: BurnsideRing, cache_dir: str) -> bool:
         "version": CACHE_VERSION,
         "digest": digest,
         "fingerprint": _fingerprint(ring.group),
-        "classes": [{"elements": list(K.elements),
-                     "generators": list(K.generators)}
-                    for K in ring.lattice.classes],
-        "marks": [list(row) for row in ring.marks_rows],
+        "classes": [list(K.generators) for K in ring.lattice.classes],
     }
     _atomic_write(_entry_path(cache_dir, digest), payload)
     return True
@@ -88,7 +89,8 @@ def load_ring(G: FiniteGroup, cache_dir: str) -> BurnsideRing | None:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if payload.get("version") != CACHE_VERSION:
+    if not isinstance(payload, dict) or \
+            payload.get("version") != CACHE_VERSION:
         try:
             os.unlink(path)  # stale format: evict
         except OSError:
@@ -98,13 +100,23 @@ def load_ring(G: FiniteGroup, cache_dir: str) -> BurnsideRing | None:
         return None
     if payload.get("fingerprint") != _fingerprint(G):
         return None
-    classes = tuple(
-        Subgroup(G, tuple(c["elements"]), tuple(c["generators"]))
-        for c in payload["classes"])
-    lattice = SubgroupLattice(
-        G, classes,
-        {frozenset(K.elements): i for i, K in enumerate(classes)})
-    return BurnsideRing(G, lattice, marks_rows=payload["marks"])
+    classes = payload.get("classes")
+    if not is_int_lists(classes) or not all(
+            0 <= g < G.order for gens in classes for g in gens):
+        return None
+    lattice = classify_subgroups(
+        G, [frozenset(closure(G, gens)) for gens in classes])
+    if len(lattice.classes) != len(classes):
+        return None
+    # complete: holding the trivial subgroup and closed under joining any
+    # cyclic subgroup, the classes reach every subgroup
+    index, cyclic_gens = lattice.class_index, cyclic_subgroups(G).values()
+    if frozenset((G.identity,)) not in index or any(
+            frozenset(closure(G, K.generators + (g,))) not in index
+            for K in lattice.classes for g in cyclic_gens
+            if g not in K.elements):
+        return None
+    return BurnsideRing(G, lattice)
 
 
 def cached_burnside_ring(G: FiniteGroup,
@@ -123,9 +135,8 @@ def cached_burnside_ring(G: FiniteGroup,
         return burnside_ring(G)
     ring = load_ring(G, cache_dir)
     if ring is not None:
-        G._cache["burnside_ring"] = ring
-        G._cache["lattice"] = ring.lattice
-        return ring
+        G._cache.setdefault("lattice", ring.lattice)
+        return G._cache.setdefault("burnside_ring", ring)
     ring = burnside_ring(G)
     save_ring(ring, cache_dir)
     return ring

@@ -175,22 +175,21 @@ def _cmd_chi(args) -> int:
 
 def _cmd_chi_orb(args) -> int:
     X = _load_space(args)
-    value = chi_orb(X, cross_check=True if args.cross_check else None)
+    value = chi_orb(X, cross_check=args.cross_check)
     _emit(args, str(value), value)
     return 0
 
 
 def _cmd_chi_k(args) -> int:
     X = _load_space(args)
-    value = chi_k(X, args.k, cross_check=True if args.cross_check else None)
+    value = chi_k(X, args.k, cross_check=args.cross_check)
     _emit(args, str(value), value)
     return 0
 
 
 def _cmd_chi_k_eq(args) -> int:
     X = _load_space(args)
-    el = chi_k_equivariant(X, args.k,
-                           cross_check=True if args.cross_check else None)
+    el = chi_k_equivariant(X, args.k, cross_check=args.cross_check)
     _emit(args, el.render(), io.burnside_to_json(el))
     return 0
 
@@ -285,8 +284,7 @@ def _cmd_verify(args) -> int:
         if args.max_points is not None:
             kw["max_points"] = args.max_points
         report = harness.verify_theorem1(
-            X, args.k, args.N,
-            cross_check=True if args.cross_check else None, **kw)
+            X, args.k, args.N, cross_check=args.cross_check, **kw)
     elif args.identity == "lemma1":
         X = _load_space(args)
         if isinstance(X, CellSpace):

@@ -29,18 +29,6 @@ from .gsets import BiSet, biset_from_single_action
 
 ORACLE_GROUP_LIMIT = 400  # averaging / tuple-form oracles stay below this
 
-_cross_check_default = False
-
-
-def set_cross_check(enabled: bool) -> None:
-    """Globally enable dual-path verification on every hierarchy call."""
-    global _cross_check_default
-    _cross_check_default = bool(enabled)
-
-
-def _want_cross_check(flag) -> bool:
-    return _cross_check_default if flag is None else bool(flag)
-
 
 def _require_trivial_b(X) -> None:
     if X.gB.order != 1:
@@ -65,7 +53,8 @@ def _rec_equivariant(X: BiSet, S: tuple[int, ...], H: Subgroup, k: int,
         res = ring.zero
         for cls in conjugacy_classes_in(H):
             g = cls[0]
-            Sg = tuple(p for p in S if X.act("O", g, p) == p)
+            perm = X.perm("O", g)
+            Sg = tuple(p for p in S if perm[p] == p)
             C = centralizer_in(H, g)
             res = res + _rec_equivariant(X, Sg, C, k - 1, ring, memo)
     memo[key] = res
@@ -100,7 +89,8 @@ def tuple_class_strata(X: BiSet, k: int):
     for tup, _ in commuting_tuple_classes(X.gO, k):
         S = tuple(range(X.size))
         for g in tup.entries:
-            S = tuple(p for p in S if X.act("O", g, p) == p)
+            perm = X.perm("O", g)
+            S = tuple(p for p in S if perm[p] == p)
         piece = ring.zero if not S else \
             _quotient_class(X, S, centralizer(X.gO, tup), ring)
         out.append((tup, piece))
@@ -124,6 +114,7 @@ def chi_k_averaging(X: BiSet, k: int) -> int:
     if G.order > ORACLE_GROUP_LIMIT:
         raise ResourceLimitError("averaging oracle",
                                  size=G.order, budget=ORACLE_GROUP_LIMIT)
+    perms = [X.perm("O", g) for g in G.elements()]
 
     def rec(pool: list[int], S: list[int], depth: int) -> int:
         if depth == 0:
@@ -131,7 +122,7 @@ def chi_k_averaging(X: BiSet, k: int) -> int:
         total = 0
         for g in pool:
             sub_pool = [h for h in pool if G.mul(g, h) == G.mul(h, g)]
-            Sg = [p for p in S if X.act("O", g, p) == p]
+            Sg = [p for p in S if perms[g][p] == p]
             total += rec(sub_pool, Sg, depth - 1)
         return total
 
@@ -147,7 +138,7 @@ def chi_k_averaging(X: BiSet, k: int) -> int:
 # public hierarchy
 
 def chi_k_equivariant(X: BiSet | CellSpace, k: int,
-                      cross_check: bool | None = None) -> BurnsideElement:
+                      cross_check: bool = False) -> BurnsideElement:
     """Order-k equivariant Euler characteristic in A(G_B)."""
     if k < 0:
         raise UsageError(f"order must be >= 0, got {k}")
@@ -161,7 +152,7 @@ def chi_k_equivariant(X: BiSet | CellSpace, k: int,
     memo = X.__dict__.setdefault("_chi_memo", {})
     value = _rec_equivariant(X, tuple(range(X.size)), whole_subgroup(X.gO),
                              k, ring, memo)
-    if _want_cross_check(cross_check) and X.gO.order <= ORACLE_GROUP_LIMIT:
+    if cross_check and X.gO.order <= ORACLE_GROUP_LIMIT:
         other = chi_k_equivariant_tuples(X, k)
         if other != value:
             raise InvariantViolation(
@@ -171,7 +162,7 @@ def chi_k_equivariant(X: BiSet | CellSpace, k: int,
 
 
 def chi_k(X: BiSet | CellSpace, k: int,
-          cross_check: bool | None = None) -> int:
+          cross_check: bool = False) -> int:
     """Order-k Euler characteristic (trivial B side): chi^(0) is the orbit
     count of the quotient and order k recurses over centralizers."""
     if k < 0:
@@ -180,8 +171,8 @@ def chi_k(X: BiSet | CellSpace, k: int,
         _require_trivial_b(X)
         return sum((-1) ** d * chi_k(F, k, cross_check) for d, F in X.cells)
     _require_trivial_b(X)
-    value = chi_k_equivariant(X, k, cross_check=False).coeffs[0]
-    if _want_cross_check(cross_check) and X.gO.order <= ORACLE_GROUP_LIMIT:
+    value = chi_k_equivariant(X, k).coeffs[0]
+    if cross_check and X.gO.order <= ORACLE_GROUP_LIMIT:
         other = chi_k_averaging(X, k)
         if other != value:
             raise InvariantViolation(
@@ -190,7 +181,7 @@ def chi_k(X: BiSet | CellSpace, k: int,
 
 
 def chi_orb(X: BiSet | CellSpace,
-            cross_check: bool | None = None) -> int:
+            cross_check: bool = False) -> int:
     """Orbifold Euler characteristic: sum over conjugacy classes [g] of
     chi(X^g / C(g)); equal to the commuting-pair average."""
     return chi_k(X, 1, cross_check)

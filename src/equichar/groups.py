@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import factorial
 
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 
@@ -123,49 +122,6 @@ class CyclicGroup(FiniteGroup):
         return (-a) % self.n
 
 
-class SymmetricGroup(FiniteGroup):
-    """S_n on permutation ranks, lexicographic order; identity is rank 0."""
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise UsageError(f"symmetric group needs n >= 0, got {n}")
-        if n > SYMMETRIC_DEGREE_LIMIT:
-            raise ResourceLimitError(
-                f"symmetric group degree {n}",
-                size=n, budget=SYMMETRIC_DEGREE_LIMIT)
-        self.degree = n
-        self.perms = tuple(itertools.permutations(range(n)))
-        self.rank = {p: i for i, p in enumerate(self.perms)}
-        gens: list[int] = []
-        if n >= 2:
-            swap = (1, 0) + tuple(range(2, n))
-            cycle = tuple(range(1, n)) + (0,)
-            gens.append(self.rank[swap])
-            if cycle != swap:
-                gens.append(self.rank[cycle])
-        super().__init__(factorial(n), tuple(gens), f"S{n}",
-                         {"type": "symmetric", "n": n})
-        self._inv_perms: tuple[tuple[int, ...], ...] | None = None
-
-    def inverse_perms(self) -> tuple[tuple[int, ...], ...]:
-        if self._inv_perms is None:
-            out = []
-            for p in self.perms:
-                q = [0] * self.degree
-                for i, pi in enumerate(p):
-                    q[pi] = i
-                out.append(tuple(q))
-            self._inv_perms = tuple(out)
-        return self._inv_perms
-
-    def mul(self, a: int, b: int) -> int:
-        pa, pb = self.perms[a], self.perms[b]
-        return self.rank[tuple(pa[j] for j in pb)]
-
-    def inv(self, a: int) -> int:
-        return self.rank[self.inverse_perms()[a]]
-
-
 class DihedralGroup(FiniteGroup):
     """Order 2n; element f*n + r is rotation r followed by optional flip f."""
 
@@ -257,23 +213,56 @@ class PermGroup(FiniteGroup):
                 raise ResourceLimitError("permutation closure",
                                          size=len(elems), budget=budget)
             frontier = nxt
+        self._index(degree, tuple(sorted(elems)), gen_perms,
+                    f"perm{degree}:{len(elems)}", descriptor)
+
+    def _index(self, degree: int, perms: tuple[tuple[int, ...], ...],
+               gen_perms, label: str, descriptor: dict | None) -> None:
+        """Rank the lexicographically sorted perms and name the generators."""
         self.degree = degree
-        self.perms = tuple(sorted(elems))
-        self.rank = {p: i for i, p in enumerate(self.perms)}
-        gens = tuple(self.rank[p] for p in gen_perms)
-        super().__init__(len(self.perms), gens, f"perm{degree}:{len(self.perms)}",
-                         descriptor)
+        self.perms = perms
+        self.rank = {p: i for i, p in enumerate(perms)}
+        self._inv_perms: tuple[tuple[int, ...], ...] | None = None
+        FiniteGroup.__init__(self, len(perms),
+                             tuple(self.rank[p] for p in gen_perms),
+                             label, descriptor)
+
+    def inverse_perms(self) -> tuple[tuple[int, ...], ...]:
+        if self._inv_perms is None:
+            out = []
+            for p in self.perms:
+                q = [0] * self.degree
+                for i, pi in enumerate(p):
+                    q[pi] = i
+                out.append(tuple(q))
+            self._inv_perms = tuple(out)
+        return self._inv_perms
 
     def mul(self, a: int, b: int) -> int:
         pa, pb = self.perms[a], self.perms[b]
         return self.rank[tuple(pa[j] for j in pb)]
 
     def inv(self, a: int) -> int:
-        p = self.perms[a]
-        q = [0] * self.degree
-        for i, pi in enumerate(p):
-            q[pi] = i
-        return self.rank[tuple(q)]
+        return self.rank[self.inverse_perms()[a]]
+
+
+class SymmetricGroup(PermGroup):
+    """S_n on permutation ranks, lexicographic order; identity is rank 0."""
+
+    def __init__(self, n: int):
+        if n < 0:
+            raise UsageError(f"symmetric group needs n >= 0, got {n}")
+        if n > SYMMETRIC_DEGREE_LIMIT:
+            raise ResourceLimitError(
+                f"symmetric group degree {n}",
+                size=n, budget=SYMMETRIC_DEGREE_LIMIT)
+        gens = []
+        if n >= 2:
+            swap = (1, 0) + tuple(range(2, n))
+            cycle = tuple(range(1, n)) + (0,)
+            gens = [swap] if cycle == swap else [swap, cycle]
+        self._index(n, tuple(itertools.permutations(range(n))), gens,
+                    f"S{n}", {"type": "symmetric", "n": n})
 
 
 class WreathGroup(FiniteGroup):
@@ -440,12 +429,13 @@ def make_group(descriptor: dict) -> FiniteGroup:
     elif kind == "perm":
         degree = _int_field(descriptor, "degree", minimum=0)
         gens = descriptor.get("generators")
-        if not isinstance(gens, list):
-            raise UsageError("perm descriptor needs a 'generators' list")
+        if not is_int_lists(gens):
+            raise UsageError("perm descriptor needs a 'generators' list "
+                             "of integer lists")
         g = PermGroup(degree, [tuple(p) for p in gens], descriptor)
     elif kind == "wreath":
         n = _int_field(descriptor, "n", minimum=0)
-        inner = make_group(descriptor["inner"])
+        inner = make_group(descriptor.get("inner"))
         g = WreathGroup(inner, n, descriptor)
     else:
         raise UsageError(f"unknown group type {kind!r}")
@@ -458,6 +448,12 @@ def _int_field(d: dict, name: str, minimum: int) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
         raise UsageError(f"descriptor field {name!r} must be an integer >= {minimum}")
     return v
+
+
+def is_int_lists(v) -> bool:
+    """Whether a JSON value is a list of lists of integers."""
+    return isinstance(v, list) and all(
+        isinstance(p, list) and all(type(x) is int for x in p) for p in v)
 
 
 def trivial_group() -> FiniteGroup:
@@ -831,16 +827,12 @@ def subgroup_lattice(G: FiniteGroup,
         raise ResourceLimitError("subgroup enumeration",
                                  size=G.order, budget=budget)
     # every subgroup is generated by cyclic subgroups: close upward from them
-    cyclics: dict[frozenset[int], int] = {}
-    for g in G.elements():
-        fs = frozenset(closure(G, (g,)))
-        if fs not in cyclics:
-            cyclics[fs] = g
+    cyclics = cyclic_subgroups(G)
     gens_for: dict[frozenset[int], tuple[int, ...]] = {}
     trivial = frozenset((G.identity,))
     gens_for[trivial] = ()
     queue = [trivial]
-    for fs, g in sorted(cyclics.items(), key=lambda kv: kv[1]):
+    for fs, g in cyclics.items():
         if fs not in gens_for:
             gens_for[fs] = (g,)
             queue.append(fs)
@@ -850,7 +842,7 @@ def subgroup_lattice(G: FiniteGroup,
         head += 1
         if len(fs) == G.order:
             continue
-        for cfs, cg in sorted(cyclics.items(), key=lambda kv: kv[1]):
+        for cg in cyclics.values():
             if cg in fs:
                 continue
             new_gens = gens_for[fs] + (cg,)
@@ -858,11 +850,27 @@ def subgroup_lattice(G: FiniteGroup,
             if nfs not in gens_for:
                 gens_for[nfs] = new_gens
                 queue.append(nfs)
-    # conjugation orbits over the subgroup sets
+    lat = classify_subgroups(G, gens_for)
+    G._cache["lattice"] = lat
+    return lat
+
+
+def cyclic_subgroups(G: FiniteGroup) -> dict[frozenset[int], int]:
+    """Every cyclic subgroup with its least generator, in that order."""
+    out: dict[frozenset[int], int] = {}
+    for g in G.elements():
+        out.setdefault(frozenset(closure(G, (g,))), g)
+    return out
+
+
+def classify_subgroups(G: FiniteGroup, subgroups) -> SubgroupLattice:
+    """The lattice of the conjugacy classes met by the given subgroup
+    element sets: every conjugate is indexed, and the classes are put in
+    canonical order with canonical representatives."""
     inv_gens = [G.inv(s) for s in G.generators]
     class_index: dict[frozenset[int], int] = {}
     reps: list[Subgroup] = []
-    for fs in gens_for:
+    for fs in subgroups:
         if fs in class_index:
             continue
         orbit = {fs}
@@ -890,9 +898,7 @@ def subgroup_lattice(G: FiniteGroup,
     remap = {old: new for new, old in enumerate(order)}
     reps = [reps[i] for i in order]
     class_index = {fs: remap[i] for fs, i in class_index.items()}
-    lat = SubgroupLattice(G, tuple(reps), class_index)
-    G._cache["lattice"] = lat
-    return lat
+    return SubgroupLattice(G, tuple(reps), class_index)
 
 
 def subgroups_up_to_conjugacy(G: FiniteGroup,

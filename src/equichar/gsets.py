@@ -2,9 +2,9 @@
 
 A BiSet carries a left action of an "orbifold side" group gO and a left
 action of a "Burnside side" group gB, stored as one permutation per group
-generator.  Actions of arbitrary elements are evaluated through generator
-words on demand; constructors that know more structure (wreath powers)
-install a direct evaluator instead.
+generator.  An arbitrary element acts through BiSet.perm, which composes the
+generator permutations along the element's generator word; every scan
+fetches one such permutation per element and indexes it.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ class BiSet:
     """Points 0..size-1 with commuting gO (O side) and gB (B side) actions."""
 
     def __init__(self, size: int, gO: FiniteGroup, gB: FiniteGroup,
-                 actO, actB, labels=None,
-                 act_direct_O=None, act_direct_B=None):
+                 actO, actB, labels=None):
         actO = tuple(tuple(p) for p in actO)
         actB = tuple(tuple(p) for p in actB)
         if len(actO) != len(gO.generators):
@@ -51,7 +50,6 @@ class BiSet:
         self.labels = tuple(labels) if labels is not None else tuple(range(size))
         if len(self.labels) != size:
             raise UsageError("labels length must equal size")
-        self._act_direct = {"O": act_direct_O, "B": act_direct_B}
 
     def _side(self, side: str):
         if side == "O":
@@ -60,18 +58,18 @@ class BiSet:
             return self.gB, self.actB
         raise UsageError(f"side must be 'O' or 'B', not {side!r}")
 
-    def act(self, side: str, g: int, p: int) -> int:
-        """Image of point p under element g of the chosen side's group."""
-        direct = self._act_direct[side]
-        if direct is not None:
-            return direct(g, p)
-        group, perms = self._side(side)
-        for i in reversed(group.word(g)):
-            p = perms[i][p]
+    def perm(self, side: str, g: int) -> tuple[int, ...]:
+        """Permutation of the points by element g of the chosen side's
+        group: the generator permutations composed along g's word."""
+        group, gens = self._side(side)
+        p = tuple(range(self.size))
+        for i in group.word(g):
+            p = tuple(map(p.__getitem__, gens[i]))
         return p
 
-    def perm(self, side: str, g: int) -> tuple[int, ...]:
-        return tuple(self.act(side, g, p) for p in range(self.size))
+    def act(self, side: str, g: int, p: int) -> int:
+        """Image of point p under element g of the chosen side's group."""
+        return self.perm(side, g)[p]
 
     def orbits(self, side: str, generators) -> list[list[int]]:
         """Orbits under the subgroup generated by the given element indices,
@@ -79,9 +77,7 @@ class BiSet:
         return self.orbits_on(side, generators, range(self.size))
 
     def orbits_on(self, side: str, generators, points) -> list[list[int]]:
-        gen_maps = [  # evaluate each generator once, on the points we have
-            {p: self.act(side, g, p) for p in points}
-            for g in generators]
+        gen_maps = [self.perm(side, g) for g in generators]
         seen: set[int] = set()
         out: list[list[int]] = []
         for p0 in points:
@@ -126,13 +122,12 @@ class BiSet:
                           group.generators[rng.randrange(len(group.generators))])
                          for _ in range(samples))
             for x, s in pairs:
-                y = group.mul(x, s)
-                for p in range(self.size):
-                    if self.act(side, y, p) != self.act(side, x,
-                                                        self.act(side, s, p)):
-                        raise InvariantViolation(
-                            f"{side}-side action is not a homomorphism at "
-                            f"({x}, {s})")
+                px = self.perm(side, x)
+                if self.perm(side, group.mul(x, s)) != tuple(
+                        map(px.__getitem__, self.perm(side, s))):
+                    raise InvariantViolation(
+                        f"{side}-side action is not a homomorphism at "
+                        f"({x}, {s})")
 
     def __repr__(self) -> str:
         return (f"<BiSet size={self.size} O={self.gO.label} "
@@ -165,13 +160,14 @@ def fixed_set(X: BiSet, phi, sub_group=None) -> BiSet:
         entries = tuple(phi)
     points = list(range(X.size))
     for g in entries:
-        points = [p for p in points if X.act("O", g, p) == p]
+        perm = X.perm("O", g)
+        points = [p for p in points if perm[p] == p]
     reindex = {p: i for i, p in enumerate(points)}
     sub = sub_group if sub_group is not None else centralizer(X.gO, entries).as_group()
     actO = []
     for li in sub.generators:
-        g = sub.to_parent[li]
-        actO.append(tuple(reindex[X.act("O", g, p)] for p in points))
+        perm = X.perm("O", sub.to_parent[li])
+        actO.append(tuple(reindex[perm[p]] for p in points))
     actB = []
     for i, _ in enumerate(X.gB.generators):
         old = X.actB[i]
@@ -241,26 +237,19 @@ def wreath_power(X: BiSet, n: int, max_points: int = POINT_BUDGET) -> BiSet:
         return x
 
     tuples = list(itertools.product(range(X.size), repeat=n))
-
-    def act_direct_O(g: int, p: int) -> int:
+    actO = []
+    for g in W.generators:
         vec, r = W.decode(g)
         sigma_inv = W.top.inverse_perms()[r]
-        t = tuples[p]
-        return encode(X.act("O", vec[i], t[sigma_inv[i]]) for i in range(n))
-
-    actO = [tuple(act_direct_O(g, p) for p in range(size))
-            for g in W.generators]
-
-    def act_direct_B(g: int, p: int) -> int:
-        return encode(X.act("B", g, v) for v in tuples[p])
-
+        inner = [X.perm("O", a) for a in vec]
+        actO.append(tuple(encode(inner[i][t[sigma_inv[i]]] for i in range(n))
+                          for t in tuples))
     actB = []
     for j, _ in enumerate(X.gB.generators):
         base = X.actB[j]
         actB.append(tuple(encode(base[v] for v in t) for t in tuples))
     labels = tuple(tuple(X.labels[v] for v in t) for t in tuples)
-    return BiSet(size, W, X.gB, actO, actB, labels,
-                 act_direct_O=act_direct_O, act_direct_B=act_direct_B)
+    return BiSet(size, W, X.gB, actO, actB, labels)
 
 
 def product(X: BiSet, Y: BiSet) -> BiSet:

@@ -84,7 +84,7 @@ def _check(n, lhs_el, rhs_el, t0) -> DegreeCheck:
 def verify_theorem1(X: BiSet, k: int, N: int,
                     max_wreath: int | None = None,
                     max_points: int = POINT_BUDGET,
-                    cross_check: bool | None = None) -> VerificationReport:
+                    cross_check: bool = False) -> VerificationReport:
     """Wreath-power coefficients of the order-k characteristic against the
     factorization-engine series, degree by degree in A(G_B)."""
     if k < 0 or N < 0:

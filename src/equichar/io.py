@@ -23,7 +23,7 @@ from fractions import Fraction
 from .burnside import BurnsideElement, BurnsideRing, burnside_ring
 from .cells import CellSpace
 from .errors import UsageError
-from .groups import FiniteGroup, make_group
+from .groups import FiniteGroup, is_int_lists, make_group
 from .gsets import BiSet
 from .motivic import LExtElement, OrbifoldDatum, lext
 from .powerstruct import TruncatedSeries
@@ -73,8 +73,11 @@ def biset_from_json(obj, path, validate: bool = True) -> BiSet:
     size = _field(obj, "size", path)
     gO = group_from_json(_field(obj, "gO", path), path)
     gB = group_from_json(_field(obj, "gB", path), path)
-    actO = [tuple(p) for p in _field(obj, "actO", path)]
-    actB = [tuple(p) for p in _field(obj, "actB", path)]
+    actO = _field(obj, "actO", path)
+    actB = _field(obj, "actB", path)
+    if not (is_int_lists(actO) and is_int_lists(actB)):
+        raise UsageError(f"{path}: actO and actB must be lists of "
+                         f"integer lists")
     try:
         X = BiSet(size, gO, gB, actO, actB)
         if validate:

@@ -348,12 +348,12 @@ def geometric_power_oracle(a_sets: list[BiSet], M: BiSet, N: int,
             continue
         rank = {c: i for i, c in enumerate(configs)}
         perms = []
-        for s in G.generators:
+        for j, _ in enumerate(G.generators):
             img = []
             for c in configs:
-                moved = tuple(sorted((M.act("B", s, mp), i, A_i.act("B", s, a))
-                                     for (mp, i, a) in c
-                                     for A_i in (a_sets[i - 1],)))
+                moved = tuple(sorted(
+                    (M.actB[j][mp], i, a_sets[i - 1].actB[j][a])
+                    for (mp, i, a) in c))
                 img.append(rank[moved])
             perms.append(tuple(img))
         X = biset_from_single_action(len(configs), G, perms)

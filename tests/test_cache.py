@@ -3,17 +3,17 @@
 import json
 import os
 
+import pytest
+
 from equichar import cache
 from equichar.burnside import burnside_ring, class_of
-from equichar.groups import cyclic, make_group, symmetric
+from equichar.groups import SymmetricGroup, cyclic, make_group, symmetric
 from equichar.gsets import BiSet
 
 
 def fresh_s3():
-    G = make_group({"type": "symmetric", "n": 3})
-    G._cache.pop("burnside_ring", None)
-    G._cache.pop("lattice", None)
-    return G
+    """An S3 of its own, so no test empties the shared group's caches."""
+    return SymmetricGroup(3)
 
 
 def test_resolve_cache_dir(monkeypatch):
@@ -98,3 +98,39 @@ def test_missing_dir_created(tmp_path):
     d = str(tmp_path / "nested" / "cache")
     cache.cached_burnside_ring(symmetric(3), d)
     assert len(os.listdir(d)) == 1
+
+
+def test_reloaded_lattice_indexes_every_conjugate(tmp_path):
+    d = str(tmp_path)
+    R1 = cache.cached_burnside_ring(symmetric(3), d)
+    R2 = cache.cached_burnside_ring(fresh_s3(), d)
+    assert R2.lattice.class_index == R1.lattice.class_index
+
+
+def test_stored_marks_are_not_trusted(tmp_path):
+    d = str(tmp_path)
+    cache.cached_burnside_ring(symmetric(3), d)
+    path = os.path.join(d, os.listdir(d)[0])
+    payload = json.load(open(path))
+    # one edited lower-triangular entry: |(G/C3)^C2| = 2
+    payload["marks"] = [[6, 0, 0, 0], [3, 1, 0, 0], [2, 2, 2, 0],
+                        [1, 1, 1, 1]]
+    json.dump(payload, open(path, "w"))
+    R = cache.cached_burnside_ring(fresh_s3(), d)
+    assert (R.basis(2) * R.basis(1)).render() == "[G/e]"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda classes: classes.__setitem__(2, classes[1]),  # a class twice
+    lambda classes: classes.pop(1),                       # a class missing
+    lambda classes: classes.pop(0),                       # no trivial class
+])
+def test_bad_class_list_rejected(tmp_path, edit):
+    d = str(tmp_path)
+    cache.cached_burnside_ring(symmetric(3), d)
+    path = os.path.join(d, os.listdir(d)[0])
+    payload = json.load(open(path))
+    edit(payload["classes"])
+    json.dump(payload, open(path, "w"))
+    assert cache.load_ring(fresh_s3(), d) is None
+

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from equichar import groups
 from equichar.cli import main
 
 S3 = {"type": "symmetric", "n": 3}
@@ -197,6 +198,32 @@ def test_budget_violation_exits_1(capsys, z2_reg):
     code, _, err = run(capsys, "verify", "theorem1", "--input", z2_reg,
                        "--k", "1", "--N", "6", "--max-wreath", "100")
     assert code == 1 and "exceeds budget" in err
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (("group", "show"), {"type": "wreath", "n": 2}),
+    (("group", "show"),
+     {"type": "perm", "degree": 2, "generators": [[1, "0"]]}),
+    (("chi-orb",), {"size": 2, "gO": Z2, "gB": TRIV, "actO": 5,
+                    "actB": []}),
+])
+def test_malformed_input_exits_1(capsys, files, argv, obj):
+    code, out, err = run(capsys, *argv, "--input", files("bad.json", obj))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_lemma1_with_warm_cache_dir(capsys, files, tmp_path, monkeypatch):
+    """A lattice reloaded from disk classifies every conjugate subgroup."""
+    x = files("s3set.json", {"size": 3, "gO": TRIV, "gB": S3, "actO": [],
+                             "actB": [[1, 0, 2], [1, 2, 0]]})
+    argv = ("--cache-dir", str(tmp_path / "cache"), "verify", "lemma1",
+            "--input", x, "--N", "2")
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    cold = run(capsys, *argv)
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})  # as in a new process
+    warm = run(capsys, *argv)
+    assert cold[0] == 0 and warm == cold
 
 
 def test_cache_dir_flag_writes_entry(capsys, files, tmp_path):

@@ -2,10 +2,11 @@ import pytest
 
 from equichar.burnside import burnside_ring, cardinality_hom
 from equichar.cells import CellSpace
-from equichar.errors import ResourceLimitError
+from equichar import euler
+from equichar.errors import InvariantViolation, ResourceLimitError
 from equichar.euler import (chi_k, chi_k_averaging, chi_k_equivariant,
                             chi_k_equivariant_tuples, chi_orb,
-                            set_cross_check, tuple_class_strata)
+                            tuple_class_strata)
 from equichar.groups import cyclic, dihedral, make_group, symmetric
 from equichar.gsets import (BiSet, biset_from_single_action, point_biset,
                             trivial_group, wreath_power)
@@ -108,14 +109,15 @@ def test_averaging_matches_on_zoo():
             assert chi_k(X, k, cross_check=False) == chi_k_averaging(X, k)
 
 
-def test_cross_check_flag_paths():
+def test_cross_check_flag_paths(monkeypatch):
     pt = o_point(symmetric(3))
     assert chi_k(pt, 1, cross_check=True) == 3
-    set_cross_check(False)
-    try:
-        assert chi_k(pt, 1) == 3
-    finally:
-        set_cross_check(True)
+    assert chi_k(pt, 1) == 3
+    # the oracle runs only when asked for, and a disagreement is fatal
+    monkeypatch.setattr(euler, "chi_k_averaging", lambda X, k: -1)
+    assert chi_k(pt, 1) == 3
+    with pytest.raises(InvariantViolation):
+        chi_k(pt, 1, cross_check=True)
 
 
 def test_chi_k_on_cellspace():
@@ -125,8 +127,8 @@ def test_chi_k_on_cellspace():
     edges = BiSet(2, Z2, T, ((1, 0),), ())
     X = CellSpace(((0, verts), (1, edges)))
     # chi(X)=1, chi(X^sigma)=1; orbifold: (quotient chi 1+... )
-    assert chi_k(X, 0) == 1
-    assert chi_orb(X) == 2
+    assert chi_k(X, 0, cross_check=True) == 1
+    assert chi_orb(X, cross_check=True) == 2
 
 
 def test_chi_1_hand_expansions():
@@ -134,11 +136,11 @@ def test_chi_1_hand_expansions():
     # natural action: e -> 1 orbit, transposition -> 1 fixed orbit,
     # 3-cycle -> no fixed points
     X = biset_from_single_action(3, S3, [(1, 0, 2), (1, 2, 0)], side="O")
-    assert chi_orb(X) == 2
+    assert chi_orb(X, cross_check=True) == 2
     # sign action on {0,1} + fixed point: e -> 2, transposition -> 1,
     # 3-cycle -> 3 (its centralizer acts trivially on the 3 fixed points)
     Y = biset_from_single_action(3, S3, [(1, 0, 2), (0, 1, 2)], side="O")
-    assert chi_orb(Y) == 6
+    assert chi_orb(Y, cross_check=True) == 6
 
 
 def test_tuple_class_strata_cover_all_classes():
@@ -180,5 +182,6 @@ def test_chi_2_wreath_matches_macdonald_coefficient():
 def test_cardinality_of_chi_0_equals_orbit_chi():
     Z2 = cyclic(2)
     X = biset_from_single_action(4, Z2, [(1, 0, 3, 2)], side="O")
-    assert cardinality_hom(chi_k_equivariant(X, 0)) == chi_k(
-        biset_from_single_action(4, Z2, [(1, 0, 3, 2)], side="O"), 0)
+    assert cardinality_hom(chi_k_equivariant(X, 0, cross_check=True)) == \
+        chi_k(biset_from_single_action(4, Z2, [(1, 0, 3, 2)], side="O"), 0,
+              cross_check=True)

@@ -25,7 +25,7 @@ def test_lemma1_partition_like_sequence():
 
 
 def test_theorem1_regular_set():
-    r = harness.verify_theorem1(reg_b(2), 1, 4)
+    r = harness.verify_theorem1(reg_b(2), 1, 4, cross_check=True)
     assert r.passed
     assert [d.lhs for d in r.degrees] == [
         "[G/G]", "[G/e]", "2*[G/e] + [G/G]", "5*[G/e]", "9*[G/e] + 2*[G/G]"]

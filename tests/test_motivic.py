@@ -239,13 +239,14 @@ def test_datum_from_biset_matches_hierarchy():
     for k in (0, 1, 2):
         datum = datum_from_biset(X, k)
         assert orbifold_class_from_datum(datum) == \
-            embed(chi_k_equivariant(X, k))
+            embed(chi_k_equivariant(X, k, cross_check=True))
 
 
 def test_datum_from_biset_point_and_empty():
     pt = biset_from_single_action(1, S3, [(0,)] * 2, side="O")
     d = datum_from_biset(pt, 2)
-    assert orbifold_class_from_datum(d) == embed(chi_k_equivariant(pt, 2))
+    assert orbifold_class_from_datum(d) == \
+        embed(chi_k_equivariant(pt, 2, cross_check=True))
     e = datum_from_biset(empty_biset(Z2, cyclic(3)), 1)
     assert orbifold_class_from_datum(e).is_zero()
 
