@@ -5,6 +5,14 @@ conjugacy class of subgroups.  The mark homomorphism (fixed-point counts at
 every subgroup class) is injective and the table of marks is lower
 triangular with positive diagonal in the canonical order, so products and
 class decompositions reduce to exact integer back-substitution.
+
+The marks come from containment alone.  The g with H^g ⊆ K number
+|N_G(H)| = |G| / #conjugates(H) per conjugate of H inside K, and each
+fixed coset gK holds |K| of them, so
+
+    |(G/K)^H| = |G| · #{H' ~ H : H' ⊆ K} / (#conjugates(H) · |K|),
+
+counted by subset tests over the lattice's index of every subgroup.
 """
 
 from __future__ import annotations
@@ -24,28 +32,32 @@ class BurnsideRing:
         self.group = G
         self.lattice = lattice
         self.n = len(lattice.classes)
-        self.marks_rows = tuple(
-            tuple(self._mark(K, H) for H in lattice.classes)
-            for K in lattice.classes)
+        conjugates: list[list[frozenset[int]]] = [[] for _ in range(self.n)]
+        for elements, i in lattice.class_index.items():
+            conjugates[i].append(elements)
+        self.marks_rows = tuple(self._marks_row(i, conjugates)
+                                for i in range(self.n))
         for i, row in enumerate(self.marks_rows):
             if row[i] <= 0 or any(row[j] for j in range(i + 1, self.n)):
                 raise InvariantViolation("table of marks is not lower triangular")
         self._zeta: dict = {}
 
-    def _mark(self, K, H) -> int:
-        """|(G/K)^H| = number of cosets gK with g^-1 H g contained in K."""
-        G = self.group
-        kset = set(K.elements)
-        count = 0
-        seen: set[int] = set()
-        for g in G.elements():
-            if g in seen:
-                continue
-            seen.update(G.mul(g, k) for k in K.elements)
-            gi = G.inv(g)
-            if all(G.mul(G.mul(gi, h), g) in kset for h in H.generators):
-                count += 1
-        return count
+    def _marks_row(self, i: int, conjugates) -> tuple[int, ...]:
+        """|(G/K)^H| for K the i-th class and every class H, from the
+        conjugates of H contained in K."""
+        K = self.lattice.classes[i]
+        kset = K.element_set()
+        row = []
+        for j, H in enumerate(self.lattice.classes):
+            inside = 0 if K.order % H.order else sum(
+                1 for c in conjugates[j] if c <= kset)
+            mark, rem = divmod(self.group.order * inside,
+                               len(conjugates[j]) * K.order)
+            if rem:
+                raise InvariantViolation(
+                    f"mark of class {j} in class {i} is not an integer")
+            row.append(mark)
+        return tuple(row)
 
     # -- elements ------------------------------------------------------------
 

@@ -13,7 +13,8 @@ import argparse
 import json
 import sys
 
-from . import cache, harness, io
+from . import harness, io
+from .burnside import burnside_ring
 from .cells import CellSpace
 from .cells import chi as cells_chi
 from .errors import InvariantViolation, ResourceLimitError, UsageError
@@ -37,9 +38,6 @@ def build_parser() -> _Parser:
     p = _Parser(prog="equichar",
                 description="Exact equivariant Euler characteristics, "
                             "power structures, and identity verification.")
-    p.add_argument("--cache-dir", default=None,
-                   help="directory for tables of marks "
-                        "(default: $EQUICHAR_CACHE)")
     sub = p.add_subparsers(dest="verb", required=True)
 
     def add_format(sp):
@@ -116,15 +114,10 @@ def _emit(args, text_value, json_value) -> None:
         print(text_value)
 
 
-def _ring_for(G, args):
-    return cache.cached_burnside_ring(G,
-                                      cache.resolve_cache_dir(args.cache_dir))
-
-
 def _load_space(args, need_ring: bool = True):
     X = io.space_from_json(io.load_json(args.input), args.input)
     if need_ring:
-        _ring_for(X.gB, args)
+        burnside_ring(X.gB)
     return X
 
 
@@ -145,7 +138,7 @@ def _cmd_group(args) -> int:
               {"count": len(classes), "sizes": sizes,
                "representatives": [c[0] for c in classes]})
         return 0
-    ring = _ring_for(G, args)
+    ring = burnside_ring(G)
     if args.action == "subgroups":
         rows = [{"name": ring.basis_name(i),
                  "order": ring.lattice.classes[i].order,
@@ -194,7 +187,7 @@ def _cmd_chi_k_eq(args) -> int:
     return 0
 
 
-def _series_context(obj, path, args):
+def _series_context(obj, path):
     """Resolve the coefficient ring named in a power/zeta input file."""
     choice = obj.get("ring", "int")
     if choice == "int":
@@ -204,12 +197,12 @@ def _series_context(obj, path, args):
             return v
         return INT_RING, parse, str
     if isinstance(choice, dict) and "burnside" in choice:
-        bring = _ring_for(io.group_from_json(choice["burnside"], path), args)
+        bring = burnside_ring(io.group_from_json(choice["burnside"], path))
         return (burnside_coeff_ring(bring),
                 lambda v: io.burnside_from_json(v, bring, path),
                 lambda c: c.render())
     if isinstance(choice, dict) and "lext" in choice:
-        bring = _ring_for(io.group_from_json(choice["lext"], path), args)
+        bring = burnside_ring(io.group_from_json(choice["lext"], path))
         return (lext_coeff_ring(bring),
                 lambda v: io.lext_from_json(v, bring, path),
                 lambda c: c.render())
@@ -219,7 +212,7 @@ def _series_context(obj, path, args):
 
 def _cmd_power(args) -> int:
     obj = io.load_json(args.input)
-    ring, parse, render = _series_context(obj, args.input, args)
+    ring, parse, render = _series_context(obj, args.input)
     raw = obj.get("series")
     if not isinstance(raw, list) or not raw:
         raise UsageError(f"{args.input}: \"series\" must be a nonempty list")
@@ -239,8 +232,8 @@ def _cmd_power(args) -> int:
 def _cmd_zeta(args) -> int:
     obj = io.load_json(args.input)
     path = args.input
-    bring = _ring_for(io.group_from_json(io._field(obj, "group", path), path),
-                      args)
+    bring = burnside_ring(
+        io.group_from_json(io._field(obj, "group", path), path))
     idx = io._field(obj, "index", path)
     if not isinstance(idx, int) or not 0 <= idx < bring.n:
         raise UsageError(f"{path}: index must name one of the {bring.n} "
@@ -259,7 +252,6 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_orbifold_class(args) -> int:
     datum = io.datum_from_json(io.load_json(args.input), args.input)
-    _ring_for(datum.bring.group, args)
     el = orbifold_class_from_datum(datum)
     _emit(args, el.render(), io.lext_to_json(el))
     return 0

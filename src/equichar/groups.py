@@ -5,12 +5,19 @@ permutation closure); multiplication stays structural and a flat Cayley table
 is only materialized on demand for small orders.  Conjugacy classes,
 centralizers and commuting tuples are computed by orbit expansion under
 conjugation by generators, never by all-pairs scans.
+
+Subgroups grow by Dimino's coset extension: <H, g> is H's element list
+followed by whole right cosets H·x, one product per new element.  The
+subgroup lattice is searched over conjugacy-class representatives only:
+each representative is extended by every cyclic generator outside it, and
+a subgroup not met before has its whole conjugacy class indexed at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, ResourceLimitError, UsageError
@@ -526,19 +533,45 @@ class Subgroup:
 
 def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
     """Sorted element tuple of the subgroup generated by gens."""
-    seen = {G.identity}
-    frontier = [G.identity]
-    gens = tuple(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = G.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen))
+    elements: list[int] = [G.identity]
+    done: list[int] = []
+    for g in gens:
+        elements = extend_subgroup(G, elements, done, g)
+        done.append(g)
+    return tuple(sorted(elements))
+
+
+def extend_subgroup(G: FiniteGroup, elements, gens, g: int) -> list[int]:
+    """Elements of <H, g>, where H = <gens> has the given element list.
+
+    Dimino's right-coset extension: the result lists H's elements first and
+    then whole cosets H·x.  A coset representative x times a generator s
+    that falls outside the list opens the coset H·(xs), so the list ends
+    closed under right multiplication by every generator.  Costs one
+    product per new element plus one per coset and generator.
+    """
+    base = tuple(elements)
+    seen = set(base)
+    if g in seen:
+        return list(base)
+    gens = tuple(gens) + (g,)
+    out = list(base)
+
+    def add_coset(y: int) -> None:
+        coset = [G.mul(h, y) for h in base]
+        seen.update(coset)
+        out.extend(coset)
+
+    add_coset(g)
+    pos = len(base)
+    while pos < len(out):
+        x = out[pos]  # stands for its coset, as H·x·s = H·(xs)
+        for s in gens:
+            xs = G.mul(x, s)
+            if xs not in seen:
+                add_coset(xs)
+        pos += len(base)
+    return out
 
 
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
@@ -561,12 +594,14 @@ def _reduce_generators(G: FiniteGroup, candidates: list[int],
     """Pick a short generating subsequence; each kept generator at least
     doubles the closure, so at most log2(target) survive."""
     small: list[int] = []
-    current: set[int] = {G.identity}
+    current = [G.identity]
+    members = {G.identity}
     for c in candidates:
-        if c in current:
+        if c in members:
             continue
+        current = extend_subgroup(G, current, small, c)
+        members.update(current)
         small.append(c)
-        current = set(closure(G, small))
         if len(current) == target:
             break
     return tuple(small)
@@ -675,7 +710,8 @@ def _centralizer_schreier(H: Subgroup, g: int) -> Subgroup:
     if rem:
         raise InvariantViolation("orbit size does not divide subgroup order")
     small: list[int] = []
-    current: set[int] = {G.identity}
+    current = [G.identity]
+    members = {G.identity}
     done = len(current) == target
     for x in order_list:
         if done:
@@ -685,9 +721,10 @@ def _centralizer_schreier(H: Subgroup, g: int) -> Subgroup:
             t = G.mul(u, s)
             y = G.conj(g, t)  # = s^-1 x s
             c = G.mul(t, G.inv(witness[y]))
-            if c not in current:
+            if c not in members:
+                current = extend_subgroup(G, current, small, c)
+                members.update(current)
                 small.append(c)
-                current = set(closure(G, small))
                 if len(current) == target:
                     done = True
                     break
@@ -820,85 +857,78 @@ class SubgroupLattice:
 
 def subgroup_lattice(G: FiniteGroup,
                      budget: int = SUBGROUP_BUDGET) -> SubgroupLattice:
-    cached = G._cache.get("lattice")
-    if cached is not None:
-        return cached
+    """Every subgroup of G, indexed by its conjugacy class."""
     if G.order > budget:
         raise ResourceLimitError("subgroup enumeration",
                                  size=G.order, budget=budget)
-    # every subgroup is generated by cyclic subgroups: close upward from them
-    cyclics = cyclic_subgroups(G)
-    gens_for: dict[frozenset[int], tuple[int, ...]] = {}
-    trivial = frozenset((G.identity,))
-    gens_for[trivial] = ()
-    queue = [trivial]
-    for fs, g in cyclics.items():
-        if fs not in gens_for:
-            gens_for[fs] = (g,)
-            queue.append(fs)
-    head = 0
-    while head < len(queue):
-        fs = queue[head]
-        head += 1
-        if len(fs) == G.order:
-            continue
-        for cg in cyclics.values():
-            if cg in fs:
-                continue
-            new_gens = gens_for[fs] + (cg,)
-            nfs = frozenset(closure(G, new_gens))
-            if nfs not in gens_for:
-                gens_for[nfs] = new_gens
-                queue.append(nfs)
-    lat = classify_subgroups(G, gens_for)
+    cached = G._cache.get("lattice")
+    if cached is not None:
+        return cached
+    # x -> s^-1 x s for each generator s: conjugating a subgroup is lookups
+    conj = [tuple(G.conj(x, s) for x in G.elements()) for s in G.generators]
+    class_index: dict[frozenset[int], int] = {}
+    orbits: list[list[frozenset[int]]] = []
+    queue: list[tuple[list[int], tuple[int, ...]]] = []
+
+    def found(elements: list[int], gens: tuple[int, ...]) -> None:
+        """Index a new subgroup's whole conjugacy class and queue it."""
+        fs = frozenset(elements)
+        if fs in class_index:
+            return
+        idx = len(orbits)
+        class_index[fs] = idx
+        orbit = [fs]
+        for cur in orbit:  # grows until closed under conjugation
+            for perm in conj:
+                img = frozenset(perm[x] for x in cur)
+                if img not in class_index:
+                    class_index[img] = idx
+                    orbit.append(img)
+        orbits.append(orbit)
+        queue.append((elements, gens))
+
+    # every K > 1 is <M, g> for a maximal M < K and any g in K \ M; with
+    # M = R^x for a queued representative R, K^(x^-1) = <R, x g x^-1>, so
+    # extending the representatives by cyclic generators reaches each class
+    found([G.identity], ())
+    cyclic_gens = _cyclic_generators(G)
+    for elements, gens in queue:  # grows as classes are found
+        members = set(elements)
+        for g in cyclic_gens:
+            if g not in members:
+                found(extend_subgroup(G, elements, gens, g), gens + (g,))
+    # canonical order: (order, lexicographically least conjugate), reindexed
+    canon = [min(tuple(sorted(m)) for m in orbit) for orbit in orbits]
+    order = sorted(range(len(orbits)),
+                   key=lambda i: (len(canon[i]), canon[i]))
+    remap = {old: new for new, old in enumerate(order)}
+    reps = tuple(Subgroup(G, canon[i],
+                          _reduce_generators(G, list(canon[i]),
+                                             len(canon[i])))
+                 for i in order)
+    lat = SubgroupLattice(G, reps,
+                          {fs: remap[i] for fs, i in class_index.items()})
     G._cache["lattice"] = lat
     return lat
 
 
-def cyclic_subgroups(G: FiniteGroup) -> dict[frozenset[int], int]:
-    """Every cyclic subgroup with its least generator, in that order."""
-    out: dict[frozenset[int], int] = {}
+def _cyclic_generators(G: FiniteGroup) -> list[int]:
+    """The least generator of every cyclic subgroup, in increasing order."""
+    out: list[int] = []
+    generating: set[int] = set()
     for g in G.elements():
-        out.setdefault(frozenset(closure(G, (g,))), g)
-    return out
-
-
-def classify_subgroups(G: FiniteGroup, subgroups) -> SubgroupLattice:
-    """The lattice of the conjugacy classes met by the given subgroup
-    element sets: every conjugate is indexed, and the classes are put in
-    canonical order with canonical representatives."""
-    inv_gens = [G.inv(s) for s in G.generators]
-    class_index: dict[frozenset[int], int] = {}
-    reps: list[Subgroup] = []
-    for fs in subgroups:
-        if fs in class_index:
+        if g in generating:  # its cyclic subgroup has a smaller generator
             continue
-        orbit = {fs}
-        frontier = [fs]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for s, si in zip(G.generators, inv_gens):
-                    img = frozenset(G.mul(G.mul(si, x), s) for x in cur)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        canon = min(tuple(sorted(m)) for m in orbit)
-        idx = len(reps)
-        for m in orbit:
-            class_index[m] = idx
-        rep_elems = canon
-        reps.append(Subgroup(G, rep_elems,
-                             _reduce_generators(G, list(rep_elems),
-                                                len(rep_elems))))
-    # canonical order: (order, lexicographic element tuple), then reindex
-    order = sorted(range(len(reps)),
-                   key=lambda i: (reps[i].order, reps[i].elements))
-    remap = {old: new for new, old in enumerate(order)}
-    reps = [reps[i] for i in order]
-    class_index = {fs: remap[i] for fs, i in class_index.items()}
-    return SubgroupLattice(G, tuple(reps), class_index)
+        powers = [G.identity]
+        x = g
+        while x != G.identity:
+            powers.append(x)
+            x = G.mul(x, g)
+        n = len(powers)
+        generating.update(powers[k] for k in range(1, n)
+                          if math.gcd(k, n) == 1)
+        out.append(g)
+    return out
 
 
 def subgroups_up_to_conjugacy(G: FiniteGroup,

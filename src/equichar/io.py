@@ -96,8 +96,11 @@ def biset_to_json(X: BiSet) -> dict:
 
 
 def cellspace_from_json(obj, path, validate: bool = True) -> CellSpace:
+    raw = _field(obj, "cells", path)
+    if not isinstance(raw, list):
+        raise UsageError(f"{path}: \"cells\" must be a list")
     cells = []
-    for cell in _field(obj, "cells", path):
+    for cell in raw:
         dim = _field(cell, "dim", path)
         cells.append((dim, biset_from_json(_field(cell, "biset", path),
                                            path, validate)))

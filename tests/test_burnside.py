@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equichar.burnside import (burnside_ring, cardinality_hom, chi_equivariant,
-                               class_of, table_of_marks)
+from equichar.burnside import (BurnsideRing, burnside_ring, cardinality_hom,
+                               chi_equivariant, class_of, table_of_marks)
 from equichar.cells import CellSpace
-from equichar.errors import UsageError
-from equichar.groups import cyclic, dihedral, symmetric
+from equichar.errors import InvariantViolation, UsageError
+from equichar.groups import (SubgroupLattice, SymmetricGroup, cyclic,
+                             dihedral, make_group, subgroup_lattice, symmetric)
 from equichar.gsets import (BiSet, biset_from_single_action, disjoint_union,
                             empty_biset, point_biset, product, trivial_group)
 
@@ -193,3 +194,45 @@ def test_render():
     R = burnside_ring(cyclic(2))
     assert (2 * R.basis(0) + R.unit).render() == "2*[G/e] + [G/G]"
     assert R.zero.render() == "0"
+
+
+def mark_by_coset_scan(G, K, H) -> int:
+    """|(G/K)^H| = number of cosets gK with g^-1 H g contained in K."""
+    kset = set(K.elements)
+    count = 0
+    seen: set[int] = set()
+    for g in G.elements():
+        if g in seen:
+            continue
+        seen.update(G.mul(g, k) for k in K.elements)
+        gi = G.inv(g)
+        if all(G.mul(G.mul(gi, h), g) in kset for h in H.generators):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("desc", [
+    {"type": "symmetric", "n": 4},
+    {"type": "dihedral", "n": 4},
+    {"type": "wreath", "inner": {"type": "cyclic", "n": 2}, "n": 3},
+    {"type": "wreath", "inner": {"type": "symmetric", "n": 3}, "n": 2},
+], ids=["S4", "D4", "C2wrS3", "S3wrS2"])
+def test_marks_match_coset_scan(desc):
+    G = make_group(desc)
+    R = burnside_ring(G)
+    classes = R.lattice.classes
+    assert [list(row) for row in R.marks_rows] == [
+        [mark_by_coset_scan(G, K, H) for H in classes] for K in classes]
+
+
+def test_lattice_missing_a_conjugate_is_rejected():
+    G = SymmetricGroup(3)
+    lat = subgroup_lattice(G)
+    # drop one of the three transposition subgroups that is not the
+    # representative: the containment count no longer divides evenly
+    rep = lat.classes[1].element_set()
+    gone = next(fs for fs, i in lat.class_index.items()
+                if i == 1 and fs != rep)
+    index = {fs: i for fs, i in lat.class_index.items() if fs != gone}
+    with pytest.raises(InvariantViolation):
+        BurnsideRing(G, SubgroupLattice(G, lat.classes, index))

@@ -10,6 +10,7 @@ from equichar.errors import ResourceLimitError, UsageError
 from equichar.groups import (
     CommutingTuple,
     centralizer,
+    closure,
     centralizer_in,
     commuting_tuple_classes,
     commuting_tuple_classes_naive,
@@ -17,6 +18,7 @@ from equichar.groups import (
     conjugacy_classes,
     cyclic,
     dihedral,
+    extend_subgroup,
     make_group,
     subgroup_from_generators,
     subgroup_lattice,
@@ -303,3 +305,73 @@ def test_cyclic_subgroup_count_is_divisor_count(n):
     subs = subgroups_up_to_conjugacy(cyclic(n))
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     assert [h.order for h in subs] == divisors
+
+
+S4 = {"type": "symmetric", "n": 4}
+D4 = {"type": "dihedral", "n": 4}
+C2WRS3 = {"type": "wreath", "inner": {"type": "cyclic", "n": 2}, "n": 3}
+
+
+def bfs_closure(G, gens) -> frozenset[int]:
+    """The subgroup generated by gens, by breadth-first right products."""
+    seen = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        frontier = [y for y in {G.mul(x, s) for x in frontier for s in gens}
+                    if y not in seen]
+        seen.update(frontier)
+    return frozenset(seen)
+
+
+def all_subgroups_by_upward_closure(G) -> set[frozenset[int]]:
+    """Every subgroup: close each one found against every cyclic subgroup,
+    starting from the trivial group."""
+    cyclic_gens = {bfs_closure(G, (g,)): g for g in G.elements()}.values()
+    gens_for = {frozenset((G.identity,)): ()}
+    queue = list(gens_for)
+    for fs in queue:
+        for g in cyclic_gens:
+            if g not in fs:
+                gens = gens_for[fs] + (g,)
+                nfs = bfs_closure(G, gens)
+                if nfs not in gens_for:
+                    gens_for[nfs] = gens
+                    queue.append(nfs)
+    return set(gens_for)
+
+
+@pytest.mark.parametrize("desc", [S4, D4, C2WRS3],
+                         ids=["S4", "D4", "C2wrS3"])
+def test_lattice_matches_upward_closure(desc):
+    G = make_group(desc)
+    assert set(subgroup_lattice(G).class_index) == \
+        all_subgroups_by_upward_closure(G)
+
+
+@pytest.mark.parametrize("desc", [{"type": "symmetric", "n": 3}, S4, D4,
+                                  C2WRS3],
+                         ids=["S3", "S4", "D4", "C2wrS3"])
+def test_lattice_indexes_every_conjugate(desc):
+    G = make_group(desc)
+    lat = subgroup_lattice(G)
+    conjugates = set()
+    for i, K in enumerate(lat.classes):
+        for g in G.elements():
+            c = frozenset(G.conj(x, g) for x in K.elements)
+            assert lat.class_index[c] == i
+            conjugates.add(c)
+    assert conjugates == set(lat.class_index)
+
+
+@given(st.sampled_from([S4, D4, C2WRS3]),
+       st.lists(st.integers(min_value=0, max_value=47), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_coset_extension_matches_bfs(desc, picks):
+    G = make_group(desc)
+    gens = [p % G.order for p in picks]
+    assert frozenset(closure(G, gens)) == bfs_closure(G, gens)
+    if gens:
+        H = list(closure(G, gens[:-1]))
+        K = extend_subgroup(G, H, gens[:-1], gens[-1])
+        assert K[:len(H)] == H and len(set(K)) == len(K)
+        assert frozenset(K) == bfs_closure(G, gens)
