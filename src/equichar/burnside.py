@@ -32,6 +32,11 @@ class BurnsideRing:
         self.group = G
         self.lattice = lattice
         self.n = len(lattice.classes)
+        for i, K in enumerate(lattice.classes):
+            if lattice.class_index.get(K.element_set()) != i:
+                raise InvariantViolation(f"class {i} is not indexed as itself")
+        if len(set(lattice.class_index.values())) != self.n:
+            raise InvariantViolation("class index names a class not listed")
         conjugates: list[list[frozenset[int]]] = [[] for _ in range(self.n)]
         for elements, i in lattice.class_index.items():
             conjugates[i].append(elements)

@@ -1,13 +1,16 @@
-"""Disk cache for tables of marks: digesting, eviction, revalidation."""
+"""Reuse of computed tables of marks: rings and lattices are kept in memory
+per group object, recomputed for a new one, and never written to disk."""
 
-import json
 import os
 
 import pytest
 
-from equichar import cache
-from equichar.burnside import burnside_ring, class_of
-from equichar.groups import SymmetricGroup, cyclic, make_group, symmetric
+from equichar.burnside import BurnsideRing, burnside_ring, class_of
+from equichar.cli import main
+from equichar.errors import InvariantViolation
+from equichar.groups import (SubgroupLattice, SymmetricGroup, cyclic,
+                             make_group, same_group, subgroup_lattice,
+                             symmetric)
 from equichar.gsets import BiSet
 
 
@@ -16,107 +19,60 @@ def fresh_s3():
     return SymmetricGroup(3)
 
 
-def test_resolve_cache_dir(monkeypatch):
-    monkeypatch.delenv(cache.ENV_VAR, raising=False)
-    assert cache.resolve_cache_dir("/x") == "/x"
-    assert cache.resolve_cache_dir(None) is None
-    monkeypatch.setenv(cache.ENV_VAR, "/from-env")
-    assert cache.resolve_cache_dir(None) == "/from-env"
-    assert cache.resolve_cache_dir("/explicit") == "/explicit"
-
-
 def test_digest_is_stable_and_group_sensitive():
-    a = cache.group_digest(symmetric(3))
-    b = cache.group_digest(make_group({"type": "symmetric", "n": 3}))
-    c = cache.group_digest(cyclic(6))
-    assert a == b and a != c
+    # a group is known by its descriptor: equal descriptors share one object
+    # and one table of marks, different ones do not
+    a = symmetric(3)
+    b = make_group({"type": "symmetric", "n": 3})
+    c = cyclic(6)
+    assert a is b and same_group(a, b) and not same_group(a, c)
+    assert burnside_ring(a) is burnside_ring(b)
+    assert burnside_ring(a).marks_rows != burnside_ring(c).marks_rows
 
 
-def test_save_then_load_roundtrip(tmp_path):
-    d = str(tmp_path)
-    R1 = cache.cached_burnside_ring(symmetric(3), d)
-    assert len(os.listdir(d)) == 1
+def test_memory_cache_wins():
     G = fresh_s3()
-    R2 = cache.cached_burnside_ring(G, d)
+    R1 = burnside_ring(G)
+    assert burnside_ring(G) is R1
+    assert R1.lattice is subgroup_lattice(G)
+    # the lattice is kept as well, and the ring reuses it
+    assert BurnsideRing(G, subgroup_lattice(G)).lattice is R1.lattice
+
+
+def test_no_dir_means_no_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    R = burnside_ring(fresh_s3())
+    assert R.n == 4
+    (tmp_path / "g.json").write_text('{"type": "symmetric", "n": 4}')
+    assert main(["group", "marks", "--input", "g.json"]) == 0
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == ["g.json"]
+
+
+def test_reloaded_lattice_indexes_every_conjugate():
+    # a new object of the same group, as in a new process, gets a lattice
+    # of its own that indexes exactly the same subgroups
+    R1 = burnside_ring(symmetric(3))
+    G = fresh_s3()
+    R2 = burnside_ring(G)
+    assert R2 is not R1
+    assert R2.lattice.class_index == R1.lattice.class_index
     assert R2.marks_rows == R1.marks_rows
-    assert [c.elements for c in R2.lattice.classes] == \
-        [c.elements for c in R1.lattice.classes]
-    # the reloaded lattice must classify actions identically
     X = BiSet(3, make_group({"type": "trivial"}), G,
               actO=[], actB=[(1, 0, 2), (1, 2, 0)])
     assert class_of(X).render() == "[G/H1]"
 
 
-def test_memory_cache_wins(tmp_path):
+def test_stored_marks_are_not_trusted():
     G = fresh_s3()
-    R1 = cache.cached_burnside_ring(G, str(tmp_path))
-    assert cache.cached_burnside_ring(G, str(tmp_path)) is R1
-    # even with no directory the in-memory entry is reused
-    assert cache.cached_burnside_ring(G, None) is R1
-
-
-def test_no_dir_means_no_files(tmp_path):
-    R = cache.cached_burnside_ring(fresh_s3(), None)
-    assert R.n == 4
-    assert os.listdir(tmp_path) == []
-
-
-def test_version_mismatch_evicts(tmp_path):
-    d = str(tmp_path)
-    cache.cached_burnside_ring(symmetric(3), d)
-    path = os.path.join(d, os.listdir(d)[0])
-    payload = json.load(open(path))
-    payload["version"] = cache.CACHE_VERSION + 1
-    json.dump(payload, open(path, "w"))
-    assert cache.load_ring(fresh_s3(), d) is None
-    assert os.listdir(d) == []
-
-
-def test_fingerprint_mismatch_rejected(tmp_path):
-    d = str(tmp_path)
-    cache.cached_burnside_ring(symmetric(3), d)
-    path = os.path.join(d, os.listdir(d)[0])
-    payload = json.load(open(path))
-    payload["fingerprint"] = [5, 5]
-    json.dump(payload, open(path, "w"))
-    assert cache.load_ring(fresh_s3(), d) is None
-
-
-def test_corrupt_entry_ignored(tmp_path):
-    d = str(tmp_path)
-    cache.cached_burnside_ring(symmetric(3), d)
-    path = os.path.join(d, os.listdir(d)[0])
-    with open(path, "w") as fh:
-        fh.write("{broken")
-    assert cache.load_ring(fresh_s3(), d) is None
-    # and the public entry point falls back to recomputing
-    R = cache.cached_burnside_ring(fresh_s3(), d)
-    assert R.n == 4
-
-
-def test_missing_dir_created(tmp_path):
-    d = str(tmp_path / "nested" / "cache")
-    cache.cached_burnside_ring(symmetric(3), d)
-    assert len(os.listdir(d)) == 1
-
-
-def test_reloaded_lattice_indexes_every_conjugate(tmp_path):
-    d = str(tmp_path)
-    R1 = cache.cached_burnside_ring(symmetric(3), d)
-    R2 = cache.cached_burnside_ring(fresh_s3(), d)
-    assert R2.lattice.class_index == R1.lattice.class_index
-
-
-def test_stored_marks_are_not_trusted(tmp_path):
-    d = str(tmp_path)
-    cache.cached_burnside_ring(symmetric(3), d)
-    path = os.path.join(d, os.listdir(d)[0])
-    payload = json.load(open(path))
+    R1 = burnside_ring(G)
     # one edited lower-triangular entry: |(G/C3)^C2| = 2
-    payload["marks"] = [[6, 0, 0, 0], [3, 1, 0, 0], [2, 2, 2, 0],
-                        [1, 1, 1, 1]]
-    json.dump(payload, open(path, "w"))
-    R = cache.cached_burnside_ring(fresh_s3(), d)
+    R1.marks_rows = ((6, 0, 0, 0), (3, 1, 0, 0), (2, 2, 2, 0), (1, 1, 1, 1))
+    # a ring built on the same lattice counts its marks again
+    R = BurnsideRing(G, R1.lattice)
+    assert R.marks_rows == ((6, 0, 0, 0), (3, 1, 0, 0), (2, 0, 2, 0),
+                            (1, 1, 1, 1))
     assert (R.basis(2) * R.basis(1)).render() == "[G/e]"
 
 
@@ -125,12 +81,10 @@ def test_stored_marks_are_not_trusted(tmp_path):
     lambda classes: classes.pop(1),                       # a class missing
     lambda classes: classes.pop(0),                       # no trivial class
 ])
-def test_bad_class_list_rejected(tmp_path, edit):
-    d = str(tmp_path)
-    cache.cached_burnside_ring(symmetric(3), d)
-    path = os.path.join(d, os.listdir(d)[0])
-    payload = json.load(open(path))
-    edit(payload["classes"])
-    json.dump(payload, open(path, "w"))
-    assert cache.load_ring(fresh_s3(), d) is None
-
+def test_bad_class_list_rejected(edit):
+    G = fresh_s3()
+    lat = subgroup_lattice(G)
+    classes = list(lat.classes)
+    edit(classes)
+    with pytest.raises(InvariantViolation):
+        BurnsideRing(G, SubgroupLattice(G, tuple(classes), lat.class_index))
