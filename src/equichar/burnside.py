@@ -1,10 +1,17 @@
 """The Burnside ring A(G) of a finite group.
 
-Elements are integer vectors over the canonical basis [G/H], one class per
-conjugacy class of subgroups.  The mark homomorphism (fixed-point counts at
-every subgroup class) is injective and the table of marks is lower
-triangular with positive diagonal in the canonical order, so products and
-class decompositions reduce to exact integer back-substitution.
+The canonical basis is [G/H], one class per conjugacy class of subgroups.
+The mark homomorphism x -> (|x^H|)_H is an injective ring map A(G) -> Z^n,
+so an element is stored by its mark vector and +, -, integer scaling and *
+work entry by entry.  The table of marks is lower triangular with positive
+diagonal in the canonical order, so the basis coefficients are recovered by
+exact integer back-substitution, which runs only when they are observed
+(`coeffs`, `render`, JSON output, generator coordinates for the series
+engine) and for `from_marks`.  A quotient that is not an integer raises
+`InvariantViolation`.  Before the first product in a ring, the product of
+every pair of basis mark rows is back-substituted once; integral results
+for all pairs make every product in the ring integral, so a wrong table
+cannot pass silently.
 
 The marks come from containment alone.  The g with H^g ⊆ K number
 |N_G(H)| = |G| / #conjugates(H) per conjugate of H inside K, and each
@@ -16,8 +23,6 @@ counted by subset tests over the lattice's index of every subgroup.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cells import CellSpace
 from .errors import InvariantViolation, UsageError
@@ -45,6 +50,7 @@ class BurnsideRing:
         for i, row in enumerate(self.marks_rows):
             if row[i] <= 0 or any(row[j] for j in range(i + 1, self.n)):
                 raise InvariantViolation("table of marks is not lower triangular")
+        self._products_checked = False
         self._zeta: dict = {}
 
     def _marks_row(self, i: int, conjugates) -> tuple[int, ...]:
@@ -70,7 +76,11 @@ class BurnsideRing:
         coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != self.n:
             raise UsageError(f"need {self.n} coefficients, got {len(coeffs)}")
-        return BurnsideElement(self, coeffs)
+        marks = [0] * self.n
+        for c, row in zip(coeffs, self.marks_rows):
+            if c:
+                marks = [m + c * r for m, r in zip(marks, row)]
+        return BurnsideElement(self, tuple(marks), coeffs)
 
     def basis(self, i: int) -> BurnsideElement:
         return self.element(tuple(1 if j == i else 0 for j in range(self.n)))
@@ -90,18 +100,38 @@ class BurnsideRing:
         return self.basis(0)
 
     def from_marks(self, marks) -> BurnsideElement:
-        """Invert the mark map by back-substitution; exactness is an invariant."""
-        marks = list(marks)
+        """The element with these marks, checked to lie in A(G) at once."""
+        marks = tuple(marks)
+        return BurnsideElement(self, marks, self.back_substitute(marks))
+
+    def back_substitute(self, marks) -> tuple[int, ...]:
+        """Basis coefficients of a mark vector; exactness is an invariant."""
+        residue = list(marks)
         coeffs = [0] * self.n
         for i in range(self.n - 1, -1, -1):
-            residue = marks[i] - sum(coeffs[l] * self.marks_rows[l][i]
-                                     for l in range(i + 1, self.n))
-            q, r = divmod(residue, self.marks_rows[i][i])
+            if not residue[i]:
+                continue
+            row = self.marks_rows[i]
+            q, r = divmod(residue[i], row[i])
             if r:
                 raise InvariantViolation(
                     f"mark vector {tuple(marks)} is not integral over the basis")
             coeffs[i] = q
-        return self.element(coeffs)
+            for j in range(i):
+                residue[j] -= q * row[j]
+        return tuple(coeffs)
+
+    def check_products(self) -> None:
+        """Back-substitute the product of every pair of basis mark rows.
+        Products are integer combinations of these, so once they are
+        integral every product in the ring is."""
+        if self._products_checked:
+            return
+        rows = self.marks_rows
+        for i in range(self.n):
+            for j in range(i + 1):
+                self.back_substitute([a * b for a, b in zip(rows[i], rows[j])])
+        self._products_checked = True
 
     def basis_name(self, i: int) -> str:
         if i == self.n - 1:
@@ -150,27 +180,49 @@ class BurnsideRing:
         return f"<BurnsideRing A({self.group.label}) rank={self.n}>"
 
 
-@dataclass(frozen=True)
 class BurnsideElement:
-    ring: BurnsideRing
-    coeffs: tuple[int, ...]
+    """An element of A(G), held by its mark vector.
+
+    Arithmetic works on the marks entry by entry.  `coeffs`, the
+    coordinates over the basis [G/H], is computed by back-substitution on
+    first access and then kept."""
+
+    __slots__ = ("ring", "_marks", "_coeffs")
+
+    def __init__(self, ring: BurnsideRing, marks: tuple[int, ...],
+                 coeffs: tuple[int, ...] | None = None):
+        self.ring = ring
+        self._marks = marks
+        self._coeffs = coeffs
 
     def marks(self) -> tuple[int, ...]:
-        rows = self.ring.marks_rows
-        return tuple(sum(c * rows[i][j] for i, c in enumerate(self.coeffs))
-                     for j in range(self.ring.n))
+        return self._marks
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        if self._coeffs is None:
+            self._coeffs = self.ring.back_substitute(self._marks)
+        return self._coeffs
 
     def _check(self, other: BurnsideElement) -> None:
         if self.ring is not other.ring:
             raise UsageError("elements of different Burnside rings")
 
+    def __eq__(self, other):
+        if not isinstance(other, BurnsideElement):
+            return NotImplemented
+        return self.ring is other.ring and self._marks == other._marks
+
+    def __hash__(self) -> int:
+        return hash(self._marks)
+
     def __add__(self, other: BurnsideElement) -> BurnsideElement:
         self._check(other)
-        return BurnsideElement(self.ring, tuple(a + b for a, b in
-                                                zip(self.coeffs, other.coeffs)))
+        return BurnsideElement(self.ring, tuple(
+            a + b for a, b in zip(self._marks, other._marks)))
 
     def __neg__(self) -> BurnsideElement:
-        return BurnsideElement(self.ring, tuple(-a for a in self.coeffs))
+        return BurnsideElement(self.ring, tuple(-a for a in self._marks))
 
     def __sub__(self, other: BurnsideElement) -> BurnsideElement:
         return self + (-other)
@@ -178,10 +230,11 @@ class BurnsideElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return BurnsideElement(self.ring,
-                                   tuple(other * a for a in self.coeffs))
+                                   tuple(other * a for a in self._marks))
         self._check(other)
-        marks = tuple(a * b for a, b in zip(self.marks(), other.marks()))
-        return self.ring.from_marks(marks)
+        self.ring.check_products()
+        return BurnsideElement(self.ring, tuple(
+            a * b for a, b in zip(self._marks, other._marks)))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -189,7 +242,7 @@ class BurnsideElement:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._marks)
 
     def render(self) -> str:
         terms = []

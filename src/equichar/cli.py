@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 2 when a verification ran and failed, 1 for
 usage errors (bad flags, malformed input files, budget violations).
 
-Output is deterministic for a fixed (input, seed): JSON reports omit
-wall-clock milliseconds unless --timings is passed.
+Output is deterministic for a fixed (input, seed): text and JSON reports
+omit wall-clock milliseconds unless --timings is passed.
 """
 
 from __future__ import annotations
@@ -212,6 +212,8 @@ def _series_context(obj, path):
 
 def _cmd_power(args) -> int:
     obj = io.load_json(args.input)
+    if not isinstance(obj, dict):
+        raise UsageError(f"{args.input}: expected a JSON object")
     ring, parse, render = _series_context(obj, args.input)
     raw = obj.get("series")
     if not isinstance(raw, list) or not raw:
@@ -296,7 +298,7 @@ def _cmd_verify(args) -> int:
         print(json.dumps(report.to_json(timings=args.timings),
                          sort_keys=True))
     else:
-        print(report.render())
+        print(report.render(timings=args.timings))
     return 0 if report.passed else 2
 
 

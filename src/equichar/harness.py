@@ -57,15 +57,17 @@ class VerificationReport:
         return {"identity": self.identity, "params": self.params,
                 "degrees": degrees, "pass": self.passed}
 
-    def render(self) -> str:
+    def render(self, timings: bool = False) -> str:
         lines = [f"identity: {self.identity}"]
         for key in sorted(self.params):
             lines.append(f"  {key} = {self.params[key]}")
         width = max([len(d.lhs) for d in self.degrees] + [3])
         for d in self.degrees:
             mark = "ok " if d.equal else "FAIL"
-            lines.append(f"  n={d.n:<3} {mark} lhs={d.lhs:<{width}} "
-                         f"rhs={d.rhs:<{width}} [{d.ms:.1f} ms]")
+            line = (f"  n={d.n:<3} {mark} lhs={d.lhs:<{width}} "
+                    f"rhs={d.rhs:<{width}}")
+            lines.append(f"{line} [{d.ms:.1f} ms]" if timings
+                         else line.rstrip())
         good = sum(d.equal for d in self.degrees)
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"{verdict} ({good}/{len(self.degrees)} checks)")

@@ -127,7 +127,8 @@ def burnside_to_json(x: BurnsideElement) -> dict:
 
 def burnside_from_json(obj, ring: BurnsideRing, path) -> BurnsideElement:
     coeffs = _field(obj, "coeffs", path)
-    if len(coeffs) != ring.n or not all(isinstance(c, int) for c in coeffs):
+    if not isinstance(coeffs, list) or len(coeffs) != ring.n or \
+            not all(isinstance(c, int) for c in coeffs):
         raise UsageError(f"{path}: need {ring.n} integer coefficients")
     return ring.element(coeffs)
 
@@ -139,8 +140,11 @@ def lext_to_json(a: LExtElement) -> dict:
 
 
 def lext_from_json(obj, ring: BurnsideRing, path) -> LExtElement:
+    terms = _field(obj, "terms", path)
+    if not isinstance(terms, list):
+        raise UsageError(f"{path}: \"terms\" must be a list")
     pairs = []
-    for term in _field(obj, "terms", path):
+    for term in terms:
         q = parse_fraction(_field(term, "exp", path), path)
         pairs.append((q, burnside_from_json(term, ring, path)))
     return lext(ring, pairs)
@@ -151,11 +155,18 @@ def datum_from_json(obj, path) -> OrbifoldDatum:
     gB = group_from_json(_field(obj, "gB", path), path)
     bring = burnside_ring(gB)
     k = _field(obj, "k", path)
-    weights = tuple(parse_fraction(w, path)
-                    for w in _field(obj, "weights", path))
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise UsageError(f"{path}: \"k\" must be an integer")
+    weights = _field(obj, "weights", path)
+    raw_strata = _field(obj, "strata", path)
+    if not isinstance(weights, list) or not isinstance(raw_strata, list):
+        raise UsageError(f"{path}: \"weights\" and \"strata\" must be lists")
+    weights = tuple(parse_fraction(w, path) for w in weights)
     strata = []
-    for s in _field(obj, "strata", path):
-        tup = tuple(_field(s, "tuple", path))
+    for s in raw_strata:
+        tup = _field(s, "tuple", path)
+        if not isinstance(tup, list):
+            raise UsageError(f"{path}: a stratum's \"tuple\" must be a list")
         cls = lext_from_json(_field(s, "class", path), bring, path)
         shift = parse_fraction(s.get("shift", 0), path)
         strata.append((tup, cls, shift))

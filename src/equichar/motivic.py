@@ -105,8 +105,10 @@ def lext(bring: BurnsideRing, pairs, D: int = 1) -> LExtElement:
     """Normalized element: merge exponents, drop zeros, sort, minimal D."""
     acc: dict = {}
     for q, c in pairs:
-        q = Fraction(q)
-        acc[q] = acc[q] + c if q in acc else c
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        prev = acc.get(q)
+        acc[q] = c if prev is None else prev + c
     terms = tuple(sorted((q, c) for q, c in acc.items() if not c.is_zero()))
     denom = 1
     for q, _ in terms:

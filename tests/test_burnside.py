@@ -101,6 +101,57 @@ def test_class_of_is_additive_and_multiplicative():
     assert class_of(product(X, Y)) == class_of(X) * class_of(Y)
 
 
+PRODUCT_GROUPS = [
+    {"type": "symmetric", "n": 3},
+    {"type": "dihedral", "n": 4},
+    {"type": "wreath", "inner": {"type": "cyclic", "n": 2}, "n": 2},
+]
+
+
+def random_b_set(data, R):
+    """A disjoint union of one to three transitive sets G/H."""
+    orbits = data.draw(st.lists(st.integers(0, R.n - 1), min_size=1,
+                                max_size=3))
+    X = R.coset_biset(orbits[0])
+    for i in orbits[1:]:
+        X = disjoint_union(X, R.coset_biset(i))
+    return X
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_class_of_product_matches_product_of_classes(data):
+    """Product by marks against the class of the product G-set; the
+    product's coefficients come from back-substitution."""
+    R = burnside_ring(make_group(data.draw(st.sampled_from(PRODUCT_GROUPS))))
+    X, Y = random_b_set(data, R), random_b_set(data, R)
+    assert class_of(product(X, Y)).coeffs == \
+        (class_of(X) * class_of(Y)).coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_coeffs_round_trip_and_equal_values_hash_equally(data):
+    R = burnside_ring(make_group(data.draw(st.sampled_from(PRODUCT_GROUPS))))
+    c = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=R.n,
+                                 max_size=R.n)))
+    x = R.element(c)
+    assert x.coeffs == c
+    assert R.from_marks(x.marks()).coeffs == c
+    for y in (x + R.zero, x * R.unit, R.from_marks(x.marks())):
+        assert y.coeffs == c and y == x and hash(y) == hash(x)
+
+
+def test_table_not_closed_under_products_fails_first_product():
+    """Triangular with positive diagonal, but [G/H1]^2 has marks (1, 4),
+    which are not integral over the basis."""
+    G = cyclic(2)
+    R = BurnsideRing(G, subgroup_lattice(G))
+    R.marks_rows = ((2, 0), (1, 2))
+    with pytest.raises(InvariantViolation):
+        R.basis(1) * R.basis(1)
+
+
 def test_class_of_requires_b_side_action():
     S3 = symmetric(3)
     perms = [tuple(S3.mul(s, x) for x in range(6)) for s in S3.generators]

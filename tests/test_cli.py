@@ -138,6 +138,17 @@ def test_verify_lemma1_text(capsys, z2_reg):
     assert "PASS (5/5 checks)" in out
 
 
+def test_verify_text_has_wall_clock_only_with_timings(capsys, z2_reg):
+    argv = ("verify", "lemma1", "--input", z2_reg, "--N", "4")
+    code, out1, _ = run(capsys, *argv)
+    _, out2, _ = run(capsys, *argv)
+    assert code == 0 and out1 == out2 and " ms]" not in out1
+    code, timed, _ = run(capsys, *argv, "--timings")
+    assert code == 0
+    assert all(line.endswith(" ms]") for line in timed.splitlines()
+               if line.startswith("  n="))
+
+
 def test_verify_theorem1_json_deterministic(capsys, z2_reg):
     argv = ("verify", "theorem1", "--input", z2_reg, "--k", "1",
             "--N", "3", "--format", "json")
@@ -207,6 +218,11 @@ def test_budget_violation_exits_1(capsys, z2_reg):
      {"type": "perm", "degree": 2, "generators": [[1, "0"]]}),
     (("chi-orb",), {"size": 2, "gO": Z2, "gB": TRIV, "actO": 5,
                     "actB": []}),
+    (("power", "--N", "2"), {"ring": {"burnside": Z2},
+                             "series": [{"coeffs": 5}],
+                             "exponent": {"coeffs": [1, 0]}}),
+    (("power", "--N", "2"), {"ring": {"lext": Z2}, "series": [{"terms": 3}],
+                             "exponent": {"terms": []}}),
 ])
 def test_malformed_input_exits_1(capsys, files, argv, obj):
     code, out, err = run(capsys, *argv, "--input", files("bad.json", obj))
@@ -277,6 +293,89 @@ def test_cli_fuzz_exit_codes(capsys, tmp_path, group, biset):
     for argv in (("group", "marks", "--input", str(g), "--format", "json"),
                  ("verify", "lemma1", "--input", str(x), "--N", "1",
                   "--format", "json")):
+        first = run(capsys, *argv)
+        again = run(capsys, *argv)
+        assert first[0] in (0, 1, 2)
+        assert "Traceback" not in first[2]
+        assert again[:2] == first[:2]
+
+
+BAD = st.sampled_from([None, True, 3, "x", [], {}])
+RANKED_GROUPS = [(TRIV, 1), (Z2, 2), (S3, 4)]   # group, rank of A(G)
+
+
+def rarely_bad(strategy):
+    """The strategy, replaced by a malformed value one time in four."""
+    return st.sampled_from([strategy] * 3 + [BAD]).flatmap(lambda s: s)
+
+
+EXPONENTS = rarely_bad(st.sampled_from([0, 1, "1/2", "-1", "x", "1/0"]))
+
+
+def _coeffs(n):
+    return rarely_bad(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+
+
+def _burnside_values(n):
+    return rarely_bad(st.fixed_dictionaries({"coeffs": _coeffs(n)}))
+
+
+def _lext_values(n):
+    term = rarely_bad(st.fixed_dictionaries({"exp": EXPONENTS,
+                                             "coeffs": _coeffs(n)}))
+    return rarely_bad(st.fixed_dictionaries(
+        {"terms": rarely_bad(st.lists(term, max_size=2))}))
+
+
+def _power_inputs(kind, group, n):
+    value = {"int": rarely_bad(st.integers(-2, 2)),
+             "burnside": _burnside_values(n),
+             "lext": _lext_values(n)}[kind]
+    unit = [0] * (n - 1) + [1]
+    one = {"int": 1, "burnside": {"coeffs": unit},
+           "lext": {"terms": [{"exp": 0, "coeffs": unit}]}}[kind]
+    ring = "int" if kind == "int" else {kind: group}
+    return rarely_bad(st.fixed_dictionaries({
+        "ring": rarely_bad(st.just(ring)),
+        "series": rarely_bad(st.lists(value, max_size=2).map(
+            lambda tail: [one] + tail)),
+        "exponent": value}))
+
+
+def _datums(gO, gB, n, k):
+    stratum = rarely_bad(st.fixed_dictionaries({
+        "tuple": rarely_bad(st.lists(st.integers(-1, 5), min_size=k,
+                                     max_size=k)),
+        "class": _lext_values(n), "shift": EXPONENTS}))
+    return rarely_bad(st.fixed_dictionaries({
+        "gO": rarely_bad(st.just(gO)), "gB": st.just(gB),
+        "k": rarely_bad(st.just(k)),
+        "weights": rarely_bad(st.lists(st.sampled_from(["1", "1/2", "-1"]),
+                                       min_size=k, max_size=k)),
+        "strata": rarely_bad(st.lists(stratum, max_size=2))}))
+
+
+POWER_INPUTS = st.tuples(
+    st.sampled_from(["int", "burnside", "lext"]),
+    st.sampled_from(RANKED_GROUPS)).flatmap(
+        lambda kg: _power_inputs(kg[0], *kg[1]))
+DATUMS = st.tuples(
+    st.sampled_from([TRIV, Z2, S3]), st.sampled_from(RANKED_GROUPS),
+    st.integers(0, 2)).flatmap(
+        lambda t: _datums(t[0], t[1][0], t[1][1], t[2]))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(series=POWER_INPUTS, datum=DATUMS)
+def test_cli_fuzz_ring_inputs(capsys, tmp_path, series, datum):
+    """Generated series over the int, Burnside and L-extended rings and
+    generated orbifold data never crash, as in test_cli_fuzz_exit_codes."""
+    p, d = tmp_path / "p.json", tmp_path / "d.json"
+    p.write_text(json.dumps(series))
+    d.write_text(json.dumps(datum))
+    for argv in (("power", "--input", str(p), "--N", "2", "--format", "json"),
+                 ("orbifold-class", "--input", str(d), "--format", "json")):
         first = run(capsys, *argv)
         again = run(capsys, *argv)
         assert first[0] in (0, 1, 2)
