@@ -241,8 +241,8 @@ class BurnsideElement:
             return self.__mul__(other)
         return NotImplemented
 
-    def is_zero(self) -> bool:
-        return not any(self._marks)
+    def __bool__(self) -> bool:
+        return any(self._marks)
 
     def render(self) -> str:
         terms = []

@@ -215,6 +215,8 @@ def _cmd_power(args) -> int:
     if not isinstance(obj, dict):
         raise UsageError(f"{args.input}: expected a JSON object")
     ring, parse, render = _series_context(obj, args.input)
+    if args.N < 0:
+        raise UsageError(f"truncation must be >= 0, got {args.N}")
     raw = obj.get("series")
     if not isinstance(raw, list) or not raw:
         raise UsageError(f"{args.input}: \"series\" must be a nonempty list")
@@ -227,26 +229,27 @@ def _cmd_power(args) -> int:
     m = parse(obj["exponent"])
     out = power(A, m)
     _emit(args, io.render_series(out, render),
-          io.series_to_json(out, lambda c: render(c)))
+          io.series_to_json(out, render))
     return 0
 
 
 def _cmd_zeta(args) -> int:
     obj = io.load_json(args.input)
     path = args.input
+    if args.N < 0:
+        raise UsageError(f"truncation must be >= 0, got {args.N}")
     bring = burnside_ring(
         io.group_from_json(io._field(obj, "group", path), path))
     idx = io._field(obj, "index", path)
-    if not isinstance(idx, int) or not 0 <= idx < bring.n:
+    if type(idx) is not int or not 0 <= idx < bring.n:
         raise UsageError(f"{path}: index must name one of the {bring.n} "
                          f"basis classes")
     if "exp" in obj:
         q = io.parse_fraction(obj["exp"], path)
         out = zeta_L(L(bring, q) * embed(bring.basis(idx)), args.N)
-        render = lambda c: c.render()
     else:
         out = zeta_series(burnside_coeff_ring(bring), idx, args.N)
-        render = lambda c: c.render()
+    render = lambda c: c.render()
     _emit(args, io.render_series(out, render),
           io.series_to_json(out, render))
     return 0

@@ -168,6 +168,8 @@ def verify_axioms(ring_name: str, trials: int = 100, N: int = 6,
                   seed: int = 0) -> VerificationReport:
     """Randomized exact check of the four power-structure axioms plus
     finite determinacy over the chosen coefficient ring."""
+    if N < 1 or trials < 1:
+        raise UsageError("axioms need N >= 1 and trials >= 1")
     ring, bring = _axiom_rings(ring_name)
     rng = random.Random(seed)
     laws = [
@@ -175,11 +177,11 @@ def verify_axioms(ring_name: str, trials: int = 100, N: int = 6,
          lambda A, B, m, n: power(A.mul(B), m).coeffs ==
          power(A, m).mul(power(B, m)).coeffs),
         ("A^(m+n) = A^m * A^n",
-         lambda A, B, m, n: power(A, ring.add(m, n)).coeffs ==
+         lambda A, B, m, n: power(A, m + n).coeffs ==
          power(A, m).mul(power(A, n)).coeffs),
         ("(A^m)^n = A^(mn)",
          lambda A, B, m, n: power(power(A, m), n).coeffs ==
-         power(A, ring.mul(m, n)).coeffs),
+         power(A, m * n).coeffs),
         ("A^0 = 1, A^1 = A, 1^m = 1",
          lambda A, B, m, n: power(A, ring.zero).is_one()
          and power(A, ring.one).coeffs == A.coeffs
@@ -203,8 +205,7 @@ def verify_axioms(ring_name: str, trials: int = 100, N: int = 6,
             j = rng.randint(0, N - 1)
             bumped = list(A.coeffs)
             for i in range(j + 1, N + 1):
-                bumped[i] = ring.add(bumped[i],
-                                     _random_element(rng, ring, bring))
+                bumped[i] = bumped[i] + _random_element(rng, ring, bring)
             Bp = TruncatedSeries(ring, tuple(bumped))
             good += power(A, m).truncate(j).coeffs == \
                 power(Bp, m).truncate(j).coeffs
@@ -219,6 +220,8 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
     """Scaling laws of the L-extension: the substitution law for powers,
     the zeta scaling rule, the L -> 1 specialization, and the weightless
     degeneration of the L-weighted Macdonald product."""
+    if N < 0 or trials < 1:
+        raise UsageError("props12 needs N >= 0 and trials >= 1")
     bring = burnside_ring(symmetric(3))
     ring = lext_coeff_ring(bring)
     plain = burnside_coeff_ring(bring)

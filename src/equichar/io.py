@@ -128,7 +128,7 @@ def burnside_to_json(x: BurnsideElement) -> dict:
 def burnside_from_json(obj, ring: BurnsideRing, path) -> BurnsideElement:
     coeffs = _field(obj, "coeffs", path)
     if not isinstance(coeffs, list) or len(coeffs) != ring.n or \
-            not all(isinstance(c, int) for c in coeffs):
+            not all(type(c) is int for c in coeffs):
         raise UsageError(f"{path}: need {ring.n} integer coefficients")
     return ring.element(coeffs)
 

@@ -21,7 +21,7 @@ from .errors import UsageError
 from .euler import tuple_class_strata
 from .gsets import BiSet
 from .groups import FiniteGroup
-from .powerstruct import TruncatedSeries, power
+from .powerstruct import TruncatedSeries, power, zeta_series
 
 TUPLE_LABEL_BUDGET = 100_000
 
@@ -67,8 +67,8 @@ class LExtElement:
             return self * other
         return NotImplemented
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def exponent_coeff(self, q) -> BurnsideElement:
         q = Fraction(q)
@@ -109,7 +109,7 @@ def lext(bring: BurnsideRing, pairs, D: int = 1) -> LExtElement:
             q = Fraction(q)
         prev = acc.get(q)
         acc[q] = c if prev is None else prev + c
-    terms = tuple(sorted((q, c) for q, c in acc.items() if not c.is_zero()))
+    terms = tuple(sorted((q, c) for q, c in acc.items() if c))
     denom = 1
     for q, _ in terms:
         denom = lcm(denom, q.denominator)
@@ -152,21 +152,6 @@ class LExtCoeffRing:
         self.one = embed(bring.unit)
         self.label = f"A({bring.group.label})[L^Q]"
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def from_int(self, n):
-        return embed(n, self.bring)
-
-    def is_zero(self, a):
-        return a.is_zero()
-
     def coords(self, a):
         out = []
         for q, c in a.terms:
@@ -198,9 +183,7 @@ def zeta_L(b: LExtElement, N: int) -> TruncatedSeries:
     hot = [i for i, n in enumerate(c.coeffs) if n]
     if len(hot) != 1 or c.coeffs[hot[0]] != 1:
         raise UsageError("zeta_L needs a single L^q*[G/H] generator")
-    ring = lext_coeff_ring(b.ring)
-    return TruncatedSeries(ring, tuple(
-        ring.zeta_coeff((q, hot[0]), j) for j in range(N + 1)))
+    return zeta_series(lext_coeff_ring(b.ring), (q, hot[0]), N)
 
 
 def power_L(A: TruncatedSeries, m) -> TruncatedSeries:

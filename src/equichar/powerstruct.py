@@ -6,9 +6,10 @@ every factor exponent to m·b_i.  The construction satisfies the power
 structure axioms exactly, so the randomized axiom checks validate the
 factorization engine rather than approximate identities.
 
-Coefficient rings plug in through a small handle: exact integers, a Burnside
-ring (generators = basis classes, zeta = symmetric-power series), and the
-L-extended ring from the motivic module.
+Coefficients are exact integers, Burnside elements or L-extended elements,
+and the engine uses their own + - * with `not c` as the zero test.  A ring
+handle supplies only what an element cannot tell: zero, one, a label and the
+lambda-ring data, `coords` (generator coordinates) and `zeta_coeff`.
 """
 
 from __future__ import annotations
@@ -34,26 +35,6 @@ class IntRing:
     one = 1
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def from_int(n):
-        return n
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
     def coords(a):
         return ((None, a),) if a else ()
 
@@ -76,21 +57,6 @@ class BurnsideCoeffRing:
         self.zero = bring.zero
         self.one = bring.unit
         self.label = f"A({bring.group.label})"
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def from_int(self, n):
-        return n * self.bring.unit
-
-    def is_zero(self, a):
-        return a.is_zero()
 
     def coords(self, a):
         return tuple((i, c) for i, c in enumerate(a.coeffs) if c)
@@ -126,23 +92,11 @@ class TruncatedSeries:
         return self.coeffs[i]
 
     @staticmethod
-    def from_list(ring, coeffs) -> TruncatedSeries:
-        return TruncatedSeries(ring, tuple(coeffs))
-
-    @staticmethod
     def one(ring, N: int) -> TruncatedSeries:
         return TruncatedSeries(ring, (ring.one,) + (ring.zero,) * N)
 
     def is_one(self) -> bool:
-        r = self.ring
-        return self.coeffs[0] == r.one and all(r.is_zero(c)
-                                               for c in self.coeffs[1:])
-
-    def add(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check(other)
-        r = self.ring
-        return TruncatedSeries(r, tuple(r.add(a, b) for a, b in
-                                        zip(self.coeffs, other.coeffs)))
+        return self.coeffs[0] == self.ring.one and not any(self.coeffs[1:])
 
     def mul(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check(other)
@@ -153,9 +107,9 @@ class TruncatedSeries:
             acc = r.zero
             for i in range(j + 1):
                 a, b = self.coeffs[i], other.coeffs[j - i]
-                if r.is_zero(a) or r.is_zero(b):
+                if not a or not b:
                     continue
-                acc = r.add(acc, r.mul(a, b))
+                acc = acc + a * b
             out.append(acc)
         return TruncatedSeries(r, tuple(out))
 
@@ -167,10 +121,10 @@ class TruncatedSeries:
         for j in range(1, self.N + 1):
             acc = r.zero
             for i in range(1, j + 1):
-                if r.is_zero(self.coeffs[i]):
+                if not self.coeffs[i]:
                     continue
-                acc = r.add(acc, r.mul(self.coeffs[i], out[j - i]))
-            out.append(r.neg(acc))
+                acc = acc + self.coeffs[i] * out[j - i]
+            out.append(-acc)
         return TruncatedSeries(r, tuple(out))
 
     def pow_int(self, n: int) -> TruncatedSeries:
@@ -194,8 +148,8 @@ class TruncatedSeries:
         for i in range(self.N + 1):
             if i * r > self.N:
                 break
-            out[i * r] = ring.mul(cpow, self.coeffs[i])
-            cpow = ring.mul(cpow, c)
+            out[i * r] = cpow * self.coeffs[i]
+            cpow = cpow * c
         return TruncatedSeries(ring, tuple(out))
 
     def truncate(self, M: int) -> TruncatedSeries:
@@ -248,9 +202,9 @@ def lambda_factorize(A: TruncatedSeries) -> list:
     for i in range(1, A.N + 1):
         b = residual.coeffs[i]
         out.append(b)
-        if not ring.is_zero(b):
+        if b:
             # lambda_{-b}(t^i) is the exact inverse of lambda_b(t^i)
-            residual = residual.mul(lambda_term(ring, ring.neg(b), i, A.N))
+            residual = residual.mul(lambda_term(ring, -b, i, A.N))
     if not residual.is_one():
         raise InvariantViolation("lambda factorization left a residual")
     return out
@@ -259,24 +213,15 @@ def lambda_factorize(A: TruncatedSeries) -> list:
 def lambda_reconstruct(ring, bs, N: int) -> TruncatedSeries:
     out = TruncatedSeries.one(ring, N)
     for i, b in enumerate(bs, start=1):
-        if not ring.is_zero(b):
+        if b:
             out = out.mul(lambda_term(ring, b, i, N))
     return out
 
 
 def power(A: TruncatedSeries, m) -> TruncatedSeries:
     """A^m for a ring exponent m: rescale the lambda factorization."""
-    ring = A.ring
-    bs = lambda_factorize(A)
-    out = TruncatedSeries.one(ring, A.N)
-    for i, b in enumerate(bs, start=1):
-        if ring.is_zero(b):
-            continue
-        e = ring.mul(m, b)
-        if ring.is_zero(e):
-            continue
-        out = out.mul(lambda_term(ring, e, i, A.N))
-    return out
+    return lambda_reconstruct(A.ring, [m * b for b in lambda_factorize(A)],
+                              A.N)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +375,6 @@ def rhs_theorem1(m, k: int, N: int) -> TruncatedSeries:
         return power(base, -m)
     if isinstance(m, BurnsideElement):
         ring = burnside_coeff_ring(m.ring)
-        lifted = base.map_coeffs(ring, ring.from_int)
+        lifted = base.map_coeffs(ring, lambda n: n * ring.one)
         return power(lifted, -m)
     raise UsageError(f"unsupported exponent type {type(m).__name__}")

@@ -41,6 +41,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_twice_cleanly(capsys, *argv):
+    """Exit 0, 1 or 2, no traceback, and the same stdout on a second run."""
+    first = run(capsys, *argv)
+    again = run(capsys, *argv)
+    assert first[0] in (0, 1, 2)
+    assert "Traceback" not in first[2]
+    assert again[:2] == first[:2]
+
+
 def test_group_show(capsys, files):
     code, out, _ = run(capsys, "group", "show", "--input",
                        files("g.json", S3))
@@ -223,9 +232,35 @@ def test_budget_violation_exits_1(capsys, z2_reg):
                              "exponent": {"coeffs": [1, 0]}}),
     (("power", "--N", "2"), {"ring": {"lext": Z2}, "series": [{"terms": 3}],
                              "exponent": {"terms": []}}),
+    (("power", "--N", "2"), {"ring": {"burnside": Z2},
+                             "series": [{"coeffs": [0, 1]}],
+                             "exponent": {"coeffs": [True, 0]}}),
+    (("zeta", "--N", "2"), {"group": Z2, "index": True}),
 ])
 def test_malformed_input_exits_1(capsys, files, argv, obj):
     code, out, err = run(capsys, *argv, "--input", files("bad.json", obj))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("power", "--N", "-1"),
+    ("zeta", "--N", "-3"),
+    ("verify", "axioms", "--ring", "int", "--N", "0"),
+    ("verify", "axioms", "--ring", "int", "--N", "-1"),
+    ("verify", "axioms", "--ring", "int", "--trials", "-1"),
+    ("verify", "props12", "--N", "-2"),
+    ("verify", "props12", "--trials", "0"),
+])
+def test_bad_truncation_or_trials_exits_1(capsys, files, argv):
+    """Negative truncations, and trial counts or truncations too small for
+    the randomized laws, are usage errors rather than tracebacks, empty
+    results or vacuous passes."""
+    inputs = {"power": {"ring": "int", "series": [1, 2], "exponent": 3},
+              "zeta": {"group": Z2, "index": 1}}
+    if argv[0] in inputs:
+        argv += ("--input", files("in.json", inputs[argv[0]]))
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -293,11 +328,7 @@ def test_cli_fuzz_exit_codes(capsys, tmp_path, group, biset):
     for argv in (("group", "marks", "--input", str(g), "--format", "json"),
                  ("verify", "lemma1", "--input", str(x), "--N", "1",
                   "--format", "json")):
-        first = run(capsys, *argv)
-        again = run(capsys, *argv)
-        assert first[0] in (0, 1, 2)
-        assert "Traceback" not in first[2]
-        assert again[:2] == first[:2]
+        run_twice_cleanly(capsys, *argv)
 
 
 BAD = st.sampled_from([None, True, 3, "x", [], {}])
@@ -359,6 +390,12 @@ POWER_INPUTS = st.tuples(
     st.sampled_from(["int", "burnside", "lext"]),
     st.sampled_from(RANKED_GROUPS)).flatmap(
         lambda kg: _power_inputs(kg[0], *kg[1]))
+ZETA_INPUTS = st.sampled_from(RANKED_GROUPS).flatmap(
+    lambda gn: rarely_bad(st.fixed_dictionaries(
+        {"group": rarely_bad(st.just(gn[0])),
+         "index": rarely_bad(st.integers(-1, gn[1]))},
+        optional={"exp": EXPONENTS})))
+ORDERS = st.integers(-1, 3)
 DATUMS = st.tuples(
     st.sampled_from([TRIV, Z2, S3]), st.sampled_from(RANKED_GROUPS),
     st.integers(0, 2)).flatmap(
@@ -367,20 +404,33 @@ DATUMS = st.tuples(
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(series=POWER_INPUTS, datum=DATUMS)
-def test_cli_fuzz_ring_inputs(capsys, tmp_path, series, datum):
+@given(series=POWER_INPUTS, datum=DATUMS, n=ORDERS)
+def test_cli_fuzz_ring_inputs(capsys, tmp_path, series, datum, n):
     """Generated series over the int, Burnside and L-extended rings and
     generated orbifold data never crash, as in test_cli_fuzz_exit_codes."""
     p, d = tmp_path / "p.json", tmp_path / "d.json"
     p.write_text(json.dumps(series))
     d.write_text(json.dumps(datum))
-    for argv in (("power", "--input", str(p), "--N", "2", "--format", "json"),
-                 ("orbifold-class", "--input", str(d), "--format", "json")):
-        first = run(capsys, *argv)
-        again = run(capsys, *argv)
-        assert first[0] in (0, 1, 2)
-        assert "Traceback" not in first[2]
-        assert again[:2] == first[:2]
+    for argv in (("power", "--input", str(p), "--N", str(n)),
+                 ("orbifold-class", "--input", str(d))):
+        run_twice_cleanly(capsys, *argv, "--format", "json")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(zeta=ZETA_INPUTS, biset=BISETS, n=ORDERS, k=ORDERS)
+def test_cli_fuzz_zeta_and_chi(capsys, tmp_path, zeta, biset, n, k):
+    """Generated zeta inputs, and generated bisets for the chi verbs, never
+    crash, as in test_cli_fuzz_exit_codes."""
+    z, x = tmp_path / "z.json", tmp_path / "x.json"
+    z.write_text(json.dumps(zeta))
+    x.write_text(json.dumps(biset))
+    for argv in (("zeta", "--input", str(z), "--N", str(n)),
+                 ("chi", "--input", str(x)),
+                 ("chi-orb", "--input", str(x)),
+                 ("chi-k", "--input", str(x), "--k", str(k)),
+                 ("chi-k-eq", "--input", str(x), "--k", str(k))):
+        run_twice_cleanly(capsys, *argv, "--format", "json")
 
 
 GOLDEN_MARKS = json.loads(
