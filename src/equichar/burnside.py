@@ -6,8 +6,8 @@ so an element is stored by its mark vector and +, -, integer scaling and *
 work entry by entry.  The table of marks is lower triangular with positive
 diagonal in the canonical order, so the basis coefficients are recovered by
 exact integer back-substitution, which runs only when they are observed
-(`coeffs`, `render`, JSON output, generator coordinates for the series
-engine) and for `from_marks`.  A quotient that is not an integer raises
+(`coeffs`, `render`, JSON output, the orbit counts behind λ-terms) and
+for `from_marks`.  A quotient that is not an integer raises
 `InvariantViolation`.  Before the first product in a ring, the product of
 every pair of basis mark rows is back-substituted once; integral results
 for all pairs make every product in the ring integral, so a wrong table
@@ -20,9 +20,14 @@ fixed coset gK holds |K| of them, so
     |(G/K)^H| = |G| · #{H' ~ H : H' ⊆ K} / (#conjugates(H) · |K|),
 
 counted by subset tests over the lattice's index of every subgroup.
+
+`orbit_counts` tabulates the K-orbit sizes on every G/H; the marks of
+λ-terms are binomial series in them (see `powerstruct`).
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .cells import CellSpace
 from .errors import InvariantViolation, UsageError
@@ -51,7 +56,7 @@ class BurnsideRing:
             if row[i] <= 0 or any(row[j] for j in range(i + 1, self.n)):
                 raise InvariantViolation("table of marks is not lower triangular")
         self._products_checked = False
-        self._zeta: dict = {}
+        self._memo: dict = {}
 
     def _marks_row(self, i: int, conjugates) -> tuple[int, ...]:
         """|(G/K)^H| for K the i-th class and every class H, from the
@@ -143,38 +148,27 @@ class BurnsideRing:
     # -- G-sets attached to basis classes ------------------------------------
 
     def coset_biset(self, i: int) -> BiSet:
-        """The transitive G-set G/H_i (B side), used for λ-ring generators."""
-        key = ("coset", i)
-        if key not in self._zeta:
-            G = self.group
-            K = self.lattice.classes[i]
-            reps: list[int] = []
-            seen: set[int] = set()
-            for g in G.elements():
-                if g in seen:
-                    continue
-                coset = [G.mul(g, k) for k in K.elements]
-                seen.update(coset)
-                reps.append(min(coset))
-            rep_index = {r: j for j, r in enumerate(reps)}
-            coset_of = {}
-            for j, r in enumerate(reps):
-                for k in K.elements:
-                    coset_of[G.mul(r, k)] = j
-            perms = [tuple(coset_of[G.mul(s, r)] for r in reps)
-                     for s in G.generators]
-            self._zeta[key] = biset_from_single_action(
-                len(reps), G, perms, side="B", labels=reps)
-        return self._zeta[key]
+        """The transitive G-set G/H_i (B side), labelled by coset minima."""
+        G, K = self.group, self.lattice.classes[i]
+        reps: list[int] = []   # the least element of each coset gK
+        index: dict[int, int] = {}
+        for g in G.elements():
+            if g not in index:
+                index.update((G.mul(g, k), len(reps)) for k in K.elements)
+                reps.append(g)
+        perms = [tuple(index[G.mul(s, r)] for r in reps) for s in G.generators]
+        return biset_from_single_action(len(reps), G, perms, side="B",
+                                        labels=reps)
 
-    def symmetric_power_class(self, i: int, k: int) -> BurnsideElement:
-        """class_of(S^k(G/H_i)), the t^k coefficient of the Kapranov zeta of
-        the basis class."""
-        key = ("sym", i, k)
-        if key not in self._zeta:
-            from .gsets import symmetric_power
-            self._zeta[key] = class_of(symmetric_power(self.coset_biset(i), k))
-        return self._zeta[key]
+    def orbit_counts(self) -> list[list[Counter]]:
+        """counts[h][k][d]: the number of K-orbits of size d on G/H_h for
+        the class K = H_k, from `coset_biset`; built once per ring."""
+        if "orbits" not in self._memo:
+            classes = self.lattice.classes
+            self._memo["orbits"] = [[Counter(map(len, X.orbits_on(
+                "B", K.generators, range(X.size)))) for K in classes]
+                for X in map(self.coset_biset, range(self.n))]
+        return self._memo["orbits"]
 
     def __repr__(self) -> str:
         return f"<BurnsideRing A({self.group.label}) rank={self.n}>"

@@ -22,8 +22,7 @@ from .euler import chi_k, chi_orb, chi_k_equivariant
 from .groups import conjugacy_classes
 from .motivic import (L, embed, lext_coeff_ring, orbifold_class_from_datum,
                       zeta_L)
-from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
-                          power, zeta_series)
+from .powerstruct import INT_RING, TruncatedSeries, burnside_coeff_ring, power
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,11 +243,8 @@ def _cmd_zeta(args) -> int:
     if type(idx) is not int or not 0 <= idx < bring.n:
         raise UsageError(f"{path}: index must name one of the {bring.n} "
                          f"basis classes")
-    if "exp" in obj:
-        q = io.parse_fraction(obj["exp"], path)
-        out = zeta_L(L(bring, q) * embed(bring.basis(idx)), args.N)
-    else:
-        out = zeta_series(burnside_coeff_ring(bring), idx, args.N)
+    q = io.parse_fraction(obj["exp"], path) if "exp" in obj else 0
+    out = zeta_L(L(bring, q) * embed(bring.basis(idx)), args.N)
     render = lambda c: c.render()
     _emit(args, io.render_series(out, render),
           io.series_to_json(out, render))
@@ -322,10 +318,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _HANDLERS[args.verb](args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ResourceLimitError as e:
+    except (UsageError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except InvariantViolation as e:

@@ -950,10 +950,10 @@ def validate_group(G: FiniteGroup, samples: int = 100_000,
         if G.mul(a, G.inv(a)) != 0 or G.mul(G.inv(a), a) != 0:
             raise InvariantViolation(f"inverse fails at {a}")
     if G.order <= exhaustive_limit:
-        import numpy as np
-        t = np.array(G.cayley_table(), dtype=np.int64)
-        # t[t][a,b,c] = (a·b)·c and t[:, t][a,b,c] = a·(b·c)
-        if not (t[t] == t[:, t]).all():
+        t = G.cayley_table()
+        # row a·b lists (a·b)·x; a's row read through b's lists a·(b·x)
+        if any(t[ab] != tuple(row[x] for x in t[b])
+               for row in t for b, ab in enumerate(row)):
             raise InvariantViolation("associativity fails")
     else:
         import random

@@ -10,6 +10,7 @@ fetches one such permutation per element and indexes it.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 from .groups import (
@@ -199,10 +200,14 @@ def quotient_by(X: BiSet, K: Subgroup | None = None) -> BiSet:
     return BiSet(len(orbs), trivial_group(), X.gB, (), actB, labels)
 
 
-def symmetric_power(X: BiSet, k: int) -> BiSet:
+def symmetric_power(X: BiSet, k: int, max_points: int = POINT_BUDGET) -> BiSet:
     """Unordered k-element multisets with both diagonal actions."""
     if k < 0:
         raise UsageError(f"symmetric power needs k >= 0, got {k}")
+    size = comb(X.size + k - 1, k) if X.size else 0
+    if size > max_points:
+        raise ResourceLimitError("symmetric power points", size=size,
+                                 budget=max_points)
     points = list(itertools.combinations_with_replacement(range(X.size), k))
     rank = {t: i for i, t in enumerate(points)}
 

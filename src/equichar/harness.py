@@ -129,7 +129,7 @@ def verify_lemma1(X: BiSet, N: int,
                    "exponent": m.render()})
     for n in range(N + 1):
         t0 = time.perf_counter()
-        lhs = class_of(symmetric_power(X, n))
+        lhs = class_of(symmetric_power(X, n, max_points=max_points))
         report.degrees.append(_check(n, lhs, rhs.coeffs[n], t0))
     return report
 

@@ -21,7 +21,7 @@ from .errors import UsageError
 from .euler import tuple_class_strata
 from .gsets import BiSet
 from .groups import FiniteGroup
-from .powerstruct import TruncatedSeries, power, zeta_series
+from .powerstruct import TruncatedSeries, lambda_marks, lambda_term, power
 
 TUPLE_LABEL_BUDGET = 100_000
 
@@ -143,8 +143,8 @@ def specialize_L(a: LExtElement) -> BurnsideElement:
 # lambda-structure handle for the series engine
 
 class LExtCoeffRing:
-    """Generators are pairs (exponent q, basis class index); zeta of a
-    generator is the symmetric-power series scaled by L^{qk} at t^k."""
+    """Generators are pairs (exponent q, basis class index); lambda-terms
+    follow the scaling rule zeta_{L^q b}(t) = zeta_b(L^q t)."""
 
     def __init__(self, bring: BurnsideRing):
         self.bring = bring
@@ -152,38 +152,29 @@ class LExtCoeffRing:
         self.one = embed(bring.unit)
         self.label = f"A({bring.group.label})[L^Q]"
 
-    def coords(self, a):
-        out = []
-        for q, c in a.terms:
-            for i, n in enumerate(c.coeffs):
-                if n:
-                    out.append(((q, i), n))
-        return tuple(out)
-
-    def zeta_coeff(self, key, j):
-        q, i = key
-        return lext(self.bring,
-                    ((q * j, self.bring.symmetric_power_class(i, j)),))
+    def lambda_coeffs(self, c, i, N):
+        # exponents in units of 1/D, so that they add as integers
+        return tuple(
+            lext(self.bring, [(Fraction(e, c.D), x) for e, x in p.items()])
+            for p in lambda_marks(self.bring, [(int(q * c.D), x)
+                                               for q, x in c.terms], i, N))
 
 
 def lext_coeff_ring(bring: BurnsideRing) -> LExtCoeffRing:
-    handle = bring._zeta.get("lext_coeff_ring")
-    if handle is None:
-        handle = LExtCoeffRing(bring)
-        bring._zeta["lext_coeff_ring"] = handle
-    return handle
+    if "lext_coeff_ring" not in bring._memo:
+        bring._memo["lext_coeff_ring"] = LExtCoeffRing(bring)
+    return bring._memo["lext_coeff_ring"]
 
 
 def zeta_L(b: LExtElement, N: int) -> TruncatedSeries:
     """zeta of a single generator L^q*[G/H]: coefficient of t^k is
-    L^{qk} * class_of(S^k(G/H))."""
+    L^{qk} * class_of(S^k(G/H)), the lambda-term of the generator."""
     if len(b.terms) != 1:
         raise UsageError("zeta_L needs a single L^q*[G/H] generator")
-    q, c = b.terms[0]
-    hot = [i for i, n in enumerate(c.coeffs) if n]
-    if len(hot) != 1 or c.coeffs[hot[0]] != 1:
+    c = b.terms[0][1]
+    if sorted(c.coeffs) != [0] * (c.ring.n - 1) + [1]:
         raise UsageError("zeta_L needs a single L^q*[G/H] generator")
-    return zeta_series(lext_coeff_ring(b.ring), (q, hot[0]), N)
+    return lambda_term(lext_coeff_ring(b.ring), b, 1, N)
 
 
 def power_L(A: TruncatedSeries, m) -> TruncatedSeries:

@@ -1,15 +1,21 @@
 """Power structures on 1 + t·R[[t]] via lambda-ring factorization.
 
 Every series with unit constant term factors uniquely as a product of
-lambda-series prod_i zeta_{b_i}(t^i); raising to a ring exponent m rescales
-every factor exponent to m·b_i.  The construction satisfies the power
-structure axioms exactly, so the randomized axiom checks validate the
+lambda-series prod_i lambda_{b_i}(t^i); raising to a ring exponent m
+rescales every factor exponent to m·b_i.  The construction satisfies the
+power structure axioms exactly, so the randomized axiom checks validate the
 factorization engine rather than approximate identities.
+
+Lambda-terms come from orbit counts: if x in A(G) has n_{K,d} orbits of
+size d under a class K, the mark at K of lambda_x(t^i) is prod_d
+(1 - t^(i·d))^(-n_{K,d}), over Z it is (1 - t^i)^(-c), and a term L^q·x of
+A(G)[L^Q] puts L^(q·d) on each t^(i·d).  Each mark vector is checked
+integral over the basis by `BurnsideRing.from_marks`.
 
 Coefficients are exact integers, Burnside elements or L-extended elements,
 and the engine uses their own + - * with `not c` as the zero test.  A ring
-handle supplies only what an element cannot tell: zero, one, a label and the
-lambda-ring data, `coords` (generator coordinates) and `zeta_coeff`.
+handle supplies only what an element cannot tell: zero, one, a label and
+the coefficients of a lambda-term.
 """
 
 from __future__ import annotations
@@ -26,31 +32,55 @@ GEOMETRIC_CONFIG_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
-# coefficient-ring handles
+# lambda-terms and coefficient-ring handles
+
+def binomial_product(factors, N: int) -> list[dict]:
+    """prod over ((e, s), n) of (1 - L^e t^s)^(-n) to t^N, one {e: int} per
+    degree: a factor's t^(sk) term is n(n+1)...(n+k-1)/k! L^(ek), any n."""
+    out = [{0: 1}] + [{} for _ in range(N)]
+    for (e, s), n in factors:
+        b, new = 1, [dict(p) for p in out]
+        for k in range(1, N // s + 1):
+            b = b * (n + k - 1) // k
+            for src, dst in zip(out, new[s * k:]):
+                for x, v in src.items():
+                    dst[x + e * k] = dst.get(x + e * k, 0) + b * v
+        out = new
+    return out
+
+
+def lambda_marks(bring: BurnsideRing, terms, i: int, N: int) -> list[dict]:
+    """lambda_c(t^i) for c = sum of L^e·x over the pairs (e, x) in terms,
+    as one {e: element of A(G)} dict per degree."""
+    factors = [{} for _ in range(bring.n)]
+    for e, x in terms:
+        for h, c in enumerate(x.coeffs):
+            for f, row in zip(factors, bring.orbit_counts()[h] if c else ()):
+                for d, m in row.items():
+                    f[e * d, i * d] = f.get((e * d, i * d), 0) + c * m
+    cols = [binomial_product(f.items(), N) for f in factors]
+    return [{e: bring.from_marks([col[j].get(e, 0) for col in cols])
+             for e in set().union(*(col[j] for col in cols))}
+            for j in range(N + 1)]
+
 
 class IntRing:
     """Exact integers; single lambda-generator 1 with zeta = 1/(1-t)."""
 
     zero = 0
     one = 1
-
-    @staticmethod
-    def coords(a):
-        return ((None, a),) if a else ()
-
-    @staticmethod
-    def zeta_coeff(key, j):
-        return 1
-
     label = "Z"
+
+    @staticmethod
+    def lambda_coeffs(c, i, N):
+        return tuple(p.get(0, 0) for p in binomial_product([((0, i), c)], N))
 
 
 INT_RING = IntRing()
 
 
 class BurnsideCoeffRing:
-    """Handle for A(G): generators are the basis classes, with
-    zeta_{[G/H]}(t) = sum_k class_of(S^k(G/H)) t^k."""
+    """Handle for A(G), whose lambda-generators are the basis classes."""
 
     def __init__(self, bring: BurnsideRing):
         self.bring = bring
@@ -58,19 +88,15 @@ class BurnsideCoeffRing:
         self.one = bring.unit
         self.label = f"A({bring.group.label})"
 
-    def coords(self, a):
-        return tuple((i, c) for i, c in enumerate(a.coeffs) if c)
-
-    def zeta_coeff(self, key, j):
-        return self.bring.symmetric_power_class(key, j)
+    def lambda_coeffs(self, c, i, N):
+        return tuple(p.get(0, self.zero)
+                     for p in lambda_marks(self.bring, [(0, c)], i, N))
 
 
 def burnside_coeff_ring(bring: BurnsideRing) -> BurnsideCoeffRing:
-    handle = bring._zeta.get("coeff_ring")
-    if handle is None:
-        handle = BurnsideCoeffRing(bring)
-        bring._zeta["coeff_ring"] = handle
-    return handle
+    if "coeff_ring" not in bring._memo:
+        bring._memo["coeff_ring"] = BurnsideCoeffRing(bring)
+    return bring._memo["coeff_ring"]
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +198,16 @@ class TruncatedSeries:
 # lambda factorization and the power operation
 
 def zeta_series(ring, key, N: int, step: int = 1) -> TruncatedSeries:
-    """zeta_key(t^step) truncated at N."""
-    coeffs = [ring.zero] * (N + 1)
-    j = 0
-    while j * step <= N:
-        coeffs[j * step] = ring.zeta_coeff(key, j)
-        j += 1
-    return TruncatedSeries(ring, tuple(coeffs))
+    """zeta(t^step) to t^N of 1 in Z (key None) or of [G/H_key] in A(G)."""
+    return lambda_term(ring, ring.one if key is None
+                       else ring.bring.basis(key), step, N)
 
 
 def lambda_term(ring, c, i: int, N: int) -> TruncatedSeries:
-    """lambda_c(t^i) = prod over generator coordinates of zeta^coord."""
-    out = TruncatedSeries.one(ring, N)
-    for key, n in ring.coords(c):
-        if n == 0:
-            continue
-        out = out.mul(zeta_series(ring, key, N, step=i).pow_int(n))
-    return out
+    """lambda_c(t^i) truncated at N, in closed form (see the module doc)."""
+    if i < 1:
+        raise UsageError(f"lambda-term power must be >= 1, got {i}")
+    return TruncatedSeries(ring, ring.lambda_coeffs(c, i, N))
 
 
 def lambda_factorize(A: TruncatedSeries) -> list:
@@ -357,12 +376,9 @@ def exponent_tuples(k: int, N: int):
 
 def rhs_base_series(k: int, N: int) -> TruncatedSeries:
     """prod (1 - t^{r_1...r_k})^{r_2 r_3^2 ... r_k^{k-1}} over the integers."""
-    out = TruncatedSeries.one(INT_RING, N)
-    for a, e in exponent_tuples(k, N):
-        factor = TruncatedSeries(INT_RING, tuple(
-            1 if i == 0 else (-1 if i == a else 0) for i in range(N + 1)))
-        out = out.mul(factor.pow_int(e))
-    return out
+    factors = [((0, a), -e) for a, e in exponent_tuples(k, N)]
+    return TruncatedSeries(INT_RING, tuple(
+        p.get(0, 0) for p in binomial_product(factors, N)))
 
 
 def rhs_theorem1(m, k: int, N: int) -> TruncatedSeries:

@@ -171,6 +171,17 @@ def test_verify_theorem1_json_deterministic(capsys, z2_reg):
     assert out1 == out2
 
 
+def test_lemma1_point_budget_exits_1(capsys, files):
+    """S^5 of 40 points has comb(44, 5) > 10^6 points: the default budget
+    stops lemma1 before any symmetric power is built."""
+    x = files("x.json", {"size": 40, "gO": TRIV, "gB": TRIV,
+                         "actO": [], "actB": []})
+    code, out, err = run(capsys, "verify", "lemma1", "--input", x,
+                         "--N", "6")
+    assert code == 1 and out == ""
+    assert err.startswith("error: symmetric power") and "budget 1000000" in err
+
+
 def test_verify_timings_flag(capsys, z2_reg):
     code, out, _ = run(capsys, "verify", "lemma1", "--input", z2_reg,
                        "--N", "2", "--format", "json", "--timings")
@@ -443,4 +454,19 @@ def test_group_marks_golden(capsys, files, case):
     before the subgroup search and the marks were rewritten."""
     code, out, _ = run(capsys, "group", "marks", "--format", "json",
                        "--input", files("g.json", case["group"]))
+    assert code == 0 and out == case["stdout"]
+
+
+GOLDEN_POWER = json.loads(
+    (pathlib.Path(__file__).parent / "golden_power.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_POWER, ids=lambda c: c["name"])
+def test_power_and_zeta_golden(capsys, files, case):
+    """`power` and `zeta` with `--format json` are byte-identical to the
+    output saved while lambda-terms were still built from symmetric powers
+    and integer powers of zeta series."""
+    code, out, _ = run(capsys, case["verb"], "--format", "json",
+                       "--N", str(case["N"]),
+                       "--input", files("in.json", case["input"]))
     assert code == 0 and out == case["stdout"]

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equichar.errors import ResourceLimitError, UsageError
+from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (
     CommutingTuple,
+    FiniteGroup,
     centralizer,
     closure,
     centralizer_in,
@@ -50,6 +56,41 @@ def test_make_group_is_a_group(desc):
     g = make_group(desc)
     validate_group(g)
     assert g.identity == 0
+
+
+class TableLoop(FiniteGroup):
+    """A multiplication given by its table, with identity 0."""
+
+    def __init__(self, table):
+        super().__init__(len(table), tuple(range(1, len(table))), "loop")
+        self.table = table
+
+    def mul(self, a, b):
+        return self.table[a][b]
+
+    def inv(self, a):
+        return self.table[a].index(0)
+
+
+def test_validate_group_rejects_non_associative_multiplication():
+    """A loop of order 5: a Latin square with identity 0 and every element
+    its own inverse, which no group of order 5 has."""
+    loop = TableLoop(((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+                      (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)))
+    with pytest.raises(InvariantViolation, match="associativity"):
+        validate_group(loop)
+
+
+def test_validate_group_runs_without_numpy():
+    src = pathlib.Path(groups_mod.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import equichar\n"
+            "from equichar.groups import make_group, validate_group\n"
+            "validate_group(make_group({'type': 'symmetric', 'n': 4}))\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_make_group_orders():

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,9 +7,10 @@ from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (CommutingTuple, centralizer, cyclic, dihedral,
                              make_group, subgroup_from_generators, symmetric,
                              trivial_group)
-from equichar.gsets import (BiSet, biset_from_single_action, disjoint_union,
-                            empty_biset, fixed_set, point_biset, product,
-                            quotient_by, symmetric_power, wreath_power)
+from equichar.gsets import (POINT_BUDGET, BiSet, biset_from_single_action,
+                            disjoint_union, empty_biset, fixed_set,
+                            point_biset, product, quotient_by,
+                            symmetric_power, wreath_power)
 
 
 def regular_biset(G, side="O"):
@@ -170,6 +173,19 @@ def test_wreath_power_point_budget():
     X = biset_from_single_action(10, Z2, [tuple(range(10))], side="O")
     with pytest.raises(ResourceLimitError):
         wreath_power(X, 7, max_points=10 ** 6)
+
+
+def test_symmetric_power_point_budget():
+    """The multiset count comb(size + k - 1, k) is checked against the
+    budget, 10^6 by default, before any multiset is listed."""
+    X = biset_from_single_action(100, cyclic(2), [tuple(range(100))],
+                                 side="O")
+    with pytest.raises(ResourceLimitError, match="symmetric power") as e:
+        symmetric_power(X, 2, max_points=5049)
+    assert e.value.size == 5050 and e.value.budget == 5049
+    assert symmetric_power(X, 2, max_points=5050).size == 5050
+    default = inspect.signature(symmetric_power).parameters["max_points"]
+    assert default.default == POINT_BUDGET == 10 ** 6
 
 
 def test_product_and_disjoint_union():

@@ -14,6 +14,7 @@ from equichar.motivic import (L, OrbifoldDatum, age,
                               rhs_theorem2, specialize_L, zeta_L)
 from equichar.powerstruct import (TruncatedSeries, burnside_coeff_ring, power,
                                   rhs_theorem1)
+from oracles import symmetric_power_class
 
 Z2 = cyclic(2)
 RZ2 = burnside_ring(Z2)
@@ -98,12 +99,22 @@ def test_zeta_of_half_power_of_L():
 def test_zeta_of_plain_class_is_kapranov():
     z = zeta_L(embed(RZ2.regular), 4)
     for k in range(5):
-        assert z.coeffs[k] == embed(RZ2.symmetric_power_class(0, k))
+        assert z.coeffs[k] == embed(symmetric_power_class(RZ2, 0, k))
 
 
 def test_zeta_scaled_regular_set():
     z = zeta_L(L(RZ2, 1) * embed(RZ2.regular), 4)
-    assert z.coeffs[2] == L(RZ2, 2) * embed(RZ2.symmetric_power_class(0, 2))
+    assert z.coeffs[2] == L(RZ2, 2) * embed(symmetric_power_class(RZ2, 0, 2))
+
+
+def test_zeta_L_matches_symmetric_powers():
+    """The t^j coefficient of zeta_{L^q [G/H]} is L^(qj) [S^j(G/H)]."""
+    for q in (F(0), F(1, 2), F(1)):
+        for i in range(RS3.n):
+            z = zeta_L(L(RS3, q) * embed(RS3.basis(i)), 5)
+            assert z.coeffs == tuple(
+                lext(RS3, ((q * j, symmetric_power_class(RS3, i, j)),))
+                for j in range(6))
 
 
 def test_zeta_L_rejects_non_generators():

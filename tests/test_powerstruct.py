@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from equichar.burnside import burnside_ring, cardinality_hom, class_of
 from equichar.errors import ResourceLimitError, UsageError
-from equichar.groups import cyclic, symmetric
+from equichar.groups import cyclic, make_group, symmetric
 from equichar.gsets import biset_from_single_action, symmetric_power
 from equichar.powerstruct import (INT_RING, TruncatedSeries,
                                   burnside_coeff_ring, exponent_tuples,
@@ -13,6 +14,8 @@ from equichar.powerstruct import (INT_RING, TruncatedSeries,
                                   integer_power_oracle, lambda_factorize,
                                   lambda_reconstruct, lambda_term, power,
                                   rhs_base_series, rhs_theorem1, zeta_series)
+from equichar.motivic import lext, lext_coeff_ring
+from oracles import lambda_oracle, symmetric_power_class
 
 int_coeffs = st.lists(st.integers(min_value=-4, max_value=4), min_size=6,
                       max_size=6)
@@ -99,6 +102,14 @@ def test_lambda_term_binomial():
     assert lambda_term(INT_RING, 2, 1, 4).coeffs == (1, 2, 3, 4, 5)
 
 
+def test_lambda_term_needs_positive_power():
+    for i in (0, -1):
+        with pytest.raises(UsageError):
+            lambda_term(INT_RING, 1, i, 4)
+        with pytest.raises(UsageError):
+            zeta_series(INT_RING, None, 4, step=i)
+
+
 @settings(max_examples=60, deadline=None)
 @given(int_coeffs, int_coeffs,
        st.integers(min_value=-5, max_value=5),
@@ -152,7 +163,7 @@ def test_kapranov_zeta_from_power():
     """(1-t)^{-[G/e]} over A(Z/2) is the symmetric-power series."""
     R = burnside_ring(cyclic(2))
     out = rhs_theorem1(R.regular, 0, 4)
-    assert out.coeffs == tuple(R.symmetric_power_class(0, k)
+    assert out.coeffs == tuple(symmetric_power_class(R, 0, k)
                                for k in range(5))
 
 
@@ -164,6 +175,51 @@ def test_kapranov_coefficient_property():
     out = rhs_theorem1(class_of(X), 0, 4)
     for k in range(5):
         assert out.coeffs[k] == class_of(symmetric_power(X, k))
+
+
+ORACLE_GROUPS = [  # descriptor, highest degree checked
+    ({"type": "symmetric", "n": 3}, 6),
+    ({"type": "dihedral", "n": 4}, 6),
+    ({"type": "wreath", "inner": {"type": "cyclic", "n": 2}, "n": 2}, 6),
+    ({"type": "symmetric", "n": 4}, 4),
+]
+
+
+@pytest.mark.parametrize("desc,N", ORACLE_GROUPS,
+                         ids=["S3", "D4", "C2wrS2", "S4"])
+def test_closed_form_zeta_matches_symmetric_powers(desc, N):
+    """zeta_{[G/H]} read off orbit counts equals the classes of the
+    symmetric powers S^j(G/H), for every basis class."""
+    R = burnside_ring(make_group(desc))
+    ring = burnside_coeff_ring(R)
+    for i in range(R.n):
+        assert zeta_series(ring, i, N).coeffs == tuple(
+            symmetric_power_class(R, i, j) for j in range(N + 1))
+
+
+def test_closed_form_lambda_terms_match_zeta_powers():
+    """lambda_c(t^i) equals the product of oracle zeta(t^i)^n over the
+    coordinates n of c, negative ones included, over Z, A(G) and
+    A(G)[L^Q] with exponents +-1/2."""
+    rng = random.Random(3)
+    for c in range(-3, 4):
+        for i in (1, 2, 3):
+            assert lambda_term(INT_RING, c, i, 6).coeffs == \
+                lambda_oracle(INT_RING, c, i, 6).coeffs
+    for G in (cyclic(2), symmetric(3), make_group(ORACLE_GROUPS[1][0])):
+        R = burnside_ring(G)
+        plain, ext = burnside_coeff_ring(R), lext_coeff_ring(R)
+        for _ in range(8):
+            i = rng.randint(1, 3)
+            x = R.element([rng.randint(-2, 2) for _ in range(R.n)])
+            assert lambda_term(plain, x, i, 5).coeffs == \
+                lambda_oracle(plain, x, i, 5).coeffs
+            y = lext(R, [(q, R.element([rng.randint(-2, 2)
+                                       for _ in range(R.n)]))
+                         for q in (Fraction(-1, 2), 0, Fraction(1, 2))
+                         if rng.random() < 0.7])
+            assert lambda_term(ext, y, i, 5).coeffs == \
+                lambda_oracle(ext, y, i, 5).coeffs
 
 
 def test_cardinality_specializes_burnside_power():
@@ -276,7 +332,7 @@ def test_rhs_theorem1_burnside_exponent():
     R = burnside_ring(cyclic(2))
     out = rhs_theorem1(R.regular, 1, 3)
     # prod_r zeta_{[G/e]}(t^r): hand-expanded low coefficients
-    z = [R.symmetric_power_class(0, k) for k in range(4)]
+    z = [symmetric_power_class(R, 0, k) for k in range(4)]
     assert out.coeffs[0] == R.unit
     assert out.coeffs[1] == z[1]
     assert out.coeffs[2] == z[2] + z[1]
