@@ -1,10 +1,11 @@
 """Finite groups on dense integer indices, identity always at index 0.
 
 Groups are built structurally (cyclic, symmetric, dihedral, product, wreath,
-permutation closure); multiplication stays structural and a flat Cayley table
-is only materialized on demand for small orders.  Conjugacy classes,
-centralizers and commuting tuples are computed by orbit expansion under
-conjugation by generators, never by all-pairs scans.
+permutation closure).  A wreath product within WREATH_TABLE_BUDGET multiplies
+by lookups in three factor tables built with it; other products stay
+structural, and only validate_group makes a flat Cayley table.  Conjugacy
+classes, centralizers and commuting tuples are computed by orbit expansion
+under conjugation by generators, never by all-pairs scans.
 
 Subgroups grow by Dimino's coset extension: <H, g> is H's element list
 followed by whole right cosets H·x, one product per new element.  The
@@ -27,6 +28,7 @@ SUBGROUP_BUDGET = 1024      # subgroup-lattice enumeration cap
 PERM_CLOSURE_BUDGET = 250_000
 SYMMETRIC_DEGREE_LIMIT = 8  # 8! = 40320 permutations materialized
 CENTRALIZER_SCAN_LIMIT = 1024  # direct element scan below, Schreier above
+WREATH_TABLE_BUDGET = 1 << 21  # cells of a wreath product's factor tables
 
 
 class FiniteGroup:
@@ -278,6 +280,10 @@ class WreathGroup(FiniteGroup):
     Index = vector-code * n! + permutation rank.  Multiplication follows
     (a,σ)(b,τ) = (a·(b∘σ⁻¹), στ) so the natural action on n-tuples is a left
     action: ((a,σ)·x)_i = a_i · x_{σ⁻¹(i)}.
+
+    Within WREATH_TABLE_BUDGET cells the product is three lookups in tables
+    built once: top[σ][τ] ranks στ, shift[σ][b] codes b∘σ⁻¹ and base[a][c]
+    codes a·c coordinatewise; larger groups use the structural formula.
     """
 
     _VEC_TABLE_LIMIT = 200_000
@@ -315,6 +321,28 @@ class WreathGroup(FiniteGroup):
                 gens.append(self._encode(zero, t))
         label = f"{inner.label}wrS{n}"
         super().__init__(order, tuple(gens), label, descriptor)
+        fits = self.nfact ** 2 + order + m ** (2 * n) <= WREATH_TABLE_BUDGET
+        self._tables = self._factor_tables() if fits else None
+
+    def _factor_tables(self):
+        """(top, shift, base) as lists of rows; see the class docstring."""
+        n, m, inner, top = self.n, self.inner.order, self.inner, self.top
+        # permutations(σ) lists σ∘τ for every τ, in rank order
+        tops = [[top.rank[p] for p in itertools.permutations(pa)]
+                for pa in top.perms]
+        # digit j of b lands in slot σ(j), of weight m^(n-1-σ(j))
+        shifts = [list(map(sum, itertools.product(
+            *(range(0, m * w, w) for w in (m ** (n - 1 - i) for i in pa)))))
+            for pa in top.perms]
+        codes = list(range(m ** n))  # one shared int object per code
+        base = [[0]]
+        for k in range(n):  # each pass prefixes a coordinate of weight m^k
+            size = m ** k
+            base = [[codes[p + x]
+                     for p in [inner.mul(a, c) * size for c in range(m)]
+                     for x in base[rest]]
+                    for a in range(m) for rest in range(size)]
+        return tops, shifts, base
 
     def _vec_of(self, q: int) -> tuple[int, ...]:
         if self._vecs is not None:
@@ -346,6 +374,17 @@ class WreathGroup(FiniteGroup):
         return self._encode(vec, perm_rank)
 
     def mul(self, a: int, b: int) -> int:
+        tables = self._tables
+        if tables is None:
+            return self._mul_structural(a, b)
+        top, shift, base = tables
+        nf = self.nfact
+        qa, ra = divmod(a, nf)
+        qb, rb = divmod(b, nf)
+        return base[qa][shift[ra][qb]] * nf + top[ra][rb]
+
+    def _mul_structural(self, a: int, b: int) -> int:
+        """The product from the vectors and permutations themselves."""
         nf = self.nfact
         qa, ra = divmod(a, nf)
         qb, rb = divmod(b, nf)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (
     CommutingTuple,
     FiniteGroup,
+    WreathGroup,
     centralizer,
     closure,
     centralizer_in,
@@ -48,6 +50,8 @@ SMALL_DESCRIPTORS = [
     {"type": "wreath", "inner": {"type": "cyclic", "n": 2}, "n": 2},
     {"type": "perm", "degree": 4,
      "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]},
+    {"type": "wreath", "inner": {"type": "cyclic", "n": 3}, "n": 3},
+    {"type": "wreath", "inner": {"type": "symmetric", "n": 3}, "n": 2},
 ]
 
 
@@ -133,6 +137,45 @@ def test_wreath_semidirect_structure():
         for g in range(w.order):
             _, rr = w.decode(w.conj(x, g))
             assert rr == 0
+
+
+@pytest.mark.parametrize("inner,n", [(cyclic(2), 3), (symmetric(3), 2),
+                                     (cyclic(3), 3), (cyclic(3), 0),
+                                     (symmetric(3), 1)],
+                         ids=["C2wrS3", "S3wrS2", "C3wrS3", "C3wrS0",
+                              "S3wrS1"])
+def test_wreath_tables_match_structural_product(inner, n):
+    w = WreathGroup(inner, n)
+    assert w._tables is not None
+    pairs = [(a, b) for a in range(w.order) for b in range(w.order)]
+    assert ([w.mul(a, b) for a, b in pairs]
+            == [w._mul_structural(a, b) for a, b in pairs])
+
+
+def test_wreath_tables_match_structural_product_s3_wr_s4():
+    w = WreathGroup(symmetric(3), 4)
+    assert w._tables is not None  # 24^2 + 31104 + 1296^2 cells
+    rng = random.Random(7)
+    pairs = [(rng.randrange(w.order), rng.randrange(w.order))
+             for _ in range(20_000)]
+    assert ([w.mul(a, b) for a, b in pairs]
+            == [w._mul_structural(a, b) for a, b in pairs])
+
+
+def test_wreath_table_budget_is_inclusive(monkeypatch):
+    cells = 6 ** 2 + 48 + 8 ** 2  # C2 wr S3: n!^2 + |W| + V^2
+    monkeypatch.setattr(groups_mod, "WREATH_TABLE_BUDGET", cells)
+    assert WreathGroup(cyclic(2), 3)._tables is not None
+    monkeypatch.setattr(groups_mod, "WREATH_TABLE_BUDGET", cells - 1)
+    w = WreathGroup(cyclic(2), 3)
+    assert w._tables is None
+    validate_group(w)
+
+
+def test_wreath_over_table_budget_multiplies_structurally():
+    w = WreathGroup(symmetric(4), 3)  # V^2 = 24^6, about 1.9e8 cells
+    assert w._tables is None
+    validate_group(w, samples=5_000)
 
 
 def test_conjugacy_classes_s3():
