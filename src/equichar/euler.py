@@ -25,7 +25,7 @@ from .groups import (
     conjugacy_classes_in,
     whole_subgroup,
 )
-from .gsets import BiSet, biset_from_single_action
+from .gsets import BiSet, quotient_by
 
 ORACLE_GROUP_LIMIT = 400  # averaging / tuple-form oracles stay below this
 
@@ -48,7 +48,7 @@ def _rec_equivariant(X: BiSet, S: tuple[int, ...], H: Subgroup, k: int,
     if hit is not None:
         return hit
     if k == 0:
-        res = _quotient_class(X, S, H, ring)
+        res = _quotient_class(X, S, H)
     else:
         res = ring.zero
         for cls in conjugacy_classes_in(H):
@@ -61,17 +61,9 @@ def _rec_equivariant(X: BiSet, S: tuple[int, ...], H: Subgroup, k: int,
     return res
 
 
-def _quotient_class(X: BiSet, S, H: Subgroup,
-                    ring: BurnsideRing) -> BurnsideElement:
+def _quotient_class(X: BiSet, S, H: Subgroup) -> BurnsideElement:
     """class_of(S/H) as a B-side G_B-set."""
-    orbs = X.orbits_on("O", H.generators, S)
-    orbit_of = {p: i for i, orb in enumerate(orbs) for p in orb}
-    perms = []
-    for j, _ in enumerate(X.gB.generators):
-        base = X.actB[j]
-        perms.append(tuple(orbit_of[base[orb[0]]] for orb in orbs))
-    Q = biset_from_single_action(len(orbs), X.gB, perms)
-    return class_of(Q)
+    return class_of(quotient_by(X, H, S))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +84,7 @@ def tuple_class_strata(X: BiSet, k: int):
             perm = X.perm("O", g)
             S = tuple(p for p in S if perm[p] == p)
         piece = ring.zero if not S else \
-            _quotient_class(X, S, centralizer(X.gO, tup), ring)
+            _quotient_class(X, S, centralizer(X.gO, tup))
         out.append((tup, piece))
     return out
 

@@ -4,8 +4,10 @@ Groups are built structurally (cyclic, symmetric, dihedral, product, wreath,
 permutation closure).  A wreath product within WREATH_TABLE_BUDGET multiplies
 by lookups in three factor tables built with it; other products stay
 structural, and only validate_group makes a flat Cayley table.  Conjugacy
-classes, centralizers and commuting tuples are computed by orbit expansion
-under conjugation by generators, never by all-pairs scans.
+classes and centralizers come from one walk of an element's conjugation
+orbit under the generators: a class is the orbit, and a centralizer is its
+stabilizer, rebuilt from Schreier generators over the orbit's witnesses.
+No element scan tests commutation, and commuting tuples recurse over both.
 
 Subgroups grow by Dimino's coset extension: <H, g> is H's element list
 followed by whole right cosets H·x, one product per new element.  The
@@ -23,11 +25,9 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 
-TABLE_LIMIT = 4096          # flat Cayley tables only at or below this order
 SUBGROUP_BUDGET = 1024      # subgroup-lattice enumeration cap
 PERM_CLOSURE_BUDGET = 250_000
 SYMMETRIC_DEGREE_LIMIT = 8  # 8! = 40320 permutations materialized
-CENTRALIZER_SCAN_LIMIT = 1024  # direct element scan below, Schreier above
 WREATH_TABLE_BUDGET = 1 << 21  # cells of a wreath product's factor tables
 
 
@@ -42,7 +42,6 @@ class FiniteGroup:
         self.label = label
         self.descriptor = descriptor
         self._words: list[tuple[int, int]] | None = None
-        self._table: tuple[tuple[int, ...], ...] | None = None
         self._cache: dict = {}
 
     def mul(self, a: int, b: int) -> int:
@@ -96,19 +95,6 @@ class FiniteGroup:
             out.append(i)
         out.reverse()
         return tuple(out)
-
-    # -- optional flat table -------------------------------------------------
-
-    def cayley_table(self) -> tuple[tuple[int, ...], ...]:
-        if self._table is None:
-            if self.order > TABLE_LIMIT:
-                raise ResourceLimitError(
-                    f"Cayley table for {self.label}",
-                    size=self.order, budget=TABLE_LIMIT)
-            self._table = tuple(
-                tuple(self.mul(a, b) for b in range(self.order))
-                for a in range(self.order))
-        return self._table
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label} order={self.order}>"
@@ -286,7 +272,7 @@ class WreathGroup(FiniteGroup):
     codes a·c coordinatewise; larger groups use the structural formula.
     """
 
-    _VEC_TABLE_LIMIT = 200_000
+    _VEC_LIMIT = 200_000
 
     def __init__(self, inner: FiniteGroup, n: int,
                  descriptor: dict | None = None):
@@ -301,7 +287,7 @@ class WreathGroup(FiniteGroup):
         # dense digit tables keep mul cheap for the sizes we enumerate over
         self._vecs: tuple[tuple[int, ...], ...] | None = None
         self._vec_rank: dict[tuple[int, ...], int] | None = None
-        if m ** n <= self._VEC_TABLE_LIMIT:
+        if m ** n <= self._VEC_LIMIT:
             self._vecs = tuple(itertools.product(range(m), repeat=n))
             self._vec_rank = {v: i for i, v in enumerate(self._vecs)}
         # flat inner multiplication/inverse tables keep mul allocation-light
@@ -624,13 +610,14 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
 def subgroup_from_generators(G: FiniteGroup, gens) -> Subgroup:
     """Closure plus greedy reduction to a small generating set."""
     elems = closure(G, gens)
-    small = _reduce_generators(G, list(gens), len(elems))
+    _, small = _reduce_generators(G, gens, len(elems))
     return Subgroup(G, elems, small)
 
 
-def _reduce_generators(G: FiniteGroup, candidates: list[int],
-                       target: int) -> tuple[int, ...]:
-    """Pick a short generating subsequence; each kept generator at least
+def _reduce_generators(G: FiniteGroup, candidates, target: int
+                       ) -> tuple[list[int], tuple[int, ...]]:
+    """Elements and generators of the subgroup grown from the candidates,
+    stopping once it has target elements; each kept generator at least
     doubles the closure, so at most log2(target) survive."""
     small: list[int] = []
     current = [G.identity]
@@ -643,7 +630,7 @@ def _reduce_generators(G: FiniteGroup, candidates: list[int],
         small.append(c)
         if len(current) == target:
             break
-    return tuple(small)
+    return current, tuple(small)
 
 
 # ---------------------------------------------------------------------------
@@ -661,31 +648,32 @@ def conjugacy_classes_in(H: Subgroup) -> list[list[int]]:
     cached = H.parent._cache.get(key)
     if cached is not None:
         return cached
-    G = H.parent
-    gens = H.generators
-    inv_gens = [G.inv(s) for s in gens]
     seen: set[int] = set()
     out: list[list[int]] = []
     for x0 in H.elements:
-        if x0 in seen:
-            continue
-        cls = [x0]
-        seen.add(x0)
-        frontier = [x0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s, si in zip(gens, inv_gens):
-                    y = G.mul(G.mul(si, x), s)
-                    if y not in seen:
-                        seen.add(y)
-                        cls.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        cls.sort()
-        out.append(cls)
+        if x0 not in seen:
+            cls = sorted(_conjugation_orbit(H, x0))
+            seen.update(cls)
+            out.append(cls)
     H.parent._cache[key] = out
     return out
+
+
+def _conjugation_orbit(H: Subgroup, g: int) -> dict[int, int]:
+    """The H-conjugacy class of g as an insertion-ordered dict x -> u with
+    u^-1 g u = x, walked breadth-first under H's generators."""
+    G = H.parent
+    gens = [(s, G.inv(s)) for s in H.generators]
+    orbit = {g: G.identity}
+    queue = [g]
+    for x in queue:  # grows as the orbit does
+        u = orbit[x]
+        for s, si in gens:
+            y = G.mul(G.mul(si, x), s)
+            if y not in orbit:
+                orbit[y] = G.mul(u, s)
+                queue.append(y)
+    return orbit
 
 
 def centralizer(G: FiniteGroup, tup) -> Subgroup:
@@ -705,71 +693,34 @@ def centralizer(G: FiniteGroup, tup) -> Subgroup:
 def centralizer_in(H: Subgroup, g: int) -> Subgroup:
     """C_H(g) for g in H, with a small generating set.
 
-    Small subgroups use a direct commutation scan; past the scan limit the
-    conjugation-orbit of g under H's generators is expanded with transversal
-    witnesses and the stabilizer is rebuilt from Schreier generators, stopping
-    as soon as the known order |H|/|orbit| is reached.
+    Orbit-stabilizer: the conjugation orbit of g is walked with transversal
+    witnesses, and the stabilizer is rebuilt from Schreier generators,
+    stopping as soon as the known order |H|/|orbit| is reached.  A central
+    g (the identity among them) gets H itself back.
     """
     G = H.parent
-    if g == G.identity:
-        return H
     key = ("cent", H.elements, g)
     cached = G._cache.get(key)
     if cached is not None:
         return cached
-    if H.order <= CENTRALIZER_SCAN_LIMIT:
-        elems = tuple(h for h in H.elements
-                      if G.mul(h, g) == G.mul(g, h))
-        sub = Subgroup(G, elems, _reduce_generators(G, list(elems), len(elems)))
-    else:
-        sub = _centralizer_schreier(H, g)
-    G._cache[key] = sub
-    return sub
-
-
-def _centralizer_schreier(H: Subgroup, g: int) -> Subgroup:
-    G = H.parent
-    gens = H.generators
-    inv_gens = [G.inv(s) for s in gens]
-    witness = {g: G.identity}  # x -> u with u^-1 g u = x
-    order_list = [g]
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            u = witness[x]
-            for s, si in zip(gens, inv_gens):
-                y = G.mul(G.mul(si, x), s)
-                if y not in witness:
-                    witness[y] = G.mul(u, s)
-                    order_list.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    target, rem = divmod(H.order, len(witness))
+    orbit = _conjugation_orbit(H, g)
+    target, rem = divmod(H.order, len(orbit))
     if rem:
         raise InvariantViolation("orbit size does not divide subgroup order")
-    small: list[int] = []
-    current = [G.identity]
-    members = {G.identity}
-    done = len(current) == target
-    for x in order_list:
-        if done:
-            break
-        u = witness[x]
-        for s in gens:
-            t = G.mul(u, s)
-            y = G.conj(g, t)  # = s^-1 x s
-            c = G.mul(t, G.inv(witness[y]))
-            if c not in members:
-                current = extend_subgroup(G, current, small, c)
-                members.update(current)
-                small.append(c)
-                if len(current) == target:
-                    done = True
-                    break
-    if len(current) != target:
-        raise InvariantViolation("Schreier generators failed to reach stabilizer")
-    return Subgroup(G, tuple(sorted(current)), tuple(small))
+    if target == H.order:
+        sub = H
+    else:
+        gens = [(s, G.inv(s)) for s in H.generators]
+        # u·s carries g to s^-1 x s, as does that point's witness
+        schreier = (G.mul(G.mul(u, s), G.inv(orbit[G.mul(G.mul(si, x), s)]))
+                    for x, u in orbit.items() for s, si in gens)
+        elems, small = _reduce_generators(G, schreier, target)
+        if len(elems) != target:
+            raise InvariantViolation(
+                "Schreier generators failed to reach stabilizer")
+        sub = Subgroup(G, tuple(sorted(elems)), small)
+    G._cache[key] = sub
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -942,8 +893,7 @@ def subgroup_lattice(G: FiniteGroup,
                    key=lambda i: (len(canon[i]), canon[i]))
     remap = {old: new for new, old in enumerate(order)}
     reps = tuple(Subgroup(G, canon[i],
-                          _reduce_generators(G, list(canon[i]),
-                                             len(canon[i])))
+                          _reduce_generators(G, canon[i], len(canon[i]))[1])
                  for i in order)
     lat = SubgroupLattice(G, reps,
                           {fs: remap[i] for fs, i in class_index.items()})
@@ -982,14 +932,15 @@ def subgroups_up_to_conjugacy(G: FiniteGroup,
 def validate_group(G: FiniteGroup, samples: int = 100_000,
                    exhaustive_limit: int = 256, seed: int = 0) -> None:
     """Identity, inverses and associativity (exhaustive below the limit via
-    the flat table, randomized triples above); generators must generate."""
+    a flat Cayley table, randomized triples above); generators must
+    generate."""
     for a in list(G.elements())[:exhaustive_limit]:
         if G.mul(0, a) != a or G.mul(a, 0) != a:
             raise InvariantViolation(f"identity fails at {a}")
         if G.mul(a, G.inv(a)) != 0 or G.mul(G.inv(a), a) != 0:
             raise InvariantViolation(f"inverse fails at {a}")
     if G.order <= exhaustive_limit:
-        t = G.cayley_table()
+        t = [tuple(G.mul(a, b) for b in G.elements()) for a in G.elements()]
         # row a·b lists (a·b)·x; a's row read through b's lists a·(b·x)
         if any(t[ab] != tuple(row[x] for x in t[b])
                for row in t for b, ab in enumerate(row)):

@@ -180,18 +180,18 @@ def fixed_set(X: BiSet, phi, sub_group=None) -> BiSet:
     return BiSet(len(points), sub, X.gB, actO, actB, labels)
 
 
-def quotient_by(X: BiSet, K: Subgroup | None = None) -> BiSet:
+def quotient_by(X: BiSet, K: Subgroup | None = None,
+                points=None) -> BiSet:
     """K-orbit space (K a subgroup of the O side; default the whole group)
-    with the induced B action; the O side is trivialized."""
+    with the induced B action; the O side is trivialized.  points, when
+    given, is a K- and B-invariant subset, and only it is quotiented."""
     if K is None:
         K = whole_subgroup(X.gO)
     elif not same_group(K.parent, X.gO):
         raise UsageError("subgroup belongs to a different group than the O side")
-    orbs = X.orbits("O", K.generators)
-    orbit_of = {}
-    for i, orb in enumerate(orbs):
-        for p in orb:
-            orbit_of[p] = i
+    orbs = X.orbits_on("O", K.generators,
+                       range(X.size) if points is None else points)
+    orbit_of = {p: i for i, orb in enumerate(orbs) for p in orb}
     actB = []
     for j, _ in enumerate(X.gB.generators):
         old = X.actB[j]

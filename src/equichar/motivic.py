@@ -101,7 +101,7 @@ class LExtElement:
         return f"<LExt {self.render()}>"
 
 
-def lext(bring: BurnsideRing, pairs, D: int = 1) -> LExtElement:
+def lext(bring: BurnsideRing, pairs) -> LExtElement:
     """Normalized element: merge exponents, drop zeros, sort, minimal D."""
     acc: dict = {}
     for q, c in pairs:
@@ -113,7 +113,7 @@ def lext(bring: BurnsideRing, pairs, D: int = 1) -> LExtElement:
     denom = 1
     for q, _ in terms:
         denom = lcm(denom, q.denominator)
-    return LExtElement(bring, lcm(denom, D) if D > 1 else denom, terms)
+    return LExtElement(bring, denom, terms)
 
 
 def embed(x, bring: BurnsideRing | None = None) -> LExtElement:

@@ -238,14 +238,42 @@ def test_centralizer_matches_scan(desc):
         assert got.order * len(cls) == g.order
 
 
-def test_schreier_centralizer_agrees_with_scan():
-    w = wreath(symmetric(3), 2)  # order 72, forces both paths comparable
+def _scan_centralizer(H, x):
+    G = H.parent
+    return tuple(h for h in H.elements if G.mul(h, x) == G.mul(x, h))
+
+
+def _reps_and_others(H, rng):
+    """H's class representatives, then up to 50 seeded other elements."""
+    reps = [cls[0] for cls in groups_mod.conjugacy_classes_in(H)]
+    others = sorted(set(H.elements) - set(reps))
+    return reps + rng.sample(others, min(50, len(others)))
+
+
+@pytest.mark.parametrize("inner, n", [(symmetric(3), 2), (cyclic(3), 4)],
+                         ids=["S3wrS2", "C3wrS4"])
+def test_orbit_stabilizer_centralizer_matches_scan(inner, n):
+    """Orders 72 and 1944: every class representative, seeded other
+    elements, and the same inside a proper subgroup."""
+    w = wreath(inner, n)
+    rng = random.Random(5)
     whole = whole_subgroup(w)
-    for cls in conjugacy_classes(w):
-        x = cls[0]
-        want = tuple(h for h in range(w.order)
-                     if w.mul(h, x) == w.mul(x, h))
-        assert groups_mod._centralizer_schreier(whole, x).elements == want
+    reps = [cls[0] for cls in conjugacy_classes(w)]
+    H = max((centralizer_in(whole, x) for x in reps),
+            key=lambda C: (C.order < w.order, C.order))
+    assert 1 < H.order < w.order
+    for K in (whole, H):
+        for x in _reps_and_others(K, rng):
+            got = centralizer_in(K, x)
+            assert got.elements == _scan_centralizer(K, x)
+            assert closure(w, got.generators) == got.elements
+
+
+def test_central_elements_centralize_the_whole_subgroup():
+    w = wreath(cyclic(2), 3)
+    whole = whole_subgroup(w)
+    assert centralizer_in(whole, w.identity) is whole
+    assert centralizer_in(whole, w.encode((1, 1, 1), 0)) is whole
 
 
 def test_commuting_tuple_rejects_non_commuting():
@@ -369,12 +397,6 @@ def test_word_evaluation():
         for i in s3.word(g):
             acc = s3.mul(acc, s3.generators[i])
         assert acc == g
-
-
-def test_cayley_table_budget():
-    w = wreath(symmetric(3), 4)
-    with pytest.raises(ResourceLimitError):
-        w.cayley_table()
 
 
 def test_element_order():
