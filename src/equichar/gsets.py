@@ -72,12 +72,9 @@ class BiSet:
         """Image of point p under element g of the chosen side's group."""
         return self.perm(side, g)[p]
 
-    def orbits(self, side: str, generators) -> list[list[int]]:
-        """Orbits under the subgroup generated by the given element indices,
-        ordered by minimal point; each orbit sorted."""
-        return self.orbits_on(side, generators, range(self.size))
-
     def orbits_on(self, side: str, generators, points) -> list[list[int]]:
+        """Orbits of the given points under the subgroup generated by the
+        given element indices, in order of first point met; each sorted."""
         gen_maps = [self.perm(side, g) for g in generators]
         seen: set[int] = set()
         out: list[list[int]] = []

@@ -276,7 +276,7 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
             t1 = rhs_theorem1(m, k, N)
             total += 1
             good += all(specialize_L(c) == e and
-                        all(q == 0 for q, _ in c.terms)
+                        all(e == 0 for e, _ in c.pairs)
                         for c, e in zip(t2.coeffs, t1.coeffs))
     report.degrees.append(DegreeCheck(
         4, "d=0 L-weighted product = plain product", f"{good}/{total} cases",

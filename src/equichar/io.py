@@ -147,7 +147,10 @@ def lext_from_json(obj, ring: BurnsideRing, path) -> LExtElement:
     for term in terms:
         q = parse_fraction(_field(term, "exp", path), path)
         pairs.append((q, burnside_from_json(term, ring, path)))
-    return lext(ring, pairs)
+    el = lext(ring, pairs)
+    if "D" in obj and (type(obj["D"]) is not int or obj["D"] != el.D):
+        raise UsageError(f"{path}: \"D\" must be {el.D}, not {obj['D']!r}")
+    return el
 
 
 def datum_from_json(obj, path) -> OrbifoldDatum:

@@ -1,7 +1,10 @@
 """Burnside coefficients extended by rational powers of a formal symbol L.
 
 Elements of A(G)[L^{±1/D}] are finite sums of L^q * (Burnside class) with
-qD integral.  The lambda-structure extends the Burnside one by the scaling
+qD integral.  An element holds its least D and integer pairs (e, c) meaning
+L^(e/D) * c, so + and * add integers over lcm(D1, D2); exponents are
+`Fraction`s only where they enter or leave (`lext`, `L`, `terms`, rendering,
+shifts and ages).  The lambda-structure extends the Burnside one by the scaling
 rule zeta_{L^q b}(t) = zeta_b(L^q t), which makes the substitution law
 (A(L^s t))^m = (A(t))^m |_{t -> L^s t} hold for the factorization power.
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .burnside import BurnsideElement, BurnsideRing, burnside_ring
 from .errors import UsageError
@@ -29,38 +32,54 @@ TUPLE_LABEL_BUDGET = 100_000
 # ---------------------------------------------------------------------------
 # the extended ring
 
-@dataclass(frozen=True)
 class LExtElement:
-    """Finite sum of L^q * c with c in A(G); terms sorted by exponent,
-    no zero coefficients, D = lcm of exponent denominators."""
+    """Finite sum of L^(e/D) * c with c in A(G), held as D and integer
+    pairs (e, c): sorted by e, no zero c, gcd(D, every e) = 1, and D = 1
+    for zero."""
 
-    ring: BurnsideRing
-    D: int
-    terms: tuple  # ((Fraction q, BurnsideElement), ...)
+    __slots__ = ("ring", "D", "pairs")
+
+    def __init__(self, ring: BurnsideRing, D: int, pairs: tuple):
+        self.ring, self.D, self.pairs = ring, D, pairs
+
+    @property
+    def terms(self) -> tuple:
+        """The (Fraction exponent, coefficient) pairs."""
+        return tuple((Fraction(e, self.D), c) for e, c in self.pairs)
+
+    def __eq__(self, other):
+        return isinstance(other, LExtElement) and self.ring is other.ring \
+            and self.D == other.D and self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash((self.D, self.pairs))
+
+    def _lift(self, D: int) -> tuple:
+        k = D // self.D
+        return self.pairs if k == 1 else \
+            tuple((e * k, c) for e, c in self.pairs)
 
     def __add__(self, other: LExtElement) -> LExtElement:
         self._check(other)
-        return lext(self.ring, self.terms + other.terms)
+        D = lcm(self.D, other.D)
+        return _normal(self.ring, D, self._lift(D) + other._lift(D))
 
     def __neg__(self) -> LExtElement:
         return LExtElement(self.ring, self.D,
-                           tuple((q, -c) for q, c in self.terms))
+                           tuple((e, -c) for e, c in self.pairs))
 
     def __sub__(self, other: LExtElement) -> LExtElement:
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return lext(self.ring, ())
-            return LExtElement(self.ring, self.D,
-                               tuple((q, other * c) for q, c in self.terms))
+            return _normal(self.ring, self.D,
+                           [(e, other * c) for e, c in self.pairs])
         self._check(other)
-        out = []
-        for q, c in self.terms:
-            for r, d in other.terms:
-                out.append((q + r, c * d))
-        return lext(self.ring, out)
+        D = lcm(self.D, other.D)
+        return _normal(self.ring, D, [(e + f, c * d)
+                                      for e, c in self._lift(D)
+                                      for f, d in other._lift(D)])
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -68,17 +87,13 @@ class LExtElement:
         return NotImplemented
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.pairs)
 
     def exponent_coeff(self, q) -> BurnsideElement:
-        q = Fraction(q)
-        for r, c in self.terms:
-            if r == q:
-                return c
-        return self.ring.zero
+        return dict(self.pairs).get(Fraction(q) * self.D, self.ring.zero)
 
     def render(self) -> str:
-        if not self.terms:
+        if not self.pairs:
             return "0"
         parts = []
         for q, c in self.terms:
@@ -101,19 +116,25 @@ class LExtElement:
         return f"<LExt {self.render()}>"
 
 
-def lext(bring: BurnsideRing, pairs) -> LExtElement:
-    """Normalized element: merge exponents, drop zeros, sort, minimal D."""
+def _normal(bring: BurnsideRing, D: int, pairs) -> LExtElement:
+    """L^(e/D)-pairs merged by e, zeros dropped, sorted, D made minimal."""
     acc: dict = {}
-    for q, c in pairs:
-        if not isinstance(q, Fraction):
-            q = Fraction(q)
-        prev = acc.get(q)
-        acc[q] = c if prev is None else prev + c
-    terms = tuple(sorted((q, c) for q, c in acc.items() if c))
-    denom = 1
-    for q, _ in terms:
-        denom = lcm(denom, q.denominator)
-    return LExtElement(bring, denom, terms)
+    for e, c in pairs:
+        prev = acc.get(e)
+        acc[e] = c if prev is None else prev + c
+    out = sorted((e, c) for e, c in acc.items() if c)
+    g = gcd(D, *[e for e, _ in out]) if D > 1 else 1
+    if g > 1:
+        out = [(e // g, c) for e, c in out]
+    return LExtElement(bring, D // g, tuple(out))
+
+
+def lext(bring: BurnsideRing, pairs) -> LExtElement:
+    """The element sum of L^q * c over (rational q, c) pairs."""
+    pairs = [(Fraction(q), c) for q, c in pairs]
+    D = lcm(*(q.denominator for q, _ in pairs))
+    return _normal(bring, D, [(q.numerator * (D // q.denominator), c)
+                              for q, c in pairs])
 
 
 def embed(x, bring: BurnsideRing | None = None) -> LExtElement:
@@ -133,10 +154,7 @@ def L(bring: BurnsideRing, q=1) -> LExtElement:
 
 def specialize_L(a: LExtElement) -> BurnsideElement:
     """The ring map L -> 1 onto A(G)."""
-    out = a.ring.zero
-    for _, c in a.terms:
-        out = out + c
-    return out
+    return sum((c for _, c in a.pairs), a.ring.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +171,8 @@ class LExtCoeffRing:
         self.label = f"A({bring.group.label})[L^Q]"
 
     def lambda_coeffs(self, c, i, N):
-        # exponents in units of 1/D, so that they add as integers
-        return tuple(
-            lext(self.bring, [(Fraction(e, c.D), x) for e, x in p.items()])
-            for p in lambda_marks(self.bring, [(int(q * c.D), x)
-                                               for q, x in c.terms], i, N))
+        return tuple(_normal(self.bring, c.D, p.items())
+                     for p in lambda_marks(self.bring, c.pairs, i, N))
 
 
 def lext_coeff_ring(bring: BurnsideRing) -> LExtCoeffRing:
@@ -169,9 +184,9 @@ def lext_coeff_ring(bring: BurnsideRing) -> LExtCoeffRing:
 def zeta_L(b: LExtElement, N: int) -> TruncatedSeries:
     """zeta of a single generator L^q*[G/H]: coefficient of t^k is
     L^{qk} * class_of(S^k(G/H)), the lambda-term of the generator."""
-    if len(b.terms) != 1:
+    if len(b.pairs) != 1:
         raise UsageError("zeta_L needs a single L^q*[G/H] generator")
-    c = b.terms[0][1]
+    c = b.pairs[0][1]
     if sorted(c.coeffs) != [0] * (c.ring.n - 1) + [1]:
         raise UsageError("zeta_L needs a single L^q*[G/H] generator")
     return lambda_term(lext_coeff_ring(b.ring), b, 1, N)

@@ -140,6 +140,25 @@ def test_orbifold_class(capsys, files):
     assert code == 0 and out.strip() == "[G/e] + L^(1/2)"
 
 
+def _one_stratum(cls):
+    return {"gO": S3, "gB": Z2, "k": 1, "weights": ["1"],
+            "strata": [{"tuple": [2], "class": cls}]}
+
+
+@pytest.mark.parametrize("D", [2, 0, -1, True, "1", 1.0, None])
+def test_orbifold_class_checks_supplied_D(capsys, files, D):
+    """A class's "D", when given, must be the int its exponents need."""
+    cls = {"D": D, "terms": [{"exp": 0, "coeffs": [0, 1]}]}
+    code, out, err = run(capsys, "orbifold-class", "--input",
+                         files("d.json", _one_stratum(cls)))
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert '"D" must be 1' in err and "Traceback" not in err
+    cls = {"D": 2, "terms": [{"exp": "-1/2", "coeffs": [0, 1]}]}
+    code, out, _ = run(capsys, "orbifold-class", "--input",
+                       files("d.json", _one_stratum(cls)))
+    assert code == 0 and out.strip() == "L^(-1/2)"
+
+
 def test_verify_lemma1_text(capsys, z2_reg):
     code, out, _ = run(capsys, "verify", "lemma1", "--input", z2_reg,
                        "--N", "4")
@@ -469,4 +488,20 @@ def test_power_and_zeta_golden(capsys, files, case):
     code, out, _ = run(capsys, case["verb"], "--format", "json",
                        "--N", str(case["N"]),
                        "--input", files("in.json", case["input"]))
+    assert code == 0 and out == case["stdout"]
+
+
+GOLDEN_LEXT = json.loads(
+    (pathlib.Path(__file__).parent / "golden_lext.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_LEXT, ids=lambda c: c["name"])
+def test_lext_golden(capsys, files, case):
+    """`power`, `zeta`, `orbifold-class` and the L-extended verifiers print
+    byte-for-byte what they printed while exponents were stored as
+    `Fraction`s."""
+    argv = list(case["argv"])
+    if case["input"] is not None:
+        argv += ["--input", files("in.json", case["input"])]
+    code, out, _ = run(capsys, *argv)
     assert code == 0 and out == case["stdout"]

@@ -65,7 +65,7 @@ def test_act_by_word_matches_generator_perms():
 def test_orbits_regular_set_is_transitive():
     S3 = symmetric(3)
     X = regular_biset(S3)
-    assert X.orbits("O", S3.generators) == [list(range(6))]
+    assert X.orbits_on("O", S3.generators, range(X.size)) == [list(range(6))]
 
 
 def test_orbits_on_subset():
@@ -236,7 +236,7 @@ def test_burnside_orbit_count_lemma(n, k):
     """#orbits * |G| = sum over g of |X^g|, on symmetric powers."""
     G = cyclic(n)
     X = symmetric_power(regular_biset(G), k)
-    orbit_count = len(X.orbits("O", G.generators))
+    orbit_count = len(X.orbits_on("O", G.generators, range(X.size)))
     total = sum(sum(1 for p in range(X.size) if X.act("O", g, p) == p)
                 for g in range(G.order))
     assert orbit_count * G.order == total
