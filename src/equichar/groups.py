@@ -57,13 +57,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def element_order(self, g: int) -> int:
-        n, x = 1, g
-        while x != 0:
-            x = self.mul(x, g)
-            n += 1
-        return n
-
     # -- word machinery: BFS spanning tree over right multiplication --------
 
     def _word_table(self) -> list[tuple[int, int]]:
@@ -607,13 +600,6 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
     return h
 
 
-def subgroup_from_generators(G: FiniteGroup, gens) -> Subgroup:
-    """Closure plus greedy reduction to a small generating set."""
-    elems = closure(G, gens)
-    _, small = _reduce_generators(G, gens, len(elems))
-    return Subgroup(G, elems, small)
-
-
 def _reduce_generators(G: FiniteGroup, candidates, target: int
                        ) -> tuple[list[int], tuple[int, ...]]:
     """Elements and generators of the subgroup grown from the candidates,
@@ -777,55 +763,6 @@ def _ctuple_classes(H: Subgroup, k: int,
     return out
 
 
-def commuting_tuples_naive(G: FiniteGroup, k: int,
-                           budget: int = 2_000_000) -> list[tuple[int, ...]]:
-    """All commuting k-tuples by brute force (test oracle for small groups)."""
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], pool: list[int]):
-        if len(prefix) == k:
-            out.append(prefix)
-            if len(out) > budget:
-                raise ResourceLimitError("commuting tuples",
-                                         size=len(out), budget=budget)
-            return
-        for g in pool:
-            sub = [h for h in pool if G.mul(g, h) == G.mul(h, g)]
-            extend(prefix + (g,), sub)
-
-    extend((), list(G.elements()))
-    return out
-
-
-def commuting_tuple_classes_naive(G: FiniteGroup, k: int
-                                  ) -> list[tuple[tuple[int, ...], int]]:
-    """Orbits of commuting k-tuples under conjugation by every group element;
-    quadratic test oracle."""
-    tuples = commuting_tuples_naive(G, k)
-    index = {t: i for i, t in enumerate(tuples)}
-    parent = list(range(len(tuples)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for t, i in index.items():
-        for g in G.elements():
-            u = tuple(G.conj(x, g) for x in t)
-            j = find(index[u])
-            ri = find(i)
-            if ri != j:
-                parent[max(ri, j)] = min(ri, j)
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for t, i in index.items():
-        groups.setdefault(find(i), []).append(t)
-    out = [(min(ts), len(ts)) for ts in groups.values()]
-    out.sort()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subgroup lattice
 
@@ -918,12 +855,6 @@ def _cyclic_generators(G: FiniteGroup) -> list[int]:
                           if math.gcd(k, n) == 1)
         out.append(g)
     return out
-
-
-def subgroups_up_to_conjugacy(G: FiniteGroup,
-                              budget: int = SUBGROUP_BUDGET) -> list[Subgroup]:
-    """Canonical subgroup-class representatives; trivial first, G last."""
-    return list(subgroup_lattice(G, budget).classes)
 
 
 # ---------------------------------------------------------------------------

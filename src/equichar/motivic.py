@@ -24,7 +24,8 @@ from .errors import UsageError
 from .euler import tuple_class_strata
 from .gsets import BiSet
 from .groups import FiniteGroup
-from .powerstruct import TruncatedSeries, lambda_marks, lambda_term, power
+from .powerstruct import (TruncatedSeries, binomial_column, lambda_term,
+                          orbit_factors, power)
 
 TUPLE_LABEL_BUDGET = 100_000
 
@@ -88,9 +89,6 @@ class LExtElement:
 
     def __bool__(self) -> bool:
         return bool(self.pairs)
-
-    def exponent_coeff(self, q) -> BurnsideElement:
-        return dict(self.pairs).get(Fraction(q) * self.D, self.ring.zero)
 
     def render(self) -> str:
         if not self.pairs:
@@ -162,17 +160,44 @@ def specialize_L(a: LExtElement) -> BurnsideElement:
 
 class LExtCoeffRing:
     """Generators are pairs (exponent q, basis class index); lambda-terms
-    follow the scaling rule zeta_{L^q b}(t) = zeta_b(L^q t)."""
+    follow the scaling rule zeta_{L^q b}(t) = zeta_b(L^q t).  A
+    coefficient's column entry at class K is the Laurent polynomial
+    {e: mark at K} in L^(1/D)."""
+
+    one_entry, zero_entry = {0: 1}, {}
 
     def __init__(self, bring: BurnsideRing):
-        self.bring = bring
-        self.zero = lext(bring, ())
-        self.one = embed(bring.unit)
+        self.bring, self.n = bring, bring.n
+        self.zero, self.one = lext(bring, ()), embed(bring.unit)
         self.label = f"A({bring.group.label})[L^Q]"
+        self.check_products = bring.check_products
 
-    def lambda_coeffs(self, c, i, N):
-        return tuple(_normal(self.bring, c.D, p.items())
-                     for p in lambda_marks(self.bring, c.pairs, i, N))
+    div = staticmethod(lambda x, j: {e: c // j for e, c in x.items()})
+    entry = staticmethod(lambda p: {e: c for e, c in p.items() if c})
+
+    @staticmethod
+    def dot(xs, ys) -> dict:
+        """sum of x*y over paired {e: int} Laurent polynomials."""
+        acc: dict = {}
+        for x, y in zip(xs, ys):
+            for e, c in x.items():
+                for f, d in y.items():
+                    acc[e + f] = acc.get(e + f, 0) + c * d
+        return {e: c for e, c in acc.items() if c}
+
+    def entries(self, c: LExtElement):
+        return c.D, [self.entry({e: x.marks()[k] for e, x in c.pairs})
+                     for k in range(self.n)]
+
+    def element(self, D: int, entries) -> LExtElement:
+        return _normal(self.bring, D, [
+            (e, self.bring.from_marks([x.get(e, 0) for x in entries]))
+            for e in set().union(*entries)])
+
+    def factors(self, terms, g: int, D: int = 1):   # over lcm(D, each c.D)
+        D = lcm(D, *(c.D for c, _ in terms))
+        return D, orbit_factors(self, [(e * (D // c.D), x, i) for c, i in terms
+                                       for e, x in c.pairs], g)
 
 
 def lext_coeff_ring(bring: BurnsideRing) -> LExtCoeffRing:
@@ -308,8 +333,7 @@ def _check_tuple_label(G: FiniteGroup, tup, k: int) -> None:
                     seen.add(image)
                     nxt.append(image)
         frontier = nxt
-    if not seen & reps:
-        raise UsageError(f"unknown tuple-class label {tup}")
+    raise UsageError(f"unknown tuple-class label {tup}")
 
 
 def datum_from_biset(X: BiSet, k: int, weights=None) -> OrbifoldDatum:
@@ -346,14 +370,13 @@ def rhs_theorem2(m, k: int, d, weights=None, N: int = 6) -> TruncatedSeries:
     if not isinstance(m, LExtElement):
         raise UsageError(f"unsupported exponent type {type(m).__name__}")
     ring = lext_coeff_ring(m.ring)
-    base = TruncatedSeries.one(ring, N)
-    for rs, prod, weight in _index_tuples(k, N):
-        shift = phi_k(rs, weights) * d / 2
-        factor = [ring.zero] * (N + 1)
-        factor[0] = ring.one
-        factor[prod] = -L(m.ring, shift)
-        base = base.mul(TruncatedSeries(ring, tuple(factor)).pow_int(weight))
-    return power(base, -m)
+    # every mark of L^q·[G/G] is L^q, so all columns are the one product
+    shifts = [(phi_k(rs, weights) * d / 2, prod, weight)
+              for rs, prod, weight in _index_tuples(k, N)]
+    D = lcm(*(q.denominator for q, _, _ in shifts))
+    col = binomial_column(ring, [((q.numerator * D // q.denominator, prod), -w)
+                                 for q, prod, w in shifts], N)
+    return power(TruncatedSeries.from_columns(ring, D, [col] * ring.n), -m)
 
 
 def _index_tuples(k: int, N: int):

@@ -12,10 +12,11 @@ from equichar.groups import (WreathGroup, conjugacy_classes, cyclic,
                              make_group, symmetric, trivial_group)
 from equichar.gsets import (BiSet, biset_from_single_action, disjoint_union,
                             empty_biset, wreath_power)
-from equichar.harness import (verify_axioms, verify_integer_oracle,
-                              verify_lemma1, verify_props12, verify_theorem1)
+from equichar.harness import (verify_axioms, verify_lemma1, verify_props12,
+                              verify_theorem1)
 from equichar.powerstruct import (TruncatedSeries, burnside_coeff_ring,
                                   geometric_power_oracle, power)
+from oracles import verify_integer_oracle
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

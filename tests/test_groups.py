@@ -21,16 +21,12 @@ from equichar.groups import (
     closure,
     centralizer_in,
     commuting_tuple_classes,
-    commuting_tuple_classes_naive,
-    commuting_tuples_naive,
     conjugacy_classes,
     cyclic,
     dihedral,
     extend_subgroup,
     make_group,
-    subgroup_from_generators,
     subgroup_lattice,
-    subgroups_up_to_conjugacy,
     symmetric,
     trivial_group,
     validate_group,
@@ -38,6 +34,9 @@ from equichar.groups import (
     wreath,
 )
 import equichar.groups as groups_mod
+from oracles import (commuting_tuple_classes_naive, commuting_tuples_naive,
+                     element_order, subgroup_from_generators,
+                     subgroups_up_to_conjugacy)
 
 SMALL_DESCRIPTORS = [
     {"type": "trivial"},
@@ -401,8 +400,8 @@ def test_word_evaluation():
 
 def test_element_order():
     s3 = symmetric(3)
-    assert s3.element_order(0) == 1
-    assert {s3.element_order(g) for g in range(6)} == {1, 2, 3}
+    assert element_order(s3, 0) == 1
+    assert {element_order(s3, g) for g in range(6)} == {1, 2, 3}
 
 
 @given(st.integers(min_value=1, max_value=30))

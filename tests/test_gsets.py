@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (CommutingTuple, centralizer, cyclic, dihedral,
-                             make_group, subgroup_from_generators, symmetric,
-                             trivial_group)
+                             make_group, symmetric, trivial_group)
 from equichar.gsets import (POINT_BUDGET, BiSet, biset_from_single_action,
                             disjoint_union, empty_biset, fixed_set,
                             point_biset, product, quotient_by,
                             symmetric_power, wreath_power)
+from oracles import subgroup_from_generators
 
 
 def regular_biset(G, side="O"):

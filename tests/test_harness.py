@@ -8,6 +8,7 @@ from equichar.errors import ResourceLimitError, UsageError
 from equichar.groups import cyclic, trivial_group
 from equichar.gsets import BiSet
 from equichar import harness
+from oracles import verify_integer_oracle
 
 
 def reg_b(n):
@@ -99,7 +100,7 @@ def test_props12_with_weights():
 
 
 def test_integer_oracle_report():
-    r = harness.verify_integer_oracle(trials=25, N=6, seed=9)
+    r = verify_integer_oracle(trials=25, N=6, seed=9)
     assert r.passed
 
 
