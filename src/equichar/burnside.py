@@ -148,7 +148,8 @@ class BurnsideRing:
     # -- G-sets attached to basis classes ------------------------------------
 
     def coset_biset(self, i: int) -> BiSet:
-        """The transitive G-set G/H_i (B side), labelled by coset minima."""
+        """The transitive G-set G/H_i (B side), its points the cosets in
+        order of their least element."""
         G, K = self.group, self.lattice.classes[i]
         reps: list[int] = []   # the least element of each coset gK
         index: dict[int, int] = {}
@@ -157,8 +158,7 @@ class BurnsideRing:
                 index.update((G.mul(g, k), len(reps)) for k in K.elements)
                 reps.append(g)
         perms = [tuple(index[G.mul(s, r)] for r in reps) for s in G.generators]
-        return biset_from_single_action(len(reps), G, perms, side="B",
-                                        labels=reps)
+        return biset_from_single_action(len(reps), G, perms, side="B")
 
     def orbit_counts(self) -> list[list[Counter]]:
         """counts[h][k][d]: the number of K-orbits of size d on G/H_h for

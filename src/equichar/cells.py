@@ -9,20 +9,21 @@ multiplicative identities through their BiSet cells.
 from __future__ import annotations
 
 from .errors import UsageError
-from .gsets import BiSet, fixed_set, quotient_by
-from .groups import Subgroup, same_group
+from .gsets import BiSet
+from .groups import same_group
 
 
 class CellSpace:
     """Cells (dim, F) over one shared pair of acting groups."""
 
     def __init__(self, cells):
-        cells = tuple((int(d), F) for d, F in cells)
+        cells = tuple(cells)
         if not cells:
             raise UsageError("cell space needs at least one cell")
         for d, F in cells:
-            if d < 0:
-                raise UsageError(f"cell dimension must be >= 0, got {d}")
+            if type(d) is not int or d < 0:
+                raise UsageError(
+                    f"cell dimension must be an integer >= 0, got {d!r}")
             if not isinstance(F, BiSet):
                 raise UsageError("cells must be (dim, BiSet) pairs")
         first = cells[0][1]
@@ -44,17 +45,3 @@ def chi(X: CellSpace | BiSet) -> int:
         return X.size
     return sum((-1) ** d * F.size for d, F in X.cells)
 
-
-def fixed_cells(X: CellSpace, phi) -> CellSpace:
-    """Cellwise common fixed points; dimensions are preserved and all cells
-    share a single centralizer group object."""
-    from .groups import CommutingTuple, centralizer
-
-    entries = phi.entries if isinstance(phi, CommutingTuple) else tuple(phi)
-    sub = centralizer(X.gO, entries).as_group()
-    return CellSpace([(d, fixed_set(F, phi, sub_group=sub)) for d, F in X.cells])
-
-
-def quotient_cells(X: CellSpace, K: Subgroup | None = None) -> CellSpace:
-    """Cellwise K-orbit spaces; dimensions are preserved."""
-    return CellSpace([(d, quotient_by(F, K)) for d, F in X.cells])

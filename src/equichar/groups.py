@@ -294,10 +294,10 @@ class WreathGroup(FiniteGroup):
             for s in inner.generators:
                 vec = [0] * n
                 vec[0] = s
-                gens.append(self._encode(vec, 0))
+                gens.append(self.encode(vec, 0))
             zero = [0] * n
             for t in self.top.generators:
-                gens.append(self._encode(zero, t))
+                gens.append(self.encode(zero, t))
         label = f"{inner.label}wrS{n}"
         super().__init__(order, tuple(gens), label, descriptor)
         fits = self.nfact ** 2 + order + m ** (2 * n) <= WREATH_TABLE_BUDGET
@@ -341,16 +341,13 @@ class WreathGroup(FiniteGroup):
             x = x * m + v
         return x
 
-    def _encode(self, vec, perm_rank: int) -> int:
+    def encode(self, vec, perm_rank: int) -> int:
         return self._vec_code(vec) * self.nfact + perm_rank
 
     def decode(self, x: int) -> tuple[tuple[int, ...], int]:
         """(inner vector, top permutation rank)."""
         q, r = divmod(x, self.nfact)
         return self._vec_of(q), r
-
-    def encode(self, vec, perm_rank: int) -> int:
-        return self._encode(vec, perm_rank)
 
     def mul(self, a: int, b: int) -> int:
         tables = self._tables
@@ -391,28 +388,6 @@ class WreathGroup(FiniteGroup):
         else:
             w = tuple(self.inner.inv(v[p[i]]) for i in range(self.n))
         return self._vec_code(w) * self.nfact + self.top.inv(r)
-
-
-class SubgroupGroup(FiniteGroup):
-    """A subgroup repackaged as a standalone group on local indices."""
-
-    def __init__(self, parent: FiniteGroup, elements: tuple[int, ...],
-                 generators: tuple[int, ...]):
-        elements = tuple(sorted(elements))
-        if not elements or elements[0] != parent.identity:
-            raise UsageError("subgroup must contain the identity")
-        self.parent = parent
-        self.to_parent = elements
-        self.to_local = {e: i for i, e in enumerate(elements)}
-        gens = tuple(self.to_local[g] for g in generators)
-        super().__init__(len(elements), gens,
-                         f"sub{len(elements)}of{parent.label}")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.to_local[self.parent.mul(self.to_parent[a], self.to_parent[b])]
-
-    def inv(self, a: int) -> int:
-        return self.to_local[self.parent.inv(self.to_parent[a])]
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +506,6 @@ class Subgroup:
 
     def element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
-
-    def as_group(self) -> SubgroupGroup:
-        return SubgroupGroup(self.parent, self.elements, self.generators)
 
     def validate(self) -> None:
         s = set(self.elements)

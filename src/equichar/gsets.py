@@ -5,6 +5,10 @@ action of a "Burnside side" group gB, stored as one permutation per group
 generator.  An arbitrary element acts through BiSet.perm, which composes the
 generator permutations along the element's generator word; every scan
 fetches one such permutation per element and indexes it.
+
+A fixed set X^g under the centralizer C(g) is not a BiSet of its own: it is
+a tuple of the parent's point indices acted on by a parent-indexed
+Subgroup, and quotient_by takes such a pair directly.
 """
 
 from __future__ import annotations
@@ -14,10 +18,8 @@ from math import comb
 
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 from .groups import (
-    CommutingTuple,
     FiniteGroup,
     Subgroup,
-    centralizer,
     same_group,
     trivial_group,
     whole_subgroup,
@@ -31,7 +33,9 @@ class BiSet:
     """Points 0..size-1 with commuting gO (O side) and gB (B side) actions."""
 
     def __init__(self, size: int, gO: FiniteGroup, gB: FiniteGroup,
-                 actO, actB, labels=None):
+                 actO, actB):
+        if type(size) is not int or size < 0:
+            raise UsageError(f"size must be an integer >= 0, got {size!r}")
         actO = tuple(tuple(p) for p in actO)
         actB = tuple(tuple(p) for p in actB)
         if len(actO) != len(gO.generators):
@@ -48,9 +52,6 @@ class BiSet:
         self.gB = gB
         self.actO = actO
         self.actB = actB
-        self.labels = tuple(labels) if labels is not None else tuple(range(size))
-        if len(self.labels) != size:
-            raise UsageError("labels length must equal size")
 
     def _side(self, side: str):
         if side == "O":
@@ -133,48 +134,14 @@ class BiSet:
 
 
 def biset_from_single_action(size: int, G: FiniteGroup, perms,
-                             side: str = "B", labels=None) -> BiSet:
+                             side: str = "B") -> BiSet:
     """One-sided wrapper: the other side carries the trivial group."""
     triv = trivial_group()
     if side == "B":
-        return BiSet(size, triv, G, (), perms, labels)
+        return BiSet(size, triv, G, (), perms)
     if side == "O":
-        return BiSet(size, G, triv, perms, (), labels)
+        return BiSet(size, G, triv, perms, ())
     raise UsageError(f"side must be 'O' or 'B', not {side!r}")
-
-
-def fixed_set(X: BiSet, phi, sub_group=None) -> BiSet:
-    """Common fixed points of the O-side elements in phi, carrying the
-    restricted centralizer action on the O side and the full B action.
-
-    sub_group optionally supplies an already-built SubgroupGroup for the
-    centralizer so that several fixed sets can share one acting group.
-    """
-    if isinstance(phi, CommutingTuple):
-        if not same_group(phi.parent, X.gO):
-            raise UsageError("tuple belongs to a different group than the O side")
-        entries = phi.entries
-    else:
-        entries = tuple(phi)
-    points = list(range(X.size))
-    for g in entries:
-        perm = X.perm("O", g)
-        points = [p for p in points if perm[p] == p]
-    reindex = {p: i for i, p in enumerate(points)}
-    sub = sub_group if sub_group is not None else centralizer(X.gO, entries).as_group()
-    actO = []
-    for li in sub.generators:
-        perm = X.perm("O", sub.to_parent[li])
-        actO.append(tuple(reindex[perm[p]] for p in points))
-    actB = []
-    for i, _ in enumerate(X.gB.generators):
-        old = X.actB[i]
-        for p in points:
-            if old[p] not in reindex:
-                raise InvariantViolation("fixed set is not B-invariant")
-        actB.append(tuple(reindex[old[p]] for p in points))
-    labels = tuple(X.labels[p] for p in points)
-    return BiSet(len(points), sub, X.gB, actO, actB, labels)
 
 
 def quotient_by(X: BiSet, K: Subgroup | None = None,
@@ -193,8 +160,7 @@ def quotient_by(X: BiSet, K: Subgroup | None = None,
     for j, _ in enumerate(X.gB.generators):
         old = X.actB[j]
         actB.append(tuple(orbit_of[old[orb[0]]] for orb in orbs))
-    labels = tuple(X.labels[orb[0]] for orb in orbs)
-    return BiSet(len(orbs), trivial_group(), X.gB, (), actB, labels)
+    return BiSet(len(orbs), trivial_group(), X.gB, (), actB)
 
 
 def symmetric_power(X: BiSet, k: int, max_points: int = POINT_BUDGET) -> BiSet:
@@ -214,8 +180,7 @@ def symmetric_power(X: BiSet, k: int, max_points: int = POINT_BUDGET) -> BiSet:
 
     actO = [lifted("O", i) for i in range(len(X.gO.generators))]
     actB = [lifted("B", i) for i in range(len(X.gB.generators))]
-    labels = tuple(tuple(X.labels[p] for p in t) for t in points)
-    return BiSet(len(points), X.gO, X.gB, actO, actB, labels)
+    return BiSet(len(points), X.gO, X.gB, actO, actB)
 
 
 def wreath_power(X: BiSet, n: int, max_points: int = POINT_BUDGET) -> BiSet:
@@ -250,8 +215,7 @@ def wreath_power(X: BiSet, n: int, max_points: int = POINT_BUDGET) -> BiSet:
     for j, _ in enumerate(X.gB.generators):
         base = X.actB[j]
         actB.append(tuple(encode(base[v] for v in t) for t in tuples))
-    labels = tuple(tuple(X.labels[v] for v in t) for t in tuples)
-    return BiSet(size, W, X.gB, actO, actB, labels)
+    return BiSet(size, W, X.gB, actO, actB)
 
 
 def product(X: BiSet, Y: BiSet) -> BiSet:
@@ -268,9 +232,7 @@ def product(X: BiSet, Y: BiSet) -> BiSet:
 
     actO = lifted(X.actO, Y.actO)
     actB = lifted(X.actB, Y.actB)
-    labels = tuple((X.labels[p], Y.labels[q])
-                   for p in range(X.size) for q in range(Y.size))
-    return BiSet(size, X.gO, X.gB, actO, actB, labels)
+    return BiSet(size, X.gO, X.gB, actO, actB)
 
 
 def disjoint_union(X: BiSet, Y: BiSet) -> BiSet:
@@ -283,8 +245,7 @@ def disjoint_union(X: BiSet, Y: BiSet) -> BiSet:
 
     actO = shifted(X.actO, Y.actO)
     actB = shifted(X.actB, Y.actB)
-    labels = tuple(("L", l) for l in X.labels) + tuple(("R", l) for l in Y.labels)
-    return BiSet(size, X.gO, X.gB, actO, actB, labels)
+    return BiSet(size, X.gO, X.gB, actO, actB)
 
 
 def empty_biset(gO: FiniteGroup, gB: FiniteGroup) -> BiSet:

@@ -87,14 +87,6 @@ def biset_from_json(obj, path, validate: bool = True) -> BiSet:
     return X
 
 
-def biset_to_json(X: BiSet) -> dict:
-    if X.gO.descriptor is None or X.gB.descriptor is None:
-        raise UsageError("biset groups lack JSON descriptors")
-    return {"size": X.size, "gO": X.gO.descriptor, "gB": X.gB.descriptor,
-            "actO": [list(p) for p in X.actO],
-            "actB": [list(p) for p in X.actB]}
-
-
 def cellspace_from_json(obj, path, validate: bool = True) -> CellSpace:
     raw = _field(obj, "cells", path)
     if not isinstance(raw, list):

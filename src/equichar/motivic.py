@@ -24,8 +24,8 @@ from .errors import UsageError
 from .euler import tuple_class_strata
 from .gsets import BiSet
 from .groups import FiniteGroup
-from .powerstruct import (TruncatedSeries, binomial_column, lambda_term,
-                          orbit_factors, power)
+from .powerstruct import (TruncatedSeries, binomial_column, exponent_tuples,
+                          lambda_term, orbit_factors, power)
 
 TUPLE_LABEL_BUDGET = 100_000
 
@@ -372,23 +372,8 @@ def rhs_theorem2(m, k: int, d, weights=None, N: int = 6) -> TruncatedSeries:
     ring = lext_coeff_ring(m.ring)
     # every mark of L^q·[G/G] is L^q, so all columns are the one product
     shifts = [(phi_k(rs, weights) * d / 2, prod, weight)
-              for rs, prod, weight in _index_tuples(k, N)]
+              for rs, prod, weight in exponent_tuples(k, N)]
     D = lcm(*(q.denominator for q, _, _ in shifts))
     col = binomial_column(ring, [((q.numerator * D // q.denominator, prod), -w)
                                  for q, prod, w in shifts], N)
     return power(TruncatedSeries.from_columns(ring, D, [col] * ring.n), -m)
-
-
-def _index_tuples(k: int, N: int):
-    """(r_1..r_k, product, prod_{j>=2} r_j^{j-1}) with product <= N."""
-    def rec(depth, rs, prod, weight):
-        if depth == k:
-            yield tuple(rs), prod, weight
-            return
-        r = 1
-        while prod * r <= N:
-            rs.append(r)
-            yield from rec(depth + 1, rs, prod * r, weight * r ** depth)
-            rs.pop()
-            r += 1
-    yield from rec(0, [], 1, 1)

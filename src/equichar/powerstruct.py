@@ -425,23 +425,23 @@ def _same_b_group(X: BiSet, Y: BiSet) -> bool:
 # Macdonald right-hand side
 
 def exponent_tuples(k: int, N: int):
-    """(product r_1...r_k, weight prod_{j>=2} r_j^(j-1)) over all tuples of
-    positive integers with product at most N; k=0 yields the single empty
-    tuple (1, 1)."""
-    def rec(depth, prod, weight):
-        if depth == k:
-            yield prod, weight
+    """(r_1..r_k, product r_1...r_k, weight prod_{j>=2} r_j^(j-1)) over all
+    tuples of positive integers with product at most N; k=0 yields the
+    single empty tuple ((), 1, 1)."""
+    def rec(rs, prod, weight):
+        if len(rs) == k:
+            yield rs, prod, weight
             return
         r = 1
         while prod * r <= N:
-            yield from rec(depth + 1, prod * r, weight * r ** depth)
+            yield from rec(rs + (r,), prod * r, weight * r ** len(rs))
             r += 1
-    yield from rec(0, 1, 1)
+    yield from rec((), 1, 1)
 
 
 def rhs_base_series(k: int, N: int) -> TruncatedSeries:
     """prod (1 - t^{r_1...r_k})^{r_2 r_3^2 ... r_k^{k-1}} over the integers."""
-    factors = [((0, a), -e) for a, e in exponent_tuples(k, N)]
+    factors = [((0, a), -e) for _, a, e in exponent_tuples(k, N)]
     return TruncatedSeries.from_columns(INT_RING, 1,
                                [binomial_column(INT_RING, factors, N)])
 

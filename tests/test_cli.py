@@ -273,6 +273,30 @@ def test_malformed_input_exits_1(capsys, files, argv, obj):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+FLIP = {"size": 2, "gO": Z2, "gB": TRIV, "actO": [[1, 0]], "actB": []}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("size", True), ("size", -3), ("size", 2.0), ("size", "2"),
+    ("dim", 1.5), ("dim", "0"), ("dim", True),
+])
+def test_size_and_dim_must_be_integers(capsys, files, key, value):
+    """A biset size or cell dimension that is not an integer >= 0 (a bool,
+    float, string or negative number) exits 1 naming the file."""
+    if key == "size":
+        obj = {"size": value, "gO": TRIV, "gB": Z2, "actO": [], "actB": [[0]]}
+        verbs = (("chi",), ("verify", "theorem1", "--k", "1", "--N", "2"))
+    else:
+        obj = {"cells": [{"dim": value, "biset": FLIP}]}
+        verbs = (("chi",),)
+    path = files("bad.json", obj)
+    for argv in verbs:
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}:")
+        assert "must be an integer >= 0" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("power", "--N", "-1"),
     ("zeta", "--N", "-3"),

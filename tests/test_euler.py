@@ -8,8 +8,8 @@ from equichar.euler import (chi_k, chi_k_averaging, chi_k_equivariant,
                             chi_k_equivariant_tuples, chi_orb,
                             tuple_class_strata)
 from equichar.groups import cyclic, dihedral, make_group, symmetric
-from equichar.gsets import (BiSet, biset_from_single_action, point_biset,
-                            trivial_group, wreath_power)
+from equichar.gsets import (BiSet, biset_from_single_action, empty_biset,
+                            point_biset, trivial_group, wreath_power)
 
 
 def o_regular(G):
@@ -129,6 +129,14 @@ def test_chi_k_on_cellspace():
     # chi(X)=1, chi(X^sigma)=1; orbifold: (quotient chi 1+... )
     assert chi_k(X, 0, cross_check=True) == 1
     assert chi_orb(X, cross_check=True) == 2
+    # circle with flip: two swapped vertices, two swapped edges, no fixed cell
+    flip = BiSet(2, Z2, T, ((1, 0),), ())
+    circle = CellSpace(((0, flip), (1, flip)))
+    empty = CellSpace(((0, empty_biset(Z2, T)),))
+    point = CellSpace(((0, point_biset(Z2, T)),))
+    for Y, chi0, orb in ((circle, 0, 0), (empty, 0, 0), (point, 1, 2)):
+        assert chi_k(Y, 0, cross_check=True) == chi0
+        assert chi_orb(Y, cross_check=True) == orb
 
 
 def test_chi_1_hand_expansions():

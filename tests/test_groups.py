@@ -354,18 +354,10 @@ def test_subgroup_budget():
         subgroup_lattice(wreath(symmetric(3), 2), budget=32)
 
 
-def test_subgroup_validate_and_as_group():
+def test_subgroup_validate():
     s3 = symmetric(3)
     h = subgroup_from_generators(s3, (3,))
     h.validate()
-    hg = h.as_group()
-    validate_group(hg)
-    assert hg.order == 3
-    # local multiplication mirrors the parent
-    for a in range(hg.order):
-        for b in range(hg.order):
-            assert hg.to_parent[hg.mul(a, b)] == s3.mul(hg.to_parent[a],
-                                                        hg.to_parent[b])
 
 
 def test_wreath_s3_s4_classes_and_oracle():
