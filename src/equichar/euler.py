@@ -80,7 +80,7 @@ def tuple_class_strata(X: BiSet, k: int):
     out = []
     for tup, _ in commuting_tuple_classes(X.gO, k):
         S = tuple(range(X.size))
-        for g in tup.entries:
+        for g in tup:
             perm = X.perm("O", g)
             S = tuple(p for p in S if perm[p] == p)
         piece = ring.zero if not S else \

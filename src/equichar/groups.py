@@ -3,17 +3,21 @@
 Groups are built structurally (cyclic, symmetric, dihedral, product, wreath,
 permutation closure).  A wreath product within WREATH_TABLE_BUDGET multiplies
 by lookups in three factor tables built with it; other products stay
-structural, and only validate_group makes a flat Cayley table.  Conjugacy
+structural, and nothing here makes a flat Cayley table.  Conjugacy
 classes and centralizers come from one walk of an element's conjugation
 orbit under the generators: a class is the orbit, and a centralizer is its
 stabilizer, rebuilt from Schreier generators over the orbit's witnesses.
-No element scan tests commutation, and commuting tuples recurse over both.
+No element scan tests commutation.  A commuting k-tuple is a plain tuple of
+element indices; its classes recurse over classes and centralizers, so
+every representative they return commutes by construction.
 
 Subgroups grow by Dimino's coset extension: <H, g> is H's element list
 followed by whole right cosets H·x, one product per new element.  The
 subgroup lattice is searched over conjugacy-class representatives only:
 each representative is extended by every cyclic generator outside it, and
 a subgroup not met before has its whole conjugacy class indexed at once.
+
+Budgets are module constants, read when the guarded work starts.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ SUBGROUP_BUDGET = 1024      # subgroup-lattice enumeration cap
 PERM_CLOSURE_BUDGET = 250_000
 SYMMETRIC_DEGREE_LIMIT = 8  # 8! = 40320 permutations materialized
 WREATH_TABLE_BUDGET = 1 << 21  # cells of a wreath product's factor tables
+TUPLE_CLASS_BUDGET = 1_000_000  # commuting-tuple classes of one order
 
 
 class FiniteGroup:
@@ -181,8 +186,7 @@ class PermGroup(FiniteGroup):
     """Closure of explicit permutation generators; elements sorted lexicographically."""
 
     def __init__(self, degree: int, gen_perms: list[tuple[int, ...]],
-                 descriptor: dict | None = None,
-                 budget: int = PERM_CLOSURE_BUDGET):
+                 descriptor: dict | None = None):
         ident = tuple(range(degree))
         for p in gen_perms:
             if len(p) != degree or sorted(p) != list(range(degree)):
@@ -197,9 +201,9 @@ class PermGroup(FiniteGroup):
                     if y not in elems:
                         elems.add(y)
                         nxt.append(y)
-            if len(elems) > budget:
-                raise ResourceLimitError("permutation closure",
-                                         size=len(elems), budget=budget)
+            if len(elems) > PERM_CLOSURE_BUDGET:
+                raise ResourceLimitError("permutation closure", size=len(elems),
+                                         budget=PERM_CLOSURE_BUDGET)
             frontier = nxt
         self._index(degree, tuple(sorted(elems)), gen_perms,
                     f"perm{degree}:{len(elems)}", descriptor)
@@ -634,14 +638,8 @@ def _conjugation_orbit(H: Subgroup, g: int) -> dict[int, int]:
     return orbit
 
 
-def centralizer(G: FiniteGroup, tup) -> Subgroup:
-    """Centralizer of a commuting tuple (or single element, or iterable)."""
-    if isinstance(tup, CommutingTuple):
-        entries = tup.entries
-    elif isinstance(tup, int):
-        entries = (tup,)
-    else:
-        entries = tuple(tup)
+def centralizer(G: FiniteGroup, entries: tuple[int, ...]) -> Subgroup:
+    """Centralizer of a commuting tuple of element indices."""
     H = whole_subgroup(G)
     for g in entries:
         H = centralizer_in(H, g)
@@ -684,38 +682,17 @@ def centralizer_in(H: Subgroup, g: int) -> Subgroup:
 # ---------------------------------------------------------------------------
 # commuting tuples
 
-@dataclass(frozen=True)
-class CommutingTuple:
-    """Pairwise-commuting element indices of a parent group."""
-
-    parent: FiniteGroup
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        G = self.parent
-        es = self.entries
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                if G.mul(es[i], es[j]) != G.mul(es[j], es[i]):
-                    raise UsageError(f"entries {es[i]},{es[j]} do not commute")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def commuting_tuple_classes(G: FiniteGroup, k: int,
-                            budget: int = 1_000_000
-                            ) -> list[tuple[CommutingTuple, int]]:
-    """Orbit representatives of commuting k-tuples under simultaneous
-    conjugation, with orbit sizes.  k=0 yields the single empty tuple."""
+def commuting_tuple_classes(G: FiniteGroup, k: int
+                            ) -> list[tuple[tuple[int, ...], int]]:
+    """Orbit representatives of commuting k-tuples of element indices under
+    simultaneous conjugation, with orbit sizes.  k=0 yields the single
+    empty tuple."""
     if k < 0:
         raise UsageError(f"tuple order must be >= 0, got {k}")
-    raw = _ctuple_classes(whole_subgroup(G), k, budget)
-    return [(CommutingTuple(G, t), size) for t, size in raw]
+    return _ctuple_classes(whole_subgroup(G), k)
 
 
-def _ctuple_classes(H: Subgroup, k: int,
-                    budget: int) -> list[tuple[tuple[int, ...], int]]:
+def _ctuple_classes(H: Subgroup, k: int) -> list[tuple[tuple[int, ...], int]]:
     if k == 0:
         return [((), 1)]
     key = ("ctuples", H.elements, k)
@@ -726,11 +703,12 @@ def _ctuple_classes(H: Subgroup, k: int,
     for cls in conjugacy_classes_in(H):
         g = cls[0]
         C = centralizer_in(H, g)
-        for rest, size in _ctuple_classes(C, k - 1, budget):
+        for rest, size in _ctuple_classes(C, k - 1):
             out.append(((g,) + rest, len(cls) * size))
-            if len(out) > budget:
+            if len(out) > TUPLE_CLASS_BUDGET:
                 raise ResourceLimitError("commuting tuple classes",
-                                         size=len(out), budget=budget)
+                                         size=len(out),
+                                         budget=TUPLE_CLASS_BUDGET)
     H.parent._cache[key] = out
     return out
 
@@ -754,12 +732,11 @@ class SubgroupLattice:
             raise UsageError("element set is not a subgroup of the group") from None
 
 
-def subgroup_lattice(G: FiniteGroup,
-                     budget: int = SUBGROUP_BUDGET) -> SubgroupLattice:
+def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     """Every subgroup of G, indexed by its conjugacy class."""
-    if G.order > budget:
+    if G.order > SUBGROUP_BUDGET:
         raise ResourceLimitError("subgroup enumeration",
-                                 size=G.order, budget=budget)
+                                 size=G.order, budget=SUBGROUP_BUDGET)
     cached = G._cache.get("lattice")
     if cached is not None:
         return cached
@@ -827,34 +804,3 @@ def _cyclic_generators(G: FiniteGroup) -> list[int]:
                           if math.gcd(k, n) == 1)
         out.append(g)
     return out
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-def validate_group(G: FiniteGroup, samples: int = 100_000,
-                   exhaustive_limit: int = 256, seed: int = 0) -> None:
-    """Identity, inverses and associativity (exhaustive below the limit via
-    a flat Cayley table, randomized triples above); generators must
-    generate."""
-    for a in list(G.elements())[:exhaustive_limit]:
-        if G.mul(0, a) != a or G.mul(a, 0) != a:
-            raise InvariantViolation(f"identity fails at {a}")
-        if G.mul(a, G.inv(a)) != 0 or G.mul(G.inv(a), a) != 0:
-            raise InvariantViolation(f"inverse fails at {a}")
-    if G.order <= exhaustive_limit:
-        t = [tuple(G.mul(a, b) for b in G.elements()) for a in G.elements()]
-        # row a·b lists (a·b)·x; a's row read through b's lists a·(b·x)
-        if any(t[ab] != tuple(row[x] for x in t[b])
-               for row in t for b, ab in enumerate(row)):
-            raise InvariantViolation("associativity fails")
-    else:
-        import random
-        rng = random.Random(seed)
-        for _ in range(samples):
-            a = rng.randrange(G.order)
-            b = rng.randrange(G.order)
-            c = rng.randrange(G.order)
-            if G.mul(G.mul(a, b), c) != G.mul(a, G.mul(b, c)):
-                raise InvariantViolation(f"associativity fails at {(a, b, c)}")
-    G._word_table()  # raises if generators do not generate

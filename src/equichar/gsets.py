@@ -27,6 +27,8 @@ from .groups import (
 )
 
 POINT_BUDGET = 1_000_000
+HOM_CHECK_BUDGET = 2_000_000  # products for an exhaustive homomorphism check
+HOM_CHECK_SAMPLES = 100       # seeded (x, s) samples above that budget
 
 
 class BiSet:
@@ -99,8 +101,7 @@ class BiSet:
             out.append(orb)
         return out
 
-    def validate(self, hom_budget: int = 2_000_000, samples: int = 100,
-                 seed: int = 0) -> None:
+    def validate(self) -> None:
         """Permutation well-formedness, commutation of the two actions, and
         the generator assignments extending to group homomorphisms
         (exhaustive on the Cayley relations when affordable, sampled above)."""
@@ -111,15 +112,15 @@ class BiSet:
         for side in ("O", "B"):
             group, _ = self._side(side)
             cost = group.order * max(1, len(group.generators)) * max(1, self.size)
-            if cost <= hom_budget:
+            if cost <= HOM_CHECK_BUDGET:
                 pairs = ((x, s) for x in range(group.order)
                          for s in group.generators)
             else:
                 import random
-                rng = random.Random(seed)
+                rng = random.Random(0)
                 pairs = ((rng.randrange(group.order),
                           group.generators[rng.randrange(len(group.generators))])
-                         for _ in range(samples))
+                         for _ in range(HOM_CHECK_SAMPLES))
             for x, s in pairs:
                 px = self.perm(side, x)
                 if self.perm(side, group.mul(x, s)) != tuple(

@@ -69,7 +69,7 @@ def group_from_json(obj, path) -> FiniteGroup:
         raise UsageError(f"{path}: {e}")
 
 
-def biset_from_json(obj, path, validate: bool = True) -> BiSet:
+def biset_from_json(obj, path) -> BiSet:
     size = _field(obj, "size", path)
     gO = group_from_json(_field(obj, "gO", path), path)
     gB = group_from_json(_field(obj, "gB", path), path)
@@ -80,33 +80,31 @@ def biset_from_json(obj, path, validate: bool = True) -> BiSet:
                          f"integer lists")
     try:
         X = BiSet(size, gO, gB, actO, actB)
-        if validate:
-            X.validate()
+        X.validate()
     except Exception as e:
         raise UsageError(f"{path}: bad biset: {e}")
     return X
 
 
-def cellspace_from_json(obj, path, validate: bool = True) -> CellSpace:
+def cellspace_from_json(obj, path) -> CellSpace:
     raw = _field(obj, "cells", path)
     if not isinstance(raw, list):
         raise UsageError(f"{path}: \"cells\" must be a list")
     cells = []
     for cell in raw:
         dim = _field(cell, "dim", path)
-        cells.append((dim, biset_from_json(_field(cell, "biset", path),
-                                           path, validate)))
+        cells.append((dim, biset_from_json(_field(cell, "biset", path), path)))
     try:
         return CellSpace(tuple(cells))
     except Exception as e:
         raise UsageError(f"{path}: bad cell space: {e}")
 
 
-def space_from_json(obj, path, validate: bool = True):
+def space_from_json(obj, path):
     """A biset or, when the object has a "cells" key, a cell space."""
     if isinstance(obj, dict) and "cells" in obj:
-        return cellspace_from_json(obj, path, validate)
-    return biset_from_json(obj, path, validate)
+        return cellspace_from_json(obj, path)
+    return biset_from_json(obj, path)
 
 
 # -- ring elements -----------------------------------------------------------

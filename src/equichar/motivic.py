@@ -27,8 +27,6 @@ from .groups import FiniteGroup
 from .powerstruct import (TruncatedSeries, binomial_column, exponent_tuples,
                           lambda_term, orbit_factors, power)
 
-TUPLE_LABEL_BUDGET = 100_000
-
 
 # ---------------------------------------------------------------------------
 # the extended ring
@@ -265,9 +263,9 @@ def phi_k(rs, phis) -> Fraction:
 @dataclass(frozen=True)
 class OrbifoldDatum:
     """Order-k stratum data: each stratum is (commuting-tuple label,
-    user-supplied quotient class, rational shift).  The acting group and
-    the coefficient Burnside ring are carried for validation; classes are
-    never derived from geometry here."""
+    user-supplied quotient class, rational shift).  Labels must be commuting
+    k-tuples of the acting group's element indices; the coefficient Burnside
+    ring is carried for validation.  Classes never come from geometry here."""
 
     group: FiniteGroup
     bring: BurnsideRing
@@ -286,7 +284,9 @@ class OrbifoldDatum:
         for tup, cls, shift in self.strata:
             if not isinstance(cls, LExtElement) or cls.ring is not self.bring:
                 raise UsageError("stratum class not in the datum's ring")
-            norm.append((tuple(tup), cls, Fraction(shift)))
+            tup = tuple(tup)
+            _check_tuple_label(self.group, tup, self.k)
+            norm.append((tup, cls, Fraction(shift)))
         object.__setattr__(self, "strata", tuple(norm))
         if all(p >= 0 for p in self.weights):
             for _, _, shift in self.strata:
@@ -296,44 +296,25 @@ class OrbifoldDatum:
 
 
 def orbifold_class_from_datum(datum: OrbifoldDatum) -> LExtElement:
-    """Sum over strata of quotientClass * L^shift, after checking every
-    stratum label is a genuine commuting-tuple class of the group."""
+    """Sum over strata of quotientClass * L^shift."""
     total = lext(datum.bring, ())
-    for tup, cls, shift in datum.strata:
-        _check_tuple_label(datum.group, tup, datum.k)
+    for _, cls, shift in datum.strata:
         total = total + cls * L(datum.bring, shift)
     return total
 
 
-def _check_tuple_label(G: FiniteGroup, tup, k: int) -> None:
-    from .groups import commuting_tuple_classes
+def _check_tuple_label(G: FiniteGroup, tup: tuple, k: int) -> None:
+    """A label is any commuting k-tuple of element indices: every such
+    tuple lies in some class, so any member of a class names it."""
     if len(tup) != k:
         raise UsageError(f"unknown tuple-class label {tup}: wrong length")
-    if not all(isinstance(g, int) and 0 <= g < G.order for g in tup):
+    if not all(type(g) is int and 0 <= g < G.order for g in tup):
         raise UsageError(f"unknown tuple-class label {tup}: bad indices")
     for i, g in enumerate(tup):
         for h in tup[i + 1:]:
             if G.mul(g, h) != G.mul(h, g):
                 raise UsageError(
                     f"unknown tuple-class label {tup}: entries do not commute")
-    reps = {t.entries for t, _ in
-            commuting_tuple_classes(G, k, TUPLE_LABEL_BUDGET)}
-    # walk the simultaneous-conjugation orbit until a class representative
-    # shows up; commuting tuples always reach one
-    seen = {tuple(tup)}
-    frontier = [tuple(tup)]
-    while frontier:
-        if seen & reps:
-            return
-        nxt = []
-        for t in frontier:
-            for s in G.generators:
-                image = tuple(G.conj(g, s) for g in t)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    raise UsageError(f"unknown tuple-class label {tup}")
 
 
 def datum_from_biset(X: BiSet, k: int, weights=None) -> OrbifoldDatum:
@@ -343,7 +324,7 @@ def datum_from_biset(X: BiSet, k: int, weights=None) -> OrbifoldDatum:
     if weights is None:
         weights = (1,) * k
     bring = burnside_ring(X.gB)
-    strata = tuple((tup.entries, embed(piece, bring), Fraction(0))
+    strata = tuple((tup, embed(piece, bring), Fraction(0))
                    for tup, piece in tuple_class_strata(X, k))
     return OrbifoldDatum(X.gO, bring, k, tuple(weights), strata)
 

@@ -355,8 +355,7 @@ def _partition_counts(k: int):
     yield from rec(k, k, {})
 
 
-def geometric_power_oracle(a_sets: list[BiSet], M: BiSet, N: int,
-                           budget: int = GEOMETRIC_CONFIG_BUDGET
+def geometric_power_oracle(a_sets: list[BiSet], M: BiSet, N: int
                            ) -> TruncatedSeries:
     """(1 + [A_1]t + ... + [A_j]t^j)^{[M]} computed from configuration
     spaces: the t^k coefficient is the class of the G-set of pairs
@@ -371,7 +370,7 @@ def geometric_power_oracle(a_sets: list[BiSet], M: BiSet, N: int,
     ring = burnside_coeff_ring(bring)
     coeffs = [ring.one]
     for k in range(1, N + 1):
-        configs = _weight_configs(a_sets, M, k, budget)
+        configs = _weight_configs(a_sets, M, k)
         if not configs:
             coeffs.append(ring.zero)
             continue
@@ -390,14 +389,15 @@ def geometric_power_oracle(a_sets: list[BiSet], M: BiSet, N: int,
     return TruncatedSeries(ring, tuple(coeffs))
 
 
-def _weight_configs(a_sets, M, k, budget):
+def _weight_configs(a_sets, M, k):
     """All configurations of total weight k, canonically sorted."""
     out = []
 
     def rec(pos, weight, acc):
-        if len(out) > budget:
+        if len(out) > GEOMETRIC_CONFIG_BUDGET:
             raise ResourceLimitError("geometric power configurations",
-                                     size=len(out), budget=budget)
+                                     size=len(out),
+                                     budget=GEOMETRIC_CONFIG_BUDGET)
         if pos == M.size:
             if weight == k:
                 out.append(tuple(acc))

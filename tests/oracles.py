@@ -6,7 +6,8 @@ powers of zeta series.  L-extended elements hold integer exponents over a
 common denominator; the references here merge them on `Fraction` keys.
 The package multiplies series one mark column at a time; `ElementSeries`
 is the element-wise engine it replaced, which multiplies the coefficients
-with their own + - *."""
+with their own + - *.  `validate_group` checks the group axioms on a flat
+Cayley table, which the package never builds."""
 
 import random
 import time
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from equichar.burnside import class_of
-from equichar.errors import ResourceLimitError, UsageError
+from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (Subgroup, _reduce_generators, closure,
                              subgroup_lattice)
 from equichar.gsets import symmetric_power
@@ -200,6 +201,35 @@ def power_reference(A, m):
         if m * b:
             out = out.mul(lambda_term_reference(A.ring, m * b, i, A.N))
     return out
+
+
+# ---------------------------------------------------------------------------
+# group axioms by brute force
+
+def validate_group(G, samples=100_000, exhaustive_limit=256, seed=0):
+    """Identity, inverses and associativity (exhaustive below the limit via
+    a flat Cayley table, randomized triples above); generators must
+    generate."""
+    for a in list(G.elements())[:exhaustive_limit]:
+        if G.mul(0, a) != a or G.mul(a, 0) != a:
+            raise InvariantViolation(f"identity fails at {a}")
+        if G.mul(a, G.inv(a)) != 0 or G.mul(G.inv(a), a) != 0:
+            raise InvariantViolation(f"inverse fails at {a}")
+    if G.order <= exhaustive_limit:
+        t = [tuple(G.mul(a, b) for b in G.elements()) for a in G.elements()]
+        # row a·b lists (a·b)·x; a's row read through b's lists a·(b·x)
+        if any(t[ab] != tuple(row[x] for x in t[b])
+               for row in t for b, ab in enumerate(row)):
+            raise InvariantViolation("associativity fails")
+    else:
+        rng = random.Random(seed)
+        for _ in range(samples):
+            a = rng.randrange(G.order)
+            b = rng.randrange(G.order)
+            c = rng.randrange(G.order)
+            if G.mul(G.mul(a, b), c) != G.mul(a, G.mul(b, c)):
+                raise InvariantViolation(f"associativity fails at {(a, b, c)}")
+    G._word_table()  # raises if generators do not generate
 
 
 # ---------------------------------------------------------------------------

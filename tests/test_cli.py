@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from equichar.cli import main
+from equichar.errors import ResourceLimitError
+from equichar.groups import make_group
 
 S3 = {"type": "symmetric", "n": 3}
 Z2 = {"type": "cyclic", "n": 2}
@@ -159,6 +161,30 @@ def test_orbifold_class_checks_supplied_D(capsys, files, D):
     assert code == 0 and out.strip() == "L^(-1/2)"
 
 
+@pytest.mark.parametrize("gO, k, tup", [
+    (Z2, 1, [True]),       # a JSON boolean is not an index
+    (S3, 1, [False]),
+    (S3, 1, [1.0]),
+    (S3, 1, ["1"]),
+    (S3, 1, [6]),          # out of range
+    (S3, 1, [-1]),
+    (S3, 1, [1, 2]),       # wrong length
+    (S3, 2, [1]),
+    (S3, 2, [1, 2]),       # entries do not commute
+])
+def test_orbifold_class_rejects_bad_tuple_labels(capsys, files, gO, k, tup):
+    """A label must be k commuting integer indices into the O-side group;
+    anything else exits 1 with one error line naming the file."""
+    cls = {"terms": [{"exp": 0, "coeffs": [0, 1]}]}
+    path = files("d.json", {"gO": gO, "gB": Z2, "k": k, "weights": [1] * k,
+                            "strata": [{"tuple": tup, "class": cls,
+                                        "shift": "1/2"}]})
+    code, out, err = run(capsys, "orbifold-class", "--input", path)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: unknown tuple-class label")
+    assert err.count("\n") == 1
+
+
 def test_verify_lemma1_text(capsys, z2_reg):
     code, out, _ = run(capsys, "verify", "lemma1", "--input", z2_reg,
                        "--N", "4")
@@ -199,6 +225,19 @@ def test_lemma1_point_budget_exits_1(capsys, files):
                          "--N", "6")
     assert code == 1 and out == ""
     assert err.startswith("error: symmetric power") and "budget 1000000" in err
+
+
+def test_symmetric_degree_limit_exits_1(capsys, files):
+    """S9 would list 9! permutations; the degree limit 8 refuses it."""
+    with pytest.raises(ResourceLimitError,
+                       match="symmetric group degree") as e:
+        make_group({"type": "symmetric", "n": 9})
+    assert e.value.size == 9 and e.value.budget == 8
+    code, out, err = run(capsys, "group", "show", "--input",
+                         files("s9.json", {"type": "symmetric", "n": 9}))
+    assert code == 1 and out == ""
+    assert err.startswith("error: symmetric group degree 9")
+    assert "exceeds budget 8" in err
 
 
 def test_verify_timings_flag(capsys, z2_reg):
@@ -429,8 +468,8 @@ def _power_inputs(kind, group, n):
 
 def _datums(gO, gB, n, k):
     stratum = rarely_bad(st.fixed_dictionaries({
-        "tuple": rarely_bad(st.lists(st.integers(-1, 5), min_size=k,
-                                     max_size=k)),
+        "tuple": rarely_bad(st.lists(st.integers(-1, 5) | st.just(True),
+                                     min_size=k, max_size=k)),
         "class": _lext_values(n), "shift": EXPONENTS}))
     return rarely_bad(st.fixed_dictionaries({
         "gO": rarely_bad(st.just(gO)), "gB": st.just(gB),

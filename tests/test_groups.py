@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (
-    CommutingTuple,
     FiniteGroup,
     WreathGroup,
     centralizer,
@@ -29,14 +28,13 @@ from equichar.groups import (
     subgroup_lattice,
     symmetric,
     trivial_group,
-    validate_group,
     whole_subgroup,
     wreath,
 )
 import equichar.groups as groups_mod
 from oracles import (commuting_tuple_classes_naive, commuting_tuples_naive,
                      element_order, subgroup_from_generators,
-                     subgroups_up_to_conjugacy)
+                     subgroups_up_to_conjugacy, validate_group)
 
 SMALL_DESCRIPTORS = [
     {"type": "trivial"},
@@ -86,12 +84,14 @@ def test_validate_group_rejects_non_associative_multiplication():
 
 def test_validate_group_runs_without_numpy():
     src = pathlib.Path(groups_mod.__file__).parents[1]
+    tests = pathlib.Path(__file__).parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")])))
     code = ("import sys\n"
             "sys.modules['numpy'] = None\n"
             "import equichar\n"
-            "from equichar.groups import make_group, validate_group\n"
+            "from equichar.groups import make_group\n"
+            "from oracles import validate_group\n"
             "validate_group(make_group({'type': 'symmetric', 'n': 4}))\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
@@ -217,11 +217,11 @@ def test_dihedral_class_count_matches_formula(n):
 def test_centralizer_examples():
     s3 = symmetric(3)
     transposition = conjugacy_classes(s3)[1][0]
-    c = centralizer(s3, transposition)
+    c = centralizer(s3, (transposition,))
     assert c.order == 2
     rotation = conjugacy_classes(s3)[2][0]
-    assert centralizer(s3, rotation).order == 3
-    assert centralizer(s3, CommutingTuple(s3, ())).order == 6
+    assert centralizer(s3, (rotation,)).order == 3
+    assert centralizer(s3, ()).order == 6
 
 
 @pytest.mark.parametrize("desc", SMALL_DESCRIPTORS)
@@ -275,15 +275,6 @@ def test_central_elements_centralize_the_whole_subgroup():
     assert centralizer_in(whole, w.encode((1, 1, 1), 0)) is whole
 
 
-def test_commuting_tuple_rejects_non_commuting():
-    s3 = symmetric(3)
-    t = conjugacy_classes(s3)[1][0]
-    r = conjugacy_classes(s3)[2][0]
-    assert s3.mul(t, r) != s3.mul(r, t)
-    with pytest.raises(UsageError):
-        CommutingTuple(s3, (t, r))
-
-
 def test_commuting_tuple_classes_s3():
     s3 = symmetric(3)
     pairs = commuting_tuple_classes(s3, 2)
@@ -291,7 +282,7 @@ def test_commuting_tuple_classes_s3():
     assert sum(size for _, size in pairs) == 18
     singles = commuting_tuple_classes(s3, 1)
     assert len(singles) == 3
-    assert commuting_tuple_classes(s3, 0) == [(CommutingTuple(s3, ()), 1)]
+    assert commuting_tuple_classes(s3, 0) == [((), 1)]
 
 
 def test_commuting_tuple_classes_z2():
@@ -314,7 +305,7 @@ def test_commuting_tuple_classes_match_naive(desc, k):
     # representatives lie in matching orbits: conjugate each fast rep to a naive rep
     naive_reps = {t for t, _ in naive}
     for tup, _ in fast:
-        orbit = {tuple(g.conj(x, h) for x in tup.entries)
+        orbit = {tuple(g.conj(x, h) for x in tup)
                  for h in range(g.order)}
         assert orbit & naive_reps
 
@@ -349,9 +340,31 @@ def test_subgroup_lattice_canonical_order_and_index():
         lat.index_of(frozenset((0, 1, 3)))
 
 
-def test_subgroup_budget():
+def test_subgroup_budget(monkeypatch):
+    monkeypatch.setattr(groups_mod, "SUBGROUP_BUDGET", 32)
     with pytest.raises(ResourceLimitError):
-        subgroup_lattice(wreath(symmetric(3), 2), budget=32)
+        subgroup_lattice(wreath(symmetric(3), 2))
+
+
+def test_perm_closure_budget(monkeypatch):
+    """The closure stops once it holds more elements than the budget."""
+    monkeypatch.setattr(groups_mod, "PERM_CLOSURE_BUDGET", 50)
+    monkeypatch.setattr(groups_mod, "_GROUP_CACHE", {})
+    s5 = {"type": "perm", "degree": 5,
+          "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
+    with pytest.raises(ResourceLimitError, match="permutation closure") as e:
+        make_group(s5)
+    assert e.value.budget == 50 and 50 < e.value.size < 120
+
+
+def test_tuple_class_budget(monkeypatch):
+    """S3 has 8 classes of commuting pairs; the sixth trips a budget of 5.
+    A fresh group, since a cached result skips the count."""
+    monkeypatch.setattr(groups_mod, "TUPLE_CLASS_BUDGET", 5)
+    with pytest.raises(ResourceLimitError,
+                       match="commuting tuple classes") as e:
+        commuting_tuple_classes(groups_mod.SymmetricGroup(3), 2)
+    assert e.value.size == 6 and e.value.budget == 5
 
 
 def test_subgroup_validate():

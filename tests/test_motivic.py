@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from equichar.burnside import burnside_ring
-from equichar.errors import UsageError
+from equichar.errors import ResourceLimitError, UsageError
 from equichar.euler import chi_k_equivariant
 from equichar.groups import cyclic, make_group, symmetric
 from equichar.gsets import BiSet, biset_from_single_action, empty_biset
@@ -251,6 +251,15 @@ def test_datum_from_biset_matches_hierarchy():
         datum = datum_from_biset(X, k)
         assert orbifold_class_from_datum(datum) == \
             embed(chi_k_equivariant(X, k, cross_check=True))
+
+
+def test_datum_from_biset_oracle_limit():
+    """The strata come from the tuple-form oracle, which refuses an O side
+    of order above ORACLE_GROUP_LIMIT = 400."""
+    pt = biset_from_single_action(1, symmetric(6), [(0,)] * 2, side="O")
+    with pytest.raises(ResourceLimitError, match="tuple-form oracle") as e:
+        datum_from_biset(pt, 1)
+    assert e.value.size == 720 and e.value.budget == 400
 
 
 def test_datum_from_biset_point_and_empty():

@@ -3,7 +3,8 @@
 A definition whose name appears nowhere in the package, the benchmark
 scripts or the README is code that only its own tests keep alive.  Names
 count when used as identifiers or inside string constants (the benchmark
-patches layers by dotted name); dunder methods are exempt.
+patches layers by dotted name), but not inside docstrings, which describe
+code rather than use it; dunder methods are exempt.
 """
 
 import ast
@@ -11,6 +12,16 @@ import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _docstrings(tree) -> set[int]:
+    """ids of the string constants that open a module, class or function."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, SCOPES) and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
 
 
 def test_no_orphan_definitions():
@@ -18,7 +29,9 @@ def test_no_orphan_definitions():
     used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     defined = {}
     for path in src + sorted((ROOT / "bench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -26,7 +39,8 @@ def test_no_orphan_definitions():
             elif isinstance(node, ast.alias):
                 used.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.update(re.findall(r"\w+", node.value))
+                if id(node) not in docstrings:
+                    used.update(re.findall(r"\w+", node.value))
             elif path in src and isinstance(
                     node, (ast.FunctionDef, ast.ClassDef)) and not (
                     node.name.startswith("__") and node.name.endswith("__")):

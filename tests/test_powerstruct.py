@@ -15,6 +15,7 @@ from equichar.powerstruct import (INT_RING, TruncatedSeries,
                                   lambda_reconstruct, lambda_term, power,
                                   rhs_base_series, rhs_theorem1, zeta_series)
 from equichar.motivic import lext, lext_coeff_ring
+import equichar.powerstruct as powerstruct_mod
 from oracles import lambda_oracle, symmetric_power_class
 
 int_coeffs = st.lists(st.integers(min_value=-4, max_value=4), min_size=6,
@@ -279,12 +280,13 @@ def test_geometric_oracle_agrees_with_power():
                                    class_of(M)).coeffs
 
 
-def test_geometric_oracle_budget():
+def test_geometric_oracle_budget(monkeypatch):
     Z2 = cyclic(2)
     big = biset_from_single_action(12, Z2,
                                    [tuple(range(12))], side="B")
+    monkeypatch.setattr(powerstruct_mod, "GEOMETRIC_CONFIG_BUDGET", 50)
     with pytest.raises(ResourceLimitError):
-        geometric_power_oracle([big], big, 6, budget=50)
+        geometric_power_oracle([big], big, 6)
 
 
 def test_geometric_oracle_rejects_mixed_groups():
