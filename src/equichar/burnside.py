@@ -273,14 +273,8 @@ def class_of(X: BiSet) -> BurnsideElement:
     """Decompose a finite B-side G-set into the basis of orbit types."""
     _require_b_set(X)
     ring = burnside_ring(X.gB)
-    marks = []
-    for H in ring.lattice.classes:
-        fixed = range(X.size)
-        for g in H.generators:
-            perm = X.perm("B", g)
-            fixed = [p for p in fixed if perm[p] == p]
-        marks.append(len(fixed))
-    return ring.from_marks(marks)
+    return ring.from_marks([len(X.fixed("B", H.generators, range(X.size)))
+                            for H in ring.lattice.classes])
 
 
 def chi_equivariant(X: BiSet | CellSpace) -> BurnsideElement:
@@ -296,7 +290,7 @@ def chi_equivariant(X: BiSet | CellSpace) -> BurnsideElement:
     _require_b_set(X)
     ring = burnside_ring(X.gB)
     G = X.gB
-    full = [X.perm("B", g) for g in G.elements()]
+    full = [X.act("B", g, range(X.size)) for g in G.elements()]
     strata: dict[int, list[int]] = {}
     for p in range(X.size):
         iso = frozenset(g for g in G.elements() if full[g][p] == p)

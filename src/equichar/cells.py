@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .errors import UsageError
 from .gsets import BiSet
-from .groups import same_group
 
 
 class CellSpace:
@@ -28,7 +27,7 @@ class CellSpace:
                 raise UsageError("cells must be (dim, BiSet) pairs")
         first = cells[0][1]
         for _, F in cells[1:]:
-            if not (same_group(F.gO, first.gO) and same_group(F.gB, first.gB)):
+            if F.gO is not first.gO or F.gB is not first.gB:
                 raise UsageError("cells carry different groups")
         self.cells = cells
         self.gO = first.gO

@@ -53,7 +53,8 @@ def build_parser() -> _Parser:
         sp.add_argument("--input", required=True)
         if takes_k:
             sp.add_argument("--k", type=int, required=True)
-        sp.add_argument("--cross-check", action="store_true")
+        if verb != "chi":  # the plain characteristic has no second route
+            sp.add_argument("--cross-check", action="store_true")
         add_format(sp)
 
     sp = sub.add_parser("power", help="raise a series to a ring-element power")

@@ -48,22 +48,16 @@ def _rec_equivariant(X: BiSet, S: tuple[int, ...], H: Subgroup, k: int,
     if hit is not None:
         return hit
     if k == 0:
-        res = _quotient_class(X, S, H)
+        res = class_of(quotient_by(X, H, S))  # S/H as a B-side G_B-set
     else:
         res = ring.zero
         for cls in conjugacy_classes_in(H):
             g = cls[0]
-            perm = X.perm("O", g)
-            Sg = tuple(p for p in S if perm[p] == p)
+            Sg = X.fixed("O", (g,), S)
             C = centralizer_in(H, g)
             res = res + _rec_equivariant(X, Sg, C, k - 1, ring, memo)
     memo[key] = res
     return res
-
-
-def _quotient_class(X: BiSet, S, H: Subgroup) -> BurnsideElement:
-    """class_of(S/H) as a B-side G_B-set."""
-    return class_of(quotient_by(X, H, S))
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +73,9 @@ def tuple_class_strata(X: BiSet, k: int):
     ring = burnside_ring(X.gB)
     out = []
     for tup, _ in commuting_tuple_classes(X.gO, k):
-        S = tuple(range(X.size))
-        for g in tup:
-            perm = X.perm("O", g)
-            S = tuple(p for p in S if perm[p] == p)
+        S = X.fixed("O", tup, range(X.size))
         piece = ring.zero if not S else \
-            _quotient_class(X, S, centralizer(X.gO, tup))
+            class_of(quotient_by(X, centralizer(X.gO, tup), S))
         out.append((tup, piece))
     return out
 
@@ -106,7 +97,7 @@ def chi_k_averaging(X: BiSet, k: int) -> int:
     if G.order > ORACLE_GROUP_LIMIT:
         raise ResourceLimitError("averaging oracle",
                                  size=G.order, budget=ORACLE_GROUP_LIMIT)
-    perms = [X.perm("O", g) for g in G.elements()]
+    perms = [X.act("O", g, range(X.size)) for g in G.elements()]
 
     def rec(pool: list[int], S: list[int], depth: int) -> int:
         if depth == 0:

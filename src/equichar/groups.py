@@ -200,10 +200,11 @@ class PermGroup(FiniteGroup):
                     y = tuple(x[j] for j in s)  # x∘s
                     if y not in elems:
                         elems.add(y)
+                        if len(elems) > PERM_CLOSURE_BUDGET:
+                            raise ResourceLimitError(
+                                "permutation closure", size=len(elems),
+                                budget=PERM_CLOSURE_BUDGET)
                         nxt.append(y)
-            if len(elems) > PERM_CLOSURE_BUDGET:
-                raise ResourceLimitError("permutation closure", size=len(elems),
-                                         budget=PERM_CLOSURE_BUDGET)
             frontier = nxt
         self._index(degree, tuple(sorted(elems)), gen_perms,
                     f"perm{degree}:{len(elems)}", descriptor)
@@ -484,12 +485,6 @@ def wreath(inner: FiniteGroup, n: int) -> FiniteGroup:
     if inner.descriptor is not None:
         return make_group({"type": "wreath", "inner": inner.descriptor, "n": n})
     return WreathGroup(inner, n)
-
-
-def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    if a is b:
-        return True
-    return (a.descriptor is not None and a.descriptor == b.descriptor)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A BiSet carries a left action of an "orbifold side" group gO and a left
 action of a "Burnside side" group gB, stored as one permutation per group
-generator.  An arbitrary element acts through BiSet.perm, which composes the
-generator permutations along the element's generator word; every scan
-fetches one such permutation per element and indexes it.
+generator.  An element acts only through BiSet.act, which maps just the
+points a scan keeps along the element's generator word; BiSet.fixed and
+BiSet.orbits_on are built on it, so no scan builds a whole permutation.
 
 A fixed set X^g under the centralizer C(g) is not a BiSet of its own: it is
 a tuple of the parent's point indices acted on by a parent-indexed
@@ -20,7 +20,6 @@ from .errors import InvariantViolation, ResourceLimitError, UsageError
 from .groups import (
     FiniteGroup,
     Subgroup,
-    same_group,
     trivial_group,
     whole_subgroup,
     wreath,
@@ -62,23 +61,30 @@ class BiSet:
             return self.gB, self.actB
         raise UsageError(f"side must be 'O' or 'B', not {side!r}")
 
-    def perm(self, side: str, g: int) -> tuple[int, ...]:
-        """Permutation of the points by element g of the chosen side's
-        group: the generator permutations composed along g's word."""
+    def act(self, side: str, g: int, points) -> list[int]:
+        """Images of the given points under element g of the chosen side's
+        group: g's generator word applied right to left."""
         group, gens = self._side(side)
-        p = tuple(range(self.size))
-        for i in group.word(g):
-            p = tuple(map(p.__getitem__, gens[i]))
-        return p
+        out = list(points)
+        for i in reversed(group.word(g)):
+            out = list(map(gens[i].__getitem__, out))
+        return out
 
-    def act(self, side: str, g: int, p: int) -> int:
-        """Image of point p under element g of the chosen side's group."""
-        return self.perm(side, g)[p]
+    def fixed(self, side: str, elements, points) -> tuple[int, ...]:
+        """The given points fixed by every one of the given elements."""
+        kept = tuple(points)
+        for g in elements:
+            kept = tuple(p for p, q in zip(kept, self.act(side, g, kept))
+                         if p == q)
+        return kept
 
     def orbits_on(self, side: str, generators, points) -> list[list[int]]:
         """Orbits of the given points under the subgroup generated by the
-        given element indices, in order of first point met; each sorted."""
-        gen_maps = [self.perm(side, g) for g in generators]
+        given element indices, in order of first point met; each sorted.
+        Only the given points, closed under the generators, are mapped."""
+        points = tuple(points)
+        gen_maps = [dict(zip(points, self.act(side, g, points)))
+                    for g in generators]
         seen: set[int] = set()
         out: list[list[int]] = []
         for p0 in points:
@@ -109,6 +115,7 @@ class BiSet:
             for b in self.actB:
                 if any(a[b[p]] != b[a[p]] for p in range(self.size)):
                     raise InvariantViolation("O and B actions do not commute")
+        points = range(self.size)
         for side in ("O", "B"):
             group, _ = self._side(side)
             cost = group.order * max(1, len(group.generators)) * max(1, self.size)
@@ -122,9 +129,8 @@ class BiSet:
                           group.generators[rng.randrange(len(group.generators))])
                          for _ in range(HOM_CHECK_SAMPLES))
             for x, s in pairs:
-                px = self.perm(side, x)
-                if self.perm(side, group.mul(x, s)) != tuple(
-                        map(px.__getitem__, self.perm(side, s))):
+                if self.act(side, group.mul(x, s), points) != self.act(
+                        side, x, self.act(side, s, points)):
                     raise InvariantViolation(
                         f"{side}-side action is not a homomorphism at "
                         f"({x}, {s})")
@@ -152,7 +158,7 @@ def quotient_by(X: BiSet, K: Subgroup | None = None,
     given, is a K- and B-invariant subset, and only it is quotiented."""
     if K is None:
         K = whole_subgroup(X.gO)
-    elif not same_group(K.parent, X.gO):
+    elif K.parent is not X.gO:
         raise UsageError("subgroup belongs to a different group than the O side")
     orbs = X.orbits_on("O", K.generators,
                        range(X.size) if points is None else points)
@@ -191,31 +197,29 @@ def wreath_power(X: BiSet, n: int, max_points: int = POINT_BUDGET) -> BiSet:
         raise UsageError(f"wreath power needs n >= 0, got {n}")
     if n == 1:
         return X
-    if X.size ** n > max_points:
-        raise ResourceLimitError("wreath power points",
-                                 size=X.size ** n, budget=max_points)
-    W = wreath(X.gO, n)
     size = X.size ** n
+    if size > max_points:
+        raise ResourceLimitError("wreath power points",
+                                 size=size, budget=max_points)
+    W = wreath(X.gO, n)
     radix = X.size
+    points = range(radix)
+    weights = [radix ** (n - 1 - i) for i in range(n)]
 
-    def encode(tup) -> int:
-        x = 0
-        for v in tup:
-            x = x * radix + v
-        return x
+    def digit_sums(columns):
+        # the points of X^n are the base-|X| numerals in order, and
+        # columns[j][v] is what digit v of coordinate j adds to the image
+        return tuple(map(sum, itertools.product(*columns)))
 
-    tuples = list(itertools.product(range(X.size), repeat=n))
     actO = []
     for g in W.generators:
         vec, r = W.decode(g)
-        sigma_inv = W.top.inverse_perms()[r]
-        inner = [X.perm("O", a) for a in vec]
-        actO.append(tuple(encode(inner[i][t[sigma_inv[i]]] for i in range(n))
-                          for t in tuples))
-    actB = []
-    for j, _ in enumerate(X.gB.generators):
-        base = X.actB[j]
-        actB.append(tuple(encode(base[v] for v in t) for t in tuples))
+        inner = [X.act("O", a, points) for a in vec]
+        # ((a,σ)·x)_i = a_i·x_{σ⁻¹(i)}: coordinate j lands in slot σ(j)
+        actO.append(digit_sums([inner[i][v] * weights[i] for v in points]
+                               for i in W.top.perms[r]))
+    actB = [digit_sums([base[v] * w for v in points] for w in weights)
+            for base in X.actB]
     return BiSet(size, W, X.gB, actO, actB)
 
 
@@ -260,5 +264,5 @@ def point_biset(gO: FiniteGroup, gB: FiniteGroup) -> BiSet:
 
 
 def _require_same_groups(X: BiSet, Y: BiSet) -> None:
-    if not (same_group(X.gO, Y.gO) and same_group(X.gB, Y.gB)):
+    if X.gO is not Y.gO or X.gB is not Y.gB:
         raise UsageError("operands carry different groups")

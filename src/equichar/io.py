@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .burnside import BurnsideElement, BurnsideRing, burnside_ring
 from .cells import CellSpace
-from .errors import UsageError
+from .errors import ResourceLimitError, UsageError
 from .groups import FiniteGroup, is_int_lists, make_group
 from .gsets import BiSet
 from .motivic import LExtElement, OrbifoldDatum, lext
@@ -65,7 +65,7 @@ def format_fraction(q: Fraction):
 def group_from_json(obj, path) -> FiniteGroup:
     try:
         return make_group(obj)
-    except UsageError as e:
+    except (UsageError, ResourceLimitError) as e:
         raise UsageError(f"{path}: {e}")
 
 

@@ -364,7 +364,7 @@ def geometric_power_oracle(a_sets: list[BiSet], M: BiSet, N: int
         raise UsageError("need at least one coefficient G-set")
     G = M.gB
     for A in a_sets:
-        if not _same_b_group(A, M):
+        if A.gB is not G:
             raise UsageError("coefficient sets and M must share the B-side group")
     bring = burnside_ring(G)
     ring = burnside_coeff_ring(bring)
@@ -414,11 +414,6 @@ def _weight_configs(a_sets, M, k):
     rec(0, 0, [])
     out.sort()
     return out
-
-
-def _same_b_group(X: BiSet, Y: BiSet) -> bool:
-    from .groups import same_group
-    return same_group(X.gB, Y.gB)
 
 
 # ---------------------------------------------------------------------------

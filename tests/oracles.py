@@ -7,8 +7,11 @@ common denominator; the references here merge them on `Fraction` keys.
 The package multiplies series one mark column at a time; `ElementSeries`
 is the element-wise engine it replaced, which multiplies the coefficients
 with their own + - *.  `validate_group` checks the group axioms on a flat
-Cayley table, which the package never builds."""
+Cayley table, which the package never builds.  `wreath_power_images`
+applies the wreath action to one encoded n-tuple at a time, where the
+package builds each generator's images as digit sums."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -292,6 +295,25 @@ def subgroup_from_generators(G, gens):
     elems = closure(G, gens)
     _, small = _reduce_generators(G, gens, len(elems))
     return Subgroup(G, elems, small)
+
+
+def encode_tuple(tup, radix):
+    """The point of X^n holding the n-tuple tup: its base-|X| numeral."""
+    x = 0
+    for v in tup:
+        x = x * radix + v
+    return x
+
+
+def wreath_power_images(W, g, inner_act, radix):
+    """Images of all points of X^n, |X| = radix, under g = (a,σ) of
+    W = G≀S_n by ((a,σ)·x)_i = a_i·x_{σ⁻¹(i)}; inner_act(a, v) is the
+    action of G on X."""
+    vec, r = W.decode(g)
+    sigma_inv = W.top.inverse_perms()[r]
+    return [encode_tuple([inner_act(vec[i], t[sigma_inv[i]])
+                          for i in range(W.n)], radix)
+            for t in itertools.product(range(radix), repeat=W.n)]
 
 
 def element_order(G, g):

@@ -2,7 +2,7 @@ import pytest
 
 from equichar.errors import UsageError
 from equichar.cells import CellSpace, chi
-from equichar.groups import cyclic, symmetric, trivial_group
+from equichar.groups import SymmetricGroup, cyclic, symmetric, trivial_group
 from equichar.gsets import biset_from_single_action, empty_biset, point_biset
 
 
@@ -33,6 +33,16 @@ def test_cells_must_share_groups():
     a = biset_from_single_action(1, Z2, [(0,)], side="O")
     b = biset_from_single_action(1, cyclic(3), [(0,)], side="O")
     with pytest.raises(UsageError):
+        CellSpace(((0, a), (1, b)))
+
+
+def test_cells_over_equal_but_distinct_groups_rejected():
+    """Groups are the same only when they are one object: an S3 built
+    directly is not the cached S3, so the cell space is refused when it
+    is built rather than when its Burnside elements meet."""
+    a = regular(symmetric(3))
+    b = regular(SymmetricGroup(3))
+    with pytest.raises(UsageError, match="cells carry different groups"):
         CellSpace(((0, a), (1, b)))
 
 

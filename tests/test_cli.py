@@ -228,16 +228,22 @@ def test_lemma1_point_budget_exits_1(capsys, files):
 
 
 def test_symmetric_degree_limit_exits_1(capsys, files):
-    """S9 would list 9! permutations; the degree limit 8 refuses it."""
+    """S9 would list 9! permutations; the degree limit 8 refuses it, and
+    the error names the input file it came from."""
     with pytest.raises(ResourceLimitError,
                        match="symmetric group degree") as e:
         make_group({"type": "symmetric", "n": 9})
     assert e.value.size == 9 and e.value.budget == 8
-    code, out, err = run(capsys, "group", "show", "--input",
-                         files("s9.json", {"type": "symmetric", "n": 9}))
-    assert code == 1 and out == ""
-    assert err.startswith("error: symmetric group degree 9")
-    assert "exceeds budget 8" in err
+    s9 = {"type": "symmetric", "n": 9}
+    group = files("s9.json", s9)
+    biset = files("x.json", {"size": 1, "gO": s9, "gB": TRIV,
+                             "actO": [[0], [0]], "actB": []})
+    for path, argv in ((group, ("group", "show")),
+                       (biset, ("chi-k", "--k", "1"))):
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: symmetric group degree 9")
+        assert "exceeds budget 8" in err
 
 
 def test_verify_timings_flag(capsys, z2_reg):
@@ -282,6 +288,16 @@ def test_usage_errors_exit_1(capsys, tmp_path, s3_point):
     bad.write_text("{oops")
     code, _, err = run(capsys, "chi", "--input", str(bad))
     assert code == 1 and "malformed JSON" in err
+
+
+def test_chi_has_no_cross_check_flag(capsys, s3_point):
+    """chi has no second route to check against, so the flag is refused
+    rather than ignored; the verbs that have one still take it."""
+    code, out, err = run(capsys, "chi", "--input", s3_point, "--cross-check")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --cross-check" in err
+    code, out, _ = run(capsys, "chi-orb", "--input", s3_point, "--cross-check")
+    assert code == 0 and out.strip() == "3"
 
 
 def test_budget_violation_exits_1(capsys, z2_reg):

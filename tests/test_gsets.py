@@ -10,7 +10,7 @@ from equichar.gsets import (POINT_BUDGET, BiSet, biset_from_single_action,
                             disjoint_union, empty_biset, point_biset,
                             product, quotient_by, symmetric_power,
                             wreath_power)
-from oracles import subgroup_from_generators
+from oracles import subgroup_from_generators, wreath_power_images
 
 
 def regular_biset(G, side="O"):
@@ -53,13 +53,26 @@ def test_validate_rejects_wrong_generator_count():
 
 
 def test_act_by_word_matches_generator_perms():
+    """act maps exactly the points it is given, in their order, and on
+    the whole set gives a permutation."""
     S3 = symmetric(3)
     X = regular_biset(S3)
+    subsets = ([], [4], [5, 0, 3], range(1, 6, 2), range(6))
     for g in range(6):
-        p = X.perm("O", g)
-        assert sorted(p) == list(range(6))
-        for x in range(6):
-            assert p[x] == S3.mul(g, x)
+        assert sorted(X.act("O", g, range(6))) == list(range(6))
+        for points in subsets:
+            assert X.act("O", g, points) == [S3.mul(g, x) for x in points]
+
+
+def test_fixed_keeps_points_fixed_by_every_element():
+    """fixed scans only the points it is given and keeps their order."""
+    Z2 = cyclic(2)
+    X = BiSet(4, Z2, Z2, ((1, 0, 2, 3),), ((0, 1, 3, 2),))
+    assert X.fixed("O", (1,), range(4)) == (2, 3)
+    assert X.fixed("O", (1,), (3, 0, 2)) == (3, 2)
+    assert X.fixed("O", (0, 1), range(4)) == (2, 3)
+    assert X.fixed("B", (1,), X.fixed("O", (1,), range(4))) == ()
+    assert X.fixed("O", (), (1, 0)) == (1, 0)
 
 
 def test_orbits_regular_set_is_transitive():
@@ -98,7 +111,7 @@ def test_quotient_preserves_b_action():
     X = BiSet(4, Z2, Z2b, ((2, 3, 0, 1),), ((1, 0, 3, 2),))
     Q = quotient_by(X)
     assert Q.size == 2
-    assert Q.perm("B", 1) == (1, 0)
+    assert Q.act("B", 1, range(Q.size)) == [1, 0]
 
 
 def test_symmetric_power_sizes():
@@ -112,7 +125,7 @@ def test_symmetric_power_action_sorts_multisets():
     Z2 = cyclic(2)
     X = regular_biset(Z2)
     S2 = symmetric_power(X, 2)
-    assert S2.perm("O", 1) == (2, 1, 0)
+    assert S2.act("O", 1, range(S2.size)) == [2, 1, 0]
 
 
 def test_wreath_power_structure():
@@ -125,14 +138,15 @@ def test_wreath_power_structure():
 
 
 def test_wreath_power_agrees_with_generator_fold():
-    """Direct-action hooks must agree with folding generator words."""
-    S3 = symmetric(3)
-    X = biset_from_single_action(3, S3, [(1, 0, 2), (1, 2, 0)], side="O")
-    P = wreath_power(X, 2)
-    W = P.gO
-    plain = BiSet(P.size, W, P.gB, P.actO, P.actB)
-    for g in range(0, W.order, 7):
-        assert P.perm("O", g) == plain.perm("O", g)
+    """Every element of W = G≀S_n acts on X^n as the defining formula
+    ((a,σ)·x)_i = a_i·x_{σ⁻¹(i)} says, with G acting on itself by left
+    multiplication and n-tuples encoded one at a time."""
+    for G, n in ((symmetric(3), 2), (cyclic(3), 3)):
+        P = wreath_power(regular_biset(G), n)
+        W = P.gO
+        for g in W.elements():
+            assert P.act("O", g, range(P.size)) == \
+                wreath_power_images(W, g, G.mul, G.order)
 
 
 def test_wreath_power_degree_zero_and_one():
@@ -168,10 +182,10 @@ def test_product_and_disjoint_union():
     X = regular_biset(Z2)
     P = product(X, X)
     assert P.size == 4
-    assert P.perm("O", 1) == (3, 2, 1, 0)
+    assert P.act("O", 1, range(P.size)) == [3, 2, 1, 0]
     U = disjoint_union(X, X)
     assert U.size == 4
-    assert U.perm("O", 1) == (1, 0, 3, 2)
+    assert U.act("O", 1, range(U.size)) == [1, 0, 3, 2]
 
 
 def test_group_mismatch_rejected():
@@ -188,7 +202,7 @@ def test_empty_and_point():
     assert empty_biset(Z2, T).size == 0
     P = point_biset(Z2, T)
     assert P.size == 1
-    assert P.act("O", 1, 0) == 0
+    assert P.fixed("O", (1,), range(P.size)) == (0,)
 
 
 @settings(max_examples=30, deadline=None)
@@ -199,9 +213,8 @@ def test_fixed_point_counts_conjugation_invariant(n, data):
     X = regular_biset(G)
     g = data.draw(st.integers(min_value=0, max_value=G.order - 1))
     h = data.draw(st.integers(min_value=0, max_value=G.order - 1))
-    count = sum(1 for p in range(X.size) if X.act("O", g, p) == p)
-    conj = G.conj(g, h)
-    count2 = sum(1 for p in range(X.size) if X.act("O", conj, p) == p)
+    count = len(X.fixed("O", (g,), range(X.size)))
+    count2 = len(X.fixed("O", (G.conj(g, h),), range(X.size)))
     assert count == count2
 
 
@@ -212,6 +225,6 @@ def test_burnside_orbit_count_lemma(n, k):
     G = cyclic(n)
     X = symmetric_power(regular_biset(G), k)
     orbit_count = len(X.orbits_on("O", G.generators, range(X.size)))
-    total = sum(sum(1 for p in range(X.size) if X.act("O", g, p) == p)
+    total = sum(len(X.fixed("O", (g,), range(X.size)))
                 for g in range(G.order))
     assert orbit_count * G.order == total
