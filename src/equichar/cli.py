@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import harness, io
 from .burnside import burnside_ring
@@ -19,7 +20,8 @@ from .cells import CellSpace
 from .cells import chi as cells_chi
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 from .euler import chi_k, chi_orb, chi_k_equivariant
-from .groups import conjugacy_classes
+from .groups import conjugacy_classes, make_group
+from .gsets import POINT_BUDGET
 from .motivic import (L, embed, lext_coeff_ring, orbifold_class_from_datum,
                       zeta_L)
 from .powerstruct import INT_RING, TruncatedSeries, burnside_coeff_ring, power
@@ -79,13 +81,13 @@ def build_parser() -> _Parser:
     t1.add_argument("--k", type=int, required=True)
     t1.add_argument("--N", type=int, required=True)
     t1.add_argument("--max-wreath", type=int, default=None)
-    t1.add_argument("--max-points", type=int, default=None)
+    t1.add_argument("--max-points", type=int, default=POINT_BUDGET)
     t1.add_argument("--cross-check", action="store_true")
 
     l1 = vsub.add_parser("lemma1")
     l1.add_argument("--input", required=True)
     l1.add_argument("--N", type=int, required=True)
-    l1.add_argument("--max-points", type=int, default=None)
+    l1.add_argument("--max-points", type=int, default=POINT_BUDGET)
 
     ax = vsub.add_parser("axioms")
     ax.add_argument("--ring", choices=("int", "burnside", "lext"),
@@ -114,17 +116,14 @@ def _emit(args, text_value, json_value) -> None:
         print(text_value)
 
 
-def _load_space(args, need_ring: bool = True):
-    X = io.space_from_json(io.load_json(args.input), args.input)
-    if need_ring:
-        burnside_ring(X.gB)
-    return X
+def _load_space(args):
+    return io.read(args.input, io.space_from_json)
 
 
 # -- verb handlers -----------------------------------------------------------
 
 def _cmd_group(args) -> int:
-    G = io.group_from_json(io.load_json(args.input), args.input)
+    G = io.read(args.input, make_group)
     if args.action == "show":
         _emit(args,
               f"{G.label}: order {G.order}, {len(G.generators)} generators",
@@ -160,7 +159,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_chi(args) -> int:
-    X = _load_space(args, need_ring=False)
+    X = _load_space(args)
     value = cells_chi(X)
     _emit(args, str(value), value)
     return 0
@@ -187,46 +186,53 @@ def _cmd_chi_k_eq(args) -> int:
     return 0
 
 
-def _series_context(obj, path):
-    """Resolve the coefficient ring named in a power/zeta input file."""
+def _series_input(obj, N):
+    """A power input's series padded or cut to t^N, its exponent, and the
+    renderer of its coefficient ring."""
+    if not isinstance(obj, dict):
+        raise UsageError("expected a JSON object")
     choice = obj.get("ring", "int")
+    render = lambda c: c.render()
     if choice == "int":
         def parse(v):
             if isinstance(v, bool) or not isinstance(v, int):
-                raise UsageError(f"{path}: integer coefficient expected")
+                raise UsageError("integer coefficient expected")
             return v
-        return INT_RING, parse, str
-    if isinstance(choice, dict) and "burnside" in choice:
-        bring = burnside_ring(io.group_from_json(choice["burnside"], path))
-        return (burnside_coeff_ring(bring),
-                lambda v: io.burnside_from_json(v, bring, path),
-                lambda c: c.render())
-    if isinstance(choice, dict) and "lext" in choice:
-        bring = burnside_ring(io.group_from_json(choice["lext"], path))
-        return (lext_coeff_ring(bring),
-                lambda v: io.lext_from_json(v, bring, path),
-                lambda c: c.render())
-    raise UsageError(f"{path}: ring must be \"int\", "
-                     f"{{\"burnside\": <group>}}, or {{\"lext\": <group>}}")
+        ring, render = INT_RING, str
+    elif isinstance(choice, dict) and "burnside" in choice:
+        bring = burnside_ring(make_group(choice["burnside"]))
+        ring = burnside_coeff_ring(bring)
+        parse = partial(io.burnside_from_json, ring=bring)
+    elif isinstance(choice, dict) and "lext" in choice:
+        bring = burnside_ring(make_group(choice["lext"]))
+        ring = lext_coeff_ring(bring)
+        parse = partial(io.lext_from_json, ring=bring)
+    else:
+        raise UsageError("ring must be \"int\", {\"burnside\": <group>}, "
+                         "or {\"lext\": <group>}")
+    raw = obj.get("series")
+    if not isinstance(raw, list) or not raw:
+        raise UsageError("\"series\" must be a nonempty list")
+    coeffs = [parse(v) for v in raw][:N + 1]
+    coeffs += [ring.zero] * (N + 1 - len(coeffs))
+    return (TruncatedSeries(ring, tuple(coeffs)),
+            parse(io._field(obj, "exponent")), render)
+
+
+def _zeta_input(obj):
+    """The generator L^exp * [G/H_index] of a zeta input."""
+    bring = burnside_ring(make_group(io._field(obj, "group")))
+    idx = io._field(obj, "index")
+    if type(idx) is not int or not 0 <= idx < bring.n:
+        raise UsageError(f"index must name one of the {bring.n} basis classes")
+    q = io.parse_fraction(obj["exp"]) if "exp" in obj else 0
+    return L(bring, q) * embed(bring.basis(idx))
 
 
 def _cmd_power(args) -> int:
-    obj = io.load_json(args.input)
-    if not isinstance(obj, dict):
-        raise UsageError(f"{args.input}: expected a JSON object")
-    ring, parse, render = _series_context(obj, args.input)
     if args.N < 0:
         raise UsageError(f"truncation must be >= 0, got {args.N}")
-    raw = obj.get("series")
-    if not isinstance(raw, list) or not raw:
-        raise UsageError(f"{args.input}: \"series\" must be a nonempty list")
-    coeffs = [parse(v) for v in raw]
-    coeffs = coeffs[:args.N + 1]
-    coeffs += [ring.zero] * (args.N + 1 - len(coeffs))
-    A = TruncatedSeries(ring, tuple(coeffs))
-    if "exponent" not in obj:
-        raise UsageError(f"{args.input}: missing field 'exponent'")
-    m = parse(obj["exponent"])
+    A, m, render = io.read(args.input, partial(_series_input, N=args.N))
     out = power(A, m)
     _emit(args, io.render_series(out, render),
           io.series_to_json(out, render))
@@ -234,18 +240,9 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    obj = io.load_json(args.input)
-    path = args.input
     if args.N < 0:
         raise UsageError(f"truncation must be >= 0, got {args.N}")
-    bring = burnside_ring(
-        io.group_from_json(io._field(obj, "group", path), path))
-    idx = io._field(obj, "index", path)
-    if type(idx) is not int or not 0 <= idx < bring.n:
-        raise UsageError(f"{path}: index must name one of the {bring.n} "
-                         f"basis classes")
-    q = io.parse_fraction(obj["exp"], path) if "exp" in obj else 0
-    out = zeta_L(L(bring, q) * embed(bring.basis(idx)), args.N)
+    out = zeta_L(io.read(args.input, _zeta_input), args.N)
     render = lambda c: c.render()
     _emit(args, io.render_series(out, render),
           io.series_to_json(out, render))
@@ -253,41 +250,34 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_orbifold_class(args) -> int:
-    datum = io.datum_from_json(io.load_json(args.input), args.input)
+    datum = io.read(args.input, io.datum_from_json)
     el = orbifold_class_from_datum(datum)
     _emit(args, el.render(), io.lext_to_json(el))
     return 0
 
 
-def _parse_weights(raw, path="--weights"):
+def _parse_weights(raw):
     if raw is None:
         return None
-    return tuple(io.parse_fraction(part.strip(), path)
-                 for part in raw.split(","))
+    try:
+        return tuple(io.parse_fraction(part.strip())
+                     for part in raw.split(","))
+    except UsageError as e:
+        raise UsageError(f"--weights: {e}") from e
 
 
 def _cmd_verify(args) -> int:
+    if args.identity in ("theorem1", "lemma1"):
+        X = _load_space(args)
+        if isinstance(X, CellSpace):
+            raise UsageError(f"{args.identity} verification needs a finite "
+                             f"set, not a cell space")
     if args.identity == "theorem1":
-        X = _load_space(args)
-        if isinstance(X, CellSpace):
-            raise UsageError("theorem1 verification needs a finite set, "
-                             "not a cell space")
-        kw = {}
-        if args.max_wreath is not None:
-            kw["max_wreath"] = args.max_wreath
-        if args.max_points is not None:
-            kw["max_points"] = args.max_points
         report = harness.verify_theorem1(
-            X, args.k, args.N, cross_check=args.cross_check, **kw)
+            X, args.k, args.N, max_wreath=args.max_wreath,
+            max_points=args.max_points, cross_check=args.cross_check)
     elif args.identity == "lemma1":
-        X = _load_space(args)
-        if isinstance(X, CellSpace):
-            raise UsageError("lemma1 verification needs a finite set, "
-                             "not a cell space")
-        kw = {}
-        if args.max_points is not None:
-            kw["max_points"] = args.max_points
-        report = harness.verify_lemma1(X, args.N, **kw)
+        report = harness.verify_lemma1(X, args.N, max_points=args.max_points)
     elif args.identity == "axioms":
         report = harness.verify_axioms(args.ring, args.trials, args.N,
                                        args.seed)

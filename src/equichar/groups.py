@@ -506,19 +506,6 @@ class Subgroup:
     def element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
 
-    def validate(self) -> None:
-        s = set(self.elements)
-        if self.parent.identity not in s:
-            raise InvariantViolation("subgroup lacks identity")
-        for a in self.elements:
-            if self.parent.inv(a) not in s:
-                raise InvariantViolation("subgroup not closed under inverse")
-            for b in self.elements:
-                if self.parent.mul(a, b) not in s:
-                    raise InvariantViolation("subgroup not closed under product")
-        if closure(self.parent, self.generators) != self.elements:
-            raise InvariantViolation("stored generators do not generate subgroup")
-
 
 def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
     """Sorted element tuple of the subgroup generated by gens."""

@@ -8,6 +8,7 @@ violations raise, since they mean the requested computation was not done.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -83,6 +84,16 @@ def _check(n, lhs_el, rhs_el, t0) -> DegreeCheck:
                        lhs_el == rhs_el, (time.perf_counter() - t0) * 1000)
 
 
+def _tally(report, label, unit, outcomes) -> None:
+    """Append how many outcomes hold, timed over drawing and checking."""
+    t0 = time.perf_counter()
+    results = [bool(ok) for ok in outcomes]
+    good = sum(results)
+    report.degrees.append(DegreeCheck(
+        len(report.degrees) + 1, label, f"{good}/{len(results)} {unit}",
+        good == len(results), (time.perf_counter() - t0) * 1000))
+
+
 def verify_theorem1(X: BiSet, k: int, N: int,
                     max_wreath: int | None = None,
                     max_points: int = POINT_BUDGET,
@@ -98,6 +109,10 @@ def verify_theorem1(X: BiSet, k: int, N: int,
         if worder > max_wreath:
             raise ResourceLimitError(f"wreath group order at degree {n}",
                                      size=worder, budget=max_wreath)
+    for n in range(N + 1):
+        if X.size ** n > max_points:
+            raise ResourceLimitError(f"wreath power points at degree {n}",
+                                     size=X.size ** n, budget=max_points)
     m = chi_k_equivariant(X, k, cross_check=cross_check)
     rhs = rhs_theorem1(m, k, N)
     report = VerificationReport(
@@ -172,6 +187,15 @@ def verify_axioms(ring_name: str, trials: int = 100, N: int = 6,
         raise UsageError("axioms need N >= 1 and trials >= 1")
     ring, bring = _axiom_rings(ring_name)
     rng = random.Random(seed)
+
+    def determinacy(A, B, m, n):
+        j = rng.randint(0, N - 1)
+        bumped = list(A.coeffs)
+        for i in range(j + 1, N + 1):
+            bumped[i] = bumped[i] + _random_element(rng, ring, bring)
+        Bp = TruncatedSeries(ring, tuple(bumped))
+        return power(A, m).truncate(j) == power(Bp, m).truncate(j)
+
     laws = [
         ("(A*B)^m = A^m * B^m",
          lambda A, B, m, n: power(A.mul(B), m) ==
@@ -185,31 +209,17 @@ def verify_axioms(ring_name: str, trials: int = 100, N: int = 6,
          lambda A, B, m, n: power(A, ring.zero).is_one()
          and power(A, ring.one) == A
          and power(TruncatedSeries.one(ring, N), m).is_one()),
-        ("determinacy: A^m mod t^j fixed by A mod t^j",
-         None),
+        ("determinacy: A^m mod t^j fixed by A mod t^j", determinacy),
     ]
     report = VerificationReport(
         "axioms", {"ring": ring_name, "trials": trials, "N": N, "seed": seed})
-    for idx, (label, law) in enumerate(laws, start=1):
-        t0 = time.perf_counter()
-        good = 0
-        for _ in range(trials):
-            A = _random_series(rng, ring, bring, N)
-            B = _random_series(rng, ring, bring, N)
-            m = _random_element(rng, ring, bring)
-            n = _random_element(rng, ring, bring)
-            if law is not None:
-                good += bool(law(A, B, m, n))
-                continue
-            j = rng.randint(0, N - 1)
-            bumped = list(A.coeffs)
-            for i in range(j + 1, N + 1):
-                bumped[i] = bumped[i] + _random_element(rng, ring, bring)
-            Bp = TruncatedSeries(ring, tuple(bumped))
-            good += power(A, m).truncate(j) == power(Bp, m).truncate(j)
-        report.degrees.append(DegreeCheck(
-            idx, label, f"{good}/{trials} trials", good == trials,
-            (time.perf_counter() - t0) * 1000))
+    for label, law in laws:
+        _tally(report, label, "trials",
+               (law(_random_series(rng, ring, bring, N),
+                    _random_series(rng, ring, bring, N),
+                    _random_element(rng, ring, bring),
+                    _random_element(rng, ring, bring))
+                for _ in range(trials)))
     return report
 
 
@@ -228,56 +238,39 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
         "props12", {"trials": trials, "N": N, "seed": seed,
                     "ring": f"A({bring.group.label})[L^Q]"})
 
-    t0 = time.perf_counter()
-    good = 0
     svals = (Fraction(1, 2), Fraction(1), Fraction(2))
-    for i in range(trials):
-        s = svals[i % len(svals)]
-        A = _random_series(rng, ring, bring, N)
-        m = _random_element(rng, ring, bring)
-        good += power_L(A.substitute(L(bring, s), 1), m) == \
+
+    def draws():
+        for _ in range(trials):
+            yield (_random_series(rng, ring, bring, N),
+                   _random_element(rng, ring, bring))
+
+    _tally(report, "(A(L^s t))^m = (A(t))^m | t->L^s t", "trials",
+           (power_L(A.substitute(L(bring, s), 1), m) ==
             power_L(A, m).substitute(L(bring, s), 1)
-    report.degrees.append(DegreeCheck(
-        1, "(A(L^s t))^m = (A(t))^m | t->L^s t", f"{good}/{trials} trials",
-        good == trials, (time.perf_counter() - t0) * 1000))
-
-    t0 = time.perf_counter()
-    good = total = 0
-    for i in range(bring.n):
-        for s in svals:
-            b = embed(bring.basis(i))
-            total += 1
-            good += zeta_L(L(bring, s) * b, N) == \
-                zeta_L(b, N).substitute(L(bring, s), 1)
-    report.degrees.append(DegreeCheck(
-        2, "zeta_{L^s b}(t) = zeta_b(L^s t)", f"{good}/{total} generators",
-        good == total, (time.perf_counter() - t0) * 1000))
-
-    t0 = time.perf_counter()
-    good = 0
-    for _ in range(trials):
-        A = _random_series(rng, ring, bring, N)
-        m = _random_element(rng, ring, bring)
-        good += power_L(A, m).map_coeffs(plain, specialize_L) == \
+            for s, (A, m) in zip(itertools.cycle(svals), draws())))
+    _tally(report, "zeta_{L^s b}(t) = zeta_b(L^s t)", "generators",
+           (zeta_L(L(bring, s) * b, N) ==
+            zeta_L(b, N).substitute(L(bring, s), 1)
+            for b in map(embed, map(bring.basis, range(bring.n)))
+            for s in svals))
+    _tally(report, "L -> 1 commutes with the power", "trials",
+           (power_L(A, m).map_coeffs(plain, specialize_L) ==
             power(A.map_coeffs(plain, specialize_L), specialize_L(m))
-    report.degrees.append(DegreeCheck(
-        3, "L -> 1 commutes with the power", f"{good}/{trials} trials",
-        good == trials, (time.perf_counter() - t0) * 1000))
+            for A, m in draws()))
 
-    t0 = time.perf_counter()
-    good = total = 0
-    for k in (1, 2):
-        w = tuple(weights)[:k] if weights else None
-        for _ in range(max(1, trials // 10)):
-            m = bring.element([rng.randint(-2, 2) for _ in range(bring.n)])
-            t2 = rhs_theorem2(embed(m), k, 0, w, N)
-            t1 = rhs_theorem1(m, k, N)
-            total += 1
-            good += all(specialize_L(c) == e and
-                        all(e == 0 for e, _ in c.pairs)
-                        for c, e in zip(t2.coeffs, t1.coeffs))
-    report.degrees.append(DegreeCheck(
-        4, "d=0 L-weighted product = plain product", f"{good}/{total} cases",
-        good == total, (time.perf_counter() - t0) * 1000))
+    def degenerations():
+        for k in (1, 2):
+            w = tuple(weights)[:k] if weights else None
+            for _ in range(max(1, trials // 10)):
+                m = bring.element([rng.randint(-2, 2) for _ in range(bring.n)])
+                t2 = rhs_theorem2(embed(m), k, 0, w, N)
+                yield all(specialize_L(c) == e and
+                          all(e == 0 for e, _ in c.pairs)
+                          for c, e in zip(t2.coeffs,
+                                          rhs_theorem1(m, k, N).coeffs))
+
+    _tally(report, "d=0 L-weighted product = plain product", "cases",
+           degenerations())
     return report
 

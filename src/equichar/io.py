@@ -11,8 +11,9 @@ Schemas:
               "strata": [{"tuple": [...], "class": <L-element>,
                           "shift": "1/2"}]}
 
-Rationals travel as strings ("1/2") or integers.  All loaders raise
-UsageError with the offending file path in the message.
+Rationals travel as strings ("1/2") or integers.  Loaders take decoded
+JSON and name no file: `read` opens an input file and names it once in any
+UsageError or ResourceLimitError raised while it is loaded or parsed.
 """
 
 from __future__ import annotations
@@ -22,11 +23,20 @@ from fractions import Fraction
 
 from .burnside import BurnsideElement, BurnsideRing, burnside_ring
 from .cells import CellSpace
-from .errors import ResourceLimitError, UsageError
-from .groups import FiniteGroup, is_int_lists, make_group
+from .errors import InvariantViolation, ResourceLimitError, UsageError
+from .groups import is_int_lists, make_group
 from .gsets import BiSet
 from .motivic import LExtElement, OrbifoldDatum, lext
 from .powerstruct import TruncatedSeries
+
+
+def read(path: str, parse):
+    """parse(load_json(path)), with the path prefixed once to any usage
+    or budget error raised while loading or parsing."""
+    try:
+        return parse(load_json(path))
+    except (UsageError, ResourceLimitError) as e:
+        raise UsageError(f"{path}: {e}") from e
 
 
 def load_json(path: str):
@@ -34,18 +44,20 @@ def load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise UsageError(f"{path}: no such file")
-    except json.JSONDecodeError as e:
-        raise UsageError(f"{path}: malformed JSON: {e}")
+        raise UsageError("no such file")
+    except OSError as e:
+        raise UsageError(f"cannot read: {e.strerror}")
+    except (ValueError, RecursionError) as e:  # also undecodable or deep
+        raise UsageError(f"malformed JSON: {e}")
 
 
-def _field(obj, name, path):
+def _field(obj, name):
     if not isinstance(obj, dict) or name not in obj:
-        raise UsageError(f"{path}: missing field {name!r}")
+        raise UsageError(f"missing field {name!r}")
     return obj[name]
 
 
-def parse_fraction(v, path) -> Fraction:
+def parse_fraction(v) -> Fraction:
     try:
         if isinstance(v, bool):
             raise ValueError
@@ -53,7 +65,7 @@ def parse_fraction(v, path) -> Fraction:
             return Fraction(v)
     except (ValueError, ZeroDivisionError):
         pass
-    raise UsageError(f"{path}: bad rational {v!r}")
+    raise UsageError(f"bad rational {v!r}")
 
 
 def format_fraction(q: Fraction):
@@ -62,49 +74,41 @@ def format_fraction(q: Fraction):
 
 # -- groups and spaces -------------------------------------------------------
 
-def group_from_json(obj, path) -> FiniteGroup:
-    try:
-        return make_group(obj)
-    except (UsageError, ResourceLimitError) as e:
-        raise UsageError(f"{path}: {e}")
-
-
-def biset_from_json(obj, path) -> BiSet:
-    size = _field(obj, "size", path)
-    gO = group_from_json(_field(obj, "gO", path), path)
-    gB = group_from_json(_field(obj, "gB", path), path)
-    actO = _field(obj, "actO", path)
-    actB = _field(obj, "actB", path)
+def biset_from_json(obj) -> BiSet:
+    size = _field(obj, "size")
+    gO = make_group(_field(obj, "gO"))
+    gB = make_group(_field(obj, "gB"))
+    actO = _field(obj, "actO")
+    actB = _field(obj, "actB")
     if not (is_int_lists(actO) and is_int_lists(actB)):
-        raise UsageError(f"{path}: actO and actB must be lists of "
-                         f"integer lists")
+        raise UsageError("actO and actB must be lists of integer lists")
     try:
         X = BiSet(size, gO, gB, actO, actB)
         X.validate()
-    except Exception as e:
-        raise UsageError(f"{path}: bad biset: {e}")
+    except (UsageError, InvariantViolation) as e:
+        raise UsageError(f"bad biset: {e}")
     return X
 
 
-def cellspace_from_json(obj, path) -> CellSpace:
-    raw = _field(obj, "cells", path)
+def cellspace_from_json(obj) -> CellSpace:
+    raw = _field(obj, "cells")
     if not isinstance(raw, list):
-        raise UsageError(f"{path}: \"cells\" must be a list")
+        raise UsageError("\"cells\" must be a list")
     cells = []
     for cell in raw:
-        dim = _field(cell, "dim", path)
-        cells.append((dim, biset_from_json(_field(cell, "biset", path), path)))
+        dim = _field(cell, "dim")
+        cells.append((dim, biset_from_json(_field(cell, "biset"))))
     try:
         return CellSpace(tuple(cells))
-    except Exception as e:
-        raise UsageError(f"{path}: bad cell space: {e}")
+    except UsageError as e:
+        raise UsageError(f"bad cell space: {e}")
 
 
-def space_from_json(obj, path):
+def space_from_json(obj):
     """A biset or, when the object has a "cells" key, a cell space."""
     if isinstance(obj, dict) and "cells" in obj:
-        return cellspace_from_json(obj, path)
-    return biset_from_json(obj, path)
+        return cellspace_from_json(obj)
+    return biset_from_json(obj)
 
 
 # -- ring elements -----------------------------------------------------------
@@ -115,11 +119,11 @@ def burnside_to_json(x: BurnsideElement) -> dict:
             "coeffs": list(x.coeffs)}
 
 
-def burnside_from_json(obj, ring: BurnsideRing, path) -> BurnsideElement:
-    coeffs = _field(obj, "coeffs", path)
+def burnside_from_json(obj, ring: BurnsideRing) -> BurnsideElement:
+    coeffs = _field(obj, "coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != ring.n or \
             not all(type(c) is int for c in coeffs):
-        raise UsageError(f"{path}: need {ring.n} integer coefficients")
+        raise UsageError(f"need {ring.n} integer coefficients")
     return ring.element(coeffs)
 
 
@@ -129,44 +133,41 @@ def lext_to_json(a: LExtElement) -> dict:
                       for q, c in a.terms]}
 
 
-def lext_from_json(obj, ring: BurnsideRing, path) -> LExtElement:
-    terms = _field(obj, "terms", path)
+def lext_from_json(obj, ring: BurnsideRing) -> LExtElement:
+    terms = _field(obj, "terms")
     if not isinstance(terms, list):
-        raise UsageError(f"{path}: \"terms\" must be a list")
+        raise UsageError("\"terms\" must be a list")
     pairs = []
     for term in terms:
-        q = parse_fraction(_field(term, "exp", path), path)
-        pairs.append((q, burnside_from_json(term, ring, path)))
+        q = parse_fraction(_field(term, "exp"))
+        pairs.append((q, burnside_from_json(term, ring)))
     el = lext(ring, pairs)
     if "D" in obj and (type(obj["D"]) is not int or obj["D"] != el.D):
-        raise UsageError(f"{path}: \"D\" must be {el.D}, not {obj['D']!r}")
+        raise UsageError(f"\"D\" must be {el.D}, not {obj['D']!r}")
     return el
 
 
-def datum_from_json(obj, path) -> OrbifoldDatum:
-    gO = group_from_json(_field(obj, "gO", path), path)
-    gB = group_from_json(_field(obj, "gB", path), path)
+def datum_from_json(obj) -> OrbifoldDatum:
+    gO = make_group(_field(obj, "gO"))
+    gB = make_group(_field(obj, "gB"))
     bring = burnside_ring(gB)
-    k = _field(obj, "k", path)
+    k = _field(obj, "k")
     if isinstance(k, bool) or not isinstance(k, int):
-        raise UsageError(f"{path}: \"k\" must be an integer")
-    weights = _field(obj, "weights", path)
-    raw_strata = _field(obj, "strata", path)
+        raise UsageError("\"k\" must be an integer")
+    weights = _field(obj, "weights")
+    raw_strata = _field(obj, "strata")
     if not isinstance(weights, list) or not isinstance(raw_strata, list):
-        raise UsageError(f"{path}: \"weights\" and \"strata\" must be lists")
-    weights = tuple(parse_fraction(w, path) for w in weights)
+        raise UsageError("\"weights\" and \"strata\" must be lists")
+    weights = tuple(parse_fraction(w) for w in weights)
     strata = []
     for s in raw_strata:
-        tup = _field(s, "tuple", path)
+        tup = _field(s, "tuple")
         if not isinstance(tup, list):
-            raise UsageError(f"{path}: a stratum's \"tuple\" must be a list")
-        cls = lext_from_json(_field(s, "class", path), bring, path)
-        shift = parse_fraction(s.get("shift", 0), path)
+            raise UsageError("a stratum's \"tuple\" must be a list")
+        cls = lext_from_json(_field(s, "class"), bring)
+        shift = parse_fraction(s.get("shift", 0))
         strata.append((tup, cls, shift))
-    try:
-        return OrbifoldDatum(gO, bring, k, weights, tuple(strata))
-    except UsageError as e:
-        raise UsageError(f"{path}: {e}")
+    return OrbifoldDatum(gO, bring, k, weights, tuple(strata))
 
 
 # -- series ------------------------------------------------------------------

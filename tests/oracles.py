@@ -7,7 +7,8 @@ common denominator; the references here merge them on `Fraction` keys.
 The package multiplies series one mark column at a time; `ElementSeries`
 is the element-wise engine it replaced, which multiplies the coefficients
 with their own + - *.  `validate_group` checks the group axioms on a flat
-Cayley table, which the package never builds.  `wreath_power_images`
+Cayley table, which the package never builds, and `validate_subgroup`
+checks a subgroup's closure by all |H|² products.  `wreath_power_images`
 applies the wreath action to one encoded n-tuple at a time, where the
 package builds each generator's images as digit sums."""
 
@@ -233,6 +234,22 @@ def validate_group(G, samples=100_000, exhaustive_limit=256, seed=0):
             if G.mul(G.mul(a, b), c) != G.mul(a, G.mul(b, c)):
                 raise InvariantViolation(f"associativity fails at {(a, b, c)}")
     G._word_table()  # raises if generators do not generate
+
+
+def validate_subgroup(H):
+    """H's elements contain the identity and are closed under inverses and
+    products, and its stored generators generate exactly them."""
+    G, s = H.parent, set(H.elements)
+    if G.identity not in s:
+        raise InvariantViolation("subgroup lacks identity")
+    for a in H.elements:
+        if G.inv(a) not in s:
+            raise InvariantViolation("subgroup not closed under inverse")
+        for b in H.elements:
+            if G.mul(a, b) not in s:
+                raise InvariantViolation("subgroup not closed under product")
+    if closure(G, H.generators) != H.elements:
+        raise InvariantViolation("stored generators do not generate subgroup")
 
 
 # ---------------------------------------------------------------------------

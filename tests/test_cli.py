@@ -290,6 +290,21 @@ def test_usage_errors_exit_1(capsys, tmp_path, s3_point):
     assert code == 1 and "malformed JSON" in err
 
 
+def test_unreadable_input_exits_1(capsys, tmp_path):
+    """A directory, bytes that are not UTF-8 text, or arrays nested past
+    the interpreter's recursion limit exit 1 with one error line naming
+    the path, not a traceback."""
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path, why in ((tmp_path, "cannot read"), (raw, "malformed JSON"),
+                      (deep, "malformed JSON")):
+        code, out, err = run(capsys, "chi", "--input", str(path))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: {why}")
+
+
 def test_chi_has_no_cross_check_flag(capsys, s3_point):
     """chi has no second route to check against, so the flag is refused
     rather than ignored; the verbs that have one still take it."""
@@ -304,6 +319,65 @@ def test_budget_violation_exits_1(capsys, z2_reg):
     code, _, err = run(capsys, "verify", "theorem1", "--input", z2_reg,
                        "--k", "1", "--N", "6", "--max-wreath", "100")
     assert code == 1 and "exceeds budget" in err
+
+
+def test_theorem1_point_budget_names_degree(capsys, files):
+    """C3 on 3 points has 243 points at degree 5: --max-points 100 stops
+    the run up front and says at which degree."""
+    x = files("c3.json", {"size": 3, "gO": {"type": "cyclic", "n": 3},
+                          "gB": TRIV, "actO": [[1, 2, 0]], "actB": []})
+    code, out, err = run(capsys, "verify", "theorem1", "--input", x,
+                         "--k", "1", "--N", "5", "--max-points", "100")
+    assert code == 1 and out == ""
+    assert err == ("error: wreath power points at degree 5 "
+                   "(size 243 exceeds budget 100)\n")
+
+
+C2000 = {"type": "cyclic", "n": 2000}   # over the subgroup-lattice budget
+INPUT_ERRORS = [
+    (("group", "show"), {"type": "cyclic", "n": "2"}),
+    (("chi-k", "--k", "1"), {"size": 2, "gO": Z2, "gB": TRIV,
+                             "actO": [[1, 0]]}),
+    (("power", "--N", "2"), {"ring": "int", "series": [1, "2"],
+                             "exponent": 1}),
+    (("power", "--N", "2"), {"ring": {"burnside": C2000},
+                             "series": [{"coeffs": [1]}],
+                             "exponent": {"coeffs": [1]}}),
+    (("zeta", "--N", "2"), {"group": Z2, "index": 2}),
+    (("zeta", "--N", "2"), {"group": C2000, "index": 0}),
+    (("orbifold-class",), {"gO": S3, "gB": Z2, "k": "1", "weights": [],
+                           "strata": []}),
+    (("orbifold-class",), {"gO": TRIV, "gB": C2000, "k": 1,
+                           "weights": [1], "strata": []}),
+    (("verify", "theorem1", "--k", "1", "--N", "2"),
+     {"size": 2, "gO": Z2, "gB": TRIV, "actO": [[0, 0]], "actB": []}),
+]
+
+
+@pytest.mark.parametrize("argv, obj", INPUT_ERRORS, ids=[
+    "group-field", "chi-k-field", "power-field", "power-ring-budget",
+    "zeta-field", "zeta-ring-budget", "orbifold-class-field",
+    "orbifold-class-ring-budget", "theorem1-field"])
+def test_input_errors_name_the_file_once(capsys, files, argv, obj):
+    """An error raised while an input file is read, budget errors of the
+    rings it names included, is one line that names the file once."""
+    path = files("in.json", obj)
+    code, out, err = run(capsys, *argv, "--input", path)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert err.count(path) == 1
+
+
+def test_flag_errors_do_not_name_the_file(capsys, files):
+    """Flags are checked before the input is read, and say which flag."""
+    path = files("in.json", {"ring": "int", "series": [1], "exponent": 1})
+    code, out, err = run(capsys, "power", "--N", "-1", "--input", path)
+    assert code == 1 and out == ""
+    assert err == "error: truncation must be >= 0, got -1\n"
+    code, out, err = run(capsys, "verify", "props12", "--trials", "1",
+                         "--weights", "1,x")
+    assert code == 1 and out == ""
+    assert err == "error: --weights: bad rational 'x'\n"
 
 
 @pytest.mark.parametrize("argv, obj", [

@@ -34,7 +34,8 @@ from equichar.groups import (
 import equichar.groups as groups_mod
 from oracles import (commuting_tuple_classes_naive, commuting_tuples_naive,
                      element_order, subgroup_from_generators,
-                     subgroups_up_to_conjugacy, validate_group)
+                     subgroups_up_to_conjugacy, validate_group,
+                     validate_subgroup)
 
 SMALL_DESCRIPTORS = [
     {"type": "trivial"},
@@ -370,7 +371,7 @@ def test_tuple_class_budget(monkeypatch):
 def test_subgroup_validate():
     s3 = symmetric(3)
     h = subgroup_from_generators(s3, (3,))
-    h.validate()
+    validate_subgroup(h)
 
 
 def test_wreath_s3_s4_classes_and_oracle():

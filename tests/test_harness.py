@@ -109,3 +109,42 @@ def test_negative_arguments_rejected():
         harness.verify_theorem1(reg_b(2), -1, 3)
     with pytest.raises(UsageError):
         harness.verify_lemma1(reg_b(2), -2)
+
+
+def reg_o(n):
+    """Regular O-side action of Z/n, trivial B side."""
+    G = cyclic(n)
+    perms = [tuple(G.mul(g, x) for x in range(n)) for g in G.generators]
+    return BiSet(n, G, trivial_group(), actO=perms, actB=[])
+
+
+def test_theorem1_point_budget_checked_before_any_work(monkeypatch):
+    """C3 on 3 points has 3^5 = 243 points at degree 5: a budget of 100
+    stops the run before the first characteristic is computed, and the
+    error names the degree."""
+    calls = []
+    monkeypatch.setattr(harness, "chi_k_equivariant",
+                        lambda *a, **kw: calls.append(a))
+    with pytest.raises(ResourceLimitError,
+                       match="wreath power points at degree 5") as e:
+        harness.verify_theorem1(reg_o(3), 1, 5, max_points=100)
+    assert (e.value.size, e.value.budget) == (243, 100)
+    assert calls == []
+
+
+def test_theorem1_cross_check_skips_oracle_above_limit(monkeypatch):
+    """Above ORACLE_GROUP_LIMIT the tuple oracle is skipped, not refused:
+    for C3 on 3 points at N = 4 it runs on the exponent's group and the
+    wreath groups of degrees 0-3, but not on C3≀S4 (order 1944)."""
+    from equichar import euler
+    orders = []
+    oracle = euler.chi_k_equivariant_tuples
+
+    def spy(X, k):
+        orders.append(X.gO.order)
+        return oracle(X, k)
+    monkeypatch.setattr(euler, "chi_k_equivariant_tuples", spy)
+    report = harness.verify_theorem1(reg_o(3), 1, 4, cross_check=True)
+    assert report.passed and len(report.degrees) == 5
+    assert orders == [3, 1, 3, 18, 162]
+    assert 3 ** 4 * 24 > euler.ORACLE_GROUP_LIMIT
