@@ -266,12 +266,18 @@ def _parse_weights(raw):
         raise UsageError(f"--weights: {e}") from e
 
 
+def _finite_set(obj, identity: str):
+    """A biset input; a cell space is refused as input to the identity."""
+    X = io.space_from_json(obj)
+    if isinstance(X, CellSpace):
+        raise UsageError(f"{identity} verification needs a finite set, "
+                         f"not a cell space")
+    return X
+
+
 def _cmd_verify(args) -> int:
     if args.identity in ("theorem1", "lemma1"):
-        X = _load_space(args)
-        if isinstance(X, CellSpace):
-            raise UsageError(f"{args.identity} verification needs a finite "
-                             f"set, not a cell space")
+        X = io.read(args.input, partial(_finite_set, identity=args.identity))
     if args.identity == "theorem1":
         report = harness.verify_theorem1(
             X, args.k, args.N, max_wreath=args.max_wreath,

@@ -3,19 +3,21 @@
 Groups are built structurally (cyclic, symmetric, dihedral, product, wreath,
 permutation closure).  A wreath product within WREATH_TABLE_BUDGET multiplies
 by lookups in three factor tables built with it; other products stay
-structural, and nothing here makes a flat Cayley table.  Conjugacy
-classes and centralizers come from one walk of an element's conjugation
-orbit under the generators: a class is the orbit, and a centralizer is its
-stabilizer, rebuilt from Schreier generators over the orbit's witnesses.
-No element scan tests commutation.  A commuting k-tuple is a plain tuple of
-element indices; its classes recurse over classes and centralizers, so
-every representative they return commutes by construction.
+structural.  Conjugacy classes and centralizers come from one walk of an
+element's conjugation orbit under the generators: a class is the orbit,
+and a centralizer is its stabilizer, rebuilt from Schreier generators over
+the orbit's witnesses.  No element scan tests commutation.  A commuting
+k-tuple is a plain tuple of element indices; its classes recurse over
+classes and centralizers, so every representative they return commutes
+by construction.
 
 Subgroups grow by Dimino's coset extension: <H, g> is H's element list
 followed by whole right cosets H·x, one product per new element.  The
 subgroup lattice is searched over conjugacy-class representatives only:
 each representative is extended by every cyclic generator outside it, and
 a subgroup not met before has its whole conjugacy class indexed at once.
+Only the lattice builds a flat Cayley table, of at most 1024² cells under
+SUBGROUP_BUDGET, and it drops the table when it returns.
 
 Budgets are module constants, read when the guarded work starts.
 """
@@ -54,10 +56,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         raise NotImplementedError
-
-    def conj(self, x: int, g: int) -> int:
-        """g^-1 x g."""
-        return self.mul(self.mul(self.inv(g), x), g)
 
     def elements(self) -> range:
         return range(self.order)
@@ -512,13 +510,14 @@ def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
     elements: list[int] = [G.identity]
     done: list[int] = []
     for g in gens:
-        elements = extend_subgroup(G, elements, done, g)
+        elements = extend_subgroup(G.mul, elements, done, g)
         done.append(g)
     return tuple(sorted(elements))
 
 
-def extend_subgroup(G: FiniteGroup, elements, gens, g: int) -> list[int]:
-    """Elements of <H, g>, where H = <gens> has the given element list.
+def extend_subgroup(mul, elements, gens, g: int) -> list[int]:
+    """Elements of <H, g>, where H = <gens> has the given element list and
+    mul is the group's product (G.mul, or lookups in its table).
 
     Dimino's right-coset extension: the result lists H's elements first and
     then whole cosets H·x.  A coset representative x times a generator s
@@ -534,7 +533,7 @@ def extend_subgroup(G: FiniteGroup, elements, gens, g: int) -> list[int]:
     out = list(base)
 
     def add_coset(y: int) -> None:
-        coset = [G.mul(h, y) for h in base]
+        coset = [mul(h, y) for h in base]
         seen.update(coset)
         out.extend(coset)
 
@@ -543,7 +542,7 @@ def extend_subgroup(G: FiniteGroup, elements, gens, g: int) -> list[int]:
     while pos < len(out):
         x = out[pos]  # stands for its coset, as H·x·s = H·(xs)
         for s in gens:
-            xs = G.mul(x, s)
+            xs = mul(x, s)
             if xs not in seen:
                 add_coset(xs)
         pos += len(base)
@@ -558,18 +557,18 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
     return h
 
 
-def _reduce_generators(G: FiniteGroup, candidates, target: int
+def _reduce_generators(mul, candidates, target: int
                        ) -> tuple[list[int], tuple[int, ...]]:
-    """Elements and generators of the subgroup grown from the candidates,
-    stopping once it has target elements; each kept generator at least
-    doubles the closure, so at most log2(target) survive."""
+    """Elements and generators of the subgroup grown from the candidates
+    under the product mul, stopping once it has target elements; each kept
+    generator at least doubles the closure, so at most log2(target) survive."""
     small: list[int] = []
-    current = [G.identity]
-    members = {G.identity}
+    current = [0]
+    members = {0}
     for c in candidates:
         if c in members:
             continue
-        current = extend_subgroup(G, current, small, c)
+        current = extend_subgroup(mul, current, small, c)
         members.update(current)
         small.append(c)
         if len(current) == target:
@@ -652,7 +651,7 @@ def centralizer_in(H: Subgroup, g: int) -> Subgroup:
         # u·s carries g to s^-1 x s, as does that point's witness
         schreier = (G.mul(G.mul(u, s), G.inv(orbit[G.mul(G.mul(si, x), s)]))
                     for x, u in orbit.items() for s, si in gens)
-        elems, small = _reduce_generators(G, schreier, target)
+        elems, small = _reduce_generators(G.mul, schreier, target)
         if len(elems) != target:
             raise InvariantViolation(
                 "Schreier generators failed to reach stabilizer")
@@ -722,8 +721,10 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     cached = G._cache.get("lattice")
     if cached is not None:
         return cached
+    rows = _table_rows(G)  # every product below is a lookup in it
+    mul = lambda a, b: rows[a][b]
     # x -> s^-1 x s for each generator s: conjugating a subgroup is lookups
-    conj = [tuple(G.conj(x, s) for x in G.elements()) for s in G.generators]
+    conj = [[rows[y][s] for y in rows[G.inv(s)]] for s in G.generators]
     class_index: dict[frozenset[int], int] = {}
     orbits: list[list[frozenset[int]]] = []
     queue: list[tuple[list[int], tuple[int, ...]]] = []
@@ -748,20 +749,20 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     # every K > 1 is <M, g> for a maximal M < K and any g in K \ M; with
     # M = R^x for a queued representative R, K^(x^-1) = <R, x g x^-1>, so
     # extending the representatives by cyclic generators reaches each class
-    found([G.identity], ())
-    cyclic_gens = _cyclic_generators(G)
+    found([0], ())
+    cyclic_gens = _cyclic_generators(rows)
     for elements, gens in queue:  # grows as classes are found
         members = set(elements)
         for g in cyclic_gens:
             if g not in members:
-                found(extend_subgroup(G, elements, gens, g), gens + (g,))
+                found(extend_subgroup(mul, elements, gens, g), gens + (g,))
     # canonical order: (order, lexicographically least conjugate), reindexed
     canon = [min(tuple(sorted(m)) for m in orbit) for orbit in orbits]
     order = sorted(range(len(orbits)),
                    key=lambda i: (len(canon[i]), canon[i]))
     remap = {old: new for new, old in enumerate(order)}
     reps = tuple(Subgroup(G, canon[i],
-                          _reduce_generators(G, canon[i], len(canon[i]))[1])
+                          _reduce_generators(mul, canon[i], len(canon[i]))[1])
                  for i in order)
     lat = SubgroupLattice(G, reps,
                           {fs: remap[i] for fs, i in class_index.items()})
@@ -769,18 +770,35 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     return lat
 
 
-def _cyclic_generators(G: FiniteGroup) -> list[int]:
+def _table_rows(G: FiniteGroup) -> list[list[int]]:
+    """rows[a][b] = a·b.  A generator's row takes |G| products; every other
+    row is read off its parent's in the breadth-first word tree, through
+    the generator's row, as (x·s)·b = x·(s·b)."""
+    gen_rows = [[G.mul(s, b) for b in G.elements()] for s in G.generators]
+    rows = [list(G.elements())] + [None] * (G.order - 1)
+    queue = [0]
+    for x in queue:  # grows breadth-first, as _word_table's frontiers do
+        row = rows[x]
+        for s, srow in zip(G.generators, gen_rows):
+            y = row[s]
+            if rows[y] is None:
+                rows[y] = [row[c] for c in srow]
+                queue.append(y)
+    return rows
+
+
+def _cyclic_generators(rows: list[list[int]]) -> list[int]:
     """The least generator of every cyclic subgroup, in increasing order."""
     out: list[int] = []
     generating: set[int] = set()
-    for g in G.elements():
+    for g in range(len(rows)):
         if g in generating:  # its cyclic subgroup has a smaller generator
             continue
-        powers = [G.identity]
+        powers = [0]
         x = g
-        while x != G.identity:
+        while x != 0:
             powers.append(x)
-            x = G.mul(x, g)
+            x = rows[x][g]
         n = len(powers)
         generating.update(powers[k] for k in range(1, n)
                           if math.gcd(k, n) == 1)

@@ -7,10 +7,12 @@ common denominator; the references here merge them on `Fraction` keys.
 The package multiplies series one mark column at a time; `ElementSeries`
 is the element-wise engine it replaced, which multiplies the coefficients
 with their own + - *.  `validate_group` checks the group axioms on a flat
-Cayley table, which the package never builds, and `validate_subgroup`
-checks a subgroup's closure by all |H|² products.  `wreath_power_images`
-applies the wreath action to one encoded n-tuple at a time, where the
-package builds each generator's images as digit sums."""
+Cayley table of G.mul products (the package builds such a table only for
+a subgroup lattice, and there row from row, relying on the associativity
+checked here), and `validate_subgroup` checks a subgroup's closure by all
+|H|² products.  `wreath_power_images` applies the wreath action to one
+encoded n-tuple at a time, where the package builds each generator's
+images as digit sums."""
 
 import itertools
 import random
@@ -255,6 +257,11 @@ def validate_subgroup(H):
 # ---------------------------------------------------------------------------
 # commuting tuples by brute force
 
+def conj(G, x, g):
+    """g^-1 x g, from G's own products."""
+    return G.mul(G.mul(G.inv(g), x), g)
+
+
 def commuting_tuples_naive(G, k, budget=2_000_000):
     """All commuting k-tuples by brute force (test oracle for small groups)."""
     out = []
@@ -289,7 +296,7 @@ def commuting_tuple_classes_naive(G, k):
 
     for t, i in index.items():
         for g in G.elements():
-            u = tuple(G.conj(x, g) for x in t)
+            u = tuple(conj(G, x, g) for x in t)
             j = find(index[u])
             ri = find(i)
             if ri != j:
@@ -310,7 +317,7 @@ def subgroups_up_to_conjugacy(G):
 def subgroup_from_generators(G, gens):
     """Closure plus greedy reduction to a small generating set."""
     elems = closure(G, gens)
-    _, small = _reduce_generators(G, gens, len(elems))
+    _, small = _reduce_generators(G.mul, gens, len(elems))
     return Subgroup(G, elems, small)
 
 

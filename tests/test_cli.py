@@ -99,6 +99,20 @@ def test_chi_on_cellspace(capsys, files):
     assert run(capsys, "chi", "--input", p)[:2] == (0, "0\n")
 
 
+@pytest.mark.parametrize("identity", ["theorem1", "lemma1"])
+def test_verify_refuses_cellspace_naming_file(capsys, files, identity):
+    """A cell space is no input for the brute-force identities: one error
+    line names the file, and no traceback."""
+    flip = {"size": 2, "gO": Z2, "gB": TRIV, "actO": [[1, 0]], "actB": []}
+    p = files("cs.json", {"cells": [{"dim": 0, "biset": flip}]})
+    k = ("--k", "1") if identity == "theorem1" else ()
+    code, out, err = run(capsys, "verify", identity, "--input", p,
+                         "--N", "1", *k)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err == (f"error: {p}: {identity} verification needs a finite "
+                   f"set, not a cell space\n")
+
+
 def test_power_int(capsys, files):
     p = files("p.json", {"ring": "int", "series": [1, 1], "exponent": -1})
     code, out, _ = run(capsys, "power", "--input", p, "--N", "4")

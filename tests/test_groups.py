@@ -33,7 +33,7 @@ from equichar.groups import (
 )
 import equichar.groups as groups_mod
 from oracles import (commuting_tuple_classes_naive, commuting_tuples_naive,
-                     element_order, subgroup_from_generators,
+                     conj, element_order, subgroup_from_generators,
                      subgroups_up_to_conjugacy, validate_group,
                      validate_subgroup)
 
@@ -135,7 +135,7 @@ def test_wreath_semidirect_structure():
         if r != 0:
             continue
         for g in range(w.order):
-            _, rr = w.decode(w.conj(x, g))
+            _, rr = w.decode(conj(w, x, g))
             assert rr == 0
 
 
@@ -201,7 +201,7 @@ def test_conjugacy_classes_partition(desc):
         s = set(c)
         for x in c:
             for h in range(g.order):
-                assert g.conj(x, h) in s
+                assert conj(g, x, h) in s
 
 
 @given(st.integers(min_value=1, max_value=12))
@@ -306,7 +306,7 @@ def test_commuting_tuple_classes_match_naive(desc, k):
     # representatives lie in matching orbits: conjugate each fast rep to a naive rep
     naive_reps = {t for t, _ in naive}
     for tup, _ in fast:
-        orbit = {tuple(g.conj(x, h) for x in tup)
+        orbit = {tuple(conj(g, x, h) for x in tup)
                  for h in range(g.order)}
         assert orbit & naive_reps
 
@@ -342,9 +342,67 @@ def test_subgroup_lattice_canonical_order_and_index():
 
 
 def test_subgroup_budget(monkeypatch):
+    """The refusal names the limit and comes before any product or table
+    row; within the limit the lattice's only products are the generator
+    rows of its table."""
     monkeypatch.setattr(groups_mod, "SUBGROUP_BUDGET", 32)
-    with pytest.raises(ResourceLimitError):
-        subgroup_lattice(wreath(symmetric(3), 2))
+    G = WreathGroup(symmetric(3), 2)  # a fresh instance: no lattice cached
+    calls = []
+
+    def counted(a, b, mul=G.mul):
+        calls.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(G, "mul", counted, raising=False)
+    with pytest.raises(ResourceLimitError, match="subgroup enumeration") as e:
+        subgroup_lattice(G)
+    assert e.value.budget == 32 and e.value.size == 72
+    assert "exceeds budget 32" in str(e.value)
+    assert calls == []
+    monkeypatch.setattr(groups_mod, "SUBGROUP_BUDGET", 72)
+    subgroup_lattice(G)
+    assert len(calls) == len(G.generators) * G.order
+
+
+TABLE_FAMILIES = [
+    lambda: cyclic(6),
+    lambda: dihedral(5),
+    lambda: make_group({"type": "product", "factors": [
+        {"type": "cyclic", "n": 2}, {"type": "symmetric", "n": 3}]}),
+    lambda: make_group({"type": "perm", "degree": 5,
+                        "generators": [[1, 2, 3, 4, 0], [4, 3, 2, 1, 0]]}),
+    lambda: WreathGroup(symmetric(3), 2),
+]
+
+
+@pytest.mark.parametrize("build", TABLE_FAMILIES,
+                         ids=["cyclic", "dihedral", "product", "perm",
+                              "wreath-tables"])
+def test_table_rows_match_mul(build):
+    """Rows built from their parents' rows rely on associativity; every
+    cell must still be the group's own product."""
+    G = build()
+    rows = groups_mod._table_rows(G)
+    assert rows == [[G.mul(a, b) for b in G.elements()]
+                    for a in G.elements()]
+
+
+def test_table_rows_match_structural_wreath_mul(monkeypatch):
+    monkeypatch.setattr(groups_mod, "WREATH_TABLE_BUDGET", 0)
+    G = WreathGroup(cyclic(3), 2)
+    assert G._tables is None
+    rows = groups_mod._table_rows(G)
+    assert rows == [[G.mul(a, b) for b in G.elements()]
+                    for a in G.elements()]
+
+
+@pytest.mark.parametrize("n, classes, subgroups",
+                         [(4, 11, 30), (5, 19, 156), (6, 56, 1455)])
+def test_symmetric_lattice_counts(n, classes, subgroups):
+    """Conjugacy classes of subgroups and all subgroups of S_n, as listed in
+    OEIS A000638 and A005432."""
+    lat = subgroup_lattice(symmetric(n))
+    assert len(lat.classes) == classes
+    assert len(lat.class_index) == subgroups
 
 
 def test_perm_closure_budget(monkeypatch):
@@ -468,7 +526,7 @@ def test_lattice_indexes_every_conjugate(desc):
     conjugates = set()
     for i, K in enumerate(lat.classes):
         for g in G.elements():
-            c = frozenset(G.conj(x, g) for x in K.elements)
+            c = frozenset(conj(G, x, g) for x in K.elements)
             assert lat.class_index[c] == i
             conjugates.add(c)
     assert conjugates == set(lat.class_index)
@@ -483,6 +541,6 @@ def test_coset_extension_matches_bfs(desc, picks):
     assert frozenset(closure(G, gens)) == bfs_closure(G, gens)
     if gens:
         H = list(closure(G, gens[:-1]))
-        K = extend_subgroup(G, H, gens[:-1], gens[-1])
+        K = extend_subgroup(G.mul, H, gens[:-1], gens[-1])
         assert K[:len(H)] == H and len(set(K)) == len(K)
         assert frozenset(K) == bfs_closure(G, gens)
