@@ -50,7 +50,9 @@ class BurnsideRing:
         conjugates: list[list[frozenset[int]]] = [[] for _ in range(self.n)]
         for elements, i in lattice.class_index.items():
             conjugates[i].append(elements)
-        self.marks_rows = tuple(self._marks_row(i, conjugates)
+        orders = [H.order for H in lattice.classes]
+        sizes = [len(c) for c in conjugates]
+        self.marks_rows = tuple(self._marks_row(i, conjugates, orders, sizes)
                                 for i in range(self.n))
         for i, row in enumerate(self.marks_rows):
             if row[i] <= 0 or any(row[j] for j in range(i + 1, self.n)):
@@ -58,17 +60,18 @@ class BurnsideRing:
         self._products_checked = False
         self._memo: dict = {}
 
-    def _marks_row(self, i: int, conjugates) -> tuple[int, ...]:
+    def _marks_row(self, i: int, conjugates, orders, sizes
+                   ) -> tuple[int, ...]:
         """|(G/K)^H| for K the i-th class and every class H, from the
-        conjugates of H contained in K."""
-        K = self.lattice.classes[i]
-        kset = K.element_set()
+        conjugates of H contained in K; orders[j] and sizes[j] are the j-th
+        class's subgroup order and number of conjugates."""
+        kset = self.lattice.classes[i].element_set()
+        k = orders[i]
         row = []
-        for j, H in enumerate(self.lattice.classes):
-            inside = 0 if K.order % H.order else sum(
+        for j in range(self.n):
+            inside = 0 if k % orders[j] else sum(
                 1 for c in conjugates[j] if c <= kset)
-            mark, rem = divmod(self.group.order * inside,
-                               len(conjugates[j]) * K.order)
+            mark, rem = divmod(self.group.order * inside, sizes[j] * k)
             if rem:
                 raise InvariantViolation(
                     f"mark of class {j} in class {i} is not an integer")

@@ -14,8 +14,9 @@ by construction.
 Subgroups grow by Dimino's coset extension: <H, g> is H's element list
 followed by whole right cosets H·x, one product per new element.  The
 subgroup lattice is searched over conjugacy-class representatives only:
-each representative is extended by every cyclic generator outside it, and
-a subgroup not met before has its whole conjugacy class indexed at once.
+each representative R is extended by one cyclic generator g per double
+coset R·g·R outside it, and a subgroup not met before has its whole
+conjugacy class indexed at once.
 Only the lattice builds a flat Cayley table, of at most 1024² cells under
 SUBGROUP_BUDGET, and it drops the table when it returns.
 
@@ -748,14 +749,19 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
 
     # every K > 1 is <M, g> for a maximal M < K and any g in K \ M; with
     # M = R^x for a queued representative R, K^(x^-1) = <R, x g x^-1>, so
-    # extending the representatives by cyclic generators reaches each class
+    # extending the representatives by cyclic generators reaches each class;
+    # as <R, r·g·r'> = <R, g> for r, r' in R, one g per double coset R·g·R
+    # suffices, and `covered` holds R and each double coset extended so far
     found([0], ())
     cyclic_gens = _cyclic_generators(rows)
     for elements, gens in queue:  # grows as classes are found
-        members = set(elements)
+        covered = set(elements)
         for g in cyclic_gens:
-            if g not in members:
+            if g not in covered:
                 found(extend_subgroup(mul, elements, gens, g), gens + (g,))
+                gR = list(map(rows[g].__getitem__, elements))
+                for r in elements:
+                    covered.update(map(rows[r].__getitem__, gR))
     # canonical order: (order, lexicographically least conjugate), reindexed
     canon = [min(tuple(sorted(m)) for m in orbit) for orbit in orbits]
     order = sorted(range(len(orbits)),

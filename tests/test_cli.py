@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
 
@@ -641,6 +642,17 @@ def test_group_marks_golden(capsys, files, case):
     code, out, _ = run(capsys, "group", "marks", "--format", "json",
                        "--input", files("g.json", case["group"]))
     assert code == 0 and out == case["stdout"]
+
+
+def test_group_marks_c2_wreath_s4_digest(capsys, files):
+    """C2≀S4's 115 KB table of marks hashes as it did before each class
+    representative was extended once per double coset."""
+    code, out, _ = run(capsys, "group", "marks", "--format", "json",
+                       "--input", files("g.json", {"type": "wreath",
+                                                   "inner": Z2, "n": 4}))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c38157794e5a9a6f026557f2bb9cb75e12048315ddb155131315e8f38a2b54a2")
 
 
 GOLDEN_POWER = json.loads(

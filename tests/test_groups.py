@@ -479,6 +479,8 @@ def test_cyclic_subgroup_count_is_divisor_count(n):
 S4 = {"type": "symmetric", "n": 4}
 D4 = {"type": "dihedral", "n": 4}
 C2WRS3 = {"type": "wreath", "inner": {"type": "cyclic", "n": 2}, "n": 3}
+S3WRS2 = {"type": "wreath", "inner": {"type": "symmetric", "n": 3}, "n": 2}
+C2_4 = {"type": "product", "factors": [{"type": "cyclic", "n": 2}] * 4}
 
 
 def bfs_closure(G, gens) -> frozenset[int]:
@@ -509,12 +511,41 @@ def all_subgroups_by_upward_closure(G) -> set[frozenset[int]]:
     return set(gens_for)
 
 
-@pytest.mark.parametrize("desc", [S4, D4, C2WRS3],
-                         ids=["S4", "D4", "C2wrS3"])
+@pytest.mark.parametrize("desc", [S4, D4, C2WRS3, S3WRS2, C2_4],
+                         ids=["S4", "D4", "C2wrS3", "S3wrS2", "C2^4"])
 def test_lattice_matches_upward_closure(desc):
     G = make_group(desc)
     assert set(subgroup_lattice(G).class_index) == \
         all_subgroups_by_upward_closure(G)
+
+
+@pytest.mark.parametrize("build, lattice, reduce", [
+    (lambda: groups_mod.SymmetricGroup(4), 43, 19),
+    (lambda: WreathGroup(cyclic(2), 3), 206, 65),
+], ids=["S4", "C2wrS3"])
+def test_lattice_extension_count(monkeypatch, build, lattice, reduce):
+    """Each class representative R is extended by one cyclic generator per
+    double coset R·g·R, as <R, r·g·r'> = <R, g>: the lattice's own calls to
+    extend_subgroup and those under _reduce_generators are pinned.
+    Extending R by every cyclic generator outside it made 132 and 895
+    lattice calls."""
+    counts = {"lattice": 0, "reduce": 0}
+    depth = [0]
+
+    def extend(*args, inner=groups_mod.extend_subgroup):
+        counts["reduce" if depth[0] else "lattice"] += 1
+        return inner(*args)
+
+    def reduce_(*args, inner=groups_mod._reduce_generators):
+        depth[0] += 1
+        try:
+            return inner(*args)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(groups_mod, "extend_subgroup", extend)
+    monkeypatch.setattr(groups_mod, "_reduce_generators", reduce_)
+    subgroup_lattice(build())  # a fresh instance: no lattice cached
+    assert counts == {"lattice": lattice, "reduce": reduce}
 
 
 @pytest.mark.parametrize("desc", [{"type": "symmetric", "n": 3}, S4, D4,
