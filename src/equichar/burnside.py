@@ -6,8 +6,7 @@ so an element is stored by its mark vector and +, -, integer scaling and *
 work entry by entry.  The table of marks is lower triangular with positive
 diagonal in the canonical order, so the basis coefficients are recovered by
 exact integer back-substitution, which runs only when they are observed
-(`coeffs`, `render`, JSON output, the orbit counts behind λ-terms) and
-for `from_marks`.  A quotient that is not an integer raises
+(`coeffs`, `render`, JSON output) and for `from_marks`.  A quotient that is not an integer raises
 `InvariantViolation`.  Before the first product in a ring, the product of
 every pair of basis mark rows is back-substituted once; integral results
 for all pairs make every product in the ring integral, so a wrong table
@@ -21,13 +20,16 @@ fixed coset gK holds |K| of them, so
 
 counted by subset tests over the lattice's index of every subgroup.
 
-`orbit_counts` tabulates the K-orbit sizes on every G/H; the marks of
-λ-terms are binomial series in them (see `powerstruct`).
+`orbit_counts` tabulates the K-orbit sizes on every G/H, from the coset
+spaces.  `adams(r)` solves from them, by forward substitution over the
+table of marks, the integer matrix U^r taking marks to the orbit sums
+psi^r_K = sum_(d|r) d·n_d that λ-terms are written in (see `powerstruct`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from operator import mul
 
 from .cells import CellSpace
 from .errors import InvariantViolation, UsageError
@@ -172,6 +174,28 @@ class BurnsideRing:
                 "B", K.generators, range(X.size)))) for K in classes]
                 for X in map(self.coset_biset, range(self.n))]
         return self._memo["orbits"]
+
+    def adams(self, r: int) -> list[tuple]:
+        """Row K of U^r: the (M, u) with psi^r_K(x) = sum u·mark_M(x), where
+        psi^r_K(x) = sum_(d|r) d·n_d counts the n_d K-orbits of size d on x.
+        Solved once per r from `orbit_counts`, by forward substitution over
+        the lower-triangular table of marks; a remainder raises."""
+        key = ("adams", r)
+        if key not in self._memo:
+            counts, rows, out = self.orbit_counts(), self.marks_rows, []
+            for K in range(self.n):   # rows[h] · u = psi^r_K(G/H_h)
+                u = []
+                for h, row in enumerate(rows):
+                    psi = sum(d * c for d, c in counts[h][K].items()
+                              if r % d == 0)
+                    q, rem = divmod(psi - sum(map(mul, row, u)), row[h])
+                    if rem:
+                        raise InvariantViolation(
+                            f"Adams matrix U^{r} is not integral at {K}, {h}")
+                    u.append(q)
+                out.append(tuple((M, c) for M, c in enumerate(u) if c))
+            self._memo[key] = out
+        return self._memo[key]
 
     def __repr__(self) -> str:
         return f"<BurnsideRing A({self.group.label}) rank={self.n}>"

@@ -24,8 +24,8 @@ from .errors import UsageError
 from .euler import tuple_class_strata
 from .gsets import BiSet
 from .groups import FiniteGroup
-from .powerstruct import (TruncatedSeries, binomial_column, exponent_tuples,
-                          lambda_term, orbit_factors, power)
+from .powerstruct import (INT_RING, TruncatedSeries, exponent_tuples,
+                          lambda_term, log_coeff, power)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,8 @@ class LExtCoeffRing:
         self.label = f"A({bring.group.label})[L^Q]"
         self.check_products = bring.check_products
 
-    div = staticmethod(lambda x, j: {e: c // j for e, c in x.items()})
+    div = staticmethod(lambda x, j: {e: INT_RING.div(c, j)
+                                      for e, c in x.items()})
     entry = staticmethod(lambda p: {e: c for e, c in p.items() if c})
 
     @staticmethod
@@ -192,10 +193,22 @@ class LExtCoeffRing:
             (e, self.bring.from_marks([x.get(e, 0) for x in entries]))
             for e in set().union(*entries)])
 
-    def factors(self, terms, g: int, D: int = 1):   # over lcm(D, each c.D)
-        D = lcm(D, *(c.D for c, _ in terms))
-        return D, orbit_factors(self, [(e * (D // c.D), x, i) for c, i in terms
-                                       for e, x in c.pairs], g)
+    def psi(self, xs, r: int) -> list:
+        out = []
+        for row in self.bring.adams(r):
+            acc: dict = {}
+            for M, u in row:
+                for e, c in xs[M].items():
+                    acc[e * r] = acc.get(e * r, 0) + u * c
+            out.append(self.entry(acc))
+        return out
+
+    @staticmethod
+    def axpy(x: dict, k: int, y: dict) -> dict:
+        out = dict(x)
+        for e, c in y.items():
+            out[e] = out.get(e, 0) + k * c
+        return {e: c for e, c in out.items() if c}
 
 
 def lext_coeff_ring(bring: BurnsideRing) -> LExtCoeffRing:
@@ -355,6 +368,8 @@ def rhs_theorem2(m, k: int, d, weights=None, N: int = 6) -> TruncatedSeries:
     shifts = [(phi_k(rs, weights) * d / 2, prod, weight)
               for rs, prod, weight in exponent_tuples(k, N)]
     D = lcm(*(q.denominator for q, _, _ in shifts))
-    col = binomial_column(ring, [((q.numerator * D // q.denominator, prod), -w)
-                                 for q, prod, w in shifts], N)
-    return power(TruncatedSeries.from_columns(ring, D, [col] * ring.n), -m)
+    factors = [((q.numerator * D // q.denominator, prod), -w)
+               for q, prod, w in shifts]
+    h = [ring.entry(log_coeff(factors, j)) for j in range(1, N + 1)]
+    return power(TruncatedSeries.from_columns(ring, D, None, [h] * ring.n),
+                 -m)

@@ -9,21 +9,24 @@ factorization engine rather than approximate identities.
 Series live in mark coordinates.  The mark map A(G) -> Z^n is an injective
 ring map with entry-wise product, so a series over A(G) is n integer
 columns (Z is A(1): one column), and one over A(G)[L^(1/D)] is n columns of
-{e: int} Laurent polynomials in L^(1/D) over one least D; +, * and
-substitution act one column at a time.  At a class K, lambda_x(t^i) is
-prod_d (1 - t^(i·d))^(-n_d) over the n_d orbits of size d of K on x, and
-L^q·x puts L^(q·d) on t^(i·d), so columns are built, inverted and factored
-through their log-derivatives t·f'/f.  Ring elements are packed from the
-columns only when observed (`coeffs`, rendering, JSON) and for the factor
-exponents b_i, whose basis coordinates give the orbit counts; packing
-back-substitutes over the basis, so a non-integral value raises.
+{e: int} Laurent polynomials in L^(1/D) over one least D.  A series with
+constant term 1 may hold its log columns h = t·f'/f instead, in which
+products add and integer powers scale; columns are rebuilt from them
+(`exp_column`) only when a coefficient is observed: `coeffs`, rendering,
+JSON, `map_coeffs`, `substitute`, a product with a series without logs.
+At a class K, lambda_b(t^i) is prod_d (1 - t^(i·d))^(-n_d) over the n_d
+orbits of size d of K on b, so its t^(i·r) log coefficient is i·psi^r_K(b),
+psi^r_K(b) = sum_(d|r) d·n_d, with L^q·b putting L^(q·r) on it; psi^r is
+an integer matrix on marks (`BurnsideRing.adams`).  Factor exponents b_i
+are packed from their marks by back-substitution, so a non-integral value
+raises, as does any inexact division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import floordiv, mul
+from operator import mul
 
 from .burnside import BurnsideElement, BurnsideRing, burnside_ring, class_of
 from .errors import InvariantViolation, ResourceLimitError, UsageError
@@ -63,46 +66,30 @@ def exp_column(ring, g) -> list:
     return f
 
 
-def binomial_column(ring, factors, N: int) -> list:
-    """The product of (1 - L^e t^s)^(-n) over the items ((e, s), n) of
-    factors to t^N, as one column of the ring handle's entries."""
-    return exp_column(ring, [ring.entry(log_coeff(factors, j))
-                             for j in range(1, N + 1)])
-
-
-def orbit_factors(ring, terms, g: int) -> list[dict]:
-    """{(e, s): n} per class K: the factors (1 - L^e t^s)^(-n) of the product
-    of lambda_x(L^e t^(i/g)) over the triples (e, x, i) in terms.  If K has
-    n_d orbits of size d on x, they put (1 - L^(e·d) t^(i·d/g))^(-n_d)."""
-    counts = ring.bring.orbit_counts()
-    factors = [{} for _ in range(ring.n)]
-    for e, x, i in terms:
-        for h, c in enumerate(x.coeffs):
-            for f, row in zip(factors, counts[h] if c else ()):
-                for d, m in row.items():
-                    key = e * d, i // g * d
-                    f[key] = f.get(key, 0) + c * m
-    return factors
-
-
 class IntRing:
     """Exact integers; single lambda-generator 1 with zeta = 1/(1-t).  Z is
     A(1): one column of the integer entries A(G) shares.  Every handle has
-    zero, one, label, n, the entry ops one_entry, zero_entry, dot, div and
-    entry, and entries, element, factors and check_products."""
+    zero, one, label, n, the entry ops one_entry, zero_entry, dot, axpy,
+    div, entry and psi (entries at each mark to psi^r entries, L-exponents
+    times r), and entries, element and check_products."""
 
     zero, one, label, n = 0, 1, "Z", 1
     one_entry, zero_entry = 1, 0
-    div = staticmethod(floordiv)
     dot = staticmethod(lambda xs, ys: sum(map(mul, xs, ys)))
+    axpy = staticmethod(lambda x, k, y: x + k * y)
     entry = staticmethod(lambda poly: poly.get(0, 0))
+    psi = staticmethod(lambda xs, r: xs)
     check_products = staticmethod(lambda: None)
     entries = staticmethod(lambda c: (1, [c]))
     element = staticmethod(lambda D, entries: entries[0])
 
     @staticmethod
-    def factors(terms, g, D=1):   # the i in terms are distinct
-        return D, [{(0, i // g): c for c, i in terms}]
+    def div(x: int, j: int) -> int:
+        """x / j, which must be exact."""
+        q, rem = divmod(x, j)
+        if rem:
+            raise InvariantViolation(f"{x} is not divisible by {j}")
+        return q
 
 
 INT_RING = IntRing()
@@ -123,8 +110,8 @@ class BurnsideCoeffRing(IntRing):
     def element(self, D, entries):
         return self.bring.from_marks(entries)
 
-    def factors(self, terms, g, D=1):
-        return D, orbit_factors(self, [(0, c, i) for c, i in terms], g)
+    def psi(self, xs, r: int) -> list:
+        return [sum(u * xs[M] for M, u in row) for row in self.bring.adams(r)]
 
 
 def burnside_coeff_ring(bring: BurnsideRing) -> BurnsideCoeffRing:
@@ -144,34 +131,57 @@ def _lift(entries, k: int) -> list:
 
 class TruncatedSeries:
     """c_0 + c_1 t + ... + c_N t^N over a coefficient-ring handle, held as
-    one column per mark (see the module doc) over one least exponent
-    denominator D; all arithmetic is exact and eagerly truncated at N."""
+    one column per mark, as one log column per mark, or both (see the
+    module doc), over one least exponent denominator D; all arithmetic is
+    exact and eagerly truncated at N."""
 
-    __slots__ = ("ring", "N", "D", "cols", "_coeffs")
+    __slots__ = ("ring", "N", "D", "_cols", "_logs", "_coeffs")
 
     def __init__(self, ring, coeffs):
         coeffs = tuple(coeffs)
         parts = [ring.entries(c) for c in coeffs]
         D = lcm(1, *(d for d, _ in parts))
         cols = zip(*(_lift(es, D // d) for d, es in parts))
-        self._set(ring, D, [list(col) for col in cols], len(coeffs) - 1)
+        self._set(ring, D, [list(col) for col in cols], None)
         self._coeffs = coeffs
 
     @classmethod
-    def from_columns(cls, ring, D: int, cols) -> TruncatedSeries:
+    def from_columns(cls, ring, D: int, cols, logs=None) -> TruncatedSeries:
+        """The series with these columns, or if cols is None with these
+        log columns [h_1..h_N]."""
         out = cls.__new__(cls)
-        out._set(ring, D, cols, len(cols[0]) - 1)
+        out._set(ring, D, cols, logs)
         return out
 
-    def _set(self, ring, D: int, cols, N: int) -> None:
+    def _set(self, ring, D: int, cols, logs) -> None:
         ring.check_products()   # once per ring, before any column product
-        g = gcd(D, *(e for col in cols for x in col for e in x)) \
+        form = logs if cols is None else cols   # both give the same least D
+        g = gcd(D, *(e for col in form for x in col for e in x)) \
             if D > 1 else 1
         if g > 1:
-            D, cols = D // g, [[{e // g: c for e, c in x.items()}
-                                for x in col] for col in cols]
-        self.ring, self.D, self.cols, self.N = ring, D, cols, N
+            D, form = D // g, [[{e // g: c for e, c in x.items()}
+                                for x in col] for col in form]
+        self.ring, self.D, self.N = ring, D, len(form[0]) - (cols is not None)
+        self._cols, self._logs = (None, form) if cols is None else (form, None)
         self._coeffs = None
+
+    @property
+    def cols(self) -> list:
+        """One column [c_0..c_N] per mark, rebuilt from the logs on first
+        use."""
+        if self._cols is None:
+            self._cols = [exp_column(self.ring, h) for h in self._logs]
+        return self._cols
+
+    def logs(self, need: str) -> list:
+        """One log column [h_1..h_N] per mark, derived from the columns on
+        first use; a constant term other than 1 raises the UsageError
+        "<need> constant coefficient 1"."""
+        if self._logs is None:
+            if any(col[0] != self.ring.one_entry for col in self._cols):
+                raise UsageError(f"{need} constant coefficient 1")
+            self._logs = [log_column(self.ring, a) for a in self._cols]
+        return self._logs
 
     @property
     def coeffs(self) -> tuple:
@@ -186,17 +196,21 @@ class TruncatedSeries:
         return self.coeffs[i]
 
     def __eq__(self, other):
-        return isinstance(other, TruncatedSeries) and \
-            self.ring is other.ring and self.N == other.N and \
-            self.D == other.D and self.cols == other.cols
+        if not (isinstance(other, TruncatedSeries) and
+                self.ring is other.ring and self.N == other.N and
+                self.D == other.D):
+            return False
+        if self._logs is not None and other._logs is not None:
+            return self._logs == other._logs
+        return self.cols == other.cols
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
     @staticmethod
     def one(ring, N: int) -> TruncatedSeries:
-        return TruncatedSeries.from_columns(ring, 1, [
-            [ring.one_entry] + [ring.zero_entry] * N for _ in range(ring.n)])
+        return TruncatedSeries.from_columns(
+            ring, 1, None, [[ring.zero_entry] * N for _ in range(ring.n)])
 
     def is_one(self) -> bool:
         return self == TruncatedSeries.one(self.ring, self.N)
@@ -204,23 +218,25 @@ class TruncatedSeries:
     def mul(self, other: TruncatedSeries) -> TruncatedSeries:
         if self.ring is not other.ring or self.N != other.N:
             raise UsageError("series over different rings or truncations")
-        D, dot = lcm(self.D, other.D), self.ring.dot
-        return TruncatedSeries.from_columns(self.ring, D, [
-            [dot(a[:j + 1], b[j::-1]) for j in range(self.N + 1)]
-            for a, b in zip(self._cols_at(D), other._cols_at(D))])
+        D, r = lcm(self.D, other.D), self.ring
+        if self._logs is not None and other._logs is not None:
+            return TruncatedSeries.from_columns(r, D, None, [
+                [r.axpy(x, 1, y) for x, y in zip(a, b)] for a, b in
+                zip(self._at(D, self._logs), other._at(D, other._logs))])
+        return TruncatedSeries.from_columns(r, D, [
+            [r.dot(a[:j + 1], b[j::-1]) for j in range(self.N + 1)]
+            for a, b in zip(self._at(D, self.cols),
+                            other._at(D, other.cols))])
 
     def invert(self) -> TruncatedSeries:
         return self.pow_int(-1)
 
     def pow_int(self, n: int) -> TruncatedSeries:
-        """A^n for any integer n, from n·t·A'/A; needs a_0 = 1."""
+        """A^n for any integer n: n times the logs; needs a_0 = 1."""
         r = self.ring
-        if any(col[0] != r.one_entry for col in self.cols):
-            raise UsageError("integer powers need constant coefficient 1")
-        k = r.entry({0: n})
-        return TruncatedSeries.from_columns(r, self.D, [exp_column(
-            r, [r.dot((h,), (k,)) for h in log_column(r, a)])
-            for a in self.cols])
+        return TruncatedSeries.from_columns(r, self.D, None, [
+            [r.axpy(r.zero_entry, n, x) for x in h]
+            for h in self.logs("integer powers need")])
 
     def substitute(self, c, r: int) -> TruncatedSeries:
         """t -> c * t^r."""
@@ -229,7 +245,7 @@ class TruncatedSeries:
         ring = self.ring
         Dc, cs = ring.entries(ring.one * c)
         D, cols = lcm(self.D, Dc), []
-        for a, x in zip(self._cols_at(D), _lift(cs, D // Dc)):
+        for a, x in zip(self._at(D, self.cols), _lift(cs, D // Dc)):
             out, p = [ring.zero_entry] * (self.N + 1), ring.one_entry
             for i in range(self.N // r + 1):
                 out[i * r], p = ring.dot((p,), (a[i],)), ring.dot((p,), (x,))
@@ -239,15 +255,19 @@ class TruncatedSeries:
     def truncate(self, M: int) -> TruncatedSeries:
         if M > self.N:
             raise UsageError(f"cannot extend truncation {self.N} to {M}")
+        if self._logs is None:
+            return TruncatedSeries.from_columns(
+                self.ring, self.D, [col[:M + 1] for col in self._cols])
         return TruncatedSeries.from_columns(
-            self.ring, self.D, [col[:M + 1] for col in self.cols])
+            self.ring, self.D, None, [h[:M] for h in self._logs])
 
     def map_coeffs(self, ring, f) -> TruncatedSeries:
         return TruncatedSeries(ring, map(f, self.coeffs))
 
-    def _cols_at(self, D: int) -> list:
-        return self.cols if D == self.D else \
-            [_lift(col, D // self.D) for col in self.cols]
+    def _at(self, D: int, cols) -> list:
+        """This series' columns or logs with exponents over D."""
+        return cols if D == self.D else \
+            [_lift(col, D // self.D) for col in cols]
 
     def __repr__(self) -> str:
         return f"<series N={self.N} over {getattr(self.ring, 'label', '?')}>"
@@ -270,35 +290,33 @@ def lambda_term(ring, c, i: int, N: int) -> TruncatedSeries:
 
 
 def lambda_reconstruct(ring, bs, N: int) -> TruncatedSeries:
-    """prod_i lambda_{b_i}(t^i).  Every t-degree is a multiple of the gcd g
-    of the i with b_i nonzero, so each column is built in t^g."""
-    terms = [(b, i) for i, b in enumerate(bs, start=1) if b]
-    g = gcd(*(i for _, i in terms)) or 1
-    D, factors = ring.factors(terms, g)
-    cols = []
-    for f in factors:
-        col = [ring.zero_entry] * (N + 1)
-        col[::g] = binomial_column(ring, f.items(), N // g)
-        cols.append(col)
-    return TruncatedSeries.from_columns(ring, D, cols)
+    """prod_i lambda_{b_i}(t^i), written as log columns: b_i puts
+    i·psi^r(b_i) on t^(i·r)."""
+    parts = [(i, ring.entries(b)) for i, b in enumerate(bs, start=1) if b]
+    D = lcm(1, *(d for _, (d, _) in parts))
+    logs = [[ring.zero_entry] * N for _ in range(ring.n)]
+    for i, (d, xs) in parts:
+        xs = _lift(xs, D // d)
+        for r in range(1, N // i + 1):
+            for h, y in zip(logs, ring.psi(xs, r)):
+                h[i * r - 1] = ring.axpy(h[i * r - 1], i, y)
+    return TruncatedSeries.from_columns(ring, D, None, logs)
 
 
 def lambda_factorize(A: TruncatedSeries) -> list:
-    """Exponents b_1..b_N with A = prod_i lambda_{b_i}(t^i), read off each
-    column's log-derivative h = t·A'/A: h_i is the t^i log-coefficient of
-    the lambda-terms of b_1..b_(i-1) plus i times b_i's entry.  Each b_i is
+    """Exponents b_1..b_N with A = prod_i lambda_{b_i}(t^i), read off the
+    log columns h = t·A'/A: h_i is the t^i log-coefficient of the
+    lambda-terms of b_1..b_(i-1) plus i times b_i's entry.  Each b_i is
     back-substituted from its marks, so it is checked integral."""
-    ring, N, D = A.ring, A.N, A.D
-    if any(col[0] != ring.one_entry for col in A.cols):
-        raise UsageError("factorization needs constant coefficient 1")
-    hs = [log_column(ring, a) for a in A.cols]
-    one, minus_one, out = ring.one_entry, ring.entry({0: -1}), []
+    ring, N = A.ring, A.N
+    hs = [list(h) for h in A.logs("factorization needs")]
+    out = []
     for i in range(1, N + 1):
-        out.append(ring.element(D, [ring.div(h[i - 1], i) for h in hs]))
-        for h, f in zip(hs, ring.factors([(out[-1], i)], 1, D)[1]):
-            for j in range(i + 1, N + 1):   # divide lambda_{b_i}(t^i) out
-                h[j - 1] = ring.dot((h[j - 1], ring.entry(
-                    log_coeff(f.items(), j))), (one, minus_one))
+        xs = [ring.div(h[i - 1], i) for h in hs]
+        out.append(ring.element(A.D, xs))
+        for r in range(2, N // i + 1):   # divide lambda_{b_i}(t^i) out
+            for h, y in zip(hs, ring.psi(xs, r)):
+                h[i * r - 1] = ring.axpy(h[i * r - 1], -i, y)
     return out
 
 
@@ -437,8 +455,8 @@ def exponent_tuples(k: int, N: int):
 def rhs_base_series(k: int, N: int) -> TruncatedSeries:
     """prod (1 - t^{r_1...r_k})^{r_2 r_3^2 ... r_k^{k-1}} over the integers."""
     factors = [((0, a), -e) for _, a, e in exponent_tuples(k, N)]
-    return TruncatedSeries.from_columns(INT_RING, 1,
-                               [binomial_column(INT_RING, factors, N)])
+    return TruncatedSeries.from_columns(INT_RING, 1, None, [[
+        INT_RING.entry(log_coeff(factors, j)) for j in range(1, N + 1)]])
 
 
 def rhs_theorem1(m, k: int, N: int) -> TruncatedSeries:
@@ -451,6 +469,6 @@ def rhs_theorem1(m, k: int, N: int) -> TruncatedSeries:
         return power(base, -m)
     if isinstance(m, BurnsideElement):   # n·[G/G] has every mark n
         ring = burnside_coeff_ring(m.ring)
-        return power(TruncatedSeries.from_columns(ring, 1, base.cols * ring.n),
-                     -m)
+        return power(TruncatedSeries.from_columns(
+            ring, 1, None, base._logs * ring.n), -m)
     raise UsageError(f"unsupported exponent type {type(m).__name__}")

@@ -1,9 +1,12 @@
 """Brute-force routes that the package no longer takes, kept as oracles.
 
-The series engine reads λ-terms off orbit counts; these rebuild them the
-old way, from classes of symmetric powers of coset spaces and integer
-powers of zeta series.  L-extended elements hold integer exponents over a
-common denominator; the references here merge them on `Fraction` keys.
+The series engine writes λ-terms as log columns through integer Adams
+matrices on marks; these rebuild them two other ways: from classes of
+symmetric powers of coset spaces and integer powers of zeta series, and
+as products of binomial columns (1 - L^e t^s)^(-n) over the orbit counts
+of `BurnsideRing.orbit_counts` (`orbit_factors`, `binomial_column`).
+L-extended elements hold integer exponents over a common denominator; the
+references here merge them on `Fraction` keys.
 The package multiplies series one mark column at a time; `ElementSeries`
 is the element-wise engine it replaced, which multiplies the coefficients
 with their own + - *.  `validate_group` checks the group axioms on a flat
@@ -27,9 +30,30 @@ from equichar.groups import (Subgroup, _reduce_generators, closure,
 from equichar.gsets import symmetric_power
 from equichar.harness import DegreeCheck, VerificationReport
 from equichar.motivic import LExtElement, lext, lext_coeff_ring
-from equichar.powerstruct import (INT_RING, TruncatedSeries,
-                                  binomial_column, integer_power_oracle,
-                                  orbit_factors, power)
+from equichar.powerstruct import (INT_RING, TruncatedSeries, exp_column,
+                                  integer_power_oracle, log_coeff, power)
+
+
+def binomial_column(ring, factors, N):
+    """The product of (1 - L^e t^s)^(-n) over the items ((e, s), n) of
+    factors to t^N, as one column of the ring handle's entries."""
+    return exp_column(ring, [ring.entry(log_coeff(factors, j))
+                             for j in range(1, N + 1)])
+
+
+def orbit_factors(ring, terms, g):
+    """{(e, s): n} per class K: the factors (1 - L^e t^s)^(-n) of the product
+    of lambda_x(L^e t^(i/g)) over the triples (e, x, i) in terms.  If K has
+    n_d orbits of size d on x, they put (1 - L^(e·d) t^(i·d/g))^(-n_d)."""
+    counts = ring.bring.orbit_counts()
+    factors = [{} for _ in range(ring.n)]
+    for e, x, i in terms:
+        for h, c in enumerate(x.coeffs):
+            for f, row in zip(factors, counts[h] if c else ()):
+                for d, m in row.items():
+                    key = e * d, i // g * d
+                    f[key] = f.get(key, 0) + c * m
+    return factors
 
 
 def symmetric_power_class(R, i, k):

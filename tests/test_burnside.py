@@ -288,3 +288,46 @@ def test_lattice_missing_a_conjugate_is_rejected():
     index = {fs: i for fs, i in lat.class_index.items() if fs != gone}
     with pytest.raises(InvariantViolation):
         BurnsideRing(G, SubgroupLattice(G, lat.classes, index))
+
+
+C2_DESC = {"type": "cyclic", "n": 2}
+ADAMS_GROUPS = {
+    "S3": {"type": "symmetric", "n": 3},
+    "D4": {"type": "dihedral", "n": 4},
+    "C2wrS2": {"type": "wreath", "inner": C2_DESC, "n": 2},
+    "S4": {"type": "symmetric", "n": 4},
+    "C2^3": {"type": "product", "factors": [C2_DESC] * 3},
+    "C12": {"type": "cyclic", "n": 12},
+}
+
+
+@pytest.mark.parametrize("desc", ADAMS_GROUPS.values(), ids=ADAMS_GROUPS)
+def test_adams_matrices_give_orbit_counts(desc):
+    """U^r takes the marks of every basis class G/H_h to
+    psi^r_K(G/H_h) = sum_(d|r) d·n_d over the K-orbits counted by
+    `orbit_counts`, at every class K; U^1 is the identity."""
+    R = burnside_ring(make_group(desc))
+    counts, n = R.orbit_counts(), R.n
+    assert R.adams(1) == [((K, 1),) for K in range(n)]
+    for r in range(1, 9):
+        U = R.adams(r)
+        for h, marks in enumerate(R.marks_rows):
+            assert [sum(u * marks[M] for M, u in row) for row in U] == \
+                [sum(d * c for d, c in counts[h][K].items() if r % d == 0)
+                 for K in range(n)]
+
+
+@pytest.mark.parametrize("desc", ADAMS_GROUPS.values(), ids=ADAMS_GROUPS)
+def test_adams_matrices_reject_a_corrupted_mark(desc):
+    """Raising any one diagonal mark by 1 leaves some psi^r off the integer
+    span of the marks, so the forward substitution meets a remainder."""
+    G = make_group(desc)
+    lattice = subgroup_lattice(G)
+    for h in range(len(lattice.classes)):
+        R = BurnsideRing(G, lattice)
+        rows = [list(row) for row in R.marks_rows]
+        rows[h][h] += 1
+        R.marks_rows = tuple(map(tuple, rows))
+        with pytest.raises(InvariantViolation):
+            for r in range(1, 9):
+                R.adams(r)

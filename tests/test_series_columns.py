@@ -1,7 +1,8 @@
-"""Series held as mark columns against the element-wise engine of
-`oracles.py`, over Z, A(S3), A(C2wrS2) and A(C2)[L^Q], plus the guards the
-column engine keeps: integrality, the table-of-marks product check, and
-one value per series whatever route built it."""
+"""Series held as mark columns or as log columns against the element-wise
+engine of `oracles.py`, over Z, A(S3), A(C2wrS2) and A(C2)[L^Q], plus the
+guards the column engine keeps: integrality, exact division, the
+table-of-marks product check, and one value per series whatever route
+built it and whichever form it holds."""
 
 import random
 from fractions import Fraction as F
@@ -14,7 +15,7 @@ from equichar.groups import cyclic, make_group, subgroup_lattice, symmetric
 from equichar.motivic import L, LExtCoeffRing, embed, lext, lext_coeff_ring
 from equichar.powerstruct import (INT_RING, BurnsideCoeffRing,
                                   TruncatedSeries, burnside_coeff_ring,
-                                  lambda_factorize, power)
+                                  exp_column, lambda_factorize, power)
 from oracles import ElementSeries, factorize_reference, power_reference
 
 C2 = burnside_ring(cyclic(2))
@@ -93,6 +94,66 @@ def test_factorize_and_power_match_element_engine(name, N):
         for m in (rand_coeff(rng, ring), ring.zero, ring.one,
                   -rand_coeff(rng, ring)):
             assert_same(power(A, m), power_reference(a, m))
+
+
+def logs_only(*series):
+    return all(S._cols is None for S in series)
+
+
+@pytest.mark.parametrize("name,N", CASES, ids=IDS)
+def test_log_held_series_mix_with_other_forms(name, N):
+    """Outputs of power and pow_int hold only log columns.  Against each
+    other they multiply, compare, truncate and factor in logs; against
+    column-held and non-unit series they meet on columns."""
+    ring = RINGS[name]
+    rng = random.Random(f"{name}-{N}-logs")
+    for _ in range(3):
+        A, a = rand_series(rng, ring, N)
+        C, c = rand_series(rng, ring, N)
+        B, b = rand_series(rng, ring, N, unit=False)
+        m, x = rand_coeff(rng, ring), rand_coeff(rng, ring)
+
+        def fresh():
+            return power(A, m), A.pow_int(-2), power_reference(a, m), \
+                a.pow_int(-2)
+
+        P, Q, p, q = fresh()
+        PQ, cuts = P.mul(Q), [P.truncate(M) for M in range(N + 1)]
+        assert logs_only(P, Q, PQ, *cuts)
+        assert (P == Q) == (p.coeffs == q.coeffs) and P == fresh()[0]
+        assert lambda_factorize(P) == factorize_reference(p)
+        assert logs_only(P, Q, PQ, *cuts)
+        assert_same(PQ, p.mul(q))
+        for M, cut in enumerate(cuts):
+            assert_same(cut, p.truncate(M))
+
+        P, Q, p, q = fresh()
+        assert P == TruncatedSeries(ring, p.coeffs) and \
+            TruncatedSeries(ring, q.coeffs) == Q
+        P, Q, p, q = fresh()
+        assert hash(P) == hash(TruncatedSeries(ring, p.coeffs))
+        for X, y in ((C, c), (B, b)):
+            P, Q, p, q = fresh()
+            assert_same(P.mul(X), p.mul(y))
+            assert_same(X.mul(Q), y.mul(q))
+        lambda_factorize(C)   # C now holds columns and logs
+        P, Q, p, q = fresh()
+        assert logs_only(P.mul(C), C.mul(Q))
+        assert_same(P.mul(C), p.mul(c))
+        for r in (1, 2):
+            P, Q, p, q = fresh()
+            assert_same(P.substitute(x, r), p.substitute(x, r))
+
+
+def test_division_is_exact():
+    """No handle floors: a remainder would mean a wrong log column."""
+    with pytest.raises(InvariantViolation):
+        exp_column(INT_RING, [0, 1])
+    for ring, x, y in ((RINGS["A(S3)"], 6, 3),
+                       (RINGS["A(C2)[L^Q]"], {1: 6, -2: -4}, {1: 3, -2: -2})):
+        assert ring.div(x, 2) == y
+        with pytest.raises(InvariantViolation):
+            ring.div(ring.axpy(x, 1, ring.one_entry), 2)
 
 
 @pytest.mark.parametrize("s", [F(1, 2), F(1, 3), F(-2, 3), 1, 2])
