@@ -18,13 +18,17 @@ The pieces, roughly in dependency order:
               orbifold classes, and the L-weighted product formula.
 - harness:    degree-by-degree verification reports.
 - cli:        the `equichar` command.
+
+The second routes that only the tests take (the multinomial and
+configuration-space power oracles, orbifold data read off a biset, and
+products, unions, points and empty sets of G-sets) live in
+`tests/oracles.py`, not here.
 """
 
 from __future__ import annotations
 
 from .burnside import (BurnsideElement, BurnsideRing, burnside_ring,
-                       cardinality_hom, chi_equivariant, class_of,
-                       table_of_marks)
+                       chi_equivariant, class_of)
 from .cells import CellSpace, chi
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 from .euler import (chi_k, chi_k_averaging, chi_k_equivariant,
@@ -33,16 +37,14 @@ from .groups import (FiniteGroup, Subgroup, commuting_tuple_classes,
                      conjugacy_classes, cyclic, dihedral, make_group,
                      product, subgroup_lattice, symmetric, trivial_group,
                      wreath)
-from .gsets import (BiSet, biset_from_single_action, disjoint_union,
-                    empty_biset, point_biset, symmetric_power, wreath_power)
+from .gsets import (BiSet, biset_from_single_action, symmetric_power,
+                    wreath_power)
 from .harness import (VerificationReport, verify_axioms, verify_lemma1,
                       verify_props12, verify_theorem1)
-from .motivic import (L, LExtElement, OrbifoldDatum, age, datum_from_biset,
-                      embed, lext, orbifold_class_from_datum, phi_k,
-                      power_L, rhs_theorem2, specialize_L, zeta_L)
-from .powerstruct import (TruncatedSeries, geometric_power_oracle,
-                          integer_power_oracle, lambda_factorize, power,
-                          rhs_theorem1, zeta_series)
+from .motivic import (L, LExtElement, OrbifoldDatum, embed, lext,
+                      orbifold_class_from_datum, phi_k, power_L, rhs_theorem2,
+                      specialize_L, zeta_L)
+from .powerstruct import TruncatedSeries, lambda_factorize, power, rhs_theorem1
 
 __version__ = "0.1.0"
 
@@ -50,16 +52,14 @@ __all__ = [
     "BiSet", "BurnsideElement", "BurnsideRing", "CellSpace", "FiniteGroup",
     "InvariantViolation", "L", "LExtElement", "OrbifoldDatum",
     "ResourceLimitError", "Subgroup", "TruncatedSeries", "UsageError",
-    "VerificationReport", "age", "biset_from_single_action", "burnside_ring",
-    "cardinality_hom", "chi", "chi_equivariant", "chi_k", "chi_k_averaging",
+    "VerificationReport", "biset_from_single_action", "burnside_ring",
+    "chi", "chi_equivariant", "chi_k", "chi_k_averaging",
     "chi_k_equivariant", "chi_k_equivariant_tuples", "chi_orb", "class_of",
-    "commuting_tuple_classes", "conjugacy_classes", "cyclic",
-    "datum_from_biset", "dihedral", "disjoint_union", "embed", "empty_biset",
-    "geometric_power_oracle", "integer_power_oracle", "lambda_factorize",
-    "lext", "make_group", "orbifold_class_from_datum", "phi_k",
-    "point_biset", "power", "power_L", "product", "rhs_theorem1",
-    "rhs_theorem2", "specialize_L", "subgroup_lattice",
-    "symmetric", "symmetric_power", "table_of_marks", "trivial_group",
-    "verify_axioms", "verify_lemma1", "verify_props12", "verify_theorem1",
-    "wreath", "wreath_power", "zeta_L", "zeta_series",
+    "commuting_tuple_classes", "conjugacy_classes", "cyclic", "dihedral",
+    "embed", "lambda_factorize", "lext", "make_group",
+    "orbifold_class_from_datum", "phi_k", "power", "power_L", "product",
+    "rhs_theorem1", "rhs_theorem2", "specialize_L", "subgroup_lattice",
+    "symmetric", "symmetric_power", "trivial_group", "verify_axioms",
+    "verify_lemma1", "verify_props12", "verify_theorem1", "wreath",
+    "wreath_power", "zeta_L",
 ]

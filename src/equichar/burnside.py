@@ -104,11 +104,6 @@ class BurnsideRing:
         """[G/G]: the one-point G-set."""
         return self.basis(self.n - 1)
 
-    @property
-    def regular(self) -> BurnsideElement:
-        """[G/e]: the free orbit."""
-        return self.basis(0)
-
     def from_marks(self, marks) -> BurnsideElement:
         """The element with these marks, checked to lie in A(G) at once."""
         marks = tuple(marks)
@@ -286,11 +281,6 @@ def burnside_ring(G: FiniteGroup) -> BurnsideRing:
     return ring
 
 
-def table_of_marks(G: FiniteGroup) -> list[list[int]]:
-    """Row per basis class [G/K], column per class [H], entry |(G/K)^H|."""
-    return [list(row) for row in burnside_ring(G).marks_rows]
-
-
 def _require_b_set(X: BiSet) -> None:
     if X.gO.order != 1 and any(p != tuple(range(X.size)) for p in X.actO):
         raise UsageError("O-side action must be trivial; quotient it away first")
@@ -326,8 +316,3 @@ def chi_equivariant(X: BiSet | CellSpace) -> BurnsideElement:
     for h, points in strata.items():
         coeffs[h] = len(X.orbits_on("B", G.generators, points))
     return ring.element(coeffs)
-
-
-def cardinality_hom(x: BurnsideElement) -> int:
-    """Underlying point count: the mark at the trivial subgroup."""
-    return x.marks()[0]

@@ -221,48 +221,3 @@ def wreath_power(X: BiSet, n: int, max_points: int = POINT_BUDGET) -> BiSet:
     actB = [digit_sums([base[v] * w for v in points] for w in weights)
             for base in X.actB]
     return BiSet(size, W, X.gB, actO, actB)
-
-
-def product(X: BiSet, Y: BiSet) -> BiSet:
-    """Cartesian product with both diagonal actions."""
-    _require_same_groups(X, Y)
-    size = X.size * Y.size
-
-    def lifted(xacts, yacts):
-        out = []
-        for xa, ya in zip(xacts, yacts):
-            out.append(tuple(xa[p] * Y.size + ya[q]
-                             for p in range(X.size) for q in range(Y.size)))
-        return out
-
-    actO = lifted(X.actO, Y.actO)
-    actB = lifted(X.actB, Y.actB)
-    return BiSet(size, X.gO, X.gB, actO, actB)
-
-
-def disjoint_union(X: BiSet, Y: BiSet) -> BiSet:
-    _require_same_groups(X, Y)
-    size = X.size + Y.size
-
-    def shifted(xacts, yacts):
-        return [tuple(xa) + tuple(q + X.size for q in ya)
-                for xa, ya in zip(xacts, yacts)]
-
-    actO = shifted(X.actO, Y.actO)
-    actB = shifted(X.actB, Y.actB)
-    return BiSet(size, X.gO, X.gB, actO, actB)
-
-
-def empty_biset(gO: FiniteGroup, gB: FiniteGroup) -> BiSet:
-    return BiSet(0, gO, gB,
-                 [()] * len(gO.generators), [()] * len(gB.generators))
-
-
-def point_biset(gO: FiniteGroup, gB: FiniteGroup) -> BiSet:
-    return BiSet(1, gO, gB,
-                 [(0,)] * len(gO.generators), [(0,)] * len(gB.generators))
-
-
-def _require_same_groups(X: BiSet, Y: BiSet) -> None:
-    if X.gO is not Y.gO or X.gB is not Y.gB:
-        raise UsageError("operands carry different groups")

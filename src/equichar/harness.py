@@ -17,7 +17,7 @@ from math import comb, factorial
 
 from .burnside import burnside_ring, chi_equivariant, class_of
 from .errors import ResourceLimitError, UsageError
-from .euler import chi_k_equivariant
+from .euler import ORACLE_GROUP_LIMIT, chi_k_equivariant
 from .groups import cyclic, symmetric
 from .gsets import POINT_BUDGET, BiSet, symmetric_power, wreath_power
 from .motivic import (L, LExtCoeffRing, embed, lext, lext_coeff_ring,
@@ -99,7 +99,9 @@ def verify_theorem1(X: BiSet, k: int, N: int,
                     max_points: int = POINT_BUDGET,
                     cross_check: bool = False) -> VerificationReport:
     """Wreath-power coefficients of the order-k characteristic against the
-    factorization-engine series, degree by degree in A(G_B)."""
+    factorization-engine series, degree by degree in A(G_B).  With
+    cross_check, params["cross_checked"] lists the degrees whose wreath
+    group is small enough for the tuple-form oracle to run."""
     if k < 0 or N < 0:
         raise UsageError("order and truncation must be >= 0")
     if max_wreath is None:
@@ -124,6 +126,10 @@ def verify_theorem1(X: BiSet, k: int, N: int,
         lhs = chi_k_equivariant(wreath_power(X, n, max_points=max_points), k,
                                 cross_check=cross_check)
         report.degrees.append(_check(n, lhs, rhs.coeffs[n], t0))
+    if cross_check:
+        report.params["cross_checked"] = [
+            n for n in range(N + 1)
+            if X.gO.order ** n * factorial(n) <= ORACLE_GROUP_LIMIT]
     return report
 
 
@@ -227,9 +233,12 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
                    weights=None) -> VerificationReport:
     """Scaling laws of the L-extension: the substitution law for powers,
     the zeta scaling rule, the L -> 1 specialization, and the weightless
-    degeneration of the L-weighted Macdonald product."""
+    degeneration of the L-weighted Macdonald product, with the given two
+    weights when there are any."""
     if N < 0 or trials < 1:
         raise UsageError("props12 needs N >= 0 and trials >= 1")
+    if weights is not None and len(weights) != 2:
+        raise UsageError(f"need 2 weights, got {len(weights)}")
     bring = burnside_ring(symmetric(3))
     ring = lext_coeff_ring(bring)
     plain = burnside_coeff_ring(bring)
@@ -237,6 +246,8 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
     report = VerificationReport(
         "props12", {"trials": trials, "N": N, "seed": seed,
                     "ring": f"A({bring.group.label})[L^Q]"})
+    if weights is not None:
+        report.params["weights"] = [str(Fraction(w)) for w in weights]
 
     svals = (Fraction(1, 2), Fraction(1), Fraction(2))
 

@@ -3,8 +3,8 @@
 Elements of A(G)[L^{±1/D}] are finite sums of L^q * (Burnside class) with
 qD integral.  An element holds its least D and integer pairs (e, c) meaning
 L^(e/D) * c, so + and * add integers over lcm(D1, D2); exponents are
-`Fraction`s only where they enter or leave (`lext`, `L`, `terms`, rendering,
-shifts and ages).  The lambda-structure extends the Burnside one by the scaling
+`Fraction`s only where they enter or leave (`lext`, `L`, `terms`, rendering
+and shifts).  The lambda-structure extends the Burnside one by the scaling
 rule zeta_{L^q b}(t) = zeta_b(L^q t), which makes the substitution law
 (A(L^s t))^m = (A(t))^m |_{t -> L^s t} hold for the factorization power.
 
@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .burnside import BurnsideElement, BurnsideRing, burnside_ring
+from .burnside import BurnsideElement, BurnsideRing
 from .errors import UsageError
-from .euler import tuple_class_strata
-from .gsets import BiSet
 from .groups import FiniteGroup
 from .powerstruct import (INT_RING, TruncatedSeries, exponent_tuples,
                           lambda_term, log_coeff, power)
@@ -240,18 +238,7 @@ def power_L(A: TruncatedSeries, m) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# ages and shifts
-
-def age(angles) -> Fraction:
-    """Sum of the eigenvalue angles theta_j, each in [0, 1)."""
-    total = Fraction(0)
-    for theta in angles:
-        theta = Fraction(theta)
-        if not 0 <= theta < 1:
-            raise UsageError(f"angle {theta} outside [0, 1)")
-        total += theta
-    return total
-
+# shifts
 
 def phi_k(rs, phis) -> Fraction:
     """phi_1(r_1 - 1) + phi_2 r_1 (r_2 - 1) + ... +
@@ -328,18 +315,6 @@ def _check_tuple_label(G: FiniteGroup, tup: tuple, k: int) -> None:
             if G.mul(g, h) != G.mul(h, g):
                 raise UsageError(
                     f"unknown tuple-class label {tup}: entries do not commute")
-
-
-def datum_from_biset(X: BiSet, k: int, weights=None) -> OrbifoldDatum:
-    """Shift-zero datum whose strata are the commuting-tuple-class pieces of
-    the order-k equivariant characteristic; its total class is the L-free
-    embedding of chi_k_equivariant(X, k)."""
-    if weights is None:
-        weights = (1,) * k
-    bring = burnside_ring(X.gB)
-    strata = tuple((tup, embed(piece, bring), Fraction(0))
-                   for tup, piece in tuple_class_strata(X, k))
-    return OrbifoldDatum(X.gO, bring, k, tuple(weights), strata)
 
 
 # ---------------------------------------------------------------------------

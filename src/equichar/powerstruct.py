@@ -24,15 +24,11 @@ raises, as does any inexact division.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
-from .burnside import BurnsideElement, BurnsideRing, burnside_ring, class_of
-from .errors import InvariantViolation, ResourceLimitError, UsageError
-from .gsets import BiSet, biset_from_single_action
-
-GEOMETRIC_CONFIG_BUDGET = 200_000
+from .burnside import BurnsideElement, BurnsideRing
+from .errors import InvariantViolation, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +272,6 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 # lambda factorization and the power operation
 
-def zeta_series(ring, key, N: int, step: int = 1) -> TruncatedSeries:
-    """zeta(t^step) to t^N of 1 in Z (key None) or of [G/H_key] in A(G)."""
-    return lambda_term(ring, ring.one if key is None
-                       else ring.bring.basis(key), step, N)
-
-
 def lambda_term(ring, c, i: int, N: int) -> TruncatedSeries:
     """lambda_c(t^i) truncated at N, in closed form (see the module doc)."""
     if i < 1:
@@ -324,114 +314,6 @@ def power(A: TruncatedSeries, m) -> TruncatedSeries:
     """A^m for a ring exponent m: rescale the lambda factorization."""
     return lambda_reconstruct(A.ring, [m * b for b in lambda_factorize(A)],
                               A.N)
-
-
-# ---------------------------------------------------------------------------
-# oracles
-
-def integer_power_oracle(A: TruncatedSeries, m: int) -> TruncatedSeries:
-    """Closed multinomial formula for (1 + sum a_i t^i)^m over the integers:
-    the t^k coefficient is sum over partitions {i: k_i} of k of
-    m(m-1)...(m - sum k_i + 1) / prod k_i! * prod a_i^{k_i}."""
-    if A.ring is not INT_RING:
-        raise UsageError("integer power oracle works over the integer ring")
-    if A.coeffs[0] != 1:
-        raise UsageError("oracle needs constant coefficient 1")
-    N = A.N
-    out = [1] + [0] * N
-    for k in range(1, N + 1):
-        total = Fraction(0)
-        for counts in _partition_counts(k):
-            s = sum(counts.values())
-            ff = 1
-            for j in range(s):
-                ff *= (m - j)
-            term = Fraction(ff)
-            for part, cnt in counts.items():
-                term /= factorial(cnt)
-                term *= A.coeffs[part] ** cnt
-            total += term
-        if total.denominator != 1:
-            raise InvariantViolation("multinomial coefficient not integral")
-        out[k] = int(total)
-    return TruncatedSeries(INT_RING, tuple(out))
-
-
-def _partition_counts(k: int):
-    """Partitions of k as {part: multiplicity} dicts, parts non-increasing."""
-    def rec(remaining, max_part, acc):
-        if remaining == 0:
-            yield dict(acc)
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            acc[part] = acc.get(part, 0) + 1
-            yield from rec(remaining - part, part, acc)
-            if acc[part] == 1:
-                del acc[part]
-            else:
-                acc[part] -= 1
-    yield from rec(k, k, {})
-
-
-def geometric_power_oracle(a_sets: list[BiSet], M: BiSet, N: int
-                           ) -> TruncatedSeries:
-    """(1 + [A_1]t + ... + [A_j]t^j)^{[M]} computed from configuration
-    spaces: the t^k coefficient is the class of the G-set of pairs
-    (finite subset K of M, labeling K -> union A_i) of total weight k."""
-    if not a_sets:
-        raise UsageError("need at least one coefficient G-set")
-    G = M.gB
-    for A in a_sets:
-        if A.gB is not G:
-            raise UsageError("coefficient sets and M must share the B-side group")
-    bring = burnside_ring(G)
-    ring = burnside_coeff_ring(bring)
-    coeffs = [ring.one]
-    for k in range(1, N + 1):
-        configs = _weight_configs(a_sets, M, k)
-        if not configs:
-            coeffs.append(ring.zero)
-            continue
-        rank = {c: i for i, c in enumerate(configs)}
-        perms = []
-        for j, _ in enumerate(G.generators):
-            img = []
-            for c in configs:
-                moved = tuple(sorted(
-                    (M.actB[j][mp], i, a_sets[i - 1].actB[j][a])
-                    for (mp, i, a) in c))
-                img.append(rank[moved])
-            perms.append(tuple(img))
-        X = biset_from_single_action(len(configs), G, perms)
-        coeffs.append(class_of(X))
-    return TruncatedSeries(ring, tuple(coeffs))
-
-
-def _weight_configs(a_sets, M, k):
-    """All configurations of total weight k, canonically sorted."""
-    out = []
-
-    def rec(pos, weight, acc):
-        if len(out) > GEOMETRIC_CONFIG_BUDGET:
-            raise ResourceLimitError("geometric power configurations",
-                                     size=len(out),
-                                     budget=GEOMETRIC_CONFIG_BUDGET)
-        if pos == M.size:
-            if weight == k:
-                out.append(tuple(acc))
-            return
-        rec(pos + 1, weight, acc)  # leave the point unused
-        for i, A in enumerate(a_sets, start=1):
-            if weight + i > k:
-                continue
-            for a in range(A.size):
-                acc.append((pos, i, a))
-                rec(pos + 1, weight + i, acc)
-                acc.pop()
-
-    rec(0, 0, [])
-    out.sort()
-    return out
 
 
 # ---------------------------------------------------------------------------

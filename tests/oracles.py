@@ -15,23 +15,37 @@ a subgroup lattice, and there row from row, relying on the associativity
 checked here), and `validate_subgroup` checks a subgroup's closure by all
 |H|² products.  `wreath_power_images` applies the wreath action to one
 encoded n-tuple at a time, where the package builds each generator's
-images as digit sums."""
+images as digit sums.
+
+Independent power oracles: a closed multinomial formula over the integers
+(`integer_power_oracle`) and a configuration-space enumeration over A(G)
+(`geometric_power_oracle`), which refuses more than 2·10^5 configurations
+of one weight (`GEOMETRIC_CONFIG_BUDGET`).  `datum_from_biset` reads a
+shift-zero orbifold datum off a biset's commuting-tuple strata, and `age`
+sums eigenvalue angles.
+The test-only G-set constructors live here too: `product`,
+`disjoint_union`, `empty_biset` and `point_biset`."""
 
 import itertools
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
-from equichar.burnside import class_of
+from equichar.burnside import burnside_ring, class_of
 from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
-from equichar.groups import (Subgroup, _reduce_generators, closure,
-                             subgroup_lattice)
-from equichar.gsets import symmetric_power
+from equichar.euler import tuple_class_strata
+from equichar.groups import (FiniteGroup, Subgroup, _reduce_generators,
+                             closure, subgroup_lattice)
+from equichar.gsets import BiSet, biset_from_single_action, symmetric_power
 from equichar.harness import DegreeCheck, VerificationReport
-from equichar.motivic import LExtElement, lext, lext_coeff_ring
-from equichar.powerstruct import (INT_RING, TruncatedSeries, exp_column,
-                                  integer_power_oracle, log_coeff, power)
+from equichar.motivic import (LExtElement, OrbifoldDatum, embed, lext,
+                              lext_coeff_ring)
+from equichar.powerstruct import (INT_RING, TruncatedSeries,
+                                  burnside_coeff_ring, exp_column, log_coeff,
+                                  power)
+
+GEOMETRIC_CONFIG_BUDGET = 200_000
 
 
 def binomial_column(ring, factors, N):
@@ -370,6 +384,185 @@ def element_order(G, g):
         x = G.mul(x, g)
         n += 1
     return n
+
+
+# ---------------------------------------------------------------------------
+# power structures by closed formula and by configuration spaces
+
+def integer_power_oracle(A: TruncatedSeries, m: int) -> TruncatedSeries:
+    """Closed multinomial formula for (1 + sum a_i t^i)^m over the integers:
+    the t^k coefficient is sum over partitions {i: k_i} of k of
+    m(m-1)...(m - sum k_i + 1) / prod k_i! * prod a_i^{k_i}."""
+    if A.ring is not INT_RING:
+        raise UsageError("integer power oracle works over the integer ring")
+    if A.coeffs[0] != 1:
+        raise UsageError("oracle needs constant coefficient 1")
+    N = A.N
+    out = [1] + [0] * N
+    for k in range(1, N + 1):
+        total = Fraction(0)
+        for counts in _partition_counts(k):
+            s = sum(counts.values())
+            ff = 1
+            for j in range(s):
+                ff *= (m - j)
+            term = Fraction(ff)
+            for part, cnt in counts.items():
+                term /= factorial(cnt)
+                term *= A.coeffs[part] ** cnt
+            total += term
+        if total.denominator != 1:
+            raise InvariantViolation("multinomial coefficient not integral")
+        out[k] = int(total)
+    return TruncatedSeries(INT_RING, tuple(out))
+
+
+def _partition_counts(k: int):
+    """Partitions of k as {part: multiplicity} dicts, parts non-increasing."""
+    def rec(remaining, max_part, acc):
+        if remaining == 0:
+            yield dict(acc)
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            acc[part] = acc.get(part, 0) + 1
+            yield from rec(remaining - part, part, acc)
+            if acc[part] == 1:
+                del acc[part]
+            else:
+                acc[part] -= 1
+    yield from rec(k, k, {})
+
+
+def geometric_power_oracle(a_sets: list[BiSet], M: BiSet, N: int
+                           ) -> TruncatedSeries:
+    """(1 + [A_1]t + ... + [A_j]t^j)^{[M]} computed from configuration
+    spaces: the t^k coefficient is the class of the G-set of pairs
+    (finite subset K of M, labeling K -> union A_i) of total weight k."""
+    if not a_sets:
+        raise UsageError("need at least one coefficient G-set")
+    G = M.gB
+    for A in a_sets:
+        if A.gB is not G:
+            raise UsageError("coefficient sets and M must share the B-side group")
+    bring = burnside_ring(G)
+    ring = burnside_coeff_ring(bring)
+    coeffs = [ring.one]
+    for k in range(1, N + 1):
+        configs = _weight_configs(a_sets, M, k)
+        if not configs:
+            coeffs.append(ring.zero)
+            continue
+        rank = {c: i for i, c in enumerate(configs)}
+        perms = []
+        for j, _ in enumerate(G.generators):
+            img = []
+            for c in configs:
+                moved = tuple(sorted(
+                    (M.actB[j][mp], i, a_sets[i - 1].actB[j][a])
+                    for (mp, i, a) in c))
+                img.append(rank[moved])
+            perms.append(tuple(img))
+        X = biset_from_single_action(len(configs), G, perms)
+        coeffs.append(class_of(X))
+    return TruncatedSeries(ring, tuple(coeffs))
+
+
+def _weight_configs(a_sets, M, k):
+    """All configurations of total weight k, canonically sorted."""
+    out = []
+
+    def rec(pos, weight, acc):
+        if len(out) > GEOMETRIC_CONFIG_BUDGET:
+            raise ResourceLimitError("geometric power configurations",
+                                     size=len(out),
+                                     budget=GEOMETRIC_CONFIG_BUDGET)
+        if pos == M.size:
+            if weight == k:
+                out.append(tuple(acc))
+            return
+        rec(pos + 1, weight, acc)  # leave the point unused
+        for i, A in enumerate(a_sets, start=1):
+            if weight + i > k:
+                continue
+            for a in range(A.size):
+                acc.append((pos, i, a))
+                rec(pos + 1, weight + i, acc)
+                acc.pop()
+
+    rec(0, 0, [])
+    out.sort()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# G-sets and orbifold data built by hand
+
+def product(X: BiSet, Y: BiSet) -> BiSet:
+    """Cartesian product with both diagonal actions."""
+    _require_same_groups(X, Y)
+    size = X.size * Y.size
+
+    def lifted(xacts, yacts):
+        out = []
+        for xa, ya in zip(xacts, yacts):
+            out.append(tuple(xa[p] * Y.size + ya[q]
+                             for p in range(X.size) for q in range(Y.size)))
+        return out
+
+    actO = lifted(X.actO, Y.actO)
+    actB = lifted(X.actB, Y.actB)
+    return BiSet(size, X.gO, X.gB, actO, actB)
+
+
+def disjoint_union(X: BiSet, Y: BiSet) -> BiSet:
+    _require_same_groups(X, Y)
+    size = X.size + Y.size
+
+    def shifted(xacts, yacts):
+        return [tuple(xa) + tuple(q + X.size for q in ya)
+                for xa, ya in zip(xacts, yacts)]
+
+    actO = shifted(X.actO, Y.actO)
+    actB = shifted(X.actB, Y.actB)
+    return BiSet(size, X.gO, X.gB, actO, actB)
+
+
+def empty_biset(gO: FiniteGroup, gB: FiniteGroup) -> BiSet:
+    return BiSet(0, gO, gB,
+                 [()] * len(gO.generators), [()] * len(gB.generators))
+
+
+def point_biset(gO: FiniteGroup, gB: FiniteGroup) -> BiSet:
+    return BiSet(1, gO, gB,
+                 [(0,)] * len(gO.generators), [(0,)] * len(gB.generators))
+
+
+def _require_same_groups(X: BiSet, Y: BiSet) -> None:
+    if X.gO is not Y.gO or X.gB is not Y.gB:
+        raise UsageError("operands carry different groups")
+
+
+def age(angles) -> Fraction:
+    """Sum of the eigenvalue angles theta_j, each in [0, 1)."""
+    total = Fraction(0)
+    for theta in angles:
+        theta = Fraction(theta)
+        if not 0 <= theta < 1:
+            raise UsageError(f"angle {theta} outside [0, 1)")
+        total += theta
+    return total
+
+
+def datum_from_biset(X: BiSet, k: int, weights=None) -> OrbifoldDatum:
+    """Shift-zero datum whose strata are the commuting-tuple-class pieces of
+    the order-k equivariant characteristic; its total class is the L-free
+    embedding of chi_k_equivariant(X, k)."""
+    if weights is None:
+        weights = (1,) * k
+    bring = burnside_ring(X.gB)
+    strata = tuple((tup, embed(piece, bring), Fraction(0))
+                   for tup, piece in tuple_class_strata(X, k))
+    return OrbifoldDatum(X.gO, bring, k, tuple(weights), strata)
 
 
 # ---------------------------------------------------------------------------

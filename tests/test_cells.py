@@ -3,7 +3,8 @@ import pytest
 from equichar.errors import UsageError
 from equichar.cells import CellSpace, chi
 from equichar.groups import SymmetricGroup, cyclic, symmetric, trivial_group
-from equichar.gsets import biset_from_single_action, empty_biset, point_biset
+from equichar.gsets import biset_from_single_action
+from oracles import empty_biset, point_biset
 
 
 def regular(G):

@@ -277,6 +277,29 @@ def test_verify_axioms_and_props(capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_props12_weights_are_two_and_reported(capsys):
+    code, out, _ = run(capsys, "verify", "props12", "--trials", "2", "--N",
+                       "3", "--weights", "1/2,1", "--format", "json")
+    assert code == 0 and json.loads(out)["params"]["weights"] == ["1/2", "1"]
+    for raw in ("1", "1,2,3"):
+        code, out, err = run(capsys, "verify", "props12", "--trials", "2",
+                             "--weights", raw)
+        n = raw.count(",") + 1
+        assert (code, out, err) == (1, "", f"error: need 2 weights, got {n}\n")
+
+
+def test_theorem1_lists_cross_checked_degrees_only_on_request(capsys, files):
+    path = files("c3.json", {"size": 3, "gO": {"type": "cyclic", "n": 3},
+                             "gB": TRIV, "actO": [[1, 2, 0]], "actB": []})
+    argv = ("verify", "theorem1", "--k", "1", "--N", "4", "--input", path,
+            "--format", "json")
+    code, out, _ = run(capsys, *argv, "--cross-check")
+    checked = json.loads(out)
+    assert code == 0 and checked["params"].pop("cross_checked") == [0, 1, 2, 3]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out) == checked
+
+
 def test_verification_failure_exits_2(capsys, z2_reg, monkeypatch):
     from equichar import harness as h
     from equichar.harness import DegreeCheck, VerificationReport

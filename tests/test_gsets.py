@@ -7,10 +7,9 @@ from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (cyclic, dihedral, make_group, symmetric,
                              trivial_group)
 from equichar.gsets import (POINT_BUDGET, BiSet, biset_from_single_action,
-                            disjoint_union, empty_biset, point_biset,
-                            product, quotient_by, symmetric_power,
-                            wreath_power)
-from oracles import conj, subgroup_from_generators, wreath_power_images
+                            quotient_by, symmetric_power, wreath_power)
+from oracles import (conj, disjoint_union, empty_biset, point_biset, product,
+                     subgroup_from_generators, wreath_power_images)
 
 
 def regular_biset(G, side="O"):

@@ -1,6 +1,7 @@
 """Degree-by-degree verification reports."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -99,6 +100,28 @@ def test_props12_with_weights():
     assert r.passed
 
 
+def test_props12_records_its_weights_only_when_given():
+    r = harness.verify_props12(trials=2, N=3, seed=5,
+                               weights=(Fraction(1, 2), 1))
+    assert r.passed and r.params["weights"] == ["1/2", "1"]
+    assert "weights" not in harness.verify_props12(trials=2, N=3).params
+
+
+@pytest.mark.parametrize("weights", [(), (1,), (1, 2, 3)])
+def test_props12_refuses_other_weight_counts_before_any_draw(
+        monkeypatch, weights):
+    """Only two weights are used (k = 1 and 2), so any other count is
+    refused up front: not after every other law has run, and not by
+    checking a prefix of them."""
+    calls, power_L = [], harness.power_L
+    monkeypatch.setattr(harness, "power_L",
+                        lambda *a: calls.append(a) or power_L(*a))
+    with pytest.raises(UsageError,
+                       match=f"need 2 weights, got {len(weights)}"):
+        harness.verify_props12(trials=2, N=3, weights=weights)
+    assert calls == []
+
+
 def test_integer_oracle_report():
     r = verify_integer_oracle(trials=25, N=6, seed=9)
     assert r.passed
@@ -135,7 +158,8 @@ def test_theorem1_point_budget_checked_before_any_work(monkeypatch):
 def test_theorem1_cross_check_skips_oracle_above_limit(monkeypatch):
     """Above ORACLE_GROUP_LIMIT the tuple oracle is skipped, not refused:
     for C3 on 3 points at N = 4 it runs on the exponent's group and the
-    wreath groups of degrees 0-3, but not on C3≀S4 (order 1944)."""
+    wreath groups of degrees 0-3, but not on C3≀S4 (order 1944).  The
+    report lists the degrees it ran on; without the flag it lists none."""
     from equichar import euler
     orders = []
     oracle = euler.chi_k_equivariant_tuples
@@ -148,3 +172,8 @@ def test_theorem1_cross_check_skips_oracle_above_limit(monkeypatch):
     assert report.passed and len(report.degrees) == 5
     assert orders == [3, 1, 3, 18, 162]
     assert 3 ** 4 * 24 > euler.ORACLE_GROUP_LIMIT
+    assert report.params["cross_checked"] == [0, 1, 2, 3]
+    plain = harness.verify_theorem1(reg_o(3), 1, 4)
+    assert "cross_checked" not in plain.params
+    assert plain.to_json() == {**report.to_json(), "params": {
+        k: v for k, v in report.params.items() if k != "cross_checked"}}

@@ -78,7 +78,7 @@ def test_equal_elements_hash_alike():
     one = L(R, F(1, 2)) * L(R, F(1, 2))
     assert one == L(R, 1) and one.D == 1 and one.pairs == ((1, R.unit),)
     assert hash(one) == hash(L(R, 1))
-    a = embed(R.regular) + L(R, F(1, 3))
+    a = embed(R.basis(0)) + L(R, F(1, 3))
     back = a + L(R, F(1, 2)) - L(R, F(1, 2))
     assert back == a and hash(back) == hash(a) and back.D == 3
     zero = a - a

@@ -1,18 +1,37 @@
 """Every function and class in the package has a caller or a reader.
 
-A definition whose name appears nowhere in the package, the benchmark
-scripts or the README is code that only its own tests keep alive.  Names
-count when used as identifiers or inside string constants (the benchmark
-patches layers by dotted name), but not inside docstrings, which describe
-code rather than use it; dunder methods are exempt.
+A definition that nothing in the package, the benchmark scripts or the
+README's code names is code that only its own tests keep alive.  What
+counts as naming it:
+
+- in the package and the benchmark scripts, an identifier, an attribute
+  access `.name`, or a string constant that is an identifier or a dotted
+  path of identifiers (the benchmark patches layers by dotted name), but
+  not a docstring, which describes code rather than uses it, and nothing
+  in `__init__.py`, whose re-exports only pass a name on;
+- in the README, a word inside a code span or a fenced block, not prose.
+
+A method counts only as an attribute (`x.name`, `"Class.name"`), so a
+function, a local or a label that shares its name does not keep it alive.
+Dunder methods, and methods that override one inherited from outside the
+package, are exempt: the language or that base class calls them.  No two
+package modules define the same top-level name, so one definition cannot
+hide behind another.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 
+import equichar
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "equichar"
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (ast.FunctionDef, ast.ClassDef)
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+README_CODE = re.compile(r"```.*?```|`[^`\n]+`", re.S)
 
 
 def _docstrings(tree) -> set[int]:
@@ -24,26 +43,73 @@ def _docstrings(tree) -> set[int]:
             and isinstance(node.body[0].value.value, str)}
 
 
+def _readme_code() -> str:
+    """The README's code spans and fenced blocks, one per line."""
+    return "\n".join(README_CODE.findall((ROOT / "README.md").read_text()))
+
+
+def _uses(tree, names: set, attrs: set) -> None:
+    """Add the identifiers a module names to names, and the attributes it
+    reads (`.x`, or the tail of a dotted string "a.x") to attrs."""
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docstrings \
+                and DOTTED.fullmatch(node.value):
+            head, *tail = node.value.split(".")
+            names.add(head)
+            attrs.update(tail)
+
+
+def _definitions(tree):
+    """(name, line, owner) for every non-dunder function and class; the
+    owner is the class name for a method, else None."""
+    owner = {id(f): c.name for c in ast.walk(tree)
+             if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if isinstance(node, DEFS) and not (
+                node.name.startswith("__") and node.name.endswith("__")):
+            yield node.name, node.lineno, owner.get(id(node))
+
+
+def _inherited(module: str, owner: str, name: str) -> bool:
+    """Whether the class inherits name from a base outside the package."""
+    cls = getattr(importlib.import_module(f"equichar.{module}"), owner)
+    return any(name in vars(base) for base in cls.__mro__[1:]
+               if not base.__module__.startswith("equichar"))
+
+
 def test_no_orphan_definitions():
-    src = sorted((ROOT / "src" / "equichar").glob("*.py"))
-    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    defined = {}
-    for path in src + sorted((ROOT / "bench").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        docstrings = _docstrings(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name.rsplit(".", 1)[-1])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if id(node) not in docstrings:
-                    used.update(re.findall(r"\w+", node.value))
-            elif path in src and isinstance(
-                    node, (ast.FunctionDef, ast.ClassDef)) and not (
-                    node.name.startswith("__") and node.name.endswith("__")):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-    orphans = {n: where for n, where in defined.items() if n not in used}
-    assert not orphans, f"defined but never named elsewhere: {orphans}"
+    names, attrs = set(), set()
+    for word in re.finditer(r"(\.?)(\w+)", _readme_code()):
+        (attrs if word[1] else names).add(word[2])
+    src = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text()) for p in src}
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        _uses(ast.parse(path.read_text()), names, attrs)
+    for tree in trees.values():
+        _uses(tree, names, attrs)
+    orphans, top = [], {}
+    for path, tree in trees.items():
+        for name, line, owner in _definitions(tree):
+            if not (name in attrs or (name in names if owner is None else
+                                      _inherited(path.stem, owner, name))):
+                orphans.append(f"{path.name}:{line} {name}")
+        for node in tree.body:
+            if isinstance(node, DEFS):
+                top.setdefault(node.name, []).append(
+                    f"{path.name}:{node.lineno}")
+    orphans += [f"{name} defined at {', '.join(places)}"
+                for name, places in top.items() if len(places) > 1]
+    assert not orphans, f"unnamed or defined twice: {orphans}"
+
+
+def test_every_export_is_documented():
+    documented = set(re.findall(r"\w+", _readme_code()))
+    missing = sorted(set(equichar.__all__) - documented)
+    assert not missing, f"exported but not named in README code: {missing}"

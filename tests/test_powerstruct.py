@@ -4,19 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equichar.burnside import burnside_ring, cardinality_hom, class_of
+from equichar.burnside import burnside_ring, class_of
 from equichar.errors import ResourceLimitError, UsageError
 from equichar.groups import cyclic, make_group, symmetric
 from equichar.gsets import biset_from_single_action, symmetric_power
 from equichar.powerstruct import (INT_RING, TruncatedSeries,
                                   burnside_coeff_ring, exponent_tuples,
-                                  geometric_power_oracle,
-                                  integer_power_oracle, lambda_factorize,
-                                  lambda_reconstruct, lambda_term, power,
-                                  rhs_base_series, rhs_theorem1, zeta_series)
+                                  lambda_factorize, lambda_reconstruct,
+                                  lambda_term, power, rhs_base_series,
+                                  rhs_theorem1)
 from equichar.motivic import lext, lext_coeff_ring
-import equichar.powerstruct as powerstruct_mod
-from oracles import lambda_oracle, symmetric_power_class
+import oracles
+from oracles import (geometric_power_oracle, integer_power_oracle,
+                     lambda_oracle, symmetric_power_class)
 
 int_coeffs = st.lists(st.integers(min_value=-4, max_value=4), min_size=6,
                       max_size=6)
@@ -93,7 +93,7 @@ def test_lambda_factorize_needs_unit_constant():
 
 
 def test_integer_zeta_is_geometric_series():
-    z = zeta_series(INT_RING, None, 5)
+    z = lambda_term(INT_RING, 1, 1, 5)
     assert z.coeffs == (1,) * 6
 
 
@@ -107,8 +107,6 @@ def test_lambda_term_needs_positive_power():
     for i in (0, -1):
         with pytest.raises(UsageError):
             lambda_term(INT_RING, 1, i, 4)
-        with pytest.raises(UsageError):
-            zeta_series(INT_RING, None, 4, step=i)
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,7 +161,7 @@ def test_burnside_power_unit_exponent_cases():
 def test_kapranov_zeta_from_power():
     """(1-t)^{-[G/e]} over A(Z/2) is the symmetric-power series."""
     R = burnside_ring(cyclic(2))
-    out = rhs_theorem1(R.regular, 0, 4)
+    out = rhs_theorem1(R.basis(0), 0, 4)
     assert out.coeffs == tuple(symmetric_power_class(R, 0, k)
                                for k in range(5))
 
@@ -194,7 +192,7 @@ def test_closed_form_zeta_matches_symmetric_powers(desc, N):
     R = burnside_ring(make_group(desc))
     ring = burnside_coeff_ring(R)
     for i in range(R.n):
-        assert zeta_series(ring, i, N).coeffs == tuple(
+        assert lambda_term(ring, R.basis(i), 1, N).coeffs == tuple(
             symmetric_power_class(R, i, j) for j in range(N + 1))
 
 
@@ -237,9 +235,9 @@ def test_cardinality_specializes_burnside_power():
         m = R.element([rng.randint(-2, 2) for _ in range(R.n)])
         lifted = power(A, m)
         ints = TruncatedSeries(INT_RING,
-                               tuple(cardinality_hom(c) for c in A.coeffs))
-        assert tuple(cardinality_hom(c) for c in lifted.coeffs) == \
-            power(ints, cardinality_hom(m)).coeffs
+                               tuple(c.marks()[0] for c in A.coeffs))
+        assert tuple(c.marks()[0] for c in lifted.coeffs) == \
+            power(ints, m.marks()[0]).coeffs
 
 
 def test_axioms_over_burnside_ring():
@@ -284,7 +282,7 @@ def test_geometric_oracle_budget(monkeypatch):
     Z2 = cyclic(2)
     big = biset_from_single_action(12, Z2,
                                    [tuple(range(12))], side="B")
-    monkeypatch.setattr(powerstruct_mod, "GEOMETRIC_CONFIG_BUDGET", 50)
+    monkeypatch.setattr(oracles, "GEOMETRIC_CONFIG_BUDGET", 50)
     with pytest.raises(ResourceLimitError):
         geometric_power_oracle([big], big, 6)
 
@@ -335,7 +333,7 @@ def test_rhs_theorem1_negative_order_rejected():
 
 def test_rhs_theorem1_burnside_exponent():
     R = burnside_ring(cyclic(2))
-    out = rhs_theorem1(R.regular, 1, 3)
+    out = rhs_theorem1(R.basis(0), 1, 3)
     # prod_r zeta_{[G/e]}(t^r): hand-expanded low coefficients
     z = [symmetric_power_class(R, 0, k) for k in range(4)]
     assert out.coeffs[0] == R.unit
