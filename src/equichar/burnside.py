@@ -32,9 +32,11 @@ from collections import Counter
 from operator import mul
 
 from .cells import CellSpace
-from .errors import InvariantViolation, UsageError
+from .errors import InvariantViolation, ResourceLimitError, UsageError
 from .gsets import BiSet, biset_from_single_action
 from .groups import FiniteGroup, SubgroupLattice, subgroup_lattice
+
+MARKS_CLASS_BUDGET = 1024  # subgroup classes: the table holds n² marks
 
 
 class BurnsideRing:
@@ -44,6 +46,9 @@ class BurnsideRing:
         self.group = G
         self.lattice = lattice
         self.n = len(lattice.classes)
+        if self.n > MARKS_CLASS_BUDGET:
+            raise ResourceLimitError("table of marks", size=self.n,
+                                     budget=MARKS_CLASS_BUDGET)
         for i, K in enumerate(lattice.classes):
             if lattice.class_index.get(K.element_set()) != i:
                 raise InvariantViolation(f"class {i} is not indexed as itself")
@@ -274,11 +279,9 @@ class BurnsideElement:
 
 
 def burnside_ring(G: FiniteGroup) -> BurnsideRing:
-    ring = G._cache.get("burnside_ring")
-    if ring is None:
-        ring = BurnsideRing(G, subgroup_lattice(G))
-        G._cache["burnside_ring"] = ring
-    return ring
+    if "burnside_ring" not in G._cache:
+        G._cache["burnside_ring"] = BurnsideRing(G, subgroup_lattice(G))
+    return G._cache["burnside_ring"]
 
 
 def _require_b_set(X: BiSet) -> None:

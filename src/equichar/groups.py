@@ -3,22 +3,22 @@
 Groups are built structurally (cyclic, symmetric, dihedral, product, wreath,
 permutation closure).  A wreath product within WREATH_TABLE_BUDGET multiplies
 by lookups in three factor tables built with it; other products stay
-structural.  Conjugacy classes and centralizers come from one walk of an
-element's conjugation orbit under the generators: a class is the orbit,
-and a centralizer is its stabilizer, rebuilt from Schreier generators over
-the orbit's witnesses.  No element scan tests commutation.  A commuting
-k-tuple is a plain tuple of element indices; its classes recurse over
-classes and centralizers, so every representative they return commutes
-by construction.
+structural.  Each conjugacy class is walked once, as its orbit under the
+generators with a witness u and its inverse at each point.  The orbit is
+kept until its least member's centralizer, the stabilizer, is rebuilt from
+Schreier generators u·s·w^-1 that read the kept inverses.  A Subgroup keeps
+its classes, kept orbits, centralizers and commuting-tuple classes in its
+own memo; whole_subgroup(G), the one cached on G, is the root.  A commuting
+k-tuple is a plain tuple of element indices whose classes recurse over
+classes and centralizers, so every representative commutes by construction.
 
 Subgroups grow by Dimino's coset extension: <H, g> is H's element list
 followed by whole right cosets H·x, one product per new element.  The
 subgroup lattice is searched over conjugacy-class representatives only:
 each representative R is extended by one cyclic generator g per double
 coset R·g·R outside it, and a subgroup not met before has its whole
-conjugacy class indexed at once.
-Only the lattice builds a flat Cayley table, of at most 1024² cells under
-SUBGROUP_BUDGET, and it drops the table when it returns.
+conjugacy class indexed, up to SUBGROUP_BUDGET subgroups.  Only the lattice
+builds a flat Cayley table, of order at most CAYLEY_TABLE_LIMIT, and drops it.
 
 Budgets are module constants, read when the guarded work starts.
 """
@@ -28,11 +28,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 
-SUBGROUP_BUDGET = 1024      # subgroup-lattice enumeration cap
+SUBGROUP_BUDGET = 4096      # subgroups a lattice may index
+CAYLEY_TABLE_LIMIT = 1024   # group order for the lattice's Cayley table
 PERM_CLOSURE_BUDGET = 250_000
 SYMMETRIC_DEGREE_LIMIT = 8  # 8! = 40320 permutations materialized
 WREATH_TABLE_BUDGET = 1 << 21  # cells of a wreath product's factor tables
@@ -49,7 +51,6 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.label = label
         self.descriptor = descriptor
-        self._words: list[tuple[int, int]] | None = None
         self._cache: dict = {}
 
     def mul(self, a: int, b: int) -> int:
@@ -63,29 +64,28 @@ class FiniteGroup:
 
     # -- word machinery: BFS spanning tree over right multiplication --------
 
+    @cached_property
     def _word_table(self) -> list[tuple[int, int]]:
-        if self._words is None:
-            prev: list[tuple[int, int] | None] = [None] * self.order
-            prev[0] = (-1, -1)
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for i, s in enumerate(self.generators):
-                        y = self.mul(x, s)
-                        if prev[y] is None:
-                            prev[y] = (x, i)
-                            nxt.append(y)
-                frontier = nxt
-            if any(p is None for p in prev):
-                raise InvariantViolation(
-                    f"generators do not generate {self.label}")
-            self._words = prev  # type: ignore[assignment]
-        return self._words  # type: ignore[return-value]
+        prev: list[tuple[int, int] | None] = [None] * self.order
+        prev[0] = (-1, -1)
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for i, s in enumerate(self.generators):
+                    y = self.mul(x, s)
+                    if prev[y] is None:
+                        prev[y] = (x, i)
+                        nxt.append(y)
+            frontier = nxt
+        if any(p is None for p in prev):
+            raise InvariantViolation(
+                f"generators do not generate {self.label}")
+        return prev  # type: ignore[return-value]
 
     def word(self, g: int) -> tuple[int, ...]:
         """Generator positions w with g = gens[w0]·gens[w1]·...·gens[w-1]."""
-        prev = self._word_table()
+        prev = self._word_table
         out = []
         while g != 0:
             g, i = prev[g]
@@ -214,28 +214,26 @@ class PermGroup(FiniteGroup):
         self.degree = degree
         self.perms = perms
         self.rank = {p: i for i, p in enumerate(perms)}
-        self._inv_perms: tuple[tuple[int, ...], ...] | None = None
         FiniteGroup.__init__(self, len(perms),
                              tuple(self.rank[p] for p in gen_perms),
                              label, descriptor)
 
+    @cached_property
     def inverse_perms(self) -> tuple[tuple[int, ...], ...]:
-        if self._inv_perms is None:
-            out = []
-            for p in self.perms:
-                q = [0] * self.degree
-                for i, pi in enumerate(p):
-                    q[pi] = i
-                out.append(tuple(q))
-            self._inv_perms = tuple(out)
-        return self._inv_perms
+        out = []
+        for p in self.perms:
+            q = [0] * self.degree
+            for i, pi in enumerate(p):
+                q[pi] = i
+            out.append(tuple(q))
+        return tuple(out)
 
     def mul(self, a: int, b: int) -> int:
         pa, pb = self.perms[a], self.perms[b]
         return self.rank[tuple(pa[j] for j in pb)]
 
     def inv(self, a: int) -> int:
-        return self.rank[self.inverse_perms()[a]]
+        return self.rank[self.inverse_perms[a]]
 
 
 class SymmetricGroup(PermGroup):
@@ -371,7 +369,7 @@ class WreathGroup(FiniteGroup):
         va, vb = self._vec_of(qa), self._vec_of(qb)
         top = self.top
         pa = top.perms[ra]
-        pa_inv = top.inverse_perms()[ra]
+        pa_inv = top.inverse_perms[ra]
         itab, m = self._itab, self.inner.order
         if itab is not None:
             w = tuple(itab[va[i] * m + vb[pa_inv[i]]] for i in range(self.n))
@@ -412,9 +410,8 @@ def make_group(descriptor: dict) -> FiniteGroup:
     if not isinstance(descriptor, dict) or "type" not in descriptor:
         raise UsageError(f"bad group descriptor: {descriptor!r}")
     key = json.dumps(descriptor, sort_keys=True)
-    cached = _GROUP_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if key in _GROUP_CACHE:
+        return _GROUP_CACHE[key]
     kind = descriptor["type"]
     if kind == "trivial":
         g: FiniteGroup = CyclicGroup(1, label="triv",
@@ -492,11 +489,13 @@ def wreath(inner: FiniteGroup, n: int) -> FiniteGroup:
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup of a parent group: sorted element indices plus a small
-    generating set (at most log2 of the order after reduction)."""
+    generating set (at most log2 of the order after reduction), and a memo
+    of its classes, kept orbits, centralizers and commuting-tuple classes."""
 
     parent: FiniteGroup
     elements: tuple[int, ...]
     generators: tuple[int, ...]
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -508,12 +507,7 @@ class Subgroup:
 
 def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
     """Sorted element tuple of the subgroup generated by gens."""
-    elements: list[int] = [G.identity]
-    done: list[int] = []
-    for g in gens:
-        elements = extend_subgroup(G.mul, elements, done, g)
-        done.append(g)
-    return tuple(sorted(elements))
+    return tuple(sorted(_reduce_generators(G.mul, gens, G.order)[0]))
 
 
 def extend_subgroup(mul, elements, gens, g: int) -> list[int]:
@@ -551,11 +545,9 @@ def extend_subgroup(mul, elements, gens, g: int) -> list[int]:
 
 
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
-    h = G._cache.get("whole")
-    if h is None:
-        h = Subgroup(G, tuple(range(G.order)), G.generators)
-        G._cache["whole"] = h
-    return h
+    if "whole" not in G._cache:
+        G._cache["whole"] = Subgroup(G, tuple(range(G.order)), G.generators)
+    return G._cache["whole"]
 
 
 def _reduce_generators(mul, candidates, target: int
@@ -587,35 +579,35 @@ def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
 
 
 def conjugacy_classes_in(H: Subgroup) -> list[list[int]]:
-    """Conjugacy classes of the subgroup H, as sorted parent-index lists."""
-    key = ("classes", H.elements)
-    cached = H.parent._cache.get(key)
-    if cached is not None:
-        return cached
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for x0 in H.elements:
-        if x0 not in seen:
-            cls = sorted(_conjugation_orbit(H, x0))
-            seen.update(cls)
-            out.append(cls)
-    H.parent._cache[key] = out
-    return out
+    """Conjugacy classes of the subgroup H, as sorted parent-index lists;
+    each class's orbit is kept under its least member for centralizer_in."""
+    if "classes" not in H.memo:
+        gens = [(s, H.parent.inv(s)) for s in H.generators]
+        seen: set[int] = set()
+        out = []
+        for x0 in H.elements:
+            if x0 not in seen:
+                orbit = _conjugation_orbit(H.parent, gens, x0)
+                H.memo[("orbit", x0)] = orbit
+                seen.update(orbit)
+                out.append(sorted(orbit))
+        H.memo["classes"] = out
+    return H.memo["classes"]
 
 
-def _conjugation_orbit(H: Subgroup, g: int) -> dict[int, int]:
-    """The H-conjugacy class of g as an insertion-ordered dict x -> u with
-    u^-1 g u = x, walked breadth-first under H's generators."""
-    G = H.parent
-    gens = [(s, G.inv(s)) for s in H.generators]
-    orbit = {g: G.identity}
+def _conjugation_orbit(G: FiniteGroup, gens, g: int) -> dict:
+    """The conjugacy class of g under the generator pairs gens = [(s, s^-1)]
+    as an insertion-ordered dict x -> (u, u^-1) with u^-1 g u = x, walked
+    breadth-first."""
+    mul = G.mul
+    orbit = {g: (0, 0)}
     queue = [g]
     for x in queue:  # grows as the orbit does
-        u = orbit[x]
+        u, ui = orbit[x]
         for s, si in gens:
-            y = G.mul(G.mul(si, x), s)
+            y = mul(mul(si, x), s)
             if y not in orbit:
-                orbit[y] = G.mul(u, s)
+                orbit[y] = (mul(u, s), mul(si, ui))
                 queue.append(y)
     return orbit
 
@@ -631,33 +623,33 @@ def centralizer(G: FiniteGroup, entries: tuple[int, ...]) -> Subgroup:
 def centralizer_in(H: Subgroup, g: int) -> Subgroup:
     """C_H(g) for g in H, with a small generating set.
 
-    Orbit-stabilizer: the conjugation orbit of g is walked with transversal
-    witnesses, and the stabilizer is rebuilt from Schreier generators,
-    stopping as soon as the known order |H|/|orbit| is reached.  A central
-    g (the identity among them) gets H itself back.
+    Orbit-stabilizer: g's conjugation orbit (the one conjugacy_classes_in
+    kept, for a class's least member) carries witnesses and their inverses,
+    and the stabilizer is rebuilt from Schreier generators, stopping at the
+    known order |H|/|orbit|.  A central g gets H itself back.
     """
+    key = ("cent", g)
+    if key in H.memo:
+        return H.memo[key]
     G = H.parent
-    key = ("cent", H.elements, g)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
-    orbit = _conjugation_orbit(H, g)
+    gens = [(s, G.inv(s)) for s in H.generators]
+    orbit = H.memo.pop(("orbit", g), None) or _conjugation_orbit(G, gens, g)
     target, rem = divmod(H.order, len(orbit))
     if rem:
         raise InvariantViolation("orbit size does not divide subgroup order")
     if target == H.order:
         sub = H
     else:
-        gens = [(s, G.inv(s)) for s in H.generators]
+        mul = G.mul
         # u·s carries g to s^-1 x s, as does that point's witness
-        schreier = (G.mul(G.mul(u, s), G.inv(orbit[G.mul(G.mul(si, x), s)]))
-                    for x, u in orbit.items() for s, si in gens)
-        elems, small = _reduce_generators(G.mul, schreier, target)
+        schreier = (mul(mul(u, s), orbit[mul(mul(si, x), s)][1])
+                    for x, (u, _) in orbit.items() for s, si in gens)
+        elems, small = _reduce_generators(mul, schreier, target)
         if len(elems) != target:
             raise InvariantViolation(
                 "Schreier generators failed to reach stabilizer")
         sub = Subgroup(G, tuple(sorted(elems)), small)
-    G._cache[key] = sub
+    H.memo[key] = sub
     return sub
 
 
@@ -677,11 +669,10 @@ def commuting_tuple_classes(G: FiniteGroup, k: int
 def _ctuple_classes(H: Subgroup, k: int) -> list[tuple[tuple[int, ...], int]]:
     if k == 0:
         return [((), 1)]
-    key = ("ctuples", H.elements, k)
-    cached = H.parent._cache.get(key)
-    if cached is not None:
-        return cached
-    out: list[tuple[tuple[int, ...], int]] = []
+    key = ("tuples", k)
+    if key in H.memo:
+        return H.memo[key]
+    out = []
     for cls in conjugacy_classes_in(H):
         g = cls[0]
         C = centralizer_in(H, g)
@@ -691,7 +682,7 @@ def _ctuple_classes(H: Subgroup, k: int) -> list[tuple[tuple[int, ...], int]]:
                 raise ResourceLimitError("commuting tuple classes",
                                          size=len(out),
                                          budget=TUPLE_CLASS_BUDGET)
-    H.parent._cache[key] = out
+    H.memo[key] = out
     return out
 
 
@@ -716,12 +707,11 @@ class SubgroupLattice:
 
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     """Every subgroup of G, indexed by its conjugacy class."""
-    if G.order > SUBGROUP_BUDGET:
-        raise ResourceLimitError("subgroup enumeration",
-                                 size=G.order, budget=SUBGROUP_BUDGET)
-    cached = G._cache.get("lattice")
-    if cached is not None:
-        return cached
+    if G.order > CAYLEY_TABLE_LIMIT:
+        raise ResourceLimitError("subgroup lattice multiplication table",
+                                 size=G.order, budget=CAYLEY_TABLE_LIMIT)
+    if "lattice" in G._cache:
+        return G._cache["lattice"]
     rows = _table_rows(G)  # every product below is a lookup in it
     mul = lambda a, b: rows[a][b]
     # x -> s^-1 x s for each generator s: conjugating a subgroup is lookups
@@ -745,6 +735,10 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
                     class_index[img] = idx
                     orbit.append(img)
         orbits.append(orbit)
+        if len(class_index) > SUBGROUP_BUDGET:
+            raise ResourceLimitError("subgroup enumeration",
+                                     size=len(class_index),
+                                     budget=SUBGROUP_BUDGET)
         queue.append((elements, gens))
 
     # every K > 1 is <M, g> for a maximal M < K and any g in K \ M; with

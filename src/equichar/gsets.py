@@ -110,7 +110,8 @@ class BiSet:
     def validate(self) -> None:
         """Permutation well-formedness, commutation of the two actions, and
         the generator assignments extending to group homomorphisms
-        (exhaustive on the Cayley relations when affordable, sampled above)."""
+        (exhaustive on the Cayley relations when affordable, sampled above;
+        a side without generators has none to check or sample)."""
         for a in self.actO:
             for b in self.actB:
                 if any(a[b[p]] != b[a[p]] for p in range(self.size)):
@@ -119,7 +120,7 @@ class BiSet:
         for side in ("O", "B"):
             group, _ = self._side(side)
             cost = group.order * max(1, len(group.generators)) * max(1, self.size)
-            if cost <= HOM_CHECK_BUDGET:
+            if cost <= HOM_CHECK_BUDGET or not group.generators:
                 pairs = ((x, s) for x in range(group.order)
                          for s in group.generators)
             else:

@@ -273,7 +273,7 @@ def validate_group(G, samples=100_000, exhaustive_limit=256, seed=0):
             c = rng.randrange(G.order)
             if G.mul(G.mul(a, b), c) != G.mul(a, G.mul(b, c)):
                 raise InvariantViolation(f"associativity fails at {(a, b, c)}")
-    G._word_table()  # raises if generators do not generate
+    G._word_table  # raises if generators do not generate
 
 
 def validate_subgroup(H):
@@ -372,7 +372,7 @@ def wreath_power_images(W, g, inner_act, radix):
     W = G≀S_n by ((a,σ)·x)_i = a_i·x_{σ⁻¹(i)}; inner_act(a, v) is the
     action of G on X."""
     vec, r = W.decode(g)
-    sigma_inv = W.top.inverse_perms()[r]
+    sigma_inv = W.top.inverse_perms[r]
     return [encode_tuple([inner_act(vec[i], t[sigma_inv[i]])
                           for i in range(W.n)], radix)
             for t in itertools.product(range(radix), repeat=W.n)]

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import equichar.burnside as burnside_mod
 from equichar.burnside import (BurnsideRing, burnside_ring, chi_equivariant,
                                class_of)
 from equichar.cells import CellSpace
-from equichar.errors import InvariantViolation, UsageError
+from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (SubgroupLattice, SymmetricGroup, cyclic,
                              dihedral, make_group, subgroup_lattice, symmetric)
 from equichar.gsets import BiSet, biset_from_single_action, trivial_group
@@ -34,6 +35,28 @@ def test_marks_lower_triangular_positive_diagonal():
         for i in range(n):
             assert rows[i][i] > 0
             assert all(rows[i][j] == 0 for j in range(i + 1, n))
+
+
+@pytest.mark.parametrize("desc, subgroups, classes", [
+    ({"type": "wreath", "inner": {"type": "cyclic", "n": 2}, "n": 4},
+     1659, 193),
+    ({"type": "symmetric", "n": 6}, 1455, 56),
+], ids=["C2wrS4", "S6"])
+def test_large_tables_of_marks_build(desc, subgroups, classes):
+    ring = burnside_ring(make_group(desc))
+    assert (len(ring.lattice.class_index), ring.n) == (subgroups, classes)
+
+
+def test_marks_class_budget(monkeypatch):
+    """The table of marks is n x n over the n classes of subgroups, so
+    MARKS_CLASS_BUDGET bounds n: S4's 11 classes pass a budget of 11 and
+    are refused under 10."""
+    monkeypatch.setattr(burnside_mod, "MARKS_CLASS_BUDGET", 10)
+    with pytest.raises(ResourceLimitError,
+                       match=r"table of marks \(size 11 exceeds budget 10\)"):
+        burnside_ring(SymmetricGroup(4))  # a fresh instance: nothing cached
+    monkeypatch.setattr(burnside_mod, "MARKS_CLASS_BUDGET", 11)
+    assert burnside_ring(SymmetricGroup(4)).n == 11
 
 
 def test_basis_names():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -351,6 +352,33 @@ def test_chi_has_no_cross_check_flag(capsys, s3_point):
     assert "unrecognized arguments: --cross-check" in err
     code, out, _ = run(capsys, "chi-orb", "--input", s3_point, "--cross-check")
     assert code == 0 and out.strip() == "3"
+
+
+def test_cross_check_skip_is_reported(capsys, files):
+    """Above ORACLE_GROUP_LIMIT (400) a requested cross-check is skipped:
+    a point under S6 (order 720) prints one stderr line naming the limit,
+    with the same stdout and exit code as without the flag."""
+    path = files("s6pt.json", {"size": 1, "gO": {"type": "symmetric", "n": 6},
+                               "gB": TRIV, "actO": [[0], [0]], "actB": []})
+    for verb in (("chi-orb",), ("chi-k", "--k", "1"), ("chi-k-eq", "--k", "2")):
+        plain = run(capsys, *verb, "--input", path)
+        assert plain[0] == 0 and plain[2] == ""
+        code, out, err = run(capsys, *verb, "--input", path, "--cross-check")
+        assert (code, out) == plain[:2]
+        assert err == ("note: cross-check skipped: O-side group order 720 "
+                       "exceeds the oracle limit 400\n")
+
+
+def test_group_marks_refuses_many_subgroups_quickly(capsys, files):
+    """C2^7 has order 128 but 29,212 subgroups; the lattice counts what it
+    indexes and stops past SUBGROUP_BUDGET, well inside a second."""
+    path = files("c2_7.json", {"type": "product", "factors": [Z2] * 7})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "group", "marks", "--input", path)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (1, "")
+    assert err == ("error: subgroup enumeration "
+                   "(size 4097 exceeds budget 4096)\n")
 
 
 def test_budget_violation_exits_1(capsys, z2_reg):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
+from equichar.euler import chi_k_equivariant
 from equichar.groups import (
     FiniteGroup,
     WreathGroup,
@@ -32,6 +33,7 @@ from equichar.groups import (
     wreath,
 )
 import equichar.groups as groups_mod
+from equichar.gsets import BiSet, biset_from_single_action, wreath_power
 from oracles import (commuting_tuple_classes_naive, commuting_tuples_naive,
                      conj, element_order, subgroup_from_generators,
                      subgroups_up_to_conjugacy, validate_group,
@@ -243,30 +245,65 @@ def _scan_centralizer(H, x):
     return tuple(h for h in H.elements if G.mul(h, x) == G.mul(x, h))
 
 
-def _reps_and_others(H, rng):
-    """H's class representatives, then up to 50 seeded other elements."""
-    reps = [cls[0] for cls in groups_mod.conjugacy_classes_in(H)]
-    others = sorted(set(H.elements) - set(reps))
-    return reps + rng.sample(others, min(50, len(others)))
-
-
 @pytest.mark.parametrize("inner, n", [(symmetric(3), 2), (cyclic(3), 4)],
                          ids=["S3wrS2", "C3wrS4"])
 def test_orbit_stabilizer_centralizer_matches_scan(inner, n):
-    """Orders 72 and 1944: every class representative, seeded other
-    elements, and the same inside a proper subgroup."""
-    w = wreath(inner, n)
+    """Orders 72 and 1944, then the largest proper centralizer in each:
+    every class representative, whose centralizer is built from the orbit
+    its class walk kept, and 50 seeded other elements, which walk their
+    own orbits."""
+    w = WreathGroup(inner, n)  # a fresh instance: no orbit kept yet
     rng = random.Random(5)
-    whole = whole_subgroup(w)
-    reps = [cls[0] for cls in conjugacy_classes(w)]
-    H = max((centralizer_in(whole, x) for x in reps),
-            key=lambda C: (C.order < w.order, C.order))
-    assert 1 < H.order < w.order
-    for K in (whole, H):
-        for x in _reps_and_others(K, rng):
+    K = whole_subgroup(w)
+    for _ in range(2):
+        reps = [cls[0] for cls in groups_mod.conjugacy_classes_in(K)]
+        assert all(("orbit", x) in K.memo for x in reps)
+        others = sorted(set(K.elements) - set(reps))
+        for x in reps + rng.sample(others, min(50, len(others))):
             got = centralizer_in(K, x)
+            assert ("orbit", x) not in K.memo
             assert got.elements == _scan_centralizer(K, x)
             assert closure(w, got.generators) == got.elements
+        K = max((centralizer_in(K, x) for x in reps),
+                key=lambda C: (C.order < w.order, C.order))
+        assert 1 < K.order < w.order
+
+
+def test_each_class_is_walked_once(monkeypatch):
+    """chi_k_equivariant at k = 2 on the 8-point C2≀S3-set (the regular
+    C2-set's third wreath power) walks each class of each subgroup it
+    recurses into once, as a representative's centralizer reuses the orbit
+    its class walk kept.  inv runs once per generator of a subgroup in its
+    class walk and in each centralizer build, never in the Schreier loop.
+    Walking each orbit again for the centralizer and inverting each
+    Schreier witness took 48 walks and 240 inv calls."""
+    w = WreathGroup(cyclic(2), 3)  # a fresh instance: nothing cached
+    regular = biset_from_single_action(2, cyclic(2), [(1, 0)], side="O")
+    X = BiSet(8, w, trivial_group(), wreath_power(regular, 3).actO, ())
+    calls = {"walk": 0, "inv": 0}
+
+    def walk(*args, inner=groups_mod._conjugation_orbit):
+        calls["walk"] += 1
+        return inner(*args)
+
+    def inv(a, inner=w.inv):
+        calls["inv"] += 1
+        return inner(a)
+    monkeypatch.setattr(groups_mod, "_conjugation_orbit", walk)
+    monkeypatch.setattr(w, "inv", inv, raising=False)
+    assert chi_k_equivariant(X, 2).render() == "8*[G/G]"
+    walked, stack = [], [whole_subgroup(w)]
+    while stack:  # every subgroup whose classes the recursion took
+        H = stack.pop()
+        if "classes" in H.memo and all(H is not K for K in walked):
+            walked.append(H)
+            cents = [C for key, C in H.memo.items() if key[0] == "cent"]
+            assert len(cents) == len(H.memo["classes"])
+            stack += [C for C in cents if C is not H]
+    assert calls["walk"] == sum(len(H.memo["classes"]) for H in walked) == 24
+    assert calls["inv"] == sum(len(H.generators) * (1 + len(H.memo["classes"]))
+                               for H in walked) == 74
+    assert not [key for H in walked for key in H.memo if key[0] == "orbit"]
 
 
 def test_central_elements_centralize_the_whole_subgroup():
@@ -342,10 +379,10 @@ def test_subgroup_lattice_canonical_order_and_index():
 
 
 def test_subgroup_budget(monkeypatch):
-    """The refusal names the limit and comes before any product or table
-    row; within the limit the lattice's only products are the generator
-    rows of its table."""
-    monkeypatch.setattr(groups_mod, "SUBGROUP_BUDGET", 32)
+    """The Cayley-table refusal names the limit and comes before any
+    product or table row; within the limit the lattice's only products are
+    the generator rows of its table."""
+    monkeypatch.setattr(groups_mod, "CAYLEY_TABLE_LIMIT", 32)
     G = WreathGroup(symmetric(3), 2)  # a fresh instance: no lattice cached
     calls = []
 
@@ -353,14 +390,38 @@ def test_subgroup_budget(monkeypatch):
         calls.append((a, b))
         return mul(a, b)
     monkeypatch.setattr(G, "mul", counted, raising=False)
-    with pytest.raises(ResourceLimitError, match="subgroup enumeration") as e:
+    with pytest.raises(ResourceLimitError,
+                       match="subgroup lattice multiplication table") as e:
         subgroup_lattice(G)
     assert e.value.budget == 32 and e.value.size == 72
     assert "exceeds budget 32" in str(e.value)
     assert calls == []
-    monkeypatch.setattr(groups_mod, "SUBGROUP_BUDGET", 72)
+    monkeypatch.setattr(groups_mod, "CAYLEY_TABLE_LIMIT", 72)
     subgroup_lattice(G)
     assert len(calls) == len(G.generators) * G.order
+
+
+def _c2_power(n):
+    return make_group({"type": "product",
+                       "factors": [{"type": "cyclic", "n": 2}] * n})
+
+
+def test_subgroup_count_budget(monkeypatch):
+    """SUBGROUP_BUDGET counts the subgroups the lattice indexes, not the
+    group order: C2^n has 1, 2, 5, 16, 67, 374, 2825 subgroups for
+    n <= 6 (OEIS A006116), and C2^7, of order 128 but with 29,212
+    subgroups, is refused once the count passes the budget."""
+    counts = [len(subgroup_lattice(_c2_power(n)).class_index)
+              for n in range(7)]
+    assert counts == [1, 2, 5, 16, 67, 374, 2825]
+    budget = groups_mod.SUBGROUP_BUDGET
+    with pytest.raises(ResourceLimitError, match="subgroup enumeration") as e:
+        subgroup_lattice(_c2_power(7))
+    assert e.value.size == budget + 1 and e.value.budget == budget
+    monkeypatch.setattr(groups_mod, "SUBGROUP_BUDGET", 373)
+    C2_5 = groups_mod.ProductGroup((cyclic(2),) * 5)  # no lattice cached
+    with pytest.raises(ResourceLimitError, match="size 374 exceeds budget 373"):
+        subgroup_lattice(C2_5)
 
 
 TABLE_FAMILIES = [

@@ -8,6 +8,7 @@ from equichar.groups import (cyclic, dihedral, make_group, symmetric,
                              trivial_group)
 from equichar.gsets import (POINT_BUDGET, BiSet, biset_from_single_action,
                             quotient_by, symmetric_power, wreath_power)
+import equichar.gsets as gsets_mod
 from oracles import (conj, disjoint_union, empty_biset, point_biset, product,
                      subgroup_from_generators, wreath_power_images)
 
@@ -43,6 +44,20 @@ def test_validate_rejects_non_permutation():
     Z2 = cyclic(2)
     with pytest.raises(UsageError):
         BiSet(2, Z2, trivial_group(), ((0, 0),), ())
+
+
+def test_sampled_homomorphism_check(monkeypatch):
+    """With HOM_CHECK_BUDGET at 0 both sides are sampled.  A side with no
+    generators has nothing to check and is skipped, the natural S3-set
+    with a C2 B side passes, and the variant that sends S3's 3-cycle to a
+    transposition is refused."""
+    monkeypatch.setattr(gsets_mod, "HOM_CHECK_BUDGET", 0)
+    triv, S3 = trivial_group(), symmetric(3)
+    BiSet(3, triv, triv, (), ()).validate()
+    BiSet(3, S3, cyclic(2), [(1, 0, 2), (1, 2, 0)], [(0, 1, 2)]).validate()
+    with pytest.raises(InvariantViolation,
+                       match="O-side action is not a homomorphism"):
+        BiSet(3, S3, triv, [(1, 0, 2), (0, 2, 1)], ()).validate()
 
 
 def test_validate_rejects_wrong_generator_count():

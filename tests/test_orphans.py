@@ -16,7 +16,8 @@ function, a local or a label that shares its name does not keep it alive.
 Dunder methods, and methods that override one inherited from outside the
 package, are exempt: the language or that base class calls them.  No two
 package modules define the same top-level name, so one definition cannot
-hide behind another.
+hide behind another.  Every budget or limit constant is named in a row of
+the README's Budgets table.
 """
 
 import ast
@@ -113,3 +114,21 @@ def test_every_export_is_documented():
     documented = set(re.findall(r"\w+", _readme_code()))
     missing = sorted(set(equichar.__all__) - documented)
     assert not missing, f"exported but not named in README code: {missing}"
+
+
+def test_every_budget_is_in_the_readme_table():
+    """Every module-level *_BUDGET or *_LIMIT constant of the package is
+    named, as a code span, in a row of the README's Budgets table."""
+    section = (ROOT / "README.md").read_text().split("\n## Budgets\n")[1]
+    rows = re.findall(r"^\|.*", section.split("\n## ")[0], re.M)
+    named = set(re.findall(r"`(\w+)`", "\n".join(rows)))
+    constants = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            constants.update(t.id for t in targets if isinstance(t, ast.Name)
+                             and re.fullmatch(r"\w+_(BUDGET|LIMIT)", t.id))
+    assert "HOM_CHECK_BUDGET" in constants
+    missing = sorted(constants - named)
+    assert not missing, f"not in the README Budgets table: {missing}"
