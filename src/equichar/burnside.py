@@ -20,8 +20,10 @@ fixed coset gK holds |K| of them, so
 
 counted by subset tests over the lattice's index of every subgroup.
 
-`orbit_counts` tabulates the K-orbit sizes on every G/H, from the coset
-spaces.  `adams(r)` solves from them, by forward substitution over the
+`orbit_counts` counts the K-orbits of each size on every G/H from the same
+lists (double cosets, tom Dieck, LNM 766): the coset gH has K-orbit size
+[K : K ∩ gHg^-1], and each conjugate of H fixes |G| / (#conjugates(H)·|H|)
+cosets.  `adams(r)` solves from the counts, by forward substitution over the
 table of marks, the integer matrix U^r taking marks to the orbit sums
 psi^r_K = sum_(d|r) d·n_d that λ-terms are written in (see `powerstruct`).
 """
@@ -33,7 +35,7 @@ from operator import mul
 
 from .cells import CellSpace
 from .errors import InvariantViolation, ResourceLimitError, UsageError
-from .gsets import BiSet, biset_from_single_action
+from .gsets import BiSet
 from .groups import FiniteGroup, SubgroupLattice, subgroup_lattice
 
 MARKS_CLASS_BUDGET = 1024  # subgroup classes: the table holds n² marks
@@ -54,12 +56,12 @@ class BurnsideRing:
                 raise InvariantViolation(f"class {i} is not indexed as itself")
         if len(set(lattice.class_index.values())) != self.n:
             raise InvariantViolation("class index names a class not listed")
-        conjugates: list[list[frozenset[int]]] = [[] for _ in range(self.n)]
+        # per class, the element sets of its conjugates, as the index holds
+        self.conjugates = [[] for _ in range(self.n)]
         for elements, i in lattice.class_index.items():
-            conjugates[i].append(elements)
+            self.conjugates[i].append(elements)
         orders = [H.order for H in lattice.classes]
-        sizes = [len(c) for c in conjugates]
-        self.marks_rows = tuple(self._marks_row(i, conjugates, orders, sizes)
+        self.marks_rows = tuple(self._marks_row(i, orders)
                                 for i in range(self.n))
         for i, row in enumerate(self.marks_rows):
             if row[i] <= 0 or any(row[j] for j in range(i + 1, self.n)):
@@ -67,22 +69,16 @@ class BurnsideRing:
         self._products_checked = False
         self._memo: dict = {}
 
-    def _marks_row(self, i: int, conjugates, orders, sizes
-                   ) -> tuple[int, ...]:
+    def _marks_row(self, i: int, orders) -> tuple[int, ...]:
         """|(G/K)^H| for K the i-th class and every class H, from the
-        conjugates of H contained in K; orders[j] and sizes[j] are the j-th
-        class's subgroup order and number of conjugates."""
-        kset = self.lattice.classes[i].element_set()
-        k = orders[i]
+        conjugates of H contained in K; orders[j] is the j-th class's
+        subgroup order."""
+        kset, k = self.lattice.classes[i].element_set(), orders[i]
         row = []
-        for j in range(self.n):
-            inside = 0 if k % orders[j] else sum(
-                1 for c in conjugates[j] if c <= kset)
-            mark, rem = divmod(self.group.order * inside, sizes[j] * k)
-            if rem:
-                raise InvariantViolation(
-                    f"mark of class {j} in class {i} is not an integer")
-            row.append(mark)
+        for conj, order in zip(self.conjugates, orders):
+            inside = 0 if k % order else sum(1 for c in conj if c <= kset)
+            row.append(_exact(self.group.order * inside, len(conj) * k,
+                              "a mark"))
         return tuple(row)
 
     # -- elements ------------------------------------------------------------
@@ -150,29 +146,26 @@ class BurnsideRing:
             return "[G/e]"
         return f"[G/H{i}]"
 
-    # -- G-sets attached to basis classes ------------------------------------
-
-    def coset_biset(self, i: int) -> BiSet:
-        """The transitive G-set G/H_i (B side), its points the cosets in
-        order of their least element."""
-        G, K = self.group, self.lattice.classes[i]
-        reps: list[int] = []   # the least element of each coset gK
-        index: dict[int, int] = {}
-        for g in G.elements():
-            if g not in index:
-                index.update((G.mul(g, k), len(reps)) for k in K.elements)
-                reps.append(g)
-        perms = [tuple(index[G.mul(s, r)] for r in reps) for s in G.generators]
-        return biset_from_single_action(len(reps), G, perms, side="B")
-
     def orbit_counts(self) -> list[list[Counter]]:
         """counts[h][k][d]: the number of K-orbits of size d on G/H_h for
-        the class K = H_k, from `coset_biset`; built once per ring."""
+        the class K = H_k, from the conjugates of H_h; built once per ring."""
         if "orbits" not in self._memo:
             classes = self.lattice.classes
-            self._memo["orbits"] = [[Counter(map(len, X.orbits_on(
-                "B", K.generators, range(X.size)))) for K in classes]
-                for X in map(self.coset_biset, range(self.n))]
+            ksets = [K.element_set() for K in classes]
+            counts = []
+            for h, conj in enumerate(self.conjugates):
+                share = _exact(self.group.order, len(conj) * classes[h].order,
+                               "cosets per conjugate")
+                row = []
+                for K, kset in zip(classes, ksets):
+                    meets = Counter(len(kset & c) for c in conj)
+                    orbits = Counter()
+                    for meet, m in meets.items():
+                        d = _exact(K.order, meet, "an orbit size")
+                        orbits[d] = _exact(share * m, d, "an orbit count")
+                    row.append(orbits)
+                counts.append(row)
+            self._memo["orbits"] = counts
         return self._memo["orbits"]
 
     def adams(self, r: int) -> list[tuple]:
@@ -278,6 +271,14 @@ class BurnsideElement:
         return f"<A({self.ring.group.label}) {self.render()}>"
 
 
+def _exact(a: int, b: int, what: str) -> int:
+    """a / b, which must be an integer."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise InvariantViolation(f"{what} is not an integer: {a}/{b}")
+    return q
+
+
 def burnside_ring(G: FiniteGroup) -> BurnsideRing:
     if "burnside_ring" not in G._cache:
         G._cache["burnside_ring"] = BurnsideRing(G, subgroup_lattice(G))
@@ -302,11 +303,7 @@ def chi_equivariant(X: BiSet | CellSpace) -> BurnsideElement:
     sign (-1)^dim) are classified by exact isotropy subgroup, and each
     isotropy stratum contributes its orbit count to the matching [G/H]."""
     if isinstance(X, CellSpace):
-        ring = burnside_ring(X.gB)
-        total = ring.zero
-        for d, F in X.cells:
-            total = total + (-1) ** d * chi_equivariant(F)
-        return total
+        return X.signed_sum(chi_equivariant, burnside_ring(X.gB).zero)
     _require_b_set(X)
     ring = burnside_ring(X.gB)
     G = X.gB

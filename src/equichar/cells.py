@@ -33,6 +33,10 @@ class CellSpace:
         self.gO = first.gO
         self.gB = first.gB
 
+    def signed_sum(self, f, zero):
+        """zero plus the sum of (-1)^dim · f(F) over the cells (dim, F)."""
+        return sum(((-1) ** d * f(F) for d, F in self.cells), zero)
+
     def __repr__(self) -> str:
         return f"<CellSpace {len(self.cells)} cells O={self.gO.label} B={self.gB.label}>"
 
@@ -42,5 +46,5 @@ def chi(X: CellSpace | BiSet) -> int:
     for bare finite sets."""
     if isinstance(X, BiSet):
         return X.size
-    return sum((-1) ** d * F.size for d, F in X.cells)
+    return X.signed_sum(lambda F: F.size, 0)
 

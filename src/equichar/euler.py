@@ -83,11 +83,8 @@ def tuple_class_strata(X: BiSet, k: int):
 def chi_k_equivariant_tuples(X: BiSet, k: int) -> BurnsideElement:
     """Direct form: sum over commuting k-tuple classes [phi] of
     chi^{G_B}(X^phi / C(phi)).  Oracle, gated to small O-side groups."""
-    ring = burnside_ring(X.gB)
-    total = ring.zero
-    for _, piece in tuple_class_strata(X, k):
-        total = total + piece
-    return total
+    return sum((piece for _, piece in tuple_class_strata(X, k)),
+               burnside_ring(X.gB).zero)
 
 
 def chi_k_averaging(X: BiSet, k: int) -> int:
@@ -126,11 +123,8 @@ def chi_k_equivariant(X: BiSet | CellSpace, k: int,
     if k < 0:
         raise UsageError(f"order must be >= 0, got {k}")
     if isinstance(X, CellSpace):
-        ring = burnside_ring(X.gB)
-        total = ring.zero
-        for d, F in X.cells:
-            total = total + (-1) ** d * chi_k_equivariant(F, k, cross_check)
-        return total
+        return X.signed_sum(lambda F: chi_k_equivariant(F, k, cross_check),
+                            burnside_ring(X.gB).zero)
     ring = burnside_ring(X.gB)
     memo = X.__dict__.setdefault("_chi_memo", {})
     value = _rec_equivariant(X, tuple(range(X.size)), whole_subgroup(X.gO),
@@ -150,10 +144,9 @@ def chi_k(X: BiSet | CellSpace, k: int,
     count of the quotient and order k recurses over centralizers."""
     if k < 0:
         raise UsageError(f"order must be >= 0, got {k}")
-    if isinstance(X, CellSpace):
-        _require_trivial_b(X)
-        return sum((-1) ** d * chi_k(F, k, cross_check) for d, F in X.cells)
     _require_trivial_b(X)
+    if isinstance(X, CellSpace):
+        return X.signed_sum(lambda F: chi_k(F, k, cross_check), 0)
     value = chi_k_equivariant(X, k).coeffs[0]
     if cross_check and X.gO.order <= ORACLE_GROUP_LIMIT:
         other = chi_k_averaging(X, k)

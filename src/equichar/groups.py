@@ -4,13 +4,13 @@ Groups are built structurally (cyclic, symmetric, dihedral, product, wreath,
 permutation closure).  A wreath product within WREATH_TABLE_BUDGET multiplies
 by lookups in three factor tables built with it; other products stay
 structural.  Each conjugacy class is walked once, as its orbit under the
-generators with a witness u and its inverse at each point.  The orbit is
-kept until its least member's centralizer, the stabilizer, is rebuilt from
-Schreier generators u·s·w^-1 that read the kept inverses.  A Subgroup keeps
-its classes, kept orbits, centralizers and commuting-tuple classes in its
-own memo; whole_subgroup(G), the one cached on G, is the root.  A commuting
-k-tuple is a plain tuple of element indices whose classes recurse over
-classes and centralizers, so every representative commutes by construction.
+generators with a witness u and its inverse at each point; its least
+member's centralizer, the stabilizer, is rebuilt at once from Schreier
+generators u·s·w^-1 that read those inverses, and the orbit is dropped.
+A Subgroup keeps its classes, centralizers and commuting-tuple classes in
+its own memo; whole_subgroup(G), the one cached on G, is the root.  A
+commuting k-tuple is a plain tuple of element indices whose classes recurse
+over classes and centralizers, so every representative commutes.
 
 Subgroups grow by Dimino's coset extension: <H, g> is H's element list
 followed by whole right cosets H·x, one product per new element.  The
@@ -39,6 +39,7 @@ PERM_CLOSURE_BUDGET = 250_000
 SYMMETRIC_DEGREE_LIMIT = 8  # 8! = 40320 permutations materialized
 WREATH_TABLE_BUDGET = 1 << 21  # cells of a wreath product's factor tables
 TUPLE_CLASS_BUDGET = 1_000_000  # commuting-tuple classes of one order
+ELEMENT_BUDGET = 1_000_000  # elements a group may enumerate
 
 
 class FiniteGroup:
@@ -64,8 +65,14 @@ class FiniteGroup:
 
     # -- word machinery: BFS spanning tree over right multiplication --------
 
+    def _require_enumerable(self) -> None:  # before anything is allocated
+        if self.order > ELEMENT_BUDGET:
+            raise ResourceLimitError(f"element enumeration of {self.label}",
+                                     size=self.order, budget=ELEMENT_BUDGET)
+
     @cached_property
     def _word_table(self) -> list[tuple[int, int]]:
+        self._require_enumerable()
         prev: list[tuple[int, int] | None] = [None] * self.order
         prev[0] = (-1, -1)
         frontier = [0]
@@ -490,7 +497,7 @@ def wreath(inner: FiniteGroup, n: int) -> FiniteGroup:
 class Subgroup:
     """Subgroup of a parent group: sorted element indices plus a small
     generating set (at most log2 of the order after reduction), and a memo
-    of its classes, kept orbits, centralizers and commuting-tuple classes."""
+    of its classes, centralizers and commuting-tuple classes."""
 
     parent: FiniteGroup
     elements: tuple[int, ...]
@@ -546,6 +553,7 @@ def extend_subgroup(mul, elements, gens, g: int) -> list[int]:
 
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
     if "whole" not in G._cache:
+        G._require_enumerable()
         G._cache["whole"] = Subgroup(G, tuple(range(G.order)), G.generators)
     return G._cache["whole"]
 
@@ -580,7 +588,7 @@ def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
 
 def conjugacy_classes_in(H: Subgroup) -> list[list[int]]:
     """Conjugacy classes of the subgroup H, as sorted parent-index lists;
-    each class's orbit is kept under its least member for centralizer_in."""
+    each least member's centralizer is built from the orbit just walked."""
     if "classes" not in H.memo:
         gens = [(s, H.parent.inv(s)) for s in H.generators]
         seen: set[int] = set()
@@ -588,7 +596,7 @@ def conjugacy_classes_in(H: Subgroup) -> list[list[int]]:
         for x0 in H.elements:
             if x0 not in seen:
                 orbit = _conjugation_orbit(H.parent, gens, x0)
-                H.memo[("orbit", x0)] = orbit
+                H.memo.setdefault(("cent", x0), _stabilizer(H, gens, orbit))
                 seen.update(orbit)
                 out.append(sorted(orbit))
         H.memo["classes"] = out
@@ -621,36 +629,35 @@ def centralizer(G: FiniteGroup, entries: tuple[int, ...]) -> Subgroup:
 
 
 def centralizer_in(H: Subgroup, g: int) -> Subgroup:
-    """C_H(g) for g in H, with a small generating set.
-
-    Orbit-stabilizer: g's conjugation orbit (the one conjugacy_classes_in
-    kept, for a class's least member) carries witnesses and their inverses,
-    and the stabilizer is rebuilt from Schreier generators, stopping at the
-    known order |H|/|orbit|.  A central g gets H itself back.
-    """
+    """C_H(g) for g in H, with a small generating set; a g that is not a
+    class's least member walks its own orbit."""
     key = ("cent", g)
-    if key in H.memo:
-        return H.memo[key]
-    G = H.parent
-    gens = [(s, G.inv(s)) for s in H.generators]
-    orbit = H.memo.pop(("orbit", g), None) or _conjugation_orbit(G, gens, g)
+    if key not in H.memo:
+        gens = [(s, H.parent.inv(s)) for s in H.generators]
+        H.memo[key] = _stabilizer(H, gens,
+                                  _conjugation_orbit(H.parent, gens, g))
+    return H.memo[key]
+
+
+def _stabilizer(H: Subgroup, gens, orbit: dict) -> Subgroup:
+    """C_H(g) for the first point g of its orbit under the pairs gens,
+    rebuilt from Schreier generators that read the orbit's witness
+    inverses, stopping at the known order |H|/|orbit|.  A central g gets H
+    itself back."""
     target, rem = divmod(H.order, len(orbit))
     if rem:
         raise InvariantViolation("orbit size does not divide subgroup order")
     if target == H.order:
-        sub = H
-    else:
-        mul = G.mul
-        # u·s carries g to s^-1 x s, as does that point's witness
-        schreier = (mul(mul(u, s), orbit[mul(mul(si, x), s)][1])
-                    for x, (u, _) in orbit.items() for s, si in gens)
-        elems, small = _reduce_generators(mul, schreier, target)
-        if len(elems) != target:
-            raise InvariantViolation(
-                "Schreier generators failed to reach stabilizer")
-        sub = Subgroup(G, tuple(sorted(elems)), small)
-    H.memo[key] = sub
-    return sub
+        return H
+    mul = H.parent.mul
+    # u·s carries g to s^-1 x s, as does that point's witness
+    schreier = (mul(mul(u, s), orbit[mul(mul(si, x), s)][1])
+                for x, (u, _) in orbit.items() for s, si in gens)
+    elems, small = _reduce_generators(mul, schreier, target)
+    if len(elems) != target:
+        raise InvariantViolation(
+            "Schreier generators failed to reach stabilizer")
+    return Subgroup(H.parent, tuple(sorted(elems)), small)
 
 
 # ---------------------------------------------------------------------------

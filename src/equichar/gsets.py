@@ -4,7 +4,8 @@ A BiSet carries a left action of an "orbifold side" group gO and a left
 action of a "Burnside side" group gB, stored as one permutation per group
 generator.  An element acts only through BiSet.act, which maps just the
 points a scan keeps along the element's generator word; BiSet.fixed and
-BiSet.orbits_on are built on it, so no scan builds a whole permutation.
+BiSet.orbits_on are built on it.  No scan of the recursion builds a whole
+permutation, but chi_equivariant, the averaging oracle and a full validate do.
 
 A fixed set X^g under the centralizer C(g) is not a BiSet of its own: it is
 a tuple of the parent's point indices acted on by a parent-indexed

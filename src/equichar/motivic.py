@@ -297,10 +297,8 @@ class OrbifoldDatum:
 
 def orbifold_class_from_datum(datum: OrbifoldDatum) -> LExtElement:
     """Sum over strata of quotientClass * L^shift."""
-    total = lext(datum.bring, ())
-    for _, cls, shift in datum.strata:
-        total = total + cls * L(datum.bring, shift)
-    return total
+    return sum((cls * L(datum.bring, shift) for _, cls, shift in datum.strata),
+               lext(datum.bring, ()))
 
 
 def _check_tuple_label(G: FiniteGroup, tup: tuple, k: int) -> None:

@@ -24,7 +24,10 @@ of one weight (`GEOMETRIC_CONFIG_BUDGET`).  `datum_from_biset` reads a
 shift-zero orbifold datum off a biset's commuting-tuple strata, and `age`
 sums eigenvalue angles.
 The test-only G-set constructors live here too: `product`,
-`disjoint_union`, `empty_biset` and `point_biset`."""
+`disjoint_union`, `empty_biset`, `point_biset`, and `coset_biset`, the
+coset space G/H built by group multiplication, on which an orbit search
+is the reference for `BurnsideRing.orbit_counts`, which reads the same
+counts off the subgroup lattice."""
 
 import itertools
 import random
@@ -70,9 +73,23 @@ def orbit_factors(ring, terms, g):
     return factors
 
 
+def coset_biset(ring, i: int) -> BiSet:
+    """The transitive G-set G/H_i (B side), its points the cosets in
+    order of their least element."""
+    G, K = ring.group, ring.lattice.classes[i]
+    reps: list[int] = []   # the least element of each coset gK
+    index: dict[int, int] = {}
+    for g in G.elements():
+        if g not in index:
+            index.update((G.mul(g, k), len(reps)) for k in K.elements)
+            reps.append(g)
+    perms = [tuple(index[G.mul(s, r)] for r in reps) for s in G.generators]
+    return biset_from_single_action(len(reps), G, perms, side="B")
+
+
 def symmetric_power_class(R, i, k):
     """class_of(S^k(G/H_i)), the t^k coefficient of zeta_{[G/H_i]}."""
-    return class_of(symmetric_power(R.coset_biset(i), k))
+    return class_of(symmetric_power(coset_biset(R, i), k))
 
 
 def lambda_oracle(ring, c, i, N):

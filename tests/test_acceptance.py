@@ -14,8 +14,8 @@ from equichar.gsets import BiSet, biset_from_single_action, wreath_power
 from equichar.harness import (verify_axioms, verify_lemma1, verify_props12,
                               verify_theorem1)
 from equichar.powerstruct import TruncatedSeries, burnside_coeff_ring, power
-from oracles import (disjoint_union, empty_biset, geometric_power_oracle,
-                     verify_integer_oracle)
+from oracles import (coset_biset, disjoint_union, empty_biset,
+                     geometric_power_oracle, verify_integer_oracle)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -137,7 +137,7 @@ def test_criterion_3_lemma1_five_sets():
 def _effective_exponents(ring, max_size):
     """All iso classes of G-sets of total size <= max_size: multisets of
     transitive classes, as concrete disjoint unions."""
-    sizes = [ring.coset_biset(i).size for i in range(ring.n)]
+    sizes = [coset_biset(ring, i).size for i in range(ring.n)]
 
     def rec(start, room):
         yield []
@@ -148,9 +148,9 @@ def _effective_exponents(ring, max_size):
     for combo in rec(0, max_size):
         if not combo:
             continue
-        M = ring.coset_biset(combo[0])
+        M = coset_biset(ring, combo[0])
         for i in combo[1:]:
-            M = disjoint_union(M, ring.coset_biset(i))
+            M = disjoint_union(M, coset_biset(ring, i))
         yield M
 
 
@@ -175,9 +175,9 @@ def test_criterion_4_oracle_equivalences():
         G = make_group(desc)
         ring = burnside_ring(G)
         coeff = burnside_coeff_ring(ring)
-        pt = ring.coset_biset(ring.n - 1)
-        small = next((ring.coset_biset(i) for i in range(ring.n - 1, -1, -1)
-                      if 1 < ring.coset_biset(i).size <= 3), pt)
+        pt = coset_biset(ring, ring.n - 1)
+        small = next((coset_biset(ring, i) for i in range(ring.n - 1, -1, -1)
+                      if 1 < coset_biset(ring, i).size <= 3), pt)
         for a_sets in ([pt], [small], [pt, small]):
             N = 4
             coeffs = [coeff.one] + [class_of(A) for A in a_sets]

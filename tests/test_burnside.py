@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +11,8 @@ from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (SubgroupLattice, SymmetricGroup, cyclic,
                              dihedral, make_group, subgroup_lattice, symmetric)
 from equichar.gsets import BiSet, biset_from_single_action, trivial_group
-from oracles import (disjoint_union, empty_biset, point_biset, product,
-                     symmetric_power_class)
+from oracles import (coset_biset, disjoint_union, empty_biset, point_biset,
+                     product, symmetric_power_class)
 
 
 def b_regular(G):
@@ -106,7 +108,7 @@ def test_class_of_transitive_sets():
     G = symmetric(3)
     R = burnside_ring(G)
     for i in range(R.n):
-        X = R.coset_biset(i)
+        X = coset_biset(R, i)
         assert class_of(X) == R.basis(i)
 
 
@@ -137,9 +139,9 @@ def random_b_set(data, R):
     """A disjoint union of one to three transitive sets G/H."""
     orbits = data.draw(st.lists(st.integers(0, R.n - 1), min_size=1,
                                 max_size=3))
-    X = R.coset_biset(orbits[0])
+    X = coset_biset(R, orbits[0])
     for i in orbits[1:]:
-        X = disjoint_union(X, R.coset_biset(i))
+        X = disjoint_union(X, coset_biset(R, i))
     return X
 
 
@@ -355,3 +357,58 @@ def test_adams_matrices_reject_a_corrupted_mark(desc):
         with pytest.raises(InvariantViolation):
             for r in range(1, 9):
                 R.adams(r)
+
+
+ORBIT_GROUPS = {
+    "S4": {"type": "symmetric", "n": 4},
+    "D4": {"type": "dihedral", "n": 4},
+    "C2wrS3": {"type": "wreath", "inner": C2_DESC, "n": 3},
+    "S3wrS2": {"type": "wreath", "inner": {"type": "symmetric", "n": 3},
+               "n": 2},
+    "S5": {"type": "symmetric", "n": 5},
+    "S6": {"type": "symmetric", "n": 6},
+}
+
+
+@pytest.mark.parametrize("desc", ORBIT_GROUPS.values(), ids=ORBIT_GROUPS)
+def test_orbit_counts_match_the_coset_spaces(desc):
+    """The counts read off the conjugate lists are the K-orbit sizes an
+    orbit search finds on the coset space G/H_h, for every pair of classes,
+    and the K-orbits of size 1 number the mark of K on G/H_h."""
+    R = burnside_ring(make_group(desc))
+    counts = R.orbit_counts()
+    for h in range(R.n):
+        X = coset_biset(R, h)
+        for k, K in enumerate(R.lattice.classes):
+            assert counts[h][k] == Counter(map(len, X.orbits_on(
+                "B", K.generators, range(X.size))))
+            assert counts[h][k][1] == R.marks_rows[h][k]
+
+
+def test_orbit_counts_multiply_no_group_elements(monkeypatch):
+    """Once the lattice is built, a ring's orbit counts take no product
+    in the group: they are read off the conjugate lists."""
+    G = SymmetricGroup(4)  # a fresh instance: no lattice or ring cached
+    R = BurnsideRing(G, subgroup_lattice(G))
+    calls = []
+
+    def counted(a, b, mul=G.mul):
+        calls.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(G, "mul", counted, raising=False)
+    counts = R.orbit_counts()
+    assert [sum(c.values()) for c in counts[0]] == \
+        [G.order // K.order for K in R.lattice.classes]
+    assert calls == []
+
+
+def test_orbit_counts_reject_a_lost_conjugate():
+    """S3's class of order-2 subgroups has 3 conjugates; with one lost from
+    the ring's list, each would fix 6/(2·2) cosets, not an integer."""
+    G = SymmetricGroup(3)
+    R = BurnsideRing(G, subgroup_lattice(G))
+    assert [len(c) for c in R.conjugates] == [1, 3, 1, 1]
+    R.conjugates[1].pop()
+    with pytest.raises(InvariantViolation,
+                       match="cosets per conjugate is not an integer: 6/4"):
+        R.orbit_counts()

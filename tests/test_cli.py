@@ -381,6 +381,29 @@ def test_group_marks_refuses_many_subgroups_quickly(capsys, files):
                    "(size 4097 exceeds budget 4096)\n")
 
 
+def test_verbs_refuse_to_enumerate_a_huge_group_quickly(capsys, files):
+    """C7≀S7 has order 4,150,656,720; it is built and shown, but listing
+    its elements (the word table behind every act, or the whole subgroup
+    behind its classes) stops at ELEMENT_BUDGET before anything is
+    allocated."""
+    c7s7 = {"type": "wreath", "inner": {"type": "cyclic", "n": 7}, "n": 7}
+    group = files("c7s7.json", c7s7)
+    point = files("c7s7pt.json", {"size": 1, "gO": c7s7, "gB": TRIV,
+                                  "actO": [[0]] * 3, "actB": []})
+    assert run(capsys, "group", "show", "--input", group) == \
+        (0, "C7wrS7: order 4150656720, 3 generators\n", "")
+    limit = ("element enumeration of C7wrS7 "
+             "(size 4150656720 exceeds budget 1000000)\n")
+    for argv, err in ((("chi", "--input", point), f"error: {point}: {limit}"),
+                      (("chi-orb", "--input", point),
+                       f"error: {point}: {limit}"),
+                      (("group", "classes", "--input", group),
+                       f"error: {limit}")):
+        t0 = time.perf_counter()
+        assert run(capsys, *argv) == (1, "", err)
+        assert time.perf_counter() - t0 < 1
+
+
 def test_budget_violation_exits_1(capsys, z2_reg):
     code, _, err = run(capsys, "verify", "theorem1", "--input", z2_reg,
                        "--k", "1", "--N", "6", "--max-wreath", "100")

@@ -249,21 +249,21 @@ def _scan_centralizer(H, x):
                          ids=["S3wrS2", "C3wrS4"])
 def test_orbit_stabilizer_centralizer_matches_scan(inner, n):
     """Orders 72 and 1944, then the largest proper centralizer in each:
-    every class representative, whose centralizer is built from the orbit
-    its class walk kept, and 50 seeded other elements, which walk their
-    own orbits."""
-    w = WreathGroup(inner, n)  # a fresh instance: no orbit kept yet
+    every class representative, whose centralizer the class walk built
+    from its orbit, and 50 seeded other elements, which walk their own
+    orbits.  No orbit outlives its walk."""
+    w = WreathGroup(inner, n)  # a fresh instance: nothing cached yet
     rng = random.Random(5)
     K = whole_subgroup(w)
     for _ in range(2):
         reps = [cls[0] for cls in groups_mod.conjugacy_classes_in(K)]
-        assert all(("orbit", x) in K.memo for x in reps)
+        assert sorted(key[1] for key in K.memo if key[0] == "cent") == reps
         others = sorted(set(K.elements) - set(reps))
         for x in reps + rng.sample(others, min(50, len(others))):
             got = centralizer_in(K, x)
-            assert ("orbit", x) not in K.memo
             assert got.elements == _scan_centralizer(K, x)
             assert closure(w, got.generators) == got.elements
+        assert all(key == "classes" or key[0] == "cent" for key in K.memo)
         K = max((centralizer_in(K, x) for x in reps),
                 key=lambda C: (C.order < w.order, C.order))
         assert 1 < K.order < w.order
@@ -272,11 +272,12 @@ def test_orbit_stabilizer_centralizer_matches_scan(inner, n):
 def test_each_class_is_walked_once(monkeypatch):
     """chi_k_equivariant at k = 2 on the 8-point C2≀S3-set (the regular
     C2-set's third wreath power) walks each class of each subgroup it
-    recurses into once, as a representative's centralizer reuses the orbit
-    its class walk kept.  inv runs once per generator of a subgroup in its
-    class walk and in each centralizer build, never in the Schreier loop.
+    recurses into once, as a representative's centralizer is built from
+    its orbit in the class walk.  inv runs once per generator of a subgroup
+    in its class walk, never in a centralizer build or the Schreier loop.
     Walking each orbit again for the centralizer and inverting each
-    Schreier witness took 48 walks and 240 inv calls."""
+    Schreier witness took 48 walks and 240 inv calls; keeping each orbit
+    for a later centralizer build took 24 walks and 74 inv calls."""
     w = WreathGroup(cyclic(2), 3)  # a fresh instance: nothing cached
     regular = biset_from_single_action(2, cyclic(2), [(1, 0)], side="O")
     X = BiSet(8, w, trivial_group(), wreath_power(regular, 3).actO, ())
@@ -301,9 +302,9 @@ def test_each_class_is_walked_once(monkeypatch):
             assert len(cents) == len(H.memo["classes"])
             stack += [C for C in cents if C is not H]
     assert calls["walk"] == sum(len(H.memo["classes"]) for H in walked) == 24
-    assert calls["inv"] == sum(len(H.generators) * (1 + len(H.memo["classes"]))
-                               for H in walked) == 74
-    assert not [key for H in walked for key in H.memo if key[0] == "orbit"]
+    assert calls["inv"] == sum(len(H.generators) for H in walked) == 8
+    assert all(key == "classes" or key[0] == "cent"
+               for H in walked for key in H.memo)
 
 
 def test_central_elements_centralize_the_whole_subgroup():
