@@ -26,6 +26,7 @@ from .groups import (
     whole_subgroup,
 )
 from .gsets import BiSet, quotient_by
+from .powerstruct import check_order
 
 ORACLE_GROUP_LIMIT = 400  # averaging / tuple-form oracles stay below this
 
@@ -120,8 +121,7 @@ def chi_k_averaging(X: BiSet, k: int) -> int:
 def chi_k_equivariant(X: BiSet | CellSpace, k: int,
                       cross_check: bool = False) -> BurnsideElement:
     """Order-k equivariant Euler characteristic in A(G_B)."""
-    if k < 0:
-        raise UsageError(f"order must be >= 0, got {k}")
+    check_order(k)
     if isinstance(X, CellSpace):
         return X.signed_sum(lambda F: chi_k_equivariant(F, k, cross_check),
                             burnside_ring(X.gB).zero)
@@ -142,8 +142,7 @@ def chi_k(X: BiSet | CellSpace, k: int,
           cross_check: bool = False) -> int:
     """Order-k Euler characteristic (trivial B side): chi^(0) is the orbit
     count of the quotient and order k recurses over centralizers."""
-    if k < 0:
-        raise UsageError(f"order must be >= 0, got {k}")
+    check_order(k)
     _require_trivial_b(X)
     if isinstance(X, CellSpace):
         return X.signed_sum(lambda F: chi_k(F, k, cross_check), 0)

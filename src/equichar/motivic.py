@@ -344,5 +344,4 @@ def rhs_theorem2(m, k: int, d, weights=None, N: int = 6) -> TruncatedSeries:
     factors = [((q.numerator * D // q.denominator, prod), -w)
                for q, prod, w in shifts]
     h = [ring.entry(log_coeff(factors, j)) for j in range(1, N + 1)]
-    return power(TruncatedSeries.from_columns(ring, D, None, [h] * ring.n),
-                 -m)
+    return power(TruncatedSeries.from_logs(ring, D, [h] * ring.n), -m)

@@ -9,11 +9,11 @@ factorization engine rather than approximate identities.
 Series live in mark coordinates.  The mark map A(G) -> Z^n is an injective
 ring map with entry-wise product, so a series over A(G) is n integer
 columns (Z is A(1): one column), and one over A(G)[L^(1/D)] is n columns of
-{e: int} Laurent polynomials in L^(1/D) over one least D.  A series with
-constant term 1 may hold its log columns h = t·f'/f instead, in which
-products add and integer powers scale; columns are rebuilt from them
-(`exp_column`) only when a coefficient is observed: `coeffs`, rendering,
-JSON, `map_coeffs`, `substitute`, a product with a series without logs.
+{e: int} Laurent polynomials in L^(1/D) over one least D.  Every series has
+constant term 1 and is held only by its log columns h = t·f'/f, one per
+mark: products add them, integer powers scale them, and t -> c·t^r puts
+r·h_m·c^m on t^(r·m).  Columns are rebuilt from the logs (`exp_column`)
+only to pack the coefficients for rendering, JSON and hashing.
 At a class K, lambda_b(t^i) is prod_d (1 - t^(i·d))^(-n_d) over the n_d
 orbits of size d of K on b, so its t^(i·r) log coefficient is i·psi^r_K(b),
 psi^r_K(b) = sum_(d|r) d·n_d, with L^q·b putting L^(q·r) on it; psi^r is
@@ -28,7 +28,9 @@ from math import gcd, lcm
 from operator import mul
 
 from .burnside import BurnsideElement, BurnsideRing
-from .errors import InvariantViolation, UsageError
+from .errors import InvariantViolation, ResourceLimitError, UsageError
+
+ORDER_LIMIT = 100   # the order-k recursions below and in euler go k deep
 
 
 # ---------------------------------------------------------------------------
@@ -126,87 +128,66 @@ def _lift(entries, k: int) -> list:
 
 
 class TruncatedSeries:
-    """c_0 + c_1 t + ... + c_N t^N over a coefficient-ring handle, held as
-    one column per mark, as one log column per mark, or both (see the
-    module doc), over one least exponent denominator D; all arithmetic is
-    exact and eagerly truncated at N."""
+    """1 + c_1 t + ... + c_N t^N over a coefficient-ring handle, held as
+    one log column [h_1..h_N] per mark over one least exponent denominator
+    D (see the module doc); all arithmetic is exact and eagerly truncated
+    at N."""
 
-    __slots__ = ("ring", "N", "D", "_cols", "_logs", "_coeffs")
+    __slots__ = ("ring", "N", "D", "logs", "_coeffs")
 
     def __init__(self, ring, coeffs):
+        ring.check_products()   # once per ring, before any column product
         coeffs = tuple(coeffs)
         parts = [ring.entries(c) for c in coeffs]
         D = lcm(1, *(d for d, _ in parts))
-        cols = zip(*(_lift(es, D // d) for d, es in parts))
-        self._set(ring, D, [list(col) for col in cols], None)
+        cols = list(zip(*(_lift(es, D // d) for d, es in parts)))
+        if not cols or any(col[0] != ring.one_entry for col in cols):
+            raise UsageError("a series needs constant coefficient 1")
+        self._set(ring, D, [log_column(ring, a) for a in cols])
         self._coeffs = coeffs
 
     @classmethod
-    def from_columns(cls, ring, D: int, cols, logs=None) -> TruncatedSeries:
-        """The series with these columns, or if cols is None with these
-        log columns [h_1..h_N]."""
+    def from_logs(cls, ring, D: int, logs) -> TruncatedSeries:
+        """The series with these log columns [h_1..h_N], one per mark."""
+        ring.check_products()
         out = cls.__new__(cls)
-        out._set(ring, D, cols, logs)
+        out._set(ring, D, logs)
         return out
 
-    def _set(self, ring, D: int, cols, logs) -> None:
-        ring.check_products()   # once per ring, before any column product
-        form = logs if cols is None else cols   # both give the same least D
-        g = gcd(D, *(e for col in form for x in col for e in x)) \
-            if D > 1 else 1
+    def _set(self, ring, D: int, logs) -> None:
+        g = gcd(D, *(e for h in logs for x in h for e in x)) if D > 1 else 1
         if g > 1:
-            D, form = D // g, [[{e // g: c for e, c in x.items()}
-                                for x in col] for col in form]
-        self.ring, self.D, self.N = ring, D, len(form[0]) - (cols is not None)
-        self._cols, self._logs = (None, form) if cols is None else (form, None)
+            D, logs = D // g, [[{e // g: c for e, c in x.items()} for x in h]
+                               for h in logs]
+        self.ring, self.D, self.N, self.logs = ring, D, len(logs[0]), logs
         self._coeffs = None
 
     @property
-    def cols(self) -> list:
-        """One column [c_0..c_N] per mark, rebuilt from the logs on first
-        use."""
-        if self._cols is None:
-            self._cols = [exp_column(self.ring, h) for h in self._logs]
-        return self._cols
-
-    def logs(self, need: str) -> list:
-        """One log column [h_1..h_N] per mark, derived from the columns on
-        first use; a constant term other than 1 raises the UsageError
-        "<need> constant coefficient 1"."""
-        if self._logs is None:
-            if any(col[0] != self.ring.one_entry for col in self._cols):
-                raise UsageError(f"{need} constant coefficient 1")
-            self._logs = [log_column(self.ring, a) for a in self._cols]
-        return self._logs
-
-    @property
     def coeffs(self) -> tuple:
-        """The coefficients as ring elements, packed from the columns on
-        first use (back-substituted over the basis, so checked integral)."""
+        """The coefficients as ring elements, packed on first use from the
+        columns `exp_column` rebuilds (back-substituted over the basis, so
+        checked integral)."""
         if self._coeffs is None:
+            cols = [exp_column(self.ring, h) for h in self.logs]
             self._coeffs = tuple(self.ring.element(self.D, list(es))
-                                 for es in zip(*self.cols))
+                                 for es in zip(*cols))
         return self._coeffs
 
     def __getitem__(self, i: int):
         return self.coeffs[i]
 
     def __eq__(self, other):
-        if not (isinstance(other, TruncatedSeries) and
+        return (isinstance(other, TruncatedSeries) and
                 self.ring is other.ring and self.N == other.N and
-                self.D == other.D):
-            return False
-        if self._logs is not None and other._logs is not None:
-            return self._logs == other._logs
-        return self.cols == other.cols
+                self.D == other.D and self.logs == other.logs)
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
     @staticmethod
     def one(ring, N: int) -> TruncatedSeries:
-        return TruncatedSeries.from_columns(
-            ring, 1, None, [[ring.zero_entry] * N for _ in range(ring.n)])
+        return TruncatedSeries.from_logs(
+            ring, 1, [[ring.zero_entry] * N for _ in range(ring.n)])
 
     def is_one(self) -> bool:
         return self == TruncatedSeries.one(self.ring, self.N)
@@ -215,55 +196,49 @@ class TruncatedSeries:
         if self.ring is not other.ring or self.N != other.N:
             raise UsageError("series over different rings or truncations")
         D, r = lcm(self.D, other.D), self.ring
-        if self._logs is not None and other._logs is not None:
-            return TruncatedSeries.from_columns(r, D, None, [
-                [r.axpy(x, 1, y) for x, y in zip(a, b)] for a, b in
-                zip(self._at(D, self._logs), other._at(D, other._logs))])
-        return TruncatedSeries.from_columns(r, D, [
-            [r.dot(a[:j + 1], b[j::-1]) for j in range(self.N + 1)]
-            for a, b in zip(self._at(D, self.cols),
-                            other._at(D, other.cols))])
+        return TruncatedSeries.from_logs(r, D, [
+            [r.axpy(x, 1, y) for x, y in zip(a, b)]
+            for a, b in zip(self._at(D), other._at(D))])
 
     def invert(self) -> TruncatedSeries:
         return self.pow_int(-1)
 
     def pow_int(self, n: int) -> TruncatedSeries:
-        """A^n for any integer n: n times the logs; needs a_0 = 1."""
+        """A^n for any integer n: n times the logs."""
         r = self.ring
-        return TruncatedSeries.from_columns(r, self.D, None, [
-            [r.axpy(r.zero_entry, n, x) for x in h]
-            for h in self.logs("integer powers need")])
+        return TruncatedSeries.from_logs(r, self.D, [
+            [r.axpy(r.zero_entry, n, x) for x in h] for h in self.logs])
 
     def substitute(self, c, r: int) -> TruncatedSeries:
-        """t -> c * t^r."""
+        """t -> c * t^r.  At each mark, with x the entry of c, the logs of
+        f(x·t^r) are r·sum h_m x^m t^(r·m)."""
         if r < 1:
             raise UsageError(f"substitution power must be >= 1, got {r}")
         ring = self.ring
         Dc, cs = ring.entries(ring.one * c)
-        D, cols = lcm(self.D, Dc), []
-        for a, x in zip(self._at(D, self.cols), _lift(cs, D // Dc)):
-            out, p = [ring.zero_entry] * (self.N + 1), ring.one_entry
-            for i in range(self.N // r + 1):
-                out[i * r], p = ring.dot((p,), (a[i],)), ring.dot((p,), (x,))
-            cols.append(out)
-        return TruncatedSeries.from_columns(ring, D, cols)
+        D, logs = lcm(self.D, Dc), []
+        for h, x in zip(self._at(D), _lift(cs, D // Dc)):
+            out, p = [ring.zero_entry] * self.N, ring.one_entry
+            for m in range(1, self.N // r + 1):
+                p = ring.dot((p,), (x,))
+                out[r * m - 1] = ring.axpy(ring.zero_entry, r,
+                                           ring.dot((p,), (h[m - 1],)))
+            logs.append(out)
+        return TruncatedSeries.from_logs(ring, D, logs)
 
     def truncate(self, M: int) -> TruncatedSeries:
         if M > self.N:
             raise UsageError(f"cannot extend truncation {self.N} to {M}")
-        if self._logs is None:
-            return TruncatedSeries.from_columns(
-                self.ring, self.D, [col[:M + 1] for col in self._cols])
-        return TruncatedSeries.from_columns(
-            self.ring, self.D, None, [h[:M] for h in self._logs])
+        return TruncatedSeries.from_logs(self.ring, self.D,
+                                         [h[:M] for h in self.logs])
 
     def map_coeffs(self, ring, f) -> TruncatedSeries:
         return TruncatedSeries(ring, map(f, self.coeffs))
 
-    def _at(self, D: int, cols) -> list:
-        """This series' columns or logs with exponents over D."""
-        return cols if D == self.D else \
-            [_lift(col, D // self.D) for col in cols]
+    def _at(self, D: int) -> list:
+        """This series' logs with exponents over D."""
+        return self.logs if D == self.D else \
+            [_lift(h, D // self.D) for h in self.logs]
 
     def __repr__(self) -> str:
         return f"<series N={self.N} over {getattr(self.ring, 'label', '?')}>"
@@ -290,7 +265,7 @@ def lambda_reconstruct(ring, bs, N: int) -> TruncatedSeries:
         for r in range(1, N // i + 1):
             for h, y in zip(logs, ring.psi(xs, r)):
                 h[i * r - 1] = ring.axpy(h[i * r - 1], i, y)
-    return TruncatedSeries.from_columns(ring, D, None, logs)
+    return TruncatedSeries.from_logs(ring, D, logs)
 
 
 def lambda_factorize(A: TruncatedSeries) -> list:
@@ -299,7 +274,7 @@ def lambda_factorize(A: TruncatedSeries) -> list:
     lambda-terms of b_1..b_(i-1) plus i times b_i's entry.  Each b_i is
     back-substituted from its marks, so it is checked integral."""
     ring, N = A.ring, A.N
-    hs = [list(h) for h in A.logs("factorization needs")]
+    hs = [list(h) for h in A.logs]
     out = []
     for i in range(1, N + 1):
         xs = [ring.div(h[i - 1], i) for h in hs]
@@ -334,23 +309,30 @@ def exponent_tuples(k: int, N: int):
     yield from rec((), 1, 1)
 
 
+def check_order(k: int) -> None:
+    """Refuse an order k below 0 or above ORDER_LIMIT, before any work."""
+    if k < 0:
+        raise UsageError(f"order must be >= 0, got {k}")
+    if k > ORDER_LIMIT:
+        raise ResourceLimitError("order k", size=k, budget=ORDER_LIMIT)
+
+
 def rhs_base_series(k: int, N: int) -> TruncatedSeries:
     """prod (1 - t^{r_1...r_k})^{r_2 r_3^2 ... r_k^{k-1}} over the integers."""
     factors = [((0, a), -e) for _, a, e in exponent_tuples(k, N)]
-    return TruncatedSeries.from_columns(INT_RING, 1, None, [[
+    return TruncatedSeries.from_logs(INT_RING, 1, [[
         INT_RING.entry(log_coeff(factors, j)) for j in range(1, N + 1)]])
 
 
 def rhs_theorem1(m, k: int, N: int) -> TruncatedSeries:
     """The Macdonald right-hand side: the base product raised to -m under
     the power structure of m's ring (integers or a Burnside ring)."""
-    if k < 0:
-        raise UsageError(f"order must be >= 0, got {k}")
+    check_order(k)
     base = rhs_base_series(k, N)
     if isinstance(m, int):
         return power(base, -m)
     if isinstance(m, BurnsideElement):   # n·[G/G] has every mark n
         ring = burnside_coeff_ring(m.ring)
-        return power(TruncatedSeries.from_columns(
-            ring, 1, None, base._logs * ring.n), -m)
+        return power(TruncatedSeries.from_logs(ring, 1, base.logs * ring.n),
+                     -m)
     raise UsageError(f"unsupported exponent type {type(m).__name__}")

@@ -404,6 +404,20 @@ def test_verbs_refuse_to_enumerate_a_huge_group_quickly(capsys, files):
         assert time.perf_counter() - t0 < 1
 
 
+def test_an_order_above_the_limit_is_refused_quickly(capsys, files):
+    """The order-k recursions go k deep, so an order above ORDER_LIMIT is
+    refused before any work rather than ending in a RecursionError."""
+    c3 = files("c3.json", {"size": 3, "gO": {"type": "cyclic", "n": 3},
+                           "gB": TRIV, "actO": [[1, 2, 0]], "actB": []})
+    err = "error: order k (size 1000 exceeds budget 100)\n"
+    for argv in (("chi-k",), ("chi-k-eq",),
+                 ("verify", "theorem1", "--N", "2")):
+        t0 = time.perf_counter()
+        assert run(capsys, *argv, "--input", c3, "--k", "1000") == \
+            (1, "", err)
+        assert time.perf_counter() - t0 < 1
+
+
 def test_budget_violation_exits_1(capsys, z2_reg):
     code, _, err = run(capsys, "verify", "theorem1", "--input", z2_reg,
                        "--k", "1", "--N", "6", "--max-wreath", "100")
@@ -429,6 +443,7 @@ INPUT_ERRORS = [
                              "actO": [[1, 0]]}),
     (("power", "--N", "2"), {"ring": "int", "series": [1, "2"],
                              "exponent": 1}),
+    (("power", "--N", "2"), {"series": [2, 1], "exponent": 1}),
     (("power", "--N", "2"), {"ring": {"burnside": C2000},
                              "series": [{"coeffs": [1]}],
                              "exponent": {"coeffs": [1]}}),
@@ -444,9 +459,9 @@ INPUT_ERRORS = [
 
 
 @pytest.mark.parametrize("argv, obj", INPUT_ERRORS, ids=[
-    "group-field", "chi-k-field", "power-field", "power-ring-budget",
-    "zeta-field", "zeta-ring-budget", "orbifold-class-field",
-    "orbifold-class-ring-budget", "theorem1-field"])
+    "group-field", "chi-k-field", "power-field", "power-unit",
+    "power-ring-budget", "zeta-field", "zeta-ring-budget",
+    "orbifold-class-field", "orbifold-class-ring-budget", "theorem1-field"])
 def test_input_errors_name_the_file_once(capsys, files, argv, obj):
     """An error raised while an input file is read, budget errors of the
     rings it names included, is one line that names the file once."""

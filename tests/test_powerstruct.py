@@ -41,9 +41,10 @@ def test_mul_and_invert():
 
 
 def test_invert_requires_unit_constant():
-    A = TruncatedSeries(INT_RING, (2, 1, 0))
-    with pytest.raises(UsageError):
-        A.invert()
+    """A series has constant term 1, so every series can be inverted."""
+    for coeffs in ((2, 1, 0), ()):
+        with pytest.raises(UsageError, match="constant coefficient 1"):
+            TruncatedSeries(INT_RING, coeffs)
 
 
 def test_pow_int_matches_repeated_mul():
@@ -329,6 +330,8 @@ def test_rhs_theorem1_k0_binomials():
 def test_rhs_theorem1_negative_order_rejected():
     with pytest.raises(UsageError):
         rhs_theorem1(1, -1, 3)
+    with pytest.raises(ResourceLimitError, match="exceeds budget 100"):
+        rhs_theorem1(1, 1200, 2)   # not a RecursionError
 
 
 def test_rhs_theorem1_burnside_exponent():

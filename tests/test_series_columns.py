@@ -1,8 +1,8 @@
-"""Series held as mark columns or as log columns against the element-wise
-engine of `oracles.py`, over Z, A(S3), A(C2wrS2) and A(C2)[L^Q], plus the
-guards the column engine keeps: integrality, exact division, the
-table-of-marks product check, and one value per series whatever route
-built it and whichever form it holds."""
+"""Series held as log columns against the element-wise engine of
+`oracles.py`, over Z, A(S3), A(C2wrS2) and A(C2)[L^Q], plus the guards the
+column engine keeps: integrality, exact division, the table-of-marks
+product check, one value per series whatever route built it, and no
+column rebuilt except to read the coefficients."""
 
 import random
 from fractions import Fraction as F
@@ -13,6 +13,7 @@ from equichar.burnside import BurnsideElement, BurnsideRing, burnside_ring
 from equichar.errors import InvariantViolation
 from equichar.groups import cyclic, make_group, subgroup_lattice, symmetric
 from equichar.motivic import L, LExtCoeffRing, embed, lext, lext_coeff_ring
+from equichar import powerstruct
 from equichar.powerstruct import (INT_RING, BurnsideCoeffRing,
                                   TruncatedSeries, burnside_coeff_ring,
                                   exp_column, lambda_factorize, power)
@@ -49,10 +50,9 @@ def rand_coeff(rng, ring):
     return x()
 
 
-def rand_series(rng, ring, N, unit=True):
-    """The same coefficients as a column series and an element series."""
-    coeffs = [ring.one if unit else rand_coeff(rng, ring)] + \
-        [rand_coeff(rng, ring) for _ in range(N)]
+def rand_series(rng, ring, N):
+    """The same unit coefficients as a log-held and an element series."""
+    coeffs = [ring.one] + [rand_coeff(rng, ring) for _ in range(N)]
     return TruncatedSeries(ring, coeffs), ElementSeries(ring, coeffs)
 
 
@@ -61,7 +61,6 @@ def assert_same(got, ref):
     assert got.coeffs == ref.coeffs
     again = TruncatedSeries(got.ring, ref.coeffs)
     assert got == again and hash(got) == hash(again)
-    assert (got.D, got.cols) == (again.D, again.cols)
 
 
 @pytest.mark.parametrize("name,N", CASES, ids=IDS)
@@ -70,7 +69,7 @@ def test_arithmetic_matches_element_engine(name, N):
     rng = random.Random(f"{name}-{N}")
     for _ in range(6):
         A, a = rand_series(rng, ring, N)
-        B, b = rand_series(rng, ring, N, unit=False)
+        B, b = rand_series(rng, ring, N)
         assert_same(A.mul(B), a.mul(b))
         assert_same(B.mul(A), b.mul(a))
         assert_same(A.invert(), a.invert())
@@ -96,53 +95,53 @@ def test_factorize_and_power_match_element_engine(name, N):
             assert_same(power(A, m), power_reference(a, m))
 
 
-def logs_only(*series):
-    return all(S._cols is None for S in series)
-
-
 @pytest.mark.parametrize("name,N", CASES, ids=IDS)
 def test_log_held_series_mix_with_other_forms(name, N):
-    """Outputs of power and pow_int hold only log columns.  Against each
-    other they multiply, compare, truncate and factor in logs; against
-    column-held and non-unit series they meet on columns."""
+    """Outputs of power and pow_int multiply, compare, truncate, hash,
+    substitute and factor like series built from their coefficients."""
     ring = RINGS[name]
     rng = random.Random(f"{name}-{N}-logs")
     for _ in range(3):
         A, a = rand_series(rng, ring, N)
         C, c = rand_series(rng, ring, N)
-        B, b = rand_series(rng, ring, N, unit=False)
         m, x = rand_coeff(rng, ring), rand_coeff(rng, ring)
-
-        def fresh():
-            return power(A, m), A.pow_int(-2), power_reference(a, m), \
-                a.pow_int(-2)
-
-        P, Q, p, q = fresh()
-        PQ, cuts = P.mul(Q), [P.truncate(M) for M in range(N + 1)]
-        assert logs_only(P, Q, PQ, *cuts)
-        assert (P == Q) == (p.coeffs == q.coeffs) and P == fresh()[0]
+        P, Q = power(A, m), A.pow_int(-2)
+        p, q = power_reference(a, m), a.pow_int(-2)
+        assert (P == Q) == (p.coeffs == q.coeffs) and P == power(A, m)
         assert lambda_factorize(P) == factorize_reference(p)
-        assert logs_only(P, Q, PQ, *cuts)
-        assert_same(PQ, p.mul(q))
-        for M, cut in enumerate(cuts):
-            assert_same(cut, p.truncate(M))
-
-        P, Q, p, q = fresh()
+        assert_same(P.mul(Q), p.mul(q))
+        for M in range(N + 1):
+            assert_same(P.truncate(M), p.truncate(M))
         assert P == TruncatedSeries(ring, p.coeffs) and \
             TruncatedSeries(ring, q.coeffs) == Q
-        P, Q, p, q = fresh()
-        assert hash(P) == hash(TruncatedSeries(ring, p.coeffs))
-        for X, y in ((C, c), (B, b)):
-            P, Q, p, q = fresh()
-            assert_same(P.mul(X), p.mul(y))
-            assert_same(X.mul(Q), y.mul(q))
-        lambda_factorize(C)   # C now holds columns and logs
-        P, Q, p, q = fresh()
-        assert logs_only(P.mul(C), C.mul(Q))
+        assert hash(power(A, m)) == hash(TruncatedSeries(ring, p.coeffs))
         assert_same(P.mul(C), p.mul(c))
+        assert_same(C.mul(Q), c.mul(q))
         for r in (1, 2):
-            P, Q, p, q = fresh()
             assert_same(P.substitute(x, r), p.substitute(x, r))
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_only_the_coefficients_rebuild_columns(name, monkeypatch):
+    """Products, powers, substitution, truncation, comparison,
+    factorization and the power structure stay in logs; reading the
+    coefficients rebuilds one column per mark, once."""
+    ring = RINGS[name]
+    rng = random.Random(f"{name}-one-form")
+    (A, _), (B, _) = rand_series(rng, ring, 6), rand_series(rng, ring, 6)
+    m, c = ring.one + rand_coeff(rng, ring), ring.one + rand_coeff(rng, ring)
+    calls, real = [], powerstruct.exp_column
+    monkeypatch.setattr(powerstruct, "exp_column",
+                        lambda *args: calls.append(args) or real(*args))
+    P, Q = power(A, m), B.pow_int(-1)
+    outs = [P.mul(Q), P.pow_int(2), P.substitute(c, 2), P.truncate(3),
+            power(P, m)]
+    assert outs[0] == Q.mul(P)
+    lambda_factorize(outs[0])
+    assert calls == []
+    for X in outs:
+        X.coeffs, X.coeffs
+    assert len(calls) == ring.n * len(outs)
 
 
 def test_division_is_exact():
@@ -180,7 +179,7 @@ def test_non_integral_mark_column_fails_factorization(degree):
         with pytest.raises(InvariantViolation):
             lambda_factorize(A)
         with pytest.raises(InvariantViolation):
-            TruncatedSeries.from_columns(ring, A.D, A.cols).coeffs
+            TruncatedSeries.from_logs(ring, A.D, A.logs).coeffs
 
 
 def test_broken_table_caught_before_first_column_product():
