@@ -24,7 +24,8 @@ from .groups import conjugacy_classes, make_group
 from .gsets import POINT_BUDGET
 from .motivic import (L, embed, lext_coeff_ring, orbifold_class_from_datum,
                       zeta_L)
-from .powerstruct import INT_RING, TruncatedSeries, burnside_coeff_ring, power
+from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
+                          check_truncation, power)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,8 +231,7 @@ def _zeta_input(obj):
 
 
 def _cmd_power(args) -> int:
-    if args.N < 0:
-        raise UsageError(f"truncation must be >= 0, got {args.N}")
+    check_truncation(args.N)
     A, m, render = io.read(args.input, partial(_series_input, N=args.N))
     out = power(A, m)
     _emit(args, io.render_series(out, render),
@@ -240,8 +240,7 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    if args.N < 0:
-        raise UsageError(f"truncation must be >= 0, got {args.N}")
+    check_truncation(args.N)
     out = zeta_L(io.read(args.input, _zeta_input), args.N)
     render = lambda c: c.render()
     _emit(args, io.render_series(out, render),

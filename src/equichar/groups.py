@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvariantViolation, ResourceLimitError, UsageError
@@ -493,16 +492,25 @@ def wreath(inner: FiniteGroup, n: int) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # subgroups
 
-@dataclass(frozen=True)
 class Subgroup:
     """Subgroup of a parent group: sorted element indices plus a small
     generating set (at most log2 of the order after reduction), and a memo
-    of its classes, centralizers and commuting-tuple classes."""
+    of its classes, centralizers and tuple classes that == and hash skip."""
 
-    parent: FiniteGroup
-    elements: tuple[int, ...]
-    generators: tuple[int, ...]
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("parent", "elements", "generators", "memo")
+
+    def __init__(self, parent: FiniteGroup, elements: tuple, generators: tuple):
+        self.parent, self.elements = parent, elements
+        self.generators = generators
+        self.memo: dict = {}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Subgroup) and (
+            self.parent, self.elements, self.generators) == (
+            other.parent, other.elements, other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.elements, self.generators))
 
     @property
     def order(self) -> int:
@@ -696,14 +704,15 @@ def _ctuple_classes(H: Subgroup, k: int) -> list[tuple[tuple[int, ...], int]]:
 # ---------------------------------------------------------------------------
 # subgroup lattice
 
-@dataclass(frozen=True)
 class SubgroupLattice:
     """Conjugacy classes of subgroups in canonical order: ascending order,
     then lexicographically smallest conjugate element tuple."""
 
-    group: FiniteGroup
-    classes: tuple[Subgroup, ...]
-    class_index: dict[frozenset[int], int]
+    __slots__ = ("group", "classes", "class_index")
+
+    def __init__(self, group: FiniteGroup, classes: tuple[Subgroup, ...],
+                 class_index: dict[frozenset[int], int]):
+        self.group, self.classes, self.class_index = group, classes, class_index
 
     def index_of(self, elements: frozenset[int]) -> int:
         try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
@@ -23,26 +22,26 @@ from .gsets import POINT_BUDGET, BiSet, symmetric_power, wreath_power
 from .motivic import (L, LExtCoeffRing, embed, lext, lext_coeff_ring,
                       power_L, rhs_theorem2, specialize_L, zeta_L)
 from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
-                          power, rhs_theorem1)
+                          check_truncation, power, rhs_theorem1)
 
 WREATH_LIMIT_HIGH_ORDER = 50_000   # k >= 2
 WREATH_LIMIT_LOW_ORDER = 400_000   # k <= 1
 
 
-@dataclass
 class DegreeCheck:
-    n: int
-    lhs: str
-    rhs: str
-    equal: bool
-    ms: float = 0.0
+    __slots__ = ("n", "lhs", "rhs", "equal", "ms")
+
+    def __init__(self, n: int, lhs: str, rhs: str, equal: bool, ms=0.0):
+        self.n, self.lhs, self.rhs, self.equal, self.ms = n, lhs, rhs, equal, ms
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    params: dict
-    degrees: list[DegreeCheck] = field(default_factory=list)
+    __slots__ = ("identity", "params", "degrees")
+
+    def __init__(self, identity: str, params: dict,
+                 degrees: list[DegreeCheck] | None = None):
+        self.identity, self.params = identity, params
+        self.degrees = [] if degrees is None else degrees
 
     @property
     def passed(self) -> bool:
@@ -191,6 +190,7 @@ def verify_axioms(ring_name: str, trials: int = 100, N: int = 6,
     finite determinacy over the chosen coefficient ring."""
     if N < 1 or trials < 1:
         raise UsageError("axioms need N >= 1 and trials >= 1")
+    check_truncation(N)
     ring, bring = _axiom_rings(ring_name)
     rng = random.Random(seed)
 
@@ -239,6 +239,7 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
         raise UsageError("props12 needs N >= 0 and trials >= 1")
     if weights is not None and len(weights) != 2:
         raise UsageError(f"need 2 weights, got {len(weights)}")
+    check_truncation(N)
     bring = burnside_ring(symmetric(3))
     ring = lext_coeff_ring(bring)
     plain = burnside_coeff_ring(bring)

@@ -15,15 +15,14 @@ only does the exact ring and series bookkeeping on top of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .burnside import BurnsideElement, BurnsideRing
 from .errors import UsageError
 from .groups import FiniteGroup
-from .powerstruct import (INT_RING, TruncatedSeries, exponent_tuples,
-                          lambda_term, log_coeff, power)
+from .powerstruct import (INT_RING, TruncatedSeries, check_order,
+                          exponent_tuples, lambda_term, log_coeff, power)
 
 
 # ---------------------------------------------------------------------------
@@ -260,34 +259,30 @@ def phi_k(rs, phis) -> Fraction:
 # ---------------------------------------------------------------------------
 # orbifold data
 
-@dataclass(frozen=True)
 class OrbifoldDatum:
     """Order-k stratum data: each stratum is (commuting-tuple label,
     user-supplied quotient class, rational shift).  Labels must be commuting
     k-tuples of the acting group's element indices; the coefficient Burnside
     ring is carried for validation.  Classes never come from geometry here."""
 
-    group: FiniteGroup
-    bring: BurnsideRing
-    k: int
-    weights: tuple
-    strata: tuple  # ((g-index tuple, LExtElement, Fraction shift), ...)
+    __slots__ = ("group", "bring", "k", "weights", "strata")
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise UsageError(f"order must be >= 0, got {self.k}")
-        if len(self.weights) != self.k:
-            raise UsageError(f"need {self.k} weights, got {len(self.weights)}")
-        object.__setattr__(self, "weights",
-                           tuple(Fraction(p) for p in self.weights))
+    def __init__(self, group: FiniteGroup, bring: BurnsideRing, k: int,
+                 weights: tuple, strata: tuple):
+        if k < 0:
+            raise UsageError(f"order must be >= 0, got {k}")
+        if len(weights) != k:
+            raise UsageError(f"need {k} weights, got {len(weights)}")
+        self.group, self.bring, self.k = group, bring, k
+        self.weights = tuple(Fraction(p) for p in weights)
         norm = []
-        for tup, cls, shift in self.strata:
-            if not isinstance(cls, LExtElement) or cls.ring is not self.bring:
+        for tup, cls, shift in strata:
+            if not isinstance(cls, LExtElement) or cls.ring is not bring:
                 raise UsageError("stratum class not in the datum's ring")
             tup = tuple(tup)
-            _check_tuple_label(self.group, tup, self.k)
+            _check_tuple_label(group, tup, k)
             norm.append((tup, cls, Fraction(shift)))
-        object.__setattr__(self, "strata", tuple(norm))
+        self.strata = tuple(norm)
         if all(p >= 0 for p in self.weights):
             for _, _, shift in self.strata:
                 if shift < 0:
@@ -324,6 +319,7 @@ def rhs_theorem2(m, k: int, d, weights=None, N: int = 6) -> TruncatedSeries:
     raised to -m under the L-extended power structure."""
     if k < 1:
         raise UsageError(f"order must be >= 1, got {k}")
+    check_order(k)
     d = Fraction(d)
     if d < 0:
         raise UsageError(f"dimension must be >= 0, got {d}")

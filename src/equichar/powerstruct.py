@@ -31,6 +31,7 @@ from .burnside import BurnsideElement, BurnsideRing
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 
 ORDER_LIMIT = 100   # the order-k recursions below and in euler go k deep
+TRUNCATION_LIMIT = 200   # series degree N taken by the CLI and the law checks
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +316,15 @@ def check_order(k: int) -> None:
         raise UsageError(f"order must be >= 0, got {k}")
     if k > ORDER_LIMIT:
         raise ResourceLimitError("order k", size=k, budget=ORDER_LIMIT)
+
+
+def check_truncation(N: int) -> None:
+    """Refuse a truncation N below 0 or above TRUNCATION_LIMIT, before work."""
+    if N < 0:
+        raise UsageError(f"truncation must be >= 0, got {N}")
+    if N > TRUNCATION_LIMIT:
+        raise ResourceLimitError("truncation N", size=N,
+                                 budget=TRUNCATION_LIMIT)
 
 
 def rhs_base_series(k: int, N: int) -> TruncatedSeries:

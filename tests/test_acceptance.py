@@ -97,7 +97,7 @@ def test_criterion_2_theorem1_grid():
                     N = 4  # every wreath order here is <= 5*10^4
                     r = verify_theorem1(X, k, N)
                     assert r.passed, (GO.label, GB.label, name, k,
-                                      [d.__dict__ for d in r.degrees
+                                      [(d.n, d.lhs, d.rhs) for d in r.degrees
                                        if not d.equal])
                     cells += 1
     # documented spot value: Z2 x Z2 biregular, k=1, t^2 coefficient

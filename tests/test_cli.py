@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -550,6 +553,34 @@ def test_bad_truncation_or_trials_exits_1(capsys, files, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_a_truncation_above_the_limit_is_refused_quickly(capsys, files):
+    """An --N above TRUNCATION_LIMIT is refused before any series work,
+    and before the input is read: the error names no file."""
+    power_in = files("p.json", {"ring": "int", "series": [1, 2],
+                                "exponent": 3})
+    zeta_in = files("z.json", {"group": Z2, "index": 1})
+    err = "error: truncation N (size 100000 exceeds budget 200)\n"
+    for argv in (("power", "--input", power_in),
+                 ("zeta", "--input", zeta_in),
+                 ("verify", "axioms", "--ring", "int"),
+                 ("verify", "props12")):
+        t0 = time.perf_counter()
+        assert run(capsys, *argv, "--N", "100000") == (1, "", err)
+        assert time.perf_counter() - t0 < 1
+
+
+def test_importing_the_cli_generates_no_code():
+    """A cold `import equichar.cli` loads neither dataclasses nor inspect:
+    both generate code or pull in ast, dis and tokenize at start-up."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import equichar.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_lemma1_on_s3_three_points(capsys, files):

@@ -488,6 +488,19 @@ def test_tuple_class_budget(monkeypatch):
     assert e.value.size == 6 and e.value.budget == 5
 
 
+def test_subgroup_equality_reads_parent_elements_and_generators():
+    """Equality and hash ignore the memo; generators count."""
+    s3 = symmetric(3)
+    whole = whole_subgroup(s3)
+    a, b = (groups_mod.Subgroup(s3, whole.elements, whole.generators)
+            for _ in range(2))
+    groups_mod.conjugacy_classes_in(a)
+    assert a.memo and not b.memo
+    assert a == b and hash(a) == hash(b)
+    assert a != groups_mod.Subgroup(s3, whole.elements, whole.generators[:1])
+    assert a != (s3, whole.elements, whole.generators) and a != "S3"
+
+
 def test_subgroup_validate():
     s3 = symmetric(3)
     h = subgroup_from_generators(s3, (3,))

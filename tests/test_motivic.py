@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -299,6 +300,10 @@ def test_rhs_theorem2_argument_errors():
         rhs_theorem2(embed(RZ2.unit), 2, 2, (1,), 3)
     with pytest.raises(UsageError):
         rhs_theorem2("x", 1, 2, None, 3)
+    t0 = time.perf_counter()  # refused before the k-deep recursion
+    with pytest.raises(ResourceLimitError):
+        rhs_theorem2(embed(RZ2.unit), 1200, 0, None, 2)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_rhs_theorem2_accepts_burnside_exponent():
