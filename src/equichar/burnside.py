@@ -307,7 +307,7 @@ def chi_equivariant(X: BiSet | CellSpace) -> BurnsideElement:
     _require_b_set(X)
     ring = burnside_ring(X.gB)
     G = X.gB
-    full = [X.act("B", g, range(X.size)) for g in G.elements()]
+    full = G.images(X.actB, X.size)
     strata: dict[int, list[int]] = {}
     for p in range(X.size):
         iso = frozenset(g for g in G.elements() if full[g][p] == p)

@@ -95,7 +95,7 @@ def chi_k_averaging(X: BiSet, k: int) -> int:
     if G.order > ORACLE_GROUP_LIMIT:
         raise ResourceLimitError("averaging oracle",
                                  size=G.order, budget=ORACLE_GROUP_LIMIT)
-    perms = [X.act("O", g, range(X.size)) for g in G.elements()]
+    perms = G.images(X.actO, X.size)
 
     def rec(pool: list[int], S: list[int], depth: int) -> int:
         if depth == 0:

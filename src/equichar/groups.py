@@ -70,34 +70,43 @@ class FiniteGroup:
                                      size=self.order, budget=ELEMENT_BUDGET)
 
     @cached_property
-    def _word_table(self) -> list[tuple[int, int]]:
+    def _word_table(self) -> tuple[list[tuple[int, int]], list[int]]:
+        """prev[y] = (x, i) with y = x·gens[i], and nodes lists x before y."""
         self._require_enumerable()
         prev: list[tuple[int, int] | None] = [None] * self.order
         prev[0] = (-1, -1)
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for i, s in enumerate(self.generators):
-                    y = self.mul(x, s)
-                    if prev[y] is None:
-                        prev[y] = (x, i)
-                        nxt.append(y)
-            frontier = nxt
-        if any(p is None for p in prev):
+        nodes = [0]
+        for x in nodes:  # grows breadth-first
+            for i, s in enumerate(self.generators):
+                y = self.mul(x, s)
+                if prev[y] is None:
+                    prev[y] = (x, i)
+                    nodes.append(y)
+        if len(nodes) != self.order:
             raise InvariantViolation(
                 f"generators do not generate {self.label}")
-        return prev  # type: ignore[return-value]
+        return prev, nodes  # type: ignore[return-value]
 
     def word(self, g: int) -> tuple[int, ...]:
         """Generator positions w with g = gens[w0]·gens[w1]·...·gens[w-1]."""
-        prev = self._word_table
+        prev = self._word_table[0]
         out = []
         while g != 0:
             g, i = prev[g]
             out.append(i)
         out.reverse()
         return tuple(out)
+
+    def images(self, perms, size: int) -> list[list[int]]:
+        """out[g][p] = g·p for every element g, when generator i acts on
+        0..size-1 by perms[i]: one pass over the word tree, as the images
+        of x·s are x's images read through s's permutation."""
+        prev, nodes = self._word_table
+        out = [list(range(size))] + [None] * (self.order - 1)
+        for y in nodes[1:]:
+            x, i = prev[y]
+            out[y] = list(map(out[x].__getitem__, perms[i]))
+        return out
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label} order={self.order}>"
@@ -793,7 +802,7 @@ def _table_rows(G: FiniteGroup) -> list[list[int]]:
     gen_rows = [[G.mul(s, b) for b in G.elements()] for s in G.generators]
     rows = [list(G.elements())] + [None] * (G.order - 1)
     queue = [0]
-    for x in queue:  # grows breadth-first, as _word_table's frontiers do
+    for x in queue:  # _word_table's tree, found by lookups, not products
         row = rows[x]
         for s, srow in zip(G.generators, gen_rows):
             y = row[s]

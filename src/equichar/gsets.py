@@ -2,10 +2,10 @@
 
 A BiSet carries a left action of an "orbifold side" group gO and a left
 action of a "Burnside side" group gB, stored as one permutation per group
-generator.  An element acts only through BiSet.act, which maps just the
-points a scan keeps along the element's generator word; BiSet.fixed and
-BiSet.orbits_on are built on it.  No scan of the recursion builds a whole
-permutation, but chi_equivariant, the averaging oracle and a full validate do.
+generator.  BiSet.act maps just the points a scan keeps along an element's
+word, and BiSet.fixed and BiSet.orbits_on are built on it; chi_equivariant,
+the averaging oracle and validate map the whole set under every element by
+one walk of the word tree, FiniteGroup.images.
 
 A fixed set X^g under the centralizer C(g) is not a BiSet of its own: it is
 a tuple of the parent's point indices acted on by a parent-indexed
@@ -27,8 +27,7 @@ from .groups import (
 )
 
 POINT_BUDGET = 1_000_000
-HOM_CHECK_BUDGET = 2_000_000  # products for an exhaustive homomorphism check
-HOM_CHECK_SAMPLES = 100       # seeded (x, s) samples above that budget
+HOM_CHECK_BUDGET = 2_000_000  # order·generators·points, per checked side
 
 
 class BiSet:
@@ -110,32 +109,28 @@ class BiSet:
 
     def validate(self) -> None:
         """Permutation well-formedness, commutation of the two actions, and
-        the generator assignments extending to group homomorphisms
-        (exhaustive on the Cayley relations when affordable, sampled above;
-        a side without generators has none to check or sample)."""
+        the generator assignments extending to group homomorphisms: every
+        Cayley relation x·s is checked on the whole set, and a side whose
+        check would pass HOM_CHECK_BUDGET is refused."""
         for a in self.actO:
             for b in self.actB:
                 if any(a[b[p]] != b[a[p]] for p in range(self.size)):
                     raise InvariantViolation("O and B actions do not commute")
-        points = range(self.size)
         for side in ("O", "B"):
-            group, _ = self._side(side)
-            cost = group.order * max(1, len(group.generators)) * max(1, self.size)
-            if cost <= HOM_CHECK_BUDGET or not group.generators:
-                pairs = ((x, s) for x in range(group.order)
-                         for s in group.generators)
-            else:
-                import random
-                rng = random.Random(0)
-                pairs = ((rng.randrange(group.order),
-                          group.generators[rng.randrange(len(group.generators))])
-                         for _ in range(HOM_CHECK_SAMPLES))
-            for x, s in pairs:
-                if self.act(side, group.mul(x, s), points) != self.act(
-                        side, x, self.act(side, s, points)):
-                    raise InvariantViolation(
-                        f"{side}-side action is not a homomorphism at "
-                        f"({x}, {s})")
+            group, gens = self._side(side)
+            group._require_enumerable()
+            cost = group.order * len(gens) * self.size
+            if cost > HOM_CHECK_BUDGET:
+                raise ResourceLimitError(f"{side}-side homomorphism check",
+                                         size=cost, budget=HOM_CHECK_BUDGET)
+            images = group.images(gens, self.size)
+            for x in group.elements():
+                for s, perm in zip(group.generators, gens):
+                    if images[group.mul(x, s)] != list(
+                            map(images[x].__getitem__, perm)):
+                        raise InvariantViolation(
+                            f"{side}-side action is not a homomorphism at "
+                            f"({x}, {s})")
 
     def __repr__(self) -> str:
         return (f"<BiSet size={self.size} O={self.gO.label} "

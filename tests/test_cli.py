@@ -407,6 +407,28 @@ def test_verbs_refuse_to_enumerate_a_huge_group_quickly(capsys, files):
         assert time.perf_counter() - t0 < 1
 
 
+def test_a_non_action_is_refused_quickly(capsys, files):
+    """C5000 acting by one 7-cycle is not an action, as 7 does not divide
+    5000: one walk of the word tree finds the one broken Cayley relation,
+    4999·1 = 0.  On 500 points the check would hold 2.5·10^6 image cells,
+    and HOM_CHECK_BUDGET refuses it instead."""
+    def seven_cycle(size):
+        perm = [1, 2, 3, 4, 5, 6, 0] + list(range(7, size))
+        return {"size": size, "gO": {"type": "cyclic", "n": 5000},
+                "gB": TRIV, "actO": [perm], "actB": []}
+    small = files("c5000_300.json", seven_cycle(300))
+    large = files("c5000_500.json", seven_cycle(500))
+    for path, err in (
+            (small, "bad biset: O-side action is not a homomorphism "
+                    "at (4999, 1)"),
+            (large, "O-side homomorphism check "
+                    "(size 2500000 exceeds budget 2000000)")):
+        t0 = time.perf_counter()
+        assert run(capsys, "chi-orb", "--input", path) == \
+            (1, "", f"error: {path}: {err}\n")
+        assert time.perf_counter() - t0 < 2
+
+
 def test_an_order_above_the_limit_is_refused_quickly(capsys, files):
     """The order-k recursions go k deep, so an order above ORDER_LIMIT is
     refused before any work rather than ending in a RecursionError."""

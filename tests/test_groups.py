@@ -448,6 +448,36 @@ def test_table_rows_match_mul(build):
                     for a in G.elements()]
 
 
+@pytest.mark.parametrize("build", TABLE_FAMILIES,
+                         ids=["cyclic", "dihedral", "product", "perm",
+                              "wreath-tables"])
+def test_images_match_act_and_table_rows(build):
+    """One walk of the word tree gives every element's map of the whole
+    set, as act gives it by applying the element's word letter by letter.
+    On the regular action it is _table_rows, which walks the same tree."""
+    G = build()
+    gen_rows = [[G.mul(s, b) for b in G.elements()] for s in G.generators]
+    X = BiSet(G.order, G, trivial_group(), gen_rows, ())
+    images = G.images(gen_rows, G.order)
+    assert images == [X.act("O", g, G.elements()) for g in G.elements()]
+    assert images == groups_mod._table_rows(G)
+
+
+def test_images_match_act_on_a_wreath_power():
+    """S3 acting on itself from both sides, squared: S3≀S2 (order 72) on
+    the O side and S3 diagonally on the B side, over 36 points."""
+    S3 = symmetric(3)
+    actO = [[S3.mul(s, x) for x in S3.elements()] for s in S3.generators]
+    actB = [[S3.mul(x, S3.inv(s)) for x in S3.elements()]
+            for s in S3.generators]
+    P = wreath_power(BiSet(6, S3, S3, actO, actB), 2)
+    P.validate()
+    for side, group, perms in (("O", P.gO, P.actO), ("B", P.gB, P.actB)):
+        images = group.images(perms, P.size)
+        assert images == [P.act(side, g, range(P.size))
+                          for g in group.elements()]
+
+
 def test_table_rows_match_structural_wreath_mul(monkeypatch):
     monkeypatch.setattr(groups_mod, "WREATH_TABLE_BUDGET", 0)
     G = WreathGroup(cyclic(3), 2)

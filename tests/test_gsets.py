@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
-from equichar.groups import (cyclic, dihedral, make_group, symmetric,
-                             trivial_group)
+from equichar.groups import (FiniteGroup, cyclic, dihedral, make_group,
+                             symmetric, trivial_group)
 from equichar.gsets import (POINT_BUDGET, BiSet, biset_from_single_action,
                             quotient_by, symmetric_power, wreath_power)
 import equichar.gsets as gsets_mod
@@ -46,18 +46,37 @@ def test_validate_rejects_non_permutation():
         BiSet(2, Z2, trivial_group(), ((0, 0),), ())
 
 
-def test_sampled_homomorphism_check(monkeypatch):
-    """With HOM_CHECK_BUDGET at 0 both sides are sampled.  A side with no
-    generators has nothing to check and is skipped, the natural S3-set
-    with a C2 B side passes, and the variant that sends S3's 3-cycle to a
-    transposition is refused."""
-    monkeypatch.setattr(gsets_mod, "HOM_CHECK_BUDGET", 0)
+def test_homomorphism_check_is_exhaustive():
+    """Every Cayley relation x·s is checked on the whole set.  A side with
+    no generators has none, the natural S3-set with a C2 B side passes,
+    and the variant that sends S3's 3-cycle to a transposition is refused.
+    C4 acting on 3 points by a 3-cycle breaks only the one Cayley edge
+    outside the word tree 0 -> 1 -> 2 -> 3, namely 3·1 = 0."""
     triv, S3 = trivial_group(), symmetric(3)
     BiSet(3, triv, triv, (), ()).validate()
     BiSet(3, S3, cyclic(2), [(1, 0, 2), (1, 2, 0)], [(0, 1, 2)]).validate()
     with pytest.raises(InvariantViolation,
                        match="O-side action is not a homomorphism"):
         BiSet(3, S3, triv, [(1, 0, 2), (0, 2, 1)], ()).validate()
+    with pytest.raises(InvariantViolation,
+                       match=r"^B-side action is not a homomorphism "
+                             r"at \(3, 1\)$"):
+        BiSet(3, triv, cyclic(4), (), [(1, 2, 0)]).validate()
+
+
+def test_homomorphism_check_above_its_budget_is_refused(monkeypatch):
+    """Order · generators · points above HOM_CHECK_BUDGET is refused with
+    the limit named, before any element's images are built."""
+    def no_walk(*args):
+        raise AssertionError("images built above the budget")
+
+    monkeypatch.setattr(gsets_mod, "HOM_CHECK_BUDGET", 35)
+    monkeypatch.setattr(FiniteGroup, "images", no_walk)
+    X = BiSet(3, symmetric(3), trivial_group(), [(1, 0, 2), (1, 2, 0)], ())
+    with pytest.raises(ResourceLimitError,
+                       match=r"^O-side homomorphism check "
+                             r"\(size 36 exceeds budget 35\)$"):
+        X.validate()
 
 
 def test_validate_rejects_wrong_generator_count():
