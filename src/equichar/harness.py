@@ -19,13 +19,14 @@ from .errors import ResourceLimitError, UsageError
 from .euler import ORACLE_GROUP_LIMIT, chi_k_equivariant
 from .groups import cyclic, symmetric
 from .gsets import POINT_BUDGET, BiSet, symmetric_power, wreath_power
-from .motivic import (L, LExtCoeffRing, embed, lext, lext_coeff_ring,
+from .motivic import (L, LExtCoeffRing, _normal, embed, lext_coeff_ring,
                       power_L, rhs_theorem2, specialize_L, zeta_L)
 from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
                           check_truncation, power, rhs_theorem1)
 
 WREATH_LIMIT_HIGH_ORDER = 50_000   # k >= 2
 WREATH_LIMIT_LOW_ORDER = 400_000   # k <= 1
+TRIAL_BUDGET = 2_000_000   # trials·(N + 5)^3 for the randomized law checks
 
 
 class DegreeCheck:
@@ -76,6 +77,14 @@ class VerificationReport:
 
 def default_wreath_limit(k: int) -> int:
     return WREATH_LIMIT_HIGH_ORDER if k >= 2 else WREATH_LIMIT_LOW_ORDER
+
+
+def check_trials(trials: int, N: int) -> None:
+    """Refuse trials·(N + 5)^3, about a trial's cost with its fixed part,
+    above TRIAL_BUDGET, before any work."""
+    if trials * (N + 5) ** 3 > TRIAL_BUDGET:
+        raise ResourceLimitError("trials · (N + 5)^3", trials * (N + 5) ** 3,
+                                 TRIAL_BUDGET)
 
 
 def _check(n, lhs_el, rhs_el, t0) -> DegreeCheck:
@@ -172,10 +181,8 @@ def _random_element(rng, ring, bring):
     if ring is INT_RING:
         return rng.randint(-4, 4)
     burn = bring.element([rng.randint(-2, 2) for _ in range(bring.n)])
-    if isinstance(ring, LExtCoeffRing):
-        q = rng.choice((Fraction(0), Fraction(1, 2), Fraction(1),
-                        Fraction(-1, 2)))
-        return lext(bring, ((q, burn),))
+    if isinstance(ring, LExtCoeffRing):   # L^(e/2)·burn
+        return _normal(bring, 2, ((rng.choice((0, 1, 2, -1)), burn),))
     return burn
 
 
@@ -191,6 +198,7 @@ def verify_axioms(ring_name: str, trials: int = 100, N: int = 6,
     if N < 1 or trials < 1:
         raise UsageError("axioms need N >= 1 and trials >= 1")
     check_truncation(N)
+    check_trials(trials, N)
     ring, bring = _axiom_rings(ring_name)
     rng = random.Random(seed)
 
@@ -240,6 +248,7 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
     if weights is not None and len(weights) != 2:
         raise UsageError(f"need 2 weights, got {len(weights)}")
     check_truncation(N)
+    check_trials(trials, N)
     bring = burnside_ring(symmetric(3))
     ring = lext_coeff_ring(bring)
     plain = burnside_coeff_ring(bring)

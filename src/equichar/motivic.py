@@ -182,23 +182,24 @@ class LExtCoeffRing:
         return {e: c for e, c in acc.items() if c}
 
     def entries(self, c: LExtElement):
+        self.one._check(c)
         return c.D, [self.entry({e: x.marks()[k] for e, x in c.pairs})
                      for k in range(self.n)]
 
     def element(self, D: int, entries) -> LExtElement:
-        return _normal(self.bring, D, [
-            (e, self.bring.from_marks([x.get(e, 0) for x in entries]))
-            for e in set().union(*entries)])
+        es = sorted(set().union(*entries))   # no entry holds a zero
+        g = gcd(D, *es)
+        return LExtElement(self.bring, D // g, tuple(
+            (e // g, self.bring.from_marks([x.get(e, 0) for x in entries]))
+            for e in es))
 
-    def psi(self, xs, r: int) -> list:
-        out = []
-        for row in self.bring.adams(r):
-            acc: dict = {}
+    def add_psi(self, cols, pos: int, k: int, xs, r: int) -> None:
+        for h, row in zip(cols, self.bring.adams(r)):
+            acc = dict(h[pos])   # copied: entries may be shared
             for M, u in row:
                 for e, c in xs[M].items():
-                    acc[e * r] = acc.get(e * r, 0) + u * c
-            out.append(self.entry(acc))
-        return out
+                    acc[e * r] = acc.get(e * r, 0) + k * u * c
+            h[pos] = {e: c for e, c in acc.items() if c}
 
     @staticmethod
     def axpy(x: dict, k: int, y: dict) -> dict:

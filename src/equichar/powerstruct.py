@@ -17,9 +17,10 @@ only to pack the coefficients for rendering, JSON and hashing.
 At a class K, lambda_b(t^i) is prod_d (1 - t^(i·d))^(-n_d) over the n_d
 orbits of size d of K on b, so its t^(i·r) log coefficient is i·psi^r_K(b),
 psi^r_K(b) = sum_(d|r) d·n_d, with L^q·b putting L^(q·r) on it; psi^r is
-an integer matrix on marks (`BurnsideRing.adams`).  Factor exponents b_i
-are packed from their marks by back-substitution, so a non-integral value
-raises, as does any inexact division.
+an integer matrix on marks (`BurnsideRing.adams`).  The factor entries b_i
+are read off the logs once per series, each checked integral over the
+basis by back-substitution, and `power` multiplies m's entries into them
+at each mark; a non-integral value raises, as does any inexact division.
 """
 
 from __future__ import annotations
@@ -69,18 +70,21 @@ class IntRing:
     """Exact integers; single lambda-generator 1 with zeta = 1/(1-t).  Z is
     A(1): one column of the integer entries A(G) shares.  Every handle has
     zero, one, label, n, the entry ops one_entry, zero_entry, dot, axpy,
-    div, entry and psi (entries at each mark to psi^r entries, L-exponents
-    times r), and entries, element and check_products."""
+    div, entry and add_psi (k·psi^r(xs) added at pos of each mark column,
+    L-exponents times r), and entries, element and check_products."""
 
     zero, one, label, n = 0, 1, "Z", 1
     one_entry, zero_entry = 1, 0
     dot = staticmethod(lambda xs, ys: sum(map(mul, xs, ys)))
     axpy = staticmethod(lambda x, k, y: x + k * y)
     entry = staticmethod(lambda poly: poly.get(0, 0))
-    psi = staticmethod(lambda xs, r: xs)
     check_products = staticmethod(lambda: None)
     entries = staticmethod(lambda c: (1, [c]))
     element = staticmethod(lambda D, entries: entries[0])
+
+    @staticmethod
+    def add_psi(cols, pos: int, k: int, xs, r: int) -> None:
+        cols[0][pos] += k * xs[0]
 
     @staticmethod
     def div(x: int, j: int) -> int:
@@ -104,13 +108,16 @@ class BurnsideCoeffRing(IntRing):
         self.label = f"A({bring.group.label})"
         self.check_products = bring.check_products
 
-    entries = staticmethod(lambda c: (1, list(c.marks())))
+    def entries(self, c) -> tuple:
+        self.one._check(c)
+        return 1, list(c.marks())
 
     def element(self, D, entries):
         return self.bring.from_marks(entries)
 
-    def psi(self, xs, r: int) -> list:
-        return [sum(u * xs[M] for M, u in row) for row in self.bring.adams(r)]
+    def add_psi(self, cols, pos: int, k: int, xs, r: int) -> None:
+        for h, row in zip(cols, self.bring.adams(r)):
+            h[pos] += k * sum([u * xs[M] for M, u in row])
 
 
 def burnside_coeff_ring(bring: BurnsideRing) -> BurnsideCoeffRing:
@@ -134,7 +141,7 @@ class TruncatedSeries:
     D (see the module doc); all arithmetic is exact and eagerly truncated
     at N."""
 
-    __slots__ = ("ring", "N", "D", "logs", "_coeffs")
+    __slots__ = ("ring", "N", "D", "logs", "_coeffs", "_factors")
 
     def __init__(self, ring, coeffs):
         ring.check_products()   # once per ring, before any column product
@@ -161,7 +168,7 @@ class TruncatedSeries:
             D, logs = D // g, [[{e // g: c for e, c in x.items()} for x in h]
                                for h in logs]
         self.ring, self.D, self.N, self.logs = ring, D, len(logs[0]), logs
-        self._coeffs = None
+        self._coeffs = self._factors = None
 
     @property
     def coeffs(self) -> tuple:
@@ -252,44 +259,56 @@ def lambda_term(ring, c, i: int, N: int) -> TruncatedSeries:
     """lambda_c(t^i) truncated at N, in closed form (see the module doc)."""
     if i < 1:
         raise UsageError(f"lambda-term power must be >= 1, got {i}")
-    return lambda_reconstruct(ring, [ring.zero] * (i - 1) + [c], N)
+    D, xs = ring.entries(c)
+    return _reconstruct(ring, D, [(i, xs)], N)
 
 
-def lambda_reconstruct(ring, bs, N: int) -> TruncatedSeries:
-    """prod_i lambda_{b_i}(t^i), written as log columns: b_i puts
-    i·psi^r(b_i) on t^(i·r)."""
-    parts = [(i, ring.entries(b)) for i, b in enumerate(bs, start=1) if b]
-    D = lcm(1, *(d for _, (d, _) in parts))
+def _reconstruct(ring, D: int, factors, N: int) -> TruncatedSeries:
+    """prod_i lambda_{b_i}(t^i) from the items (i, entries of b_i over D),
+    written as log columns: b_i puts i·psi^r(b_i) on t^(i·r)."""
     logs = [[ring.zero_entry] * N for _ in range(ring.n)]
-    for i, (d, xs) in parts:
-        xs = _lift(xs, D // d)
-        for r in range(1, N // i + 1):
-            for h, y in zip(logs, ring.psi(xs, r)):
-                h[i * r - 1] = ring.axpy(h[i * r - 1], i, y)
+    for i, xs in factors:
+        if any(xs):
+            for r in range(1, N // i + 1):
+                ring.add_psi(logs, i * r - 1, i, xs, r)
     return TruncatedSeries.from_logs(ring, D, logs)
 
 
-def lambda_factorize(A: TruncatedSeries) -> list:
-    """Exponents b_1..b_N with A = prod_i lambda_{b_i}(t^i), read off the
-    log columns h = t·A'/A: h_i is the t^i log-coefficient of the
-    lambda-terms of b_1..b_(i-1) plus i times b_i's entry.  Each b_i is
-    back-substituted from its marks, so it is checked integral."""
+def _factor_walk(A: TruncatedSeries) -> tuple:
+    """The entries over A.D of the b_i with A = prod_i lambda_{b_i}(t^i),
+    and the b_i, each checked integral: h_i is i times b_i's entry plus the
+    lambda-terms of b_1..b_(i-1).  Only the column lists are copied."""
     ring, N = A.ring, A.N
-    hs = [list(h) for h in A.logs]
-    out = []
+    hs, entries = [list(h) for h in A.logs], []
     for i in range(1, N + 1):
-        xs = [ring.div(h[i - 1], i) for h in hs]
-        out.append(ring.element(A.D, xs))
+        entries.append([ring.div(h[i - 1], i) for h in hs])
         for r in range(2, N // i + 1):   # divide lambda_{b_i}(t^i) out
-            for h, y in zip(hs, ring.psi(xs, r)):
-                h[i * r - 1] = ring.axpy(h[i * r - 1], -i, y)
-    return out
+            ring.add_psi(hs, i * r - 1, -i, entries[-1], r)
+    return entries, [ring.element(A.D, xs) for xs in entries]
+
+
+def _factors(A: TruncatedSeries) -> tuple:
+    """A's factor entries and elements, walked once per series."""
+    if A._factors is None:
+        A._factors = _factor_walk(A)
+    return A._factors
+
+
+def lambda_factorize(A: TruncatedSeries) -> list:
+    """Exponents b_1..b_N with A = prod_i lambda_{b_i}(t^i)."""
+    return list(_factors(A)[1])
 
 
 def power(A: TruncatedSeries, m) -> TruncatedSeries:
-    """A^m for a ring exponent m: rescale the lambda factorization."""
-    return lambda_reconstruct(A.ring, [m * b for b in lambda_factorize(A)],
-                              A.N)
+    """A^m for a ring exponent m: the factor exponents m·b_i, multiplied
+    entry by entry at each mark; an integer m stands for m·1."""
+    ring = A.ring
+    Dm, ms = ring.entries(m * ring.one if isinstance(m, int) else m)
+    D = lcm(A.D, Dm)
+    ms = _lift(ms, D // Dm)
+    return _reconstruct(ring, D, [
+        (i, [ring.dot((x,), (y,)) for x, y in zip(_lift(xs, D // A.D), ms)])
+        for i, xs in enumerate(_factors(A)[0], start=1)], A.N)
 
 
 # ---------------------------------------------------------------------------

@@ -593,6 +593,18 @@ def test_a_truncation_above_the_limit_is_refused_quickly(capsys, files):
         assert time.perf_counter() - t0 < 1
 
 
+def test_trials_above_the_budget_are_refused_quickly(capsys):
+    """--trials times the cost of one trial at --N has a limit, checked
+    before any draw."""
+    for argv, cost in ((("verify", "axioms", "--ring", "lext"), 11 ** 3),
+                       (("verify", "props12"), 10 ** 3)):
+        t0 = time.perf_counter()
+        err = (f"error: trials · (N + 5)^3 (size {10 ** 6 * cost} "
+               "exceeds budget 2000000)\n")
+        assert run(capsys, *argv, "--trials", "1000000") == (1, "", err)
+        assert time.perf_counter() - t0 < 1
+
+
 def test_importing_the_cli_generates_no_code():
     """A cold `import equichar.cli` loads neither dataclasses nor inspect:
     both generate code or pull in ast, dis and tokenize at start-up."""

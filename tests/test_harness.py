@@ -78,6 +78,18 @@ def test_axioms_small(ring):
     assert len(r.degrees) == 5
 
 
+def test_trials_budget_is_checked_before_any_draw(monkeypatch):
+    """trials·(N + 5)^3 up to TRIAL_BUDGET is admitted, one more trial is
+    refused, and the defaults pass."""
+    harness.check_trials(harness.TRIAL_BUDGET // 1331, 6)
+    harness.check_trials(100, 6)
+    monkeypatch.setattr(harness, "_random_series", None)
+    for verify, N in ((lambda *a: harness.verify_axioms("lext", *a), 6),
+                      (harness.verify_props12, 5)):
+        with pytest.raises(ResourceLimitError, match=r"trials · \(N \+ 5\)"):
+            verify(harness.TRIAL_BUDGET // (N + 5) ** 3 + 1, N)
+
+
 def test_axioms_unknown_ring():
     with pytest.raises(UsageError):
         harness.verify_axioms("rational")

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from equichar.burnside import BurnsideElement, BurnsideRing, burnside_ring
-from equichar.errors import InvariantViolation
+from equichar.errors import InvariantViolation, UsageError
 from equichar.groups import cyclic, make_group, subgroup_lattice, symmetric
 from equichar.motivic import L, LExtCoeffRing, embed, lext, lext_coeff_ring
 from equichar import powerstruct
@@ -169,10 +169,13 @@ def test_substitute_L_scaling_matches_element_engine(s):
 @pytest.mark.parametrize("degree", [1, 3])
 def test_non_integral_mark_column_fails_factorization(degree):
     """Marks (1, 0) on A(C2) would need half of [G/e]: the factor exponent
-    built from that column is not integral over the basis."""
+    built from that column is not integral over the basis, so factoring
+    the series raises, and so does every power of it, by the unit or by
+    [G/e], whose multiples of that factor would be integral."""
     bad = BurnsideElement(C2, (1, 0))
-    for ring, x in ((burnside_coeff_ring(C2), bad),
-                    (lext_coeff_ring(C2), lext(C2, [(F(1, 2), bad)]))):
+    for ring, x, m in ((burnside_coeff_ring(C2), bad, C2.basis(0)),
+                       (lext_coeff_ring(C2), lext(C2, [(F(1, 2), bad)]),
+                        embed(C2.basis(0)))):
         coeffs = [ring.one] + [ring.zero] * 4
         coeffs[degree] = x
         A = TruncatedSeries(ring, coeffs)
@@ -180,6 +183,58 @@ def test_non_integral_mark_column_fails_factorization(degree):
             lambda_factorize(A)
         with pytest.raises(InvariantViolation):
             TruncatedSeries.from_logs(ring, A.D, A.logs).coeffs
+        for exponent in (ring.one, m):
+            with pytest.raises(InvariantViolation):
+                power(TruncatedSeries(ring, coeffs), exponent)
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_each_series_is_factored_once(name, monkeypatch):
+    """A series walks its factors once, however often it is raised or
+    factored; a power is factored again from its own logs, carries no
+    factors of its input, and no walk writes into a shared entry."""
+    ring = RINGS[name]
+    rng = random.Random(f"{name}-walks")
+    walked, real = [], powerstruct._factor_walk
+    monkeypatch.setattr(powerstruct, "_factor_walk",
+                        lambda A: walked.append(A) or real(A))
+    (A, a), (B, _) = rand_series(rng, ring, 6), rand_series(rng, ring, 6)
+    m, n = ring.one + rand_coeff(rng, ring), rand_coeff(rng, ring)
+    logs = [[dict(x) if isinstance(x, dict) else x for x in h]
+            for h in A.logs]
+    power(A, m), power(A, n)
+    assert lambda_factorize(A) == factorize_reference(a)
+    assert len(walked) == 1 and walked[0] is A
+    assert A.logs == logs and ring.zero_entry in (0, {})
+    walked.clear()
+    P = power(B, m)
+    assert P._factors is None
+    power(P, n)
+    assert len(walked) == 2 and walked[0] is B and walked[1] is P
+
+
+def test_power_takes_integers_and_refuses_other_rings():
+    """An integer exponent m is m·1; an exponent, or a coefficient, from
+    another ring is refused, not read off marks of another length."""
+    S3 = burnside_ring(symmetric(3))
+    for ring, other in ((RINGS["A(S3)"], C2.unit),
+                        (lext_coeff_ring(S3), embed(C2.unit))):
+        rng = random.Random(f"{ring.label}-int")
+        A, _ = rand_series(rng, ring, 4)
+        for m in (-2, 0, 3):
+            assert power(A, m) == power(A, m * ring.one) == A.pow_int(m)
+        with pytest.raises(UsageError):
+            power(A, other)
+        with pytest.raises(UsageError):
+            TruncatedSeries(ring, (ring.one, other))
+
+
+def test_every_handle_has_the_one_fused_adams_op():
+    """Each handle adds k·psi^r into a column position itself; none keeps
+    the separate psi op beside it."""
+    for cls in (type(INT_RING), BurnsideCoeffRing, LExtCoeffRing):
+        assert callable(vars(cls).get("add_psi"))
+        assert not hasattr(cls, "psi")
 
 
 def test_broken_table_caught_before_first_column_product():
