@@ -10,7 +10,8 @@ exact integer back-substitution, which runs only when they are observed
 `InvariantViolation`.  Before the first product in a ring, the product of
 every pair of basis mark rows is back-substituted once; integral results
 for all pairs make every product in the ring integral, so a wrong table
-cannot pass silently.
+cannot pass silently.  Row K vanishes off K's down-set, the classes
+subconjugate to K (checked closed under ⊆), and so do the solves below.
 
 The marks come from containment alone.  The g with H^g ⊆ K number
 |N_G(H)| = |G| / #conjugates(H) per conjugate of H inside K, and each
@@ -20,18 +21,21 @@ fixed coset gK holds |K| of them, so
 
 counted by subset tests over the lattice's index of every subgroup.
 
-`orbit_counts` counts the K-orbits of each size on every G/H from the same
-lists (double cosets, tom Dieck, LNM 766): the coset gH has K-orbit size
+The K-orbits of each size on G/H are counted from the same lists (double
+cosets, tom Dieck, LNM 766): the coset gH has K-orbit size
 [K : K ∩ gHg^-1], and each conjugate of H fixes |G| / (#conjugates(H)·|H|)
 cosets.  `adams(r)` solves from the counts, by forward substitution over the
 table of marks, the integer matrix U^r taking marks to the orbit sums
 psi^r_K = sum_(d|r) d·n_d that λ-terms are written in (see `powerstruct`).
+psi^r_K reads a G-set through its restriction to K only, and every orbit
+size divides |G|, so U^r = U^(gcd(r, |G|)) with row K on K's down-set.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from operator import mul
+from itertools import chain, compress
 
 from .cells import CellSpace
 from .errors import InvariantViolation, ResourceLimitError, UsageError
@@ -51,8 +55,9 @@ class BurnsideRing:
         if self.n > MARKS_CLASS_BUDGET:
             raise ResourceLimitError("table of marks", size=self.n,
                                      budget=MARKS_CLASS_BUDGET)
-        for i, K in enumerate(lattice.classes):
-            if lattice.class_index.get(K.element_set()) != i:
+        self.ksets = [K.element_set() for K in lattice.classes]
+        for i, kset in enumerate(self.ksets):
+            if lattice.class_index.get(kset) != i:
                 raise InvariantViolation(f"class {i} is not indexed as itself")
         if len(set(lattice.class_index.values())) != self.n:
             raise InvariantViolation("class index names a class not listed")
@@ -73,12 +78,12 @@ class BurnsideRing:
         """|(G/K)^H| for K the i-th class and every class H, from the
         conjugates of H contained in K; orders[j] is the j-th class's
         subgroup order."""
-        kset, k = self.lattice.classes[i].element_set(), orders[i]
+        kset, k = self.ksets[i], orders[i]
         row = []
         for conj, order in zip(self.conjugates, orders):
-            inside = 0 if k % order else sum(1 for c in conj if c <= kset)
-            row.append(_exact(self.group.order * inside, len(conj) * k,
-                              "a mark"))
+            inside = 0 if k % order else sum(map(kset.issuperset, conj))
+            row.append(inside and _exact(self.group.order * inside,
+                                         len(conj) * k, "a mark"))
         return tuple(row)
 
     # -- elements ------------------------------------------------------------
@@ -128,15 +133,24 @@ class BurnsideRing:
         return tuple(coeffs)
 
     def check_products(self) -> None:
-        """Back-substitute the product of every pair of basis mark rows.
+        """Back-substitute the product of every pair of basis mark rows
+        j <= i on down(j), off which it and each row it subtracts vanish.
         Products are integer combinations of these, so once they are
         integral every product in the ring is."""
         if self._products_checked:
             return
-        rows = self.marks_rows
+        rows, down = self.marks_rows, self._down_sets()
         for i in range(self.n):
             for j in range(i + 1):
-                self.back_substitute([a * b for a, b in zip(rows[i], rows[j])])
+                residue = {m: rows[i][m] * rows[j][m] for m in down[j]}
+                for h in reversed(down[j]):
+                    q, r = divmod(residue[h], rows[h][h])
+                    if r:
+                        raise InvariantViolation(
+                            f"the product of basis rows {j}, {i} is not "
+                            "integral")
+                    for m in down[h] if q else ():
+                        residue[m] -= q * rows[h][m]
         self._products_checked = True
 
     def basis_name(self, i: int) -> str:
@@ -146,47 +160,50 @@ class BurnsideRing:
             return "[G/e]"
         return f"[G/H{i}]"
 
-    def orbit_counts(self) -> list[list[Counter]]:
-        """counts[h][k][d]: the number of K-orbits of size d on G/H_h for
-        the class K = H_k, from the conjugates of H_h; built once per ring."""
-        if "orbits" not in self._memo:
-            classes = self.lattice.classes
-            ksets = [K.element_set() for K in classes]
-            counts = []
-            for h, conj in enumerate(self.conjugates):
-                share = _exact(self.group.order, len(conj) * classes[h].order,
-                               "cosets per conjugate")
-                row = []
-                for K, kset in zip(classes, ksets):
-                    meets = Counter(len(kset & c) for c in conj)
-                    orbits = Counter()
-                    for meet, m in meets.items():
-                        d = _exact(K.order, meet, "an orbit size")
-                        orbits[d] = _exact(share * m, d, "an orbit count")
-                    row.append(orbits)
-                counts.append(row)
-            self._memo["orbits"] = counts
-        return self._memo["orbits"]
+    def _orbits(self, h: int, k: int) -> Counter:
+        """{d: the number of K-orbits of size d on G/H_h}, for K = H_k."""
+        conj, kset = self.conjugates[h], self.ksets[k]
+        share = _exact(self.group.order, len(conj) * len(self.ksets[h]),
+                       "cosets per conjugate")
+        orbits = Counter()
+        for meet, m in Counter(len(kset & c) for c in conj).items():
+            d = _exact(len(kset), meet, "an orbit size")
+            orbits[d] = _exact(share * m, d, "an orbit count")
+        return orbits
+
+    def _down_sets(self) -> list[tuple[int, ...]]:
+        """down[i]: the classes below class i, where row i is nonzero."""
+        if "down" not in self._memo:
+            down = [tuple(compress(range(self.n), row))
+                    for row in self.marks_rows]
+            for i, d in enumerate(down):
+                if not set(d).issuperset(chain(*map(down.__getitem__, d))):
+                    raise InvariantViolation(
+                        f"the classes below class {i} are not closed under ⊆")
+            self._memo["down"] = down
+        return self._memo["down"]
 
     def adams(self, r: int) -> list[tuple]:
         """Row K of U^r: the (M, u) with psi^r_K(x) = sum u·mark_M(x), where
         psi^r_K(x) = sum_(d|r) d·n_d counts the n_d K-orbits of size d on x.
-        Solved once per r from `orbit_counts`, by forward substitution over
-        the lower-triangular table of marks; a remainder raises."""
+        Solved once per gcd(r, |G|), row K on down(K), by forward
+        substitution over the table of marks; a remainder raises."""
+        r = math.gcd(r, self.group.order)
         key = ("adams", r)
         if key not in self._memo:
-            counts, rows, out = self.orbit_counts(), self.marks_rows, []
-            for K in range(self.n):   # rows[h] · u = psi^r_K(G/H_h)
-                u = []
-                for h, row in enumerate(rows):
-                    psi = sum(d * c for d, c in counts[h][K].items()
+            down, rows, out = self._down_sets(), self.marks_rows, []
+            for K in range(self.n):
+                u = [0] * self.n  # rows[h] · u = psi^r_K(G/H_h), h <= K
+                for h in down[K]:
+                    psi = sum(d * c for d, c in self._orbits(h, K).items()
                               if r % d == 0)
-                    q, rem = divmod(psi - sum(map(mul, row, u)), row[h])
+                    q, rem = divmod(psi - sum(  # u vanishes off down(h)
+                        rows[h][M] * u[M] for M in down[h]), rows[h][h])
                     if rem:
                         raise InvariantViolation(
                             f"Adams matrix U^{r} is not integral at {K}, {h}")
-                    u.append(q)
-                out.append(tuple((M, c) for M, c in enumerate(u) if c))
+                    u[h] = q
+                out.append(tuple((M, u[M]) for M in down[K] if u[M]))
             self._memo[key] = out
         return self._memo[key]
 

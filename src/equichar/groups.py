@@ -13,12 +13,14 @@ commuting k-tuple is a plain tuple of element indices whose classes recurse
 over classes and centralizers, so every representative commutes.
 
 Subgroups grow by Dimino's coset extension: <H, g> is H's element list
-followed by whole right cosets H·x, one product per new element.  The
-subgroup lattice is searched over conjugacy-class representatives only:
-each representative R is extended by one cyclic generator g per double
-coset R·g·R outside it, and a subgroup not met before has its whole
-conjugacy class indexed, up to SUBGROUP_BUDGET subgroups.  Only the lattice
-builds a flat Cayley table, of order at most CAYLEY_TABLE_LIMIT, and drops it.
+followed by whole left cosets x·H, each read through x's table row in the
+lattice.  The subgroup lattice is searched over conjugacy-class
+representatives only: each R is extended by a g of prime power order p^a
+with g^p in R, outside every indexed K ⊇ R of prime index, once per double
+coset R·g·R; a subgroup not met before has its whole conjugacy class indexed
+with conjugators, up to SUBGROUP_BUDGET subgroups, and its least conjugate
+is generated by the conjugated chain that found it.  Only the lattice builds
+a flat Cayley table, of order at most CAYLEY_TABLE_LIMIT, and drops it.
 
 Budgets are module constants, read when the guarded work starts.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 
@@ -534,36 +536,27 @@ def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
     return tuple(sorted(_reduce_generators(G.mul, gens, G.order)[0]))
 
 
-def extend_subgroup(mul, elements, gens, g: int) -> list[int]:
+def extend_subgroup(left, elements, gens, g: int) -> list[int]:
     """Elements of <H, g>, where H = <gens> has the given element list and
-    mul is the group's product (G.mul, or lookups in its table).
-
-    Dimino's right-coset extension: the result lists H's elements first and
-    then whole cosets H·x.  A coset representative x times a generator s
-    that falls outside the list opens the coset H·(xs), so the list ends
-    closed under right multiplication by every generator.  Costs one
-    product per new element plus one per coset and generator.
-    """
+    left(x) is x's left-multiplication map (a row of the group's table, or
+    partial(G.mul, x)).  Dimino's coset extension: H's elements, then
+    whole left cosets x·H; a generator s times a coset representative x
+    that falls outside the list opens (s·x)·H, so the list ends closed under
+    left multiplication.  One product per new element plus one per coset
+    and generator."""
     base = tuple(elements)
     seen = set(base)
-    if g in seen:
-        return list(base)
-    gens = tuple(gens) + (g,)
-    out = list(base)
-
-    def add_coset(y: int) -> None:
-        coset = [mul(h, y) for h in base]
-        seen.update(coset)
-        out.extend(coset)
-
-    add_coset(g)
-    pos = len(base)
+    steps = [left(s) for s in gens]
+    steps.append(left(g))
+    out, pos = list(base), 0
     while pos < len(out):
-        x = out[pos]  # stands for its coset, as H·x·s = H·(xs)
-        for s in gens:
-            xs = mul(x, s)
-            if xs not in seen:
-                add_coset(xs)
+        x = out[pos]  # stands for its coset, as s·(x·H) = (s·x)·H
+        for step in steps if pos else steps[-1:]:  # H's own gens keep H
+            sx = step(x)
+            if sx not in seen:
+                coset = list(map(left(sx), base))
+                seen.update(coset)
+                out.extend(coset)
         pos += len(base)
     return out
 
@@ -583,10 +576,11 @@ def _reduce_generators(mul, candidates, target: int
     small: list[int] = []
     current = [0]
     members = {0}
+    left = partial(partial, mul)  # left(x) = partial(mul, x)
     for c in candidates:
         if c in members:
             continue
-        current = extend_subgroup(mul, current, small, c)
+        current = extend_subgroup(left, current, small, c)
         members.update(current)
         small.append(c)
         if len(current) == target:
@@ -738,58 +732,73 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     if "lattice" in G._cache:
         return G._cache["lattice"]
     rows = _table_rows(G)  # every product below is a lookup in it
-    mul = lambda a, b: rows[a][b]
+    left = [row.__getitem__ for row in rows].__getitem__
+    gens, invs = G.generators, [G.inv(s) for s in G.generators]
     # x -> s^-1 x s for each generator s: conjugating a subgroup is lookups
-    conj = [[rows[y][s] for y in rows[G.inv(s)]] for s in G.generators]
+    conj = [[rows[y][s] for y in rows[si]] for s, si in zip(gens, invs)]
     class_index: dict[frozenset[int], int] = {}
-    orbits: list[list[frozenset[int]]] = []
+    orbits: list[tuple[list, list, tuple[int, ...]]] = []
+    by_order: dict[int, list[frozenset[int]]] = {}
     queue: list[tuple[list[int], tuple[int, ...]]] = []
 
-    def found(elements: list[int], gens: tuple[int, ...]) -> None:
-        """Index a new subgroup's whole conjugacy class and queue it."""
+    def found(elements: list[int], chain: tuple[int, ...]) -> list:
+        """The conjugates of <chain>, a new class indexed and queued."""
         fs = frozenset(elements)
         if fs in class_index:
-            return
-        idx = len(orbits)
-        class_index[fs] = idx
-        orbit = [fs]
-        for cur in orbit:  # grows until closed under conjugation
-            for perm in conj:
-                img = frozenset(perm[x] for x in cur)
+            return orbits[class_index[fs]][0]
+        idx = class_index[fs] = len(orbits)
+        orbit, witness = [fs], [(0, 0)]
+        for cur, (u, ui) in zip(orbit, witness):  # grow until closed
+            for perm, s, si in zip(conj, gens, invs):
+                img = frozenset(map(perm.__getitem__, cur))
                 if img not in class_index:
                     class_index[img] = idx
                     orbit.append(img)
-        orbits.append(orbit)
+                    witness.append((rows[u][s], rows[si][ui]))
+        orbits.append((orbit, witness, chain))
+        by_order.setdefault(len(fs), []).extend(orbit)
         if len(class_index) > SUBGROUP_BUDGET:
             raise ResourceLimitError("subgroup enumeration",
                                      size=len(class_index),
                                      budget=SUBGROUP_BUDGET)
-        queue.append((elements, gens))
+        queue.append((elements, chain))
+        return orbit
 
-    # every K > 1 is <M, g> for a maximal M < K and any g in K \ M; with
-    # M = R^x for a queued representative R, K^(x^-1) = <R, x g x^-1>, so
-    # extending the representatives by cyclic generators reaches each class;
-    # as <R, r·g·r'> = <R, g> for r, r' in R, one g per double coset R·g·R
-    # suffices, and `covered` holds R and each double coset extended so far
+    # every K > 1 is <M, g> for a maximal M < K and a g in K \ M of order
+    # p^a with g^p in M (K's prime power elements generate it; of the
+    # p-powers of one outside M, take the last outside M).  With M = R^x
+    # for a queued R, K^(x^-1) = <R, x g x^-1>, so these reach each class.
+    # `covered` holds g with <R, g> indexed: each indexed K ⊇ R of prime
+    # index (R is maximal in K) and each double coset R·g·R extended
     found([0], ())
-    cyclic_gens = _cyclic_generators(rows)
-    for elements, gens in queue:  # grows as classes are found
+    zuppos = _prime_power_generators(rows)
+    primes = {p for _, p, _ in zuppos}
+    for elements, chain in queue:  # grows as classes are found
+        rset, n = frozenset(elements), len(elements)
         covered = set(elements)
-        for g in cyclic_gens:
-            if g not in covered:
-                found(extend_subgroup(mul, elements, gens, g), gens + (g,))
-                gR = list(map(rows[g].__getitem__, elements))
-                for r in elements:
-                    covered.update(map(rows[r].__getitem__, gR))
-    # canonical order: (order, lexicographically least conjugate), reindexed
-    canon = [min(tuple(sorted(m)) for m in orbit) for orbit in orbits]
-    order = sorted(range(len(orbits)),
-                   key=lambda i: (len(canon[i]), canon[i]))
+        for p in primes:
+            covered.update(*filter(rset.issubset, by_order.get(n * p, ())))
+        for g, _, gp in zuppos:
+            if gp not in rset or g in covered:
+                continue
+            K = extend_subgroup(left, elements, chain, g)
+            conjugates = found(K, chain + (g,))
+            if len(K) // n in primes:
+                covered.update(*filter(rset.issubset, conjugates))
+                continue
+            gR = list(map(rows[g].__getitem__, elements))
+            for r in elements:  # R·g·R
+                covered.update(map(rows[r].__getitem__, gR))
+    # canonical order: (order, least conjugate), generated by conjugated chain
+    reps = []
+    for orbit, witness, chain in orbits:
+        least, (u, ui) = min(zip(map(sorted, orbit), witness))
+        reps.append(Subgroup(G, tuple(least),
+                             tuple(rows[rows[ui][s]][u] for s in chain)))
+    order = sorted(range(len(reps)),
+                   key=lambda i: (reps[i].order, reps[i].elements))
     remap = {old: new for new, old in enumerate(order)}
-    reps = tuple(Subgroup(G, canon[i],
-                          _reduce_generators(mul, canon[i], len(canon[i]))[1])
-                 for i in order)
-    lat = SubgroupLattice(G, reps,
+    lat = SubgroupLattice(G, tuple(reps[i] for i in order),
                           {fs: remap[i] for fs, i in class_index.items()})
     G._cache["lattice"] = lat
     return lat
@@ -807,25 +816,27 @@ def _table_rows(G: FiniteGroup) -> list[list[int]]:
         for s, srow in zip(G.generators, gen_rows):
             y = row[s]
             if rows[y] is None:
-                rows[y] = [row[c] for c in srow]
+                rows[y] = list(map(row.__getitem__, srow))
                 queue.append(y)
     return rows
 
 
-def _cyclic_generators(rows: list[list[int]]) -> list[int]:
-    """The least generator of every cyclic subgroup, in increasing order."""
-    out: list[int] = []
+def _prime_power_generators(rows: list[list[int]]) -> list[tuple]:
+    """(g, p, g^p) for the least generator g of every cyclic subgroup of
+    prime power order p^a > 1, in increasing order of g."""
+    out: list[tuple] = []
     generating: set[int] = set()
-    for g in range(len(rows)):
+    for g in range(1, len(rows)):
         if g in generating:  # its cyclic subgroup has a smaller generator
             continue
-        powers = [0]
-        x = g
+        powers, x = [0], g
         while x != 0:
             powers.append(x)
             x = rows[x][g]
         n = len(powers)
         generating.update(powers[k] for k in range(1, n)
                           if math.gcd(k, n) == 1)
-        out.append(g)
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        if pow(p, n, n) == 0:  # n divides p^n: n is a power of p
+            out.append((g, p, powers[p % n]))
     return out

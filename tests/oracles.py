@@ -4,7 +4,7 @@ The series engine writes λ-terms as log columns through integer Adams
 matrices on marks; these rebuild them two other ways: from classes of
 symmetric powers of coset spaces and integer powers of zeta series, and
 as products of binomial columns (1 - L^e t^s)^(-n) over the orbit counts
-of `BurnsideRing.orbit_counts` (`orbit_factors`, `binomial_column`).
+of `orbit_counts` (`orbit_factors`, `binomial_column`).
 L-extended elements hold integer exponents over a common denominator; the
 references here merge them on `Fraction` keys.
 The package multiplies series one mark column at a time; `ElementSeries`
@@ -26,8 +26,8 @@ sums eigenvalue angles.
 The test-only G-set constructors live here too: `product`,
 `disjoint_union`, `empty_biset`, `point_biset`, and `coset_biset`, the
 coset space G/H built by group multiplication, on which an orbit search
-is the reference for `BurnsideRing.orbit_counts`, which reads the same
-counts off the subgroup lattice."""
+is the reference for `orbit_counts`, the whole table of the counts the
+package reads off the subgroup lattice only below each class."""
 
 import itertools
 import random
@@ -58,11 +58,17 @@ def binomial_column(ring, factors, N):
                              for j in range(1, N + 1)])
 
 
+def orbit_counts(R):
+    """counts[h][k][d]: the number of K-orbits of size d on G/H_h for the
+    class K = H_k, for every pair of classes of the Burnside ring R."""
+    return [[R._orbits(h, k) for k in range(R.n)] for h in range(R.n)]
+
+
 def orbit_factors(ring, terms, g):
     """{(e, s): n} per class K: the factors (1 - L^e t^s)^(-n) of the product
     of lambda_x(L^e t^(i/g)) over the triples (e, x, i) in terms.  If K has
     n_d orbits of size d on x, they put (1 - L^(e·d) t^(i·d/g))^(-n_d)."""
-    counts = ring.bring.orbit_counts()
+    counts = orbit_counts(ring.bring)
     factors = [{} for _ in range(ring.n)]
     for e, x, i in terms:
         for h, c in enumerate(x.coeffs):

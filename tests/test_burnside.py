@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -11,8 +12,8 @@ from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (SubgroupLattice, SymmetricGroup, cyclic,
                              dihedral, make_group, subgroup_lattice, symmetric)
 from equichar.gsets import BiSet, biset_from_single_action, trivial_group
-from oracles import (coset_biset, disjoint_union, empty_biset, point_biset,
-                     product, symmetric_power_class)
+from oracles import (coset_biset, disjoint_union, empty_biset, orbit_counts,
+                     point_biset, product, symmetric_power_class)
 
 
 def b_regular(G):
@@ -333,7 +334,7 @@ def test_adams_matrices_give_orbit_counts(desc):
     psi^r_K(G/H_h) = sum_(d|r) d·n_d over the K-orbits counted by
     `orbit_counts`, at every class K; U^1 is the identity."""
     R = burnside_ring(make_group(desc))
-    counts, n = R.orbit_counts(), R.n
+    counts, n = orbit_counts(R), R.n
     assert R.adams(1) == [((K, 1),) for K in range(n)]
     for r in range(1, 9):
         U = R.adams(r)
@@ -341,6 +342,32 @@ def test_adams_matrices_give_orbit_counts(desc):
             assert [sum(u * marks[M] for M, u in row) for row in U] == \
                 [sum(d * c for d, c in counts[h][K].items() if r % d == 0)
                  for K in range(n)]
+
+
+def dense_adams(R, r):
+    """U^r for this r itself, by forward substitution over the whole table
+    of marks and every class's orbit counts."""
+    counts, out = orbit_counts(R), []
+    for K in range(R.n):
+        u = []
+        for h, row in enumerate(R.marks_rows):
+            psi = sum(d * c for d, c in counts[h][K].items() if r % d == 0)
+            q, rem = divmod(psi - sum(a * b for a, b in zip(row, u)), row[h])
+            assert rem == 0
+            u.append(q)
+        out.append(tuple((M, c) for M, c in enumerate(u) if c))
+    return out
+
+
+@pytest.mark.parametrize("desc", ADAMS_GROUPS.values(), ids=ADAMS_GROUPS)
+def test_adams_matrices_depend_on_r_through_its_gcd_with_the_order(desc):
+    """Every K-orbit size divides |G|, so U^r solved directly over the whole
+    table equals U^(gcd(r, |G|)), which is what `adams` solves on the
+    down-sets and keeps."""
+    R = burnside_ring(make_group(desc))
+    for r in range(1, 61):
+        assert dense_adams(R, r) == R.adams(math.gcd(r, R.group.order)) \
+            == R.adams(r)
 
 
 @pytest.mark.parametrize("desc", ADAMS_GROUPS.values(), ids=ADAMS_GROUPS)
@@ -357,6 +384,17 @@ def test_adams_matrices_reject_a_corrupted_mark(desc):
         with pytest.raises(InvariantViolation):
             for r in range(1, 9):
                 R.adams(r)
+
+
+def test_down_sets_not_closed_under_inclusion_raise():
+    """Row 2 of this corrupted C4 table is nonzero at class 1 but not at
+    class 0, which lies below class 1: the solves on down-sets refuse it
+    as an invariant, not with a KeyError."""
+    R = BurnsideRing(cyclic(4), subgroup_lattice(cyclic(4)))
+    R.marks_rows = ((4, 0, 0), (2, 2, 0), (0, 1, 1))
+    for solve in (lambda: R.adams(2), R.check_products):
+        with pytest.raises(InvariantViolation, match="not closed under ⊆"):
+            solve()
 
 
 ORBIT_GROUPS = {
@@ -376,13 +414,30 @@ def test_orbit_counts_match_the_coset_spaces(desc):
     orbit search finds on the coset space G/H_h, for every pair of classes,
     and the K-orbits of size 1 number the mark of K on G/H_h."""
     R = burnside_ring(make_group(desc))
-    counts = R.orbit_counts()
+    counts = orbit_counts(R)
     for h in range(R.n):
         X = coset_biset(R, h)
         for k, K in enumerate(R.lattice.classes):
             assert counts[h][k] == Counter(map(len, X.orbits_on(
                 "B", K.generators, range(X.size))))
             assert counts[h][k][1] == R.marks_rows[h][k]
+
+
+@pytest.mark.parametrize("desc", ORBIT_GROUPS.values(), ids=ORBIT_GROUPS)
+def test_lattice_representatives_generators_close_to_them(desc):
+    """Each representative's generators, its conjugated extension chain,
+    close under right products to exactly its element tuple, and each of
+    them at least doubles the subgroup grown so far, so there are at most
+    log2|H| of them."""
+    G = make_group(desc)
+    for H in subgroup_lattice(G).classes:
+        grown, frontier = {G.identity}, [G.identity]
+        while frontier:
+            frontier = [y for y in {G.mul(x, s) for x in frontier
+                                    for s in H.generators} if y not in grown]
+            grown.update(frontier)
+        assert tuple(sorted(grown)) == H.elements
+        assert 2 ** len(H.generators) <= H.order
 
 
 def test_orbit_counts_multiply_no_group_elements(monkeypatch):
@@ -396,7 +451,7 @@ def test_orbit_counts_multiply_no_group_elements(monkeypatch):
         calls.append((a, b))
         return mul(a, b)
     monkeypatch.setattr(G, "mul", counted, raising=False)
-    counts = R.orbit_counts()
+    counts = orbit_counts(R)
     assert [sum(c.values()) for c in counts[0]] == \
         [G.order // K.order for K in R.lattice.classes]
     assert calls == []
@@ -411,4 +466,4 @@ def test_orbit_counts_reject_a_lost_conjugate():
     R.conjugates[1].pop()
     with pytest.raises(InvariantViolation,
                        match="cosets per conjugate is not an integer: 6/4"):
-        R.orbit_counts()
+        orbit_counts(R)

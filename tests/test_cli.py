@@ -372,6 +372,21 @@ def test_cross_check_skip_is_reported(capsys, files):
                        "exceeds the oracle limit 400\n")
 
 
+def test_cross_check_that_ran_names_its_oracle(capsys, s3_point):
+    """Within ORACLE_GROUP_LIMIT a requested cross-check runs: chi-orb and
+    chi-k name the averaging form and chi-k-eq the tuple form, in one
+    stderr line, with the same stdout and exit code as without the flag."""
+    for verb, form in ((("chi-orb",), "averaging form"),
+                       (("chi-k", "--k", "2"), "averaging form"),
+                       (("chi-k-eq", "--k", "2"), "tuple form")):
+        plain = run(capsys, *verb, "--input", s3_point)
+        assert plain[0] == 0 and plain[2] == ""
+        code, out, err = run(capsys, *verb, "--input", s3_point,
+                             "--cross-check")
+        assert (code, out) == plain[:2]
+        assert err == f"note: cross-checked against the {form} oracle\n"
+
+
 def test_group_marks_refuses_many_subgroups_quickly(capsys, files):
     """C2^7 has order 128 but 29,212 subgroups; the lattice counts what it
     indexes and stops past SUBGROUP_BUDGET, well inside a second."""

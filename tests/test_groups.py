@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -586,6 +587,9 @@ D4 = {"type": "dihedral", "n": 4}
 C2WRS3 = {"type": "wreath", "inner": {"type": "cyclic", "n": 2}, "n": 3}
 S3WRS2 = {"type": "wreath", "inner": {"type": "symmetric", "n": 3}, "n": 2}
 C2_4 = {"type": "product", "factors": [{"type": "cyclic", "n": 2}] * 4}
+D6XC2 = {"type": "product", "factors": [{"type": "dihedral", "n": 6},
+                                        {"type": "cyclic", "n": 2}]}
+C3WRS2 = {"type": "wreath", "inner": {"type": "cyclic", "n": 3}, "n": 2}
 
 
 def bfs_closure(G, gens) -> frozenset[int]:
@@ -616,8 +620,10 @@ def all_subgroups_by_upward_closure(G) -> set[frozenset[int]]:
     return set(gens_for)
 
 
-@pytest.mark.parametrize("desc", [S4, D4, C2WRS3, S3WRS2, C2_4],
-                         ids=["S4", "D4", "C2wrS3", "S3wrS2", "C2^4"])
+@pytest.mark.parametrize("desc", [S4, D4, C2WRS3, S3WRS2, C2_4, D6XC2,
+                                  C3WRS2],
+                         ids=["S4", "D4", "C2wrS3", "S3wrS2", "C2^4", "D6xC2",
+                              "C3wrS2"])
 def test_lattice_matches_upward_closure(desc):
     G = make_group(desc)
     assert set(subgroup_lattice(G).class_index) == \
@@ -625,15 +631,19 @@ def test_lattice_matches_upward_closure(desc):
 
 
 @pytest.mark.parametrize("build, lattice, reduce", [
-    (lambda: groups_mod.SymmetricGroup(4), 43, 19),
-    (lambda: WreathGroup(cyclic(2), 3), 206, 65),
+    (lambda: groups_mod.SymmetricGroup(4), 18, 0),
+    (lambda: WreathGroup(cyclic(2), 3), 84, 0),
 ], ids=["S4", "C2wrS3"])
 def test_lattice_extension_count(monkeypatch, build, lattice, reduce):
-    """Each class representative R is extended by one cyclic generator per
-    double coset R·g·R, as <R, r·g·r'> = <R, g>: the lattice's own calls to
-    extend_subgroup and those under _reduce_generators are pinned.
-    Extending R by every cyclic generator outside it made 132 and 895
-    lattice calls."""
+    """Each class representative R is extended only by prime-power-order
+    cyclic generators g with g^p in R, skipping every g in an indexed
+    K ⊇ R of prime index and all but one g per double coset R·g·R, and the
+    representatives' generators are read off the extension chains: the
+    lattice's own calls to extend_subgroup and those under
+    _reduce_generators are pinned.  Extending R by every cyclic generator
+    outside it made 132 and 895 lattice calls; the double-coset cover
+    alone made 43 and 206, plus 19 and 65 calls that re-derived the
+    representatives' generators."""
     counts = {"lattice": 0, "reduce": 0}
     depth = [0]
 
@@ -677,6 +687,6 @@ def test_coset_extension_matches_bfs(desc, picks):
     assert frozenset(closure(G, gens)) == bfs_closure(G, gens)
     if gens:
         H = list(closure(G, gens[:-1]))
-        K = extend_subgroup(G.mul, H, gens[:-1], gens[-1])
+        K = extend_subgroup(partial(partial, G.mul), H, gens[:-1], gens[-1])
         assert K[:len(H)] == H and len(set(K)) == len(K)
         assert frozenset(K) == bfs_closure(G, gens)
