@@ -77,14 +77,16 @@ class BurnsideRing:
     def _marks_row(self, i: int, orders) -> tuple[int, ...]:
         """|(G/K)^H| for K the i-th class and every class H, from the
         conjugates of H contained in K; orders[j] is the j-th class's
-        subgroup order."""
+        subgroup order, and the row is 0 from the first class above |K|."""
         kset, k = self.ksets[i], orders[i]
         row = []
         for conj, order in zip(self.conjugates, orders):
+            if order > k:  # classes ascend by order: none further lies in K
+                break
             inside = 0 if k % order else sum(map(kset.issuperset, conj))
             row.append(inside and _exact(self.group.order * inside,
                                          len(conj) * k, "a mark"))
-        return tuple(row)
+        return tuple(row) + (0,) * (self.n - len(row))
 
     # -- elements ------------------------------------------------------------
 
@@ -117,7 +119,7 @@ class BurnsideRing:
 
     def back_substitute(self, marks) -> tuple[int, ...]:
         """Basis coefficients of a mark vector; exactness is an invariant."""
-        residue = list(marks)
+        residue, down = list(marks), self._down_sets()
         coeffs = [0] * self.n
         for i in range(self.n - 1, -1, -1):
             if not residue[i]:
@@ -128,7 +130,7 @@ class BurnsideRing:
                 raise InvariantViolation(
                     f"mark vector {tuple(marks)} is not integral over the basis")
             coeffs[i] = q
-            for j in range(i):
+            for j in down[i]:
                 residue[j] -= q * row[j]
         return tuple(coeffs)
 

@@ -126,9 +126,8 @@ def chi_k_equivariant(X: BiSet | CellSpace, k: int,
         return X.signed_sum(lambda F: chi_k_equivariant(F, k, cross_check),
                             burnside_ring(X.gB).zero)
     ring = burnside_ring(X.gB)
-    memo = X.__dict__.setdefault("_chi_memo", {})
     value = _rec_equivariant(X, tuple(range(X.size)), whole_subgroup(X.gO),
-                             k, ring, memo)
+                             k, ring, {})
     if cross_check and X.gO.order <= ORACLE_GROUP_LIMIT:
         other = chi_k_equivariant_tuples(X, k)
         if other != value:

@@ -12,15 +12,18 @@ its own memo; whole_subgroup(G), the one cached on G, is the root.  A
 commuting k-tuple is a plain tuple of element indices whose classes recurse
 over classes and centralizers, so every representative commutes.
 
-Subgroups grow by Dimino's coset extension: <H, g> is H's element list
-followed by whole left cosets x·H, each read through x's table row in the
-lattice.  The subgroup lattice is searched over conjugacy-class
-representatives only: each R is extended by a g of prime power order p^a
-with g^p in R, outside every indexed K ⊇ R of prime index, once per double
-coset R·g·R; a subgroup not met before has its whole conjugacy class indexed
-with conjugators, up to SUBGROUP_BUDGET subgroups, and its least conjugate
-is generated by the conjugated chain that found it.  Only the lattice builds
-a flat Cayley table, of order at most CAYLEY_TABLE_LIMIT, and drops it.
+Words come from one breadth-first tree of left multiplication, kept with the
+generator rows s·x that found it.  images maps a whole set under every
+element down that tree; on the rows' own regular action it gives the Cayley
+table that only the lattice builds, of order at most CAYLEY_TABLE_LIMIT, and
+drops.  Subgroups grow by Dimino's coset extension: <H, g> is H's element
+list followed by whole left cosets x·H, each read through x's table row.
+The subgroup lattice is searched over conjugacy-class representatives only:
+each R is extended by a g of prime power order p^a with g^p in R, outside
+every indexed K ⊇ R of prime index, once per double coset R·g·R; a subgroup
+not met before has its whole conjugacy class indexed with conjugators, up to
+SUBGROUP_BUDGET subgroups, and its least conjugate is generated by the
+conjugated chain that found it.
 
 Budgets are module constants, read when the guarded work starts.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from array import array
 from functools import cached_property, partial
 
 from .errors import InvariantViolation, ResourceLimitError, UsageError
@@ -64,7 +68,7 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    # -- word machinery: BFS spanning tree over right multiplication --------
+    # -- word machinery: BFS spanning tree over left multiplication ---------
 
     def _require_enumerable(self) -> None:  # before anything is allocated
         if self.order > ELEMENT_BUDGET:
@@ -72,42 +76,43 @@ class FiniteGroup:
                                      size=self.order, budget=ELEMENT_BUDGET)
 
     @cached_property
-    def _word_table(self) -> tuple[list[tuple[int, int]], list[int]]:
-        """prev[y] = (x, i) with y = x·gens[i], and nodes lists x before y."""
+    def _word_table(self) -> tuple[list, list, list[int], list[array]]:
+        """(parent, letter, nodes, rows): rows[i][x] = gens[i]·x span the
+        tree y = gens[letter[y]]·parent[y], nodes listing parents first."""
         self._require_enumerable()
-        prev: list[tuple[int, int] | None] = [None] * self.order
-        prev[0] = (-1, -1)
+        rows = [array("l", [self.mul(s, x) for x in range(self.order)])
+                for s in self.generators]
+        parent, letter = [0] + [None] * (self.order - 1), [None] * self.order
         nodes = [0]
         for x in nodes:  # grows breadth-first
-            for i, s in enumerate(self.generators):
-                y = self.mul(x, s)
-                if prev[y] is None:
-                    prev[y] = (x, i)
+            for i, row in enumerate(rows):
+                y = row[x]
+                if parent[y] is None:
+                    parent[y], letter[y] = x, i
                     nodes.append(y)
         if len(nodes) != self.order:
             raise InvariantViolation(
                 f"generators do not generate {self.label}")
-        return prev, nodes  # type: ignore[return-value]
+        return parent, letter, nodes, rows
 
     def word(self, g: int) -> tuple[int, ...]:
         """Generator positions w with g = gens[w0]·gens[w1]·...·gens[w-1]."""
-        prev = self._word_table[0]
+        parent, letter = self._word_table[:2]
         out = []
         while g != 0:
-            g, i = prev[g]
-            out.append(i)
-        out.reverse()
+            out.append(letter[g])
+            g = parent[g]
         return tuple(out)
 
     def images(self, perms, size: int) -> list[list[int]]:
         """out[g][p] = g·p for every element g, when generator i acts on
         0..size-1 by perms[i]: one pass over the word tree, as the images
-        of x·s are x's images read through s's permutation."""
-        prev, nodes = self._word_table
+        of s·x are x's images sent through s's permutation."""
+        parent, letter, nodes, _ = self._word_table
+        steps = [list(p).__getitem__ for p in perms]
         out = [list(range(size))] + [None] * (self.order - 1)
         for y in nodes[1:]:
-            x, i = prev[y]
-            out[y] = list(map(out[x].__getitem__, perms[i]))
+            out[y] = list(map(steps[letter[y]], out[parent[y]]))
         return out
 
     def __repr__(self) -> str:
@@ -731,7 +736,7 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
                                  size=G.order, budget=CAYLEY_TABLE_LIMIT)
     if "lattice" in G._cache:
         return G._cache["lattice"]
-    rows = _table_rows(G)  # every product below is a lookup in it
+    rows = G.images(G._word_table[3], G.order)  # a·b = rows[a][b]
     left = [row.__getitem__ for row in rows].__getitem__
     gens, invs = G.generators, [G.inv(s) for s in G.generators]
     # x -> s^-1 x s for each generator s: conjugating a subgroup is lookups
@@ -802,23 +807,6 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
                           {fs: remap[i] for fs, i in class_index.items()})
     G._cache["lattice"] = lat
     return lat
-
-
-def _table_rows(G: FiniteGroup) -> list[list[int]]:
-    """rows[a][b] = a·b.  A generator's row takes |G| products; every other
-    row is read off its parent's in the breadth-first word tree, through
-    the generator's row, as (x·s)·b = x·(s·b)."""
-    gen_rows = [[G.mul(s, b) for b in G.elements()] for s in G.generators]
-    rows = [list(G.elements())] + [None] * (G.order - 1)
-    queue = [0]
-    for x in queue:  # _word_table's tree, found by lookups, not products
-        row = rows[x]
-        for s, srow in zip(G.generators, gen_rows):
-            y = row[s]
-            if rows[y] is None:
-                rows[y] = list(map(row.__getitem__, srow))
-                queue.append(y)
-    return rows
 
 
 def _prime_power_generators(rows: list[list[int]]) -> list[tuple]:

@@ -110,7 +110,7 @@ class BiSet:
     def validate(self) -> None:
         """Permutation well-formedness, commutation of the two actions, and
         the generator assignments extending to group homomorphisms: every
-        Cayley relation x·s is checked on the whole set, and a side whose
+        Cayley relation s·x is checked on the whole set, and a side whose
         check would pass HOM_CHECK_BUDGET is refused."""
         for a in self.actO:
             for b in self.actB:
@@ -124,10 +124,11 @@ class BiSet:
                 raise ResourceLimitError(f"{side}-side homomorphism check",
                                          size=cost, budget=HOM_CHECK_BUDGET)
             images = group.images(gens, self.size)
+            steps = list(zip(group.generators, gens, group._word_table[3]))
             for x in group.elements():
-                for s, perm in zip(group.generators, gens):
-                    if images[group.mul(x, s)] != list(
-                            map(images[x].__getitem__, perm)):
+                for s, perm, row in steps:  # row[x] = s·x, as the tree has it
+                    if images[row[x]] != list(
+                            map(perm.__getitem__, images[x])):
                         raise InvariantViolation(
                             f"{side}-side action is not a homomorphism at "
                             f"({x}, {s})")

@@ -464,6 +464,27 @@ def test_budget_violation_exits_1(capsys, z2_reg):
     assert code == 1 and "exceeds budget" in err
 
 
+@pytest.mark.parametrize("n, k, N, limit, order", [
+    (4, 2, 5, 50_000, 122_880),   # WREATH_LIMIT_HIGH_ORDER
+    (2, 1, 7, 400_000, 645_120),  # WREATH_LIMIT_LOW_ORDER
+], ids=["high-order", "low-order"])
+def test_theorem1_default_wreath_budgets(capsys, files, n, k, N, limit,
+                                         order):
+    """Without --max-wreath, C_n acting regularly is refused at the first
+    degree whose wreath group passes the default for its order k, before
+    any wreath group is built: C4 ≀ S5 has 4^5·5! elements, C2 ≀ S7
+    2^7·7!."""
+    x = files("reg.json", {"size": n, "gO": {"type": "cyclic", "n": n},
+                           "gB": TRIV, "actO": [[*range(1, n), 0]],
+                           "actB": []})
+    t0 = time.perf_counter()
+    assert run(capsys, "verify", "theorem1", "--input", x, "--k", str(k),
+               "--N", str(N)) == (
+        1, "", f"error: wreath group order at degree {N} "
+               f"(size {order} exceeds budget {limit})\n")
+    assert time.perf_counter() - t0 < 5
+
+
 def test_theorem1_point_budget_names_degree(capsys, files):
     """C3 on 3 points has 243 points at degree 5: --max-points 100 stops
     the run up front and says at which degree."""

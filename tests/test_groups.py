@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equichar.burnside import BurnsideRing
 from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.euler import chi_k_equivariant
 from equichar.groups import (
@@ -437,31 +438,46 @@ TABLE_FAMILIES = [
 ]
 
 
+def _lattice_table(G, monkeypatch):
+    """The Cayley table subgroup_lattice builds for G, caught as G.images
+    returns it."""
+    tables, images = [], G.images
+
+    def caught(perms, size):
+        tables.append(images(perms, size))
+        return tables[-1]
+    monkeypatch.setattr(G, "images", caught, raising=False)
+    monkeypatch.delitem(G._cache, "lattice", raising=False)
+    subgroup_lattice(G)
+    (table,) = tables
+    return table
+
+
 @pytest.mark.parametrize("build", TABLE_FAMILIES,
                          ids=["cyclic", "dihedral", "product", "perm",
                               "wreath-tables"])
-def test_table_rows_match_mul(build):
-    """Rows built from their parents' rows rely on associativity; every
-    cell must still be the group's own product."""
+def test_table_rows_match_mul(build, monkeypatch):
+    """The lattice's table is read off the word tree through its generator
+    rows, which relies on associativity; every cell must still be the
+    group's own product."""
     G = build()
-    rows = groups_mod._table_rows(G)
-    assert rows == [[G.mul(a, b) for b in G.elements()]
-                    for a in G.elements()]
+    assert _lattice_table(G, monkeypatch) == [
+        [G.mul(a, b) for b in G.elements()] for a in G.elements()]
 
 
 @pytest.mark.parametrize("build", TABLE_FAMILIES,
                          ids=["cyclic", "dihedral", "product", "perm",
                               "wreath-tables"])
-def test_images_match_act_and_table_rows(build):
+def test_images_match_act_and_table_rows(build, monkeypatch):
     """One walk of the word tree gives every element's map of the whole
     set, as act gives it by applying the element's word letter by letter.
-    On the regular action it is _table_rows, which walks the same tree."""
+    On the regular action it is the lattice's Cayley table."""
     G = build()
     gen_rows = [[G.mul(s, b) for b in G.elements()] for s in G.generators]
     X = BiSet(G.order, G, trivial_group(), gen_rows, ())
     images = G.images(gen_rows, G.order)
     assert images == [X.act("O", g, G.elements()) for g in G.elements()]
-    assert images == groups_mod._table_rows(G)
+    assert images == _lattice_table(G, monkeypatch)
 
 
 def test_images_match_act_on_a_wreath_power():
@@ -483,9 +499,29 @@ def test_table_rows_match_structural_wreath_mul(monkeypatch):
     monkeypatch.setattr(groups_mod, "WREATH_TABLE_BUDGET", 0)
     G = WreathGroup(cyclic(3), 2)
     assert G._tables is None
-    rows = groups_mod._table_rows(G)
-    assert rows == [[G.mul(a, b) for b in G.elements()]
-                    for a in G.elements()]
+    assert _lattice_table(G, monkeypatch) == [
+        [G.mul(a, b) for b in G.elements()] for a in G.elements()]
+
+
+@pytest.mark.parametrize("build, products", [
+    (lambda: groups_mod.SymmetricGroup(4), 48),
+    (lambda: WreathGroup(cyclic(2), 3), 144),
+    (lambda: WreathGroup(symmetric(3), 2), 216),
+    (lambda: groups_mod.SymmetricGroup(5), 240),
+], ids=["S4", "C2wrS3", "S3wrS2", "S5"])
+def test_marks_build_products(monkeypatch, build, products):
+    """A fresh group's table of marks multiplies only to grow its word
+    tree, one product per element and generator; every other product is a
+    lookup in the Cayley table read off that tree."""
+    G = build()
+    calls = []
+
+    def counted(a, b, mul=G.mul):
+        calls.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(G, "mul", counted, raising=False)
+    BurnsideRing(G, subgroup_lattice(G))
+    assert len(calls) == len(G.generators) * G.order == products
 
 
 @pytest.mark.parametrize("n, classes, subgroups",

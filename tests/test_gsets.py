@@ -47,11 +47,11 @@ def test_validate_rejects_non_permutation():
 
 
 def test_homomorphism_check_is_exhaustive():
-    """Every Cayley relation x·s is checked on the whole set.  A side with
+    """Every Cayley relation s·x is checked on the whole set.  A side with
     no generators has none, the natural S3-set with a C2 B side passes,
     and the variant that sends S3's 3-cycle to a transposition is refused.
     C4 acting on 3 points by a 3-cycle breaks only the one Cayley edge
-    outside the word tree 0 -> 1 -> 2 -> 3, namely 3·1 = 0."""
+    outside the word tree 0 -> 1 -> 2 -> 3, namely 1·3 = 0."""
     triv, S3 = trivial_group(), symmetric(3)
     BiSet(3, triv, triv, (), ()).validate()
     BiSet(3, S3, cyclic(2), [(1, 0, 2), (1, 2, 0)], [(0, 1, 2)]).validate()
