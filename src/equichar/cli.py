@@ -21,7 +21,6 @@ from .cells import chi as cells_chi
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 from .euler import ORACLE_GROUP_LIMIT, chi_k, chi_k_equivariant
 from .groups import conjugacy_classes, make_group
-from .gsets import POINT_BUDGET
 from .motivic import (L, embed, lext_coeff_ring, orbifold_class_from_datum,
                       zeta_L)
 from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
@@ -83,14 +82,11 @@ def build_parser() -> _Parser:
     t1.add_argument("--input", required=True)
     t1.add_argument("--k", type=int, required=True)
     t1.add_argument("--N", type=int, required=True)
-    t1.add_argument("--max-wreath", type=int, default=None)
-    t1.add_argument("--max-points", type=int, default=POINT_BUDGET)
     t1.add_argument("--cross-check", action="store_true")
 
     l1 = vsub.add_parser("lemma1")
     l1.add_argument("--input", required=True)
     l1.add_argument("--N", type=int, required=True)
-    l1.add_argument("--max-points", type=int, default=POINT_BUDGET)
 
     ax = vsub.add_parser("axioms")
     ax.add_argument("--ring", choices=("int", "burnside", "lext"),
@@ -280,11 +276,10 @@ def _cmd_verify(args) -> int:
     if args.identity in ("theorem1", "lemma1"):
         X = io.read(args.input, partial(_finite_set, identity=args.identity))
     if args.identity == "theorem1":
-        report = harness.verify_theorem1(
-            X, args.k, args.N, max_wreath=args.max_wreath,
-            max_points=args.max_points, cross_check=args.cross_check)
+        report = harness.verify_theorem1(X, args.k, args.N,
+                                         cross_check=args.cross_check)
     elif args.identity == "lemma1":
-        report = harness.verify_lemma1(X, args.N, max_points=args.max_points)
+        report = harness.verify_lemma1(X, args.N)
     elif args.identity == "axioms":
         report = harness.verify_axioms(args.ring, args.trials, args.N,
                                        args.seed)

@@ -168,14 +168,15 @@ def quotient_by(X: BiSet, K: Subgroup | None = None,
     return BiSet(len(orbs), trivial_group(), X.gB, (), actB)
 
 
-def symmetric_power(X: BiSet, k: int, max_points: int = POINT_BUDGET) -> BiSet:
-    """Unordered k-element multisets with both diagonal actions."""
+def symmetric_power(X: BiSet, k: int) -> BiSet:
+    """Unordered k-element multisets with both diagonal actions; more than
+    POINT_BUDGET of them is refused before any is listed."""
     if k < 0:
         raise UsageError(f"symmetric power needs k >= 0, got {k}")
     size = comb(X.size + k - 1, k) if X.size else 0
-    if size > max_points:
+    if size > POINT_BUDGET:
         raise ResourceLimitError("symmetric power points", size=size,
-                                 budget=max_points)
+                                 budget=POINT_BUDGET)
     points = list(itertools.combinations_with_replacement(range(X.size), k))
     rank = {t: i for i, t in enumerate(points)}
 
@@ -188,17 +189,18 @@ def symmetric_power(X: BiSet, k: int, max_points: int = POINT_BUDGET) -> BiSet:
     return BiSet(len(points), X.gO, X.gB, actO, actB)
 
 
-def wreath_power(X: BiSet, n: int, max_points: int = POINT_BUDGET) -> BiSet:
+def wreath_power(X: BiSet, n: int) -> BiSet:
     """X^n with the wreath product gO≀S_n acting on the O side
-    ((a,σ)·x)_i = a_i·x_{σ⁻¹(i)} and gB acting diagonally."""
+    ((a,σ)·x)_i = a_i·x_{σ⁻¹(i)} and gB acting diagonally; more than
+    POINT_BUDGET points is refused before the wreath group is built."""
     if n < 0:
         raise UsageError(f"wreath power needs n >= 0, got {n}")
     if n == 1:
         return X
     size = X.size ** n
-    if size > max_points:
+    if size > POINT_BUDGET:
         raise ResourceLimitError("wreath power points",
-                                 size=size, budget=max_points)
+                                 size=size, budget=POINT_BUDGET)
     W = wreath(X.gO, n)
     radix = X.size
     points = range(radix)

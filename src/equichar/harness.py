@@ -14,11 +14,12 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
+from . import gsets
 from .burnside import burnside_ring, chi_equivariant, class_of
 from .errors import ResourceLimitError, UsageError
 from .euler import ORACLE_GROUP_LIMIT, chi_k_equivariant
-from .groups import cyclic, symmetric
-from .gsets import POINT_BUDGET, BiSet, symmetric_power, wreath_power
+from .groups import SYMMETRIC_DEGREE_LIMIT, cyclic, symmetric
+from .gsets import BiSet, symmetric_power, wreath_power
 from .motivic import (L, LExtCoeffRing, _normal, embed, lext_coeff_ring,
                       power_L, rhs_theorem2, specialize_L, zeta_L)
 from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
@@ -75,10 +76,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def default_wreath_limit(k: int) -> int:
-    return WREATH_LIMIT_HIGH_ORDER if k >= 2 else WREATH_LIMIT_LOW_ORDER
-
-
 def check_trials(trials: int, N: int) -> None:
     """Refuse trials·(N + 5)^3, about a trial's cost with its fixed part,
     above TRIAL_BUDGET, before any work."""
@@ -103,26 +100,29 @@ def _tally(report, label, unit, outcomes) -> None:
 
 
 def verify_theorem1(X: BiSet, k: int, N: int,
-                    max_wreath: int | None = None,
-                    max_points: int = POINT_BUDGET,
                     cross_check: bool = False) -> VerificationReport:
     """Wreath-power coefficients of the order-k characteristic against the
-    factorization-engine series, degree by degree in A(G_B).  With
-    cross_check, params["cross_checked"] lists the degrees whose wreath
-    group is small enough for the tuple-form oracle to run."""
+    factorization-engine series, degree by degree in A(G_B).  Every degree
+    is checked against the wreath-order limit for k, the symmetric degree
+    limit and gsets.POINT_BUDGET before any work.  With cross_check,
+    params["cross_checked"] lists the degrees whose wreath group is small
+    enough for the tuple-form oracle to run."""
     if k < 0 or N < 0:
         raise UsageError("order and truncation must be >= 0")
-    if max_wreath is None:
-        max_wreath = default_wreath_limit(k)
+    wreath_limit = (WREATH_LIMIT_HIGH_ORDER if k >= 2
+                    else WREATH_LIMIT_LOW_ORDER)
     for n in range(N + 1):
         worder = X.gO.order ** n * factorial(n)
-        if worder > max_wreath:
+        if worder > wreath_limit:
             raise ResourceLimitError(f"wreath group order at degree {n}",
-                                     size=worder, budget=max_wreath)
-    for n in range(N + 1):
-        if X.size ** n > max_points:
+                                     size=worder, budget=wreath_limit)
+        if n > SYMMETRIC_DEGREE_LIMIT:
+            raise ResourceLimitError(f"symmetric group degree {n}",
+                                     size=n, budget=SYMMETRIC_DEGREE_LIMIT)
+        if X.size ** n > gsets.POINT_BUDGET:
             raise ResourceLimitError(f"wreath power points at degree {n}",
-                                     size=X.size ** n, budget=max_points)
+                                     size=X.size ** n,
+                                     budget=gsets.POINT_BUDGET)
     m = chi_k_equivariant(X, k, cross_check=cross_check)
     rhs = rhs_theorem1(m, k, N)
     report = VerificationReport(
@@ -131,8 +131,7 @@ def verify_theorem1(X: BiSet, k: int, N: int,
          "size": X.size, "exponent": m.render()})
     for n in range(N + 1):
         t0 = time.perf_counter()
-        lhs = chi_k_equivariant(wreath_power(X, n, max_points=max_points), k,
-                                cross_check=cross_check)
+        lhs = chi_k_equivariant(wreath_power(X, n), k, cross_check=cross_check)
         report.degrees.append(_check(n, lhs, rhs.coeffs[n], t0))
     if cross_check:
         report.params["cross_checked"] = [
@@ -141,16 +140,18 @@ def verify_theorem1(X: BiSet, k: int, N: int,
     return report
 
 
-def verify_lemma1(X: BiSet, N: int,
-                  max_points: int = POINT_BUDGET) -> VerificationReport:
-    """Symmetric-power classes against (1 - t)^{-chi^G(X)} in A(G_B)."""
+def verify_lemma1(X: BiSet, N: int) -> VerificationReport:
+    """Symmetric-power classes against (1 - t)^{-chi^G(X)} in A(G_B).  The
+    truncation and every degree's point count are checked against
+    TRUNCATION_LIMIT and gsets.POINT_BUDGET before any work."""
     if N < 0:
         raise UsageError("truncation must be >= 0")
+    check_truncation(N)
     for n in range(N + 1):
         pts = comb(X.size + n - 1, n) if X.size else 0
-        if pts > max_points:
+        if pts > gsets.POINT_BUDGET:
             raise ResourceLimitError(f"symmetric power size at degree {n}",
-                                     size=pts, budget=max_points)
+                                     size=pts, budget=gsets.POINT_BUDGET)
     m = chi_equivariant(X)
     rhs = rhs_theorem1(m, 0, N)
     report = VerificationReport(
@@ -158,7 +159,7 @@ def verify_lemma1(X: BiSet, N: int,
                    "exponent": m.render()})
     for n in range(N + 1):
         t0 = time.perf_counter()
-        lhs = class_of(symmetric_power(X, n, max_points=max_points))
+        lhs = class_of(symmetric_power(X, n))
         report.degrees.append(_check(n, lhs, rhs.coeffs[n], t0))
     return report
 

@@ -24,10 +24,11 @@ of one weight (`GEOMETRIC_CONFIG_BUDGET`).  `datum_from_biset` reads a
 shift-zero orbifold datum off a biset's commuting-tuple strata, and `age`
 sums eigenvalue angles.
 The test-only G-set constructors live here too: `product`,
-`disjoint_union`, `empty_biset`, `point_biset`, and `coset_biset`, the
+`disjoint_union`, `empty_biset`, `point_biset`, `coset_biset`, the
 coset space G/H built by group multiplication, on which an orbit search
 is the reference for `orbit_counts`, the whole table of the counts the
-package reads off the subgroup lattice only below each class."""
+package reads off the subgroup lattice only below each class, and
+`transitive_bisets`, one biset (G_O × G_B)/K of every orbit type."""
 
 import itertools
 import random
@@ -40,6 +41,7 @@ from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.euler import tuple_class_strata
 from equichar.groups import (FiniteGroup, Subgroup, _reduce_generators,
                              closure, subgroup_lattice)
+from equichar.groups import product as group_product
 from equichar.gsets import BiSet, biset_from_single_action, symmetric_power
 from equichar.harness import DegreeCheck, VerificationReport
 from equichar.motivic import (LExtElement, OrbifoldDatum, embed, lext,
@@ -79,18 +81,39 @@ def orbit_factors(ring, terms, g):
     return factors
 
 
-def coset_biset(ring, i: int) -> BiSet:
-    """The transitive G-set G/H_i (B side), its points the cosets in
-    order of their least element."""
-    G, K = ring.group, ring.lattice.classes[i]
+def _coset_action(G: FiniteGroup, K) -> tuple[int, list[tuple[int, ...]]]:
+    """The number of cosets gK of the subgroup K, in order of their least
+    element, and each generator of G's permutation of them."""
     reps: list[int] = []   # the least element of each coset gK
     index: dict[int, int] = {}
     for g in G.elements():
         if g not in index:
             index.update((G.mul(g, k), len(reps)) for k in K.elements)
             reps.append(g)
-    perms = [tuple(index[G.mul(s, r)] for r in reps) for s in G.generators]
-    return biset_from_single_action(len(reps), G, perms, side="B")
+    return len(reps), [tuple(index[G.mul(s, r)] for r in reps)
+                       for s in G.generators]
+
+
+def coset_biset(ring, i: int) -> BiSet:
+    """The transitive G-set G/H_i (B side), its points the cosets in
+    order of their least element."""
+    size, perms = _coset_action(ring.group, ring.lattice.classes[i])
+    return biset_from_single_action(size, ring.group, perms, side="B")
+
+
+def transitive_bisets(gO: FiniteGroup, gB: FiniteGroup) -> list[BiSet]:
+    """(G_O × G_B)/K for one K per class of subgroups of the product, so
+    one biset of every orbit type: the product's first generators, G_O's,
+    act on the O side and the rest on the B side.  Each is validated."""
+    P = group_product(gO.descriptor, gB.descriptor)
+    split = len(gO.generators)
+    out = []
+    for K in subgroup_lattice(P).classes:
+        size, perms = _coset_action(P, K)
+        X = BiSet(size, gO, gB, perms[:split], perms[split:])
+        X.validate()
+        out.append(X)
+    return out
 
 
 def symmetric_power_class(R, i, k):

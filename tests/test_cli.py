@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from equichar import gsets, harness
 from equichar.cli import main
 from equichar.errors import ResourceLimitError
 from equichar.groups import make_group
@@ -458,10 +459,29 @@ def test_an_order_above_the_limit_is_refused_quickly(capsys, files):
         assert time.perf_counter() - t0 < 1
 
 
-def test_budget_violation_exits_1(capsys, z2_reg):
-    code, _, err = run(capsys, "verify", "theorem1", "--input", z2_reg,
-                       "--k", "1", "--N", "6", "--max-wreath", "100")
-    assert code == 1 and "exceeds budget" in err
+def test_budget_violation_exits_1(capsys, monkeypatch, z2_reg):
+    """A budget changes only with its constant: lowered to 100, the
+    low-order wreath limit refuses S5 (120 elements) with exit 1."""
+    monkeypatch.setattr(harness, "WREATH_LIMIT_LOW_ORDER", 100)
+    assert run(capsys, "verify", "theorem1", "--input", z2_reg,
+               "--k", "1", "--N", "6") == (
+        1, "", "error: wreath group order at degree 5 "
+               "(size 120 exceeds budget 100)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem1", "--k", "1", "--max-wreath", "100"),
+    ("theorem1", "--k", "1", "--max-points", "100"),
+    ("lemma1", "--max-points", "100"),
+])
+def test_budget_override_flags_are_gone(capsys, z2_reg, argv):
+    """No verb takes a flag that overrides a budget: one is a usage
+    error, exit 1, with no traceback."""
+    identity, *rest = argv
+    code, out, err = run(capsys, "verify", identity, "--input", z2_reg,
+                         "--N", "2", *rest)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: unrecognized arguments: --max-")
 
 
 @pytest.mark.parametrize("n, k, N, limit, order", [
@@ -485,13 +505,14 @@ def test_theorem1_default_wreath_budgets(capsys, files, n, k, N, limit,
     assert time.perf_counter() - t0 < 5
 
 
-def test_theorem1_point_budget_names_degree(capsys, files):
-    """C3 on 3 points has 243 points at degree 5: --max-points 100 stops
-    the run up front and says at which degree."""
+def test_theorem1_point_budget_names_degree(capsys, monkeypatch, files):
+    """C3 on 3 points has 243 points at degree 5: a POINT_BUDGET of 100
+    stops the run up front and says at which degree."""
+    monkeypatch.setattr(gsets, "POINT_BUDGET", 100)
     x = files("c3.json", {"size": 3, "gO": {"type": "cyclic", "n": 3},
                           "gB": TRIV, "actO": [[1, 2, 0]], "actB": []})
     code, out, err = run(capsys, "verify", "theorem1", "--input", x,
-                         "--k", "1", "--N", "5", "--max-points", "100")
+                         "--k", "1", "--N", "5")
     assert code == 1 and out == ""
     assert err == ("error: wreath power points at degree 5 "
                    "(size 243 exceeds budget 100)\n")
@@ -615,13 +636,17 @@ def test_bad_truncation_or_trials_exits_1(capsys, files, argv):
 
 def test_a_truncation_above_the_limit_is_refused_quickly(capsys, files):
     """An --N above TRUNCATION_LIMIT is refused before any series work,
-    and before the input is read: the error names no file."""
+    and the error names no file.  On one point every symmetric power has
+    one point, so only this limit stops verify lemma1."""
     power_in = files("p.json", {"ring": "int", "series": [1, 2],
                                 "exponent": 3})
     zeta_in = files("z.json", {"group": Z2, "index": 1})
+    point = files("pt.json", {"size": 1, "gO": TRIV, "gB": TRIV,
+                              "actO": [], "actB": []})
     err = "error: truncation N (size 100000 exceeds budget 200)\n"
     for argv in (("power", "--input", power_in),
                  ("zeta", "--input", zeta_in),
+                 ("verify", "lemma1", "--input", point),
                  ("verify", "axioms", "--ring", "int"),
                  ("verify", "props12")):
         t0 = time.perf_counter()

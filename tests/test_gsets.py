@@ -1,5 +1,3 @@
-import inspect
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -190,24 +188,31 @@ def test_wreath_power_degree_zero_and_one():
     assert P0.size == 1 and P0.gO.order == 1
 
 
-def test_wreath_power_point_budget():
+def test_wreath_power_point_budget(monkeypatch):
+    """10^7 points pass POINT_BUDGET, 10^6; the budget is read when the
+    power is built, so lowering the constant lowers the bar."""
     Z2 = cyclic(2)
     X = biset_from_single_action(10, Z2, [tuple(range(10))], side="O")
-    with pytest.raises(ResourceLimitError):
-        wreath_power(X, 7, max_points=10 ** 6)
+    with pytest.raises(ResourceLimitError) as e:
+        wreath_power(X, 7)
+    assert (e.value.size, e.value.budget) == (10 ** 7, POINT_BUDGET)
+    monkeypatch.setattr(gsets_mod, "POINT_BUDGET", 99)
+    with pytest.raises(ResourceLimitError, match="wreath power points"):
+        wreath_power(X, 2)
 
 
-def test_symmetric_power_point_budget():
-    """The multiset count comb(size + k - 1, k) is checked against the
-    budget, 10^6 by default, before any multiset is listed."""
+def test_symmetric_power_point_budget(monkeypatch):
+    """The multiset count comb(size + k - 1, k) is checked against
+    POINT_BUDGET, 10^6, before any multiset is listed."""
+    assert POINT_BUDGET == 10 ** 6
     X = biset_from_single_action(100, cyclic(2), [tuple(range(100))],
                                  side="O")
+    monkeypatch.setattr(gsets_mod, "POINT_BUDGET", 5049)
     with pytest.raises(ResourceLimitError, match="symmetric power") as e:
-        symmetric_power(X, 2, max_points=5049)
+        symmetric_power(X, 2)
     assert e.value.size == 5050 and e.value.budget == 5049
-    assert symmetric_power(X, 2, max_points=5050).size == 5050
-    default = inspect.signature(symmetric_power).parameters["max_points"]
-    assert default.default == POINT_BUDGET == 10 ** 6
+    monkeypatch.setattr(gsets_mod, "POINT_BUDGET", 5050)
+    assert symmetric_power(X, 2).size == 5050
 
 
 def test_product_and_disjoint_union():

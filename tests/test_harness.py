@@ -5,11 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from equichar.burnside import burnside_ring, class_of
 from equichar.errors import ResourceLimitError, UsageError
-from equichar.groups import cyclic, trivial_group
-from equichar.gsets import BiSet
-from equichar import harness
-from oracles import verify_integer_oracle
+from equichar.euler import chi_k_equivariant
+from equichar.groups import (SYMMETRIC_DEGREE_LIMIT, cyclic, dihedral,
+                             symmetric, trivial_group, wreath)
+from equichar.gsets import BiSet, quotient_by, symmetric_power, wreath_power
+from equichar.powerstruct import (TRUNCATION_LIMIT, TruncatedSeries,
+                                  burnside_coeff_ring)
+from equichar import gsets, harness
+from oracles import (coset_biset, disjoint_union, transitive_bisets,
+                     verify_integer_oracle)
 
 
 def reg_b(n):
@@ -45,16 +51,32 @@ def test_theorem1_mismatch_is_reported_not_raised():
     assert r.to_json()["pass"] is False
 
 
-def test_theorem1_budget():
-    with pytest.raises(ResourceLimitError):
-        harness.verify_theorem1(reg_b(2), 1, 6, max_wreath=100)
-    with pytest.raises(ResourceLimitError):
-        harness.verify_theorem1(reg_b(2), 1, 3, max_points=7)
+def test_theorem1_budget(monkeypatch):
+    monkeypatch.setattr(harness, "WREATH_LIMIT_LOW_ORDER", 100)
+    with pytest.raises(ResourceLimitError, match="wreath group order"):
+        harness.verify_theorem1(reg_b(2), 1, 6)
+    monkeypatch.setattr(gsets, "POINT_BUDGET", 7)
+    with pytest.raises(ResourceLimitError, match="wreath power points"):
+        harness.verify_theorem1(reg_b(2), 1, 3)
 
 
-def test_lemma1_budget():
-    with pytest.raises(ResourceLimitError):
-        harness.verify_lemma1(reg_b(3), 5, max_points=10)
+def test_lemma1_budget(monkeypatch):
+    monkeypatch.setattr(gsets, "POINT_BUDGET", 10)
+    with pytest.raises(ResourceLimitError, match="symmetric power size"):
+        harness.verify_lemma1(reg_b(3), 5)
+
+
+def test_lemma1_truncation_checked_before_any_work(monkeypatch):
+    """A point's symmetric powers never pass the point budget, so the
+    truncation limit is what stops lemma1 at a large N."""
+    calls = []
+    monkeypatch.setattr(harness, "chi_equivariant",
+                        lambda *a: calls.append(a))
+    point = BiSet(1, trivial_group(), trivial_group(), actO=[], actB=[])
+    with pytest.raises(ResourceLimitError, match="truncation N") as e:
+        harness.verify_lemma1(point, 10 ** 6)
+    assert (e.value.size, e.value.budget) == (10 ** 6, TRUNCATION_LIMIT)
+    assert calls == []
 
 
 def test_report_json_shape_and_timings():
@@ -154,16 +176,32 @@ def reg_o(n):
 
 
 def test_theorem1_point_budget_checked_before_any_work(monkeypatch):
-    """C3 on 3 points has 3^5 = 243 points at degree 5: a budget of 100
-    stops the run before the first characteristic is computed, and the
-    error names the degree."""
+    """C3 on 3 points has 3^5 = 243 points at degree 5: a POINT_BUDGET of
+    100 stops the run before the first characteristic is computed, and
+    the error names the degree."""
     calls = []
     monkeypatch.setattr(harness, "chi_k_equivariant",
                         lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(gsets, "POINT_BUDGET", 100)
     with pytest.raises(ResourceLimitError,
                        match="wreath power points at degree 5") as e:
-        harness.verify_theorem1(reg_o(3), 1, 5, max_points=100)
+        harness.verify_theorem1(reg_o(3), 1, 5)
     assert (e.value.size, e.value.budget) == (243, 100)
+    assert calls == []
+
+
+def test_theorem1_symmetric_degree_checked_before_any_work(monkeypatch):
+    """On one point with trivial groups, degree 9 passes the low-order
+    wreath limit (9! <= 4·10^5) and the point budget, but its top group
+    S9 passes SYMMETRIC_DEGREE_LIMIT: that is refused up front too."""
+    calls = []
+    monkeypatch.setattr(harness, "chi_k_equivariant",
+                        lambda *a, **kw: calls.append(a))
+    point = BiSet(1, trivial_group(), trivial_group(), actO=[], actB=[])
+    with pytest.raises(ResourceLimitError,
+                       match="symmetric group degree 9") as e:
+        harness.verify_theorem1(point, 1, 9)
+    assert (e.value.size, e.value.budget) == (9, SYMMETRIC_DEGREE_LIMIT)
     assert calls == []
 
 
@@ -189,3 +227,61 @@ def test_theorem1_cross_check_skips_oracle_above_limit(monkeypatch):
     assert "cross_checked" not in plain.params
     assert plain.to_json() == {**report.to_json(), "params": {
         k: v for k, v in report.params.items() if k != "cross_checked"}}
+
+
+# -- every orbit type ---------------------------------------------------------
+#
+# Both sides of Theorem 1 and Lemma 1 are additive in X up to the power
+# structure, so the identities hold for every finite biset once they hold
+# for each transitive one and the left-hand side is multiplicative over
+# disjoint unions.  These sweeps check both halves of that argument.
+
+PAIRS = [((cyclic, 2), None), ((cyclic, 2), (cyclic, 2)),
+         ((cyclic, 3), (cyclic, 2)), ((symmetric, 3), None),
+         ((symmetric, 3), (cyclic, 2)), ((cyclic, 2), (symmetric, 3)),
+         ((cyclic, 4), (cyclic, 2)), ((dihedral, 4), None)]
+
+
+def _group(spec):
+    return trivial_group() if spec is None else spec[0](spec[1])
+
+
+@pytest.mark.parametrize("o, b", PAIRS,
+                         ids=[f"{_group(o).label}-{_group(b).label}"
+                              for o, b in PAIRS])
+def test_theorem1_on_every_orbit_type(o, b):
+    for X in transitive_bisets(_group(o), _group(b)):
+        for k in (0, 1, 2):
+            report = harness.verify_theorem1(X, k, 3)
+            assert report.passed, report.render()
+
+
+@pytest.mark.parametrize("G", [symmetric(3), symmetric(4), dihedral(4),
+                               wreath(cyclic(2), 3), cyclic(12)],
+                         ids=lambda G: G.label)
+def test_lemma1_on_every_orbit_type(G):
+    R = burnside_ring(G)
+    for i in range(R.n):
+        report = harness.verify_lemma1(coset_biset(R, i), 3)
+        assert report.passed, report.render()
+
+
+def test_lhs_is_multiplicative_over_disjoint_unions():
+    """The brute-force series of X ⊔ Y is the product of those of X and
+    Y, for wreath powers (Theorem 1, k = 1) and symmetric powers
+    (Lemma 1): the step from transitive bisets to all of them."""
+    gB = cyclic(2)
+    X, *_, Y, _ = transitive_bisets(cyclic(2), gB)
+    ring = burnside_coeff_ring(burnside_ring(gB))
+
+    def series(Z, coeff):
+        return TruncatedSeries(ring, [coeff(Z, n) for n in range(4)])
+
+    wreath_lhs = lambda Z, n: chi_k_equivariant(wreath_power(Z, n), 1)
+    Z = disjoint_union(X, Y)
+    assert series(Z, wreath_lhs) == \
+        series(X, wreath_lhs).mul(series(Y, wreath_lhs))
+    X, Y = (quotient_by(W) for W in (X, Y))
+    sym_lhs = lambda Z, n: class_of(symmetric_power(Z, n))
+    assert series(disjoint_union(X, Y), sym_lhs) == \
+        series(X, sym_lhs).mul(series(Y, sym_lhs))

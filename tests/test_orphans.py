@@ -17,15 +17,17 @@ Dunder methods, and methods that override one inherited from outside the
 package, are exempt: the language or that base class calls them.  No two
 package modules define the same top-level name, so one definition cannot
 hide behind another.  Every budget or limit constant is named in a row of
-the README's Budgets table.
+the README's Budgets table, and none has a per-call override.
 """
 
+import argparse
 import ast
 import importlib
 import pathlib
 import re
 
 import equichar
+from equichar.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "equichar"
@@ -132,3 +134,29 @@ def test_every_budget_is_in_the_readme_table():
     assert "HOM_CHECK_BUDGET" in constants
     missing = sorted(constants - named)
     assert not missing, f"not in the README Budgets table: {missing}"
+
+
+def test_budgets_have_no_per_call_overrides():
+    """A budget is set one way, by its module constant: no package
+    function takes a parameter that defaults to a *_BUDGET or *_LIMIT
+    constant, and no CLI option's dest starts with max_."""
+    budget = re.compile(r"\w+_(BUDGET|LIMIT)")
+    overrides = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defaults = node.args.defaults + [
+                    d for d in node.args.kw_defaults if d is not None]
+                overrides += [
+                    f"{path.name}:{node.lineno} {node.name}"
+                    for d in defaults for n in ast.walk(d)
+                    if budget.fullmatch(getattr(n, "id", None)
+                                        or getattr(n, "attr", ""))]
+    parsers = [build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            if action.dest.startswith("max_"):
+                overrides.append(f"{parser.prog} {action.option_strings}")
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert not overrides, f"per-call budget overrides: {overrides}"
