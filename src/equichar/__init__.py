@@ -19,47 +19,47 @@ The pieces, roughly in dependency order:
 - harness:    degree-by-degree verification reports.
 - cli:        the `equichar` command.
 
-The second routes that only the tests take (the multinomial and
-configuration-space power oracles, orbifold data read off a biset, and
-products, unions, points and empty sets of G-sets) live in
-`tests/oracles.py`, not here.
+The names in `__all__` load on first use, each importing only its own
+module, so `import equichar` alone no longer makes submodules available
+as attributes; use `import equichar.<module>`.
+
+Test-only second routes (power oracles, orbifold data read off a biset,
+G-set products, unions, points and empty sets) live in `tests/oracles.py`.
 """
 
-from __future__ import annotations
-
-from .burnside import (BurnsideElement, BurnsideRing, burnside_ring,
-                       chi_equivariant, class_of)
-from .cells import CellSpace, chi
-from .errors import InvariantViolation, ResourceLimitError, UsageError
-from .euler import (chi_k, chi_k_averaging, chi_k_equivariant,
-                    chi_k_equivariant_tuples, chi_orb)
-from .groups import (FiniteGroup, Subgroup, commuting_tuple_classes,
-                     conjugacy_classes, cyclic, dihedral, make_group,
-                     product, subgroup_lattice, symmetric, trivial_group,
-                     wreath)
-from .gsets import (BiSet, biset_from_single_action, symmetric_power,
-                    wreath_power)
-from .harness import (VerificationReport, verify_axioms, verify_lemma1,
-                      verify_props12, verify_theorem1)
-from .motivic import (L, LExtElement, OrbifoldDatum, embed, lext,
-                      orbifold_class_from_datum, phi_k, power_L, rhs_theorem2,
-                      specialize_L, zeta_L)
-from .powerstruct import TruncatedSeries, lambda_factorize, power, rhs_theorem1
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiSet", "BurnsideElement", "BurnsideRing", "CellSpace", "FiniteGroup",
-    "InvariantViolation", "L", "LExtElement", "OrbifoldDatum",
-    "ResourceLimitError", "Subgroup", "TruncatedSeries", "UsageError",
-    "VerificationReport", "biset_from_single_action", "burnside_ring",
-    "chi", "chi_equivariant", "chi_k", "chi_k_averaging",
-    "chi_k_equivariant", "chi_k_equivariant_tuples", "chi_orb", "class_of",
-    "commuting_tuple_classes", "conjugacy_classes", "cyclic", "dihedral",
-    "embed", "lambda_factorize", "lext", "make_group",
-    "orbifold_class_from_datum", "phi_k", "power", "power_L", "product",
-    "rhs_theorem1", "rhs_theorem2", "specialize_L", "subgroup_lattice",
-    "symmetric", "symmetric_power", "trivial_group", "verify_axioms",
-    "verify_lemma1", "verify_props12", "verify_theorem1", "wreath",
-    "wreath_power", "zeta_L",
-]
+_EXPORTS = {
+    "burnside": ("BurnsideElement", "BurnsideRing", "burnside_ring",
+                 "chi_equivariant", "class_of"),
+    "cells": ("CellSpace", "chi"),
+    "errors": ("InvariantViolation", "ResourceLimitError", "UsageError"),
+    "euler": ("chi_k", "chi_k_averaging", "chi_k_equivariant",
+              "chi_k_equivariant_tuples", "chi_orb"),
+    "groups": ("FiniteGroup", "Subgroup", "commuting_tuple_classes",
+               "conjugacy_classes", "cyclic", "dihedral", "make_group",
+               "product", "subgroup_lattice", "symmetric", "trivial_group",
+               "wreath"),
+    "gsets": ("BiSet", "biset_from_single_action", "symmetric_power",
+              "wreath_power"),
+    "harness": ("VerificationReport", "verify_axioms", "verify_lemma1",
+                "verify_props12", "verify_theorem1"),
+    "motivic": ("L", "LExtElement", "OrbifoldDatum", "embed", "lext",
+                "orbifold_class_from_datum", "phi_k", "power_L",
+                "rhs_theorem2", "specialize_L", "zeta_L"),
+    "powerstruct": ("TruncatedSeries", "lambda_factorize", "power",
+                    "rhs_theorem1"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Import the module that defines a public name, on first use only."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -21,8 +21,8 @@ from .cells import chi as cells_chi
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 from .euler import ORACLE_GROUP_LIMIT, chi_k, chi_k_equivariant
 from .groups import conjugacy_classes, make_group
-from .motivic import (L, embed, lext_coeff_ring, orbifold_class_from_datum,
-                      zeta_L)
+from .motivic import (L, LExtElement, check_laurent_products, embed,
+                      lext_coeff_ring, orbifold_class_from_datum, zeta_L)
 from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
                           check_truncation, power)
 
@@ -231,6 +231,8 @@ def _zeta_input(obj):
 def _cmd_power(args) -> int:
     check_truncation(args.N)
     A, m, render = io.read(args.input, partial(_series_input, N=args.N))
+    if isinstance(m, LExtElement):
+        check_laurent_products(A, m)
     out = power(A, m)
     _emit(args, io.render_series(out, render),
           io.series_to_json(out, render))

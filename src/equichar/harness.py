@@ -23,7 +23,7 @@ from .gsets import BiSet, symmetric_power, wreath_power
 from .motivic import (L, LExtCoeffRing, _normal, embed, lext_coeff_ring,
                       power_L, rhs_theorem2, specialize_L, zeta_L)
 from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
-                          check_truncation, power, rhs_theorem1)
+                          check_order, check_truncation, power, rhs_theorem1)
 
 WREATH_LIMIT_HIGH_ORDER = 50_000   # k >= 2
 WREATH_LIMIT_LOW_ORDER = 400_000   # k <= 1
@@ -102,13 +102,14 @@ def _tally(report, label, unit, outcomes) -> None:
 def verify_theorem1(X: BiSet, k: int, N: int,
                     cross_check: bool = False) -> VerificationReport:
     """Wreath-power coefficients of the order-k characteristic against the
-    factorization-engine series, degree by degree in A(G_B).  Every degree
-    is checked against the wreath-order limit for k, the symmetric degree
+    factorization-engine series, degree by degree in A(G_B).  The order,
+    the truncation and every degree are checked against ORDER_LIMIT,
+    TRUNCATION_LIMIT, the wreath-order limit for k, the symmetric degree
     limit and gsets.POINT_BUDGET before any work.  With cross_check,
     params["cross_checked"] lists the degrees whose wreath group is small
     enough for the tuple-form oracle to run."""
-    if k < 0 or N < 0:
-        raise UsageError("order and truncation must be >= 0")
+    check_order(k)
+    check_truncation(N)
     wreath_limit = (WREATH_LIMIT_HIGH_ORDER if k >= 2
                     else WREATH_LIMIT_LOW_ORDER)
     for n in range(N + 1):
@@ -144,8 +145,6 @@ def verify_lemma1(X: BiSet, N: int) -> VerificationReport:
     """Symmetric-power classes against (1 - t)^{-chi^G(X)} in A(G_B).  The
     truncation and every degree's point count are checked against
     TRUNCATION_LIMIT and gsets.POINT_BUDGET before any work."""
-    if N < 0:
-        raise UsageError("truncation must be >= 0")
     check_truncation(N)
     for n in range(N + 1):
         pts = comb(X.size + n - 1, n) if X.size else 0

@@ -4,8 +4,9 @@ Elements of A(G)[L^{±1/D}] are finite sums of L^q * (Burnside class) with
 qD integral.  An element holds its least D and integer pairs (e, c) meaning
 L^(e/D) * c, so + and * add integers over lcm(D1, D2); exponents are
 `Fraction`s only where they enter or leave (`lext`, `L`, `terms`, rendering
-and shifts).  The lambda-structure extends the Burnside one by the scaling
-rule zeta_{L^q b}(t) = zeta_b(L^q t), which makes the substitution law
+and shifts) and in the slopes `laurent_terms` bounds a power by.  The
+lambda-structure extends the Burnside one by the scaling rule
+zeta_{L^q b}(t) = zeta_b(L^q t), which makes the substitution law
 (A(L^s t))^m = (A(t))^m |_{t -> L^s t} hold for the factorization power.
 
 Geometric classes (of varieties, quotients, fixed loci) are never computed
@@ -16,13 +17,15 @@ only does the exact ring and series bookkeeping on top of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 from .burnside import BurnsideElement, BurnsideRing
-from .errors import UsageError
+from .errors import ResourceLimitError, UsageError
 from .groups import FiniteGroup
 from .powerstruct import (INT_RING, TruncatedSeries, check_order,
                           exponent_tuples, lambda_term, log_coeff, power)
+
+LAURENT_PRODUCT_BUDGET = 10 ** 8   # term products rebuilding an L-power
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +238,39 @@ def power_L(A: TruncatedSeries, m) -> TruncatedSeries:
     if not isinstance(m, LExtElement):
         raise UsageError(f"unsupported exponent type {type(m).__name__}")
     return power(A, m)
+
+
+def laurent_terms(A: TruncatedSeries, m: LExtElement) -> list:
+    """Bounds T_0..T_N on the Laurent terms an entry of A^m holds at each
+    degree.  Over D = lcm(A.D, m.D), A's t^i log entries, and so its
+    factor entries b_i, have exponents within i·[lo, hi]; m's lie within
+    [u, v]; and lambda_{L^q b}(t^i) puts r·q on t^(i·r).  So the t^j
+    exponents of A^m lie within [j·lo + min(u, j·u), j·hi + max(v, j·v)]."""
+    D = lcm(A.D, m.D)
+    slopes = [Fraction(e * (D // A.D), i) for h in A.logs
+              for i, x in enumerate(h, start=1) for e in x]
+    if not slopes or not m.pairs:   # A^m = 1
+        return [1] * (A.N + 1)
+    lo, hi = min(slopes), max(slopes)
+    u, v = (e * (D // m.D) for e in (m.pairs[0][0], m.pairs[-1][0]))
+    return [1] + [floor(j * hi + max(v, j * v)) -
+                  ceil(j * lo + min(u, j * u)) + 1
+                  for j in range(1, A.N + 1)]
+
+
+def check_laurent_products(A: TruncatedSeries, m: LExtElement) -> None:
+    """Refuse A^m, before any work, when rebuilding its coefficients from
+    its logs could take more than LAURENT_PRODUCT_BUDGET products of
+    Laurent terms: at each of the n marks, the t^j entry sums g_i·f_(j-i)
+    over i = 1..j, at most T_i·T_(j-i) term products (`laurent_terms`)."""
+    T = laurent_terms(A, m)
+    products = A.ring.n * sum(T[i] * T[j - i] for j in range(1, A.N + 1)
+                              for i in range(1, j + 1))
+    if products > LAURENT_PRODUCT_BUDGET:
+        raise ResourceLimitError(
+            f"Laurent-term products of the power at N = {A.N}, "
+            "LAURENT_PRODUCT_BUDGET", size=products,
+            budget=LAURENT_PRODUCT_BUDGET)
 
 
 # ---------------------------------------------------------------------------

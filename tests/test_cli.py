@@ -566,6 +566,25 @@ def test_flag_errors_do_not_name_the_file(capsys, files):
     assert err == "error: --weights: bad rational 'x'\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("verify", "theorem1", "--k", "1", "--N", "-1"),
+     "error: truncation must be >= 0, got -1\n"),
+    (("verify", "theorem1", "--k", "-1", "--N", "2"),
+     "error: order must be >= 0, got -1\n"),
+    (("verify", "lemma1", "--N", "-1"),
+     "error: truncation must be >= 0, got -1\n"),
+    (("power", "--N", "-1"), "error: truncation must be >= 0, got -1\n"),
+], ids=["theorem1-N", "theorem1-k", "lemma1-N", "power-N"])
+def test_negative_order_or_truncation_has_one_message(capsys, files, argv,
+                                                      err):
+    """A negative k or N is refused by the one check that guards it, so
+    every verb words it the same way."""
+    obj = ({"ring": "int", "series": [1, 2], "exponent": 3}
+           if argv[0] == "power" else
+           {"size": 1, "gO": TRIV, "gB": TRIV, "actO": [], "actB": []})
+    assert run(capsys, *argv, "--input", files("in.json", obj)) == (1, "", err)
+
+
 @pytest.mark.parametrize("argv, obj", [
     (("group", "show"), {"type": "wreath", "n": 2}),
     (("group", "show"),
@@ -636,8 +655,9 @@ def test_bad_truncation_or_trials_exits_1(capsys, files, argv):
 
 def test_a_truncation_above_the_limit_is_refused_quickly(capsys, files):
     """An --N above TRUNCATION_LIMIT is refused before any series work,
-    and the error names no file.  On one point every symmetric power has
-    one point, so only this limit stops verify lemma1."""
+    and the error names no file.  On one point every symmetric and wreath
+    power has one point, so no point budget stops verify lemma1 or
+    verify theorem1 first."""
     power_in = files("p.json", {"ring": "int", "series": [1, 2],
                                 "exponent": 3})
     zeta_in = files("z.json", {"group": Z2, "index": 1})
@@ -647,11 +667,26 @@ def test_a_truncation_above_the_limit_is_refused_quickly(capsys, files):
     for argv in (("power", "--input", power_in),
                  ("zeta", "--input", zeta_in),
                  ("verify", "lemma1", "--input", point),
+                 ("verify", "theorem1", "--input", point, "--k", "1"),
                  ("verify", "axioms", "--ring", "int"),
                  ("verify", "props12")):
         t0 = time.perf_counter()
         assert run(capsys, *argv, "--N", "100000") == (1, "", err)
         assert time.perf_counter() - t0 < 1
+
+
+def test_an_l_extended_power_above_the_budget_is_refused_quickly(capsys,
+                                                                files):
+    """On the S3 input of the L-extended goldens, whose t^j entries hold
+    up to 6j + 1 Laurent terms, N = 100 would take over a minute; it is
+    refused after the input is read, before any series work."""
+    case = next(c for c in GOLDEN_LEXT if c["name"] == "power-lext-S3-text")
+    path = files("in.json", case["input"])
+    t0 = time.perf_counter()
+    assert run(capsys, "power", "--input", path, "--N", "100") == (
+        1, "", "error: Laurent-term products of the power at N = 100, "
+        "LAURENT_PRODUCT_BUDGET (size 620079400 exceeds budget 100000000)\n")
+    assert time.perf_counter() - t0 < 1
 
 
 def test_trials_above_the_budget_are_refused_quickly(capsys):

@@ -11,7 +11,8 @@ from equichar import motivic
 from equichar.burnside import burnside_ring
 from equichar.groups import cyclic, symmetric
 from equichar.motivic import L, embed, lext, lext_coeff_ring
-from equichar.powerstruct import TruncatedSeries, lambda_term, power
+from equichar.powerstruct import (TruncatedSeries, exp_column, lambda_term,
+                                  power)
 from oracles import lext_lambda_reference, lext_reference
 
 RINGS = {"C2": burnside_ring(cyclic(2)), "S3": burnside_ring(symmetric(3))}
@@ -71,6 +72,27 @@ def test_lambda_coeffs_match_fraction_reference(name):
                 assert_normal(c)
             assert [(c.D, c.terms) for c in got] == \
                 lext_lambda_reference(bring, a.terms, i, 4)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_laurent_terms_bound_every_entry_of_the_power(name):
+    """No entry of A^m, nor of its logs, holds more Laurent terms at t^j
+    than `laurent_terms` allows, over random exponents of both signs."""
+    bring = RINGS[name]
+    ring = lext_coeff_ring(bring)
+    rng = random.Random(29)
+    for _ in range(40):
+        N = rng.randint(1, 6)
+        coeffs = [lext(bring, rand_pairs(rng, bring))
+                  for _ in range(rng.randint(1, N))]
+        coeffs += [ring.zero] * (N - len(coeffs))
+        A = TruncatedSeries(ring, [ring.one] + coeffs)
+        m = lext(bring, rand_pairs(rng, bring))
+        T = motivic.laurent_terms(A, m)
+        out = power(A, m).logs
+        for col in [exp_column(ring, h) for h in out] + [[{}] + h
+                                                        for h in out]:
+            assert all(len(x) <= t for x, t in zip(col, T))
 
 
 def test_equal_elements_hash_alike():

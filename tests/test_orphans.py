@@ -160,3 +160,27 @@ def test_budgets_have_no_per_call_overrides():
             if isinstance(action, argparse._SubParsersAction):
                 parsers.extend(action.choices.values())
     assert not overrides, f"per-call budget overrides: {overrides}"
+
+
+def test_no_module_imports_the_package_root():
+    """The root loads a module only when one of its names is asked for, so
+    a package module that imported from the root (`import equichar`,
+    `from equichar import ...`, `from . import <public name>`) would load
+    modules it does not use.  Importing a sibling module stays allowed."""
+    public = set(equichar.__all__)
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                bad = [a.name for a in node.names if a.name == "equichar"]
+            elif isinstance(node, ast.ImportFrom):
+                root = (node.level, node.module) in ((0, "equichar"),
+                                                     (1, None))
+                bad = [a.name for a in node.names if root and (
+                    node.level == 0 or a.name in public or a.name == "*")]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in bad]
+    assert not offenders, f"imports from the package root: {offenders}"
