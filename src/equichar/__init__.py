@@ -47,8 +47,8 @@ _EXPORTS = {
     "harness": ("VerificationReport", "verify_axioms", "verify_lemma1",
                 "verify_props12", "verify_theorem1"),
     "motivic": ("L", "LExtElement", "OrbifoldDatum", "embed", "lext",
-                "orbifold_class_from_datum", "phi_k", "power_L",
-                "rhs_theorem2", "specialize_L", "zeta_L"),
+                "orbifold_class_from_datum", "phi_k", "rhs_theorem2",
+                "specialize_L", "zeta_L"),
     "powerstruct": ("TruncatedSeries", "lambda_factorize", "power",
                     "rhs_theorem1"),
 }

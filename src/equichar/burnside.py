@@ -237,8 +237,9 @@ class BurnsideElement:
             self._coeffs = self.ring.back_substitute(self._marks)
         return self._coeffs
 
-    def _check(self, other: BurnsideElement) -> None:
-        if self.ring is not other.ring:
+    def _check(self, other) -> None:
+        if not isinstance(other, BurnsideElement) or \
+                other.ring is not self.ring:
             raise UsageError("elements of different Burnside rings")
 
     def __eq__(self, other):
@@ -318,20 +319,9 @@ def class_of(X: BiSet) -> BurnsideElement:
 
 
 def chi_equivariant(X: BiSet | CellSpace) -> BurnsideElement:
-    """Equivariant Euler characteristic in A(G_B): points (cells carry the
-    sign (-1)^dim) are classified by exact isotropy subgroup, and each
-    isotropy stratum contributes its orbit count to the matching [G/H]."""
+    """Equivariant Euler characteristic in A(G_B): the class of a finite
+    B-side G-set, and for a cell space the sum of its cells' classes, each
+    with the sign (-1)^dim."""
     if isinstance(X, CellSpace):
-        return X.signed_sum(chi_equivariant, burnside_ring(X.gB).zero)
-    _require_b_set(X)
-    ring = burnside_ring(X.gB)
-    G = X.gB
-    full = G.images(X.actB, X.size)
-    strata: dict[int, list[int]] = {}
-    for p in range(X.size):
-        iso = frozenset(g for g in G.elements() if full[g][p] == p)
-        strata.setdefault(ring.lattice.index_of(iso), []).append(p)
-    coeffs = [0] * ring.n
-    for h, points in strata.items():
-        coeffs[h] = len(X.orbits_on("B", G.generators, points))
-    return ring.element(coeffs)
+        return X.signed_sum(class_of, burnside_ring(X.gB).zero)
+    return class_of(X)

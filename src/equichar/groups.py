@@ -59,12 +59,6 @@ class FiniteGroup:
         self.descriptor = descriptor
         self._cache: dict = {}
 
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        raise NotImplementedError
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -721,12 +715,6 @@ class SubgroupLattice:
     def __init__(self, group: FiniteGroup, classes: tuple[Subgroup, ...],
                  class_index: dict[frozenset[int], int]):
         self.group, self.classes, self.class_index = group, classes, class_index
-
-    def index_of(self, elements: frozenset[int]) -> int:
-        try:
-            return self.class_index[elements]
-        except KeyError:
-            raise UsageError("element set is not a subgroup of the group") from None
 
 
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:

@@ -3,9 +3,9 @@
 A BiSet carries a left action of an "orbifold side" group gO and a left
 action of a "Burnside side" group gB, stored as one permutation per group
 generator.  BiSet.act maps just the points a scan keeps along an element's
-word, and BiSet.fixed and BiSet.orbits_on are built on it; chi_equivariant,
-the averaging oracle and validate map the whole set under every element by
-one walk of the word tree, FiniteGroup.images.
+word, and BiSet.fixed and BiSet.orbits_on are built on it; only the
+averaging oracle and validate map the whole set under every element, by one
+walk of the word tree, FiniteGroup.images.
 
 A fixed set X^g under the centralizer C(g) is not a BiSet of its own: it is
 a tuple of the parent's point indices acted on by a parent-indexed

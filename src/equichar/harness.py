@@ -21,7 +21,7 @@ from .euler import ORACLE_GROUP_LIMIT, chi_k_equivariant
 from .groups import SYMMETRIC_DEGREE_LIMIT, cyclic, symmetric
 from .gsets import BiSet, symmetric_power, wreath_power
 from .motivic import (L, LExtCoeffRing, _normal, embed, lext_coeff_ring,
-                      power_L, rhs_theorem2, specialize_L, zeta_L)
+                      rhs_theorem2, specialize_L, zeta_L)
 from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
                           check_order, check_truncation, power, rhs_theorem1)
 
@@ -267,8 +267,8 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
                    _random_element(rng, ring, bring))
 
     _tally(report, "(A(L^s t))^m = (A(t))^m | t->L^s t", "trials",
-           (power_L(A.substitute(L(bring, s), 1), m) ==
-            power_L(A, m).substitute(L(bring, s), 1)
+           (power(A.substitute(L(bring, s), 1), m) ==
+            power(A, m).substitute(L(bring, s), 1)
             for s, (A, m) in zip(itertools.cycle(svals), draws())))
     _tally(report, "zeta_{L^s b}(t) = zeta_b(L^s t)", "generators",
            (zeta_L(L(bring, s) * b, N) ==
@@ -276,7 +276,7 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
             for b in map(embed, map(bring.basis, range(bring.n)))
             for s in svals))
     _tally(report, "L -> 1 commutes with the power", "trials",
-           (power_L(A, m).map_coeffs(plain, specialize_L) ==
+           (power(A, m).map_coeffs(plain, specialize_L) ==
             power(A.map_coeffs(plain, specialize_L), specialize_L(m))
             for A, m in draws()))
 

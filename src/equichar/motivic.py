@@ -133,15 +133,11 @@ def lext(bring: BurnsideRing, pairs) -> LExtElement:
                               for q, c in pairs])
 
 
-def embed(x, bring: BurnsideRing | None = None) -> LExtElement:
-    """A Burnside class (or integer, given a ring) at exponent zero."""
-    if isinstance(x, BurnsideElement):
-        return lext(x.ring, ((Fraction(0), x),))
-    if isinstance(x, int):
-        if bring is None:
-            raise UsageError("embedding an integer needs a Burnside ring")
-        return lext(bring, ((Fraction(0), x * bring.unit),))
-    raise UsageError(f"cannot embed {type(x).__name__}")
+def embed(x: BurnsideElement) -> LExtElement:
+    """A Burnside class at exponent zero."""
+    if not isinstance(x, BurnsideElement):
+        raise UsageError(f"cannot embed {type(x).__name__}")
+    return lext(x.ring, ((Fraction(0), x),))
 
 
 def L(bring: BurnsideRing, q=1) -> LExtElement:
@@ -227,17 +223,6 @@ def zeta_L(b: LExtElement, N: int) -> TruncatedSeries:
     if sorted(c.coeffs) != [0] * (c.ring.n - 1) + [1]:
         raise UsageError("zeta_L needs a single L^q*[G/H] generator")
     return lambda_term(lext_coeff_ring(b.ring), b, 1, N)
-
-
-def power_L(A: TruncatedSeries, m) -> TruncatedSeries:
-    """Factorization power over the L-extended coefficients."""
-    if not isinstance(A.ring, LExtCoeffRing):
-        raise UsageError("power_L expects a series over an L-extended ring")
-    if isinstance(m, BurnsideElement):
-        m = embed(m)
-    if not isinstance(m, LExtElement):
-        raise UsageError(f"unsupported exponent type {type(m).__name__}")
-    return power(A, m)
 
 
 def laurent_terms(A: TruncatedSeries, m: LExtElement) -> list:

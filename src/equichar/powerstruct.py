@@ -79,8 +79,13 @@ class IntRing:
     axpy = staticmethod(lambda x, k, y: x + k * y)
     entry = staticmethod(lambda poly: poly.get(0, 0))
     check_products = staticmethod(lambda: None)
-    entries = staticmethod(lambda c: (1, [c]))
     element = staticmethod(lambda D, entries: entries[0])
+
+    @staticmethod
+    def entries(c) -> tuple:
+        if not isinstance(c, int):
+            raise UsageError(f"not an integer: {type(c).__name__}")
+        return 1, [c]
 
     @staticmethod
     def add_psi(cols, pos: int, k: int, xs, r: int) -> None:
@@ -180,9 +185,6 @@ class TruncatedSeries:
             self._coeffs = tuple(self.ring.element(self.D, list(es))
                                  for es in zip(*cols))
         return self._coeffs
-
-    def __getitem__(self, i: int):
-        return self.coeffs[i]
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries) and
@@ -301,7 +303,8 @@ def lambda_factorize(A: TruncatedSeries) -> list:
 
 def power(A: TruncatedSeries, m) -> TruncatedSeries:
     """A^m for a ring exponent m: the factor exponents m·b_i, multiplied
-    entry by entry at each mark; an integer m stands for m·1."""
+    entry by entry at each mark; an integer m stands for m·1, and an m
+    from another coefficient ring is refused."""
     ring = A.ring
     Dm, ms = ring.entries(m * ring.one if isinstance(m, int) else m)
     D = lcm(A.D, Dm)

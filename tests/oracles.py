@@ -606,7 +606,7 @@ def datum_from_biset(X: BiSet, k: int, weights=None) -> OrbifoldDatum:
     if weights is None:
         weights = (1,) * k
     bring = burnside_ring(X.gB)
-    strata = tuple((tup, embed(piece, bring), Fraction(0))
+    strata = tuple((tup, embed(piece), Fraction(0))
                    for tup, piece in tuple_class_strata(X, k))
     return OrbifoldDatum(X.gO, bring, k, tuple(weights), strata)
 

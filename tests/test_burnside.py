@@ -317,6 +317,27 @@ def test_lattice_missing_a_conjugate_is_rejected():
         BurnsideRing(G, SubgroupLattice(G, lat.classes, index))
 
 
+def test_lattice_index_naming_an_unlisted_class_is_rejected():
+    G = SymmetricGroup(3)
+    lat = subgroup_lattice(G)
+    index = {**lat.class_index, frozenset((0, 99)): len(lat.classes)}
+    with pytest.raises(InvariantViolation, match="names a class not listed"):
+        BurnsideRing(G, SubgroupLattice(G, lat.classes, index))
+
+
+def test_lattice_out_of_canonical_order_is_rejected():
+    """With S3's order-3 class listed before its order-2 class, the row of
+    the order-2 class stops at the larger class before its own diagonal."""
+    G = SymmetricGroup(3)
+    lat = subgroup_lattice(G)
+    assert [H.order for H in lat.classes] == [1, 2, 3, 6]
+    swap = (0, 2, 1, 3)
+    index = {fs: swap[i] for fs, i in lat.class_index.items()}
+    classes = tuple(lat.classes[i] for i in swap)
+    with pytest.raises(InvariantViolation, match="not lower triangular"):
+        BurnsideRing(G, SubgroupLattice(G, classes, index))
+
+
 C2_DESC = {"type": "cyclic", "n": 2}
 ADAMS_GROUPS = {
     "S3": {"type": "symmetric", "n": 3},

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 import time
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from equichar import gsets, harness
+from equichar import cli, gsets, harness
 from equichar.cli import main
-from equichar.errors import ResourceLimitError
+from equichar.errors import InvariantViolation, ResourceLimitError
 from equichar.groups import make_group
 
 S3 = {"type": "symmetric", "n": 3}
@@ -103,6 +104,43 @@ def test_chi_on_cellspace(capsys, files):
     p = files("cs.json", {"cells": [{"dim": 0, "biset": flip},
                                     {"dim": 1, "biset": flip}]})
     assert run(capsys, "chi", "--input", p)[:2] == (0, "0\n")
+
+
+def test_chi_k_eq_on_cellspace(capsys, files):
+    """A free C2 0-cell counts 1 and a trivial C2 1-cell on two points
+    counts 2 + 2 at k = 1, so the signed sum is -3 copies of the point."""
+    free = {"size": 2, "gO": Z2, "gB": TRIV, "actO": [[1, 0]], "actB": []}
+    fixed = {"size": 2, "gO": Z2, "gB": TRIV, "actO": [[0, 1]], "actB": []}
+    p = files("cs.json", {"cells": [{"dim": 0, "biset": free},
+                                    {"dim": 1, "biset": fixed}]})
+    assert run(capsys, "chi-k-eq", "--k", "1", "--input", p) == \
+        (0, "-3*[G/G]\n", "")
+
+
+def test_chi_k_refuses_a_nontrivial_b_side(capsys, z2_reg):
+    assert run(capsys, "chi-k", "--k", "1", "--input", z2_reg) == (
+        1, "", "error: this characteristic needs a trivial B side; use the "
+        "equivariant variant instead\n")
+
+
+def test_an_internal_invariant_violation_exits_1_without_traceback(
+        capsys, files, monkeypatch):
+    def corrupt(G):
+        raise InvariantViolation("a corrupted table")
+    monkeypatch.setattr(cli, "conjugacy_classes", corrupt)
+    p = files("s3.json", S3)
+    assert run(capsys, "group", "classes", "--input", p) == (
+        1, "", "internal invariant violated: a corrupted table\n")
+
+
+@pytest.mark.filterwarnings("ignore:'equichar.cli' found in sys.modules")
+def test_python_dash_m_runs_the_cli(capsys, files, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["equichar", "group", "show", "--input",
+                                      files("s3.json", S3)])
+    with pytest.raises(SystemExit) as e:
+        runpy.run_module("equichar.cli", run_name="__main__")
+    assert e.value.code == 0
+    assert capsys.readouterr().out == "S3: order 6, 2 generators\n"
 
 
 @pytest.mark.parametrize("identity", ["theorem1", "lemma1"])
@@ -526,6 +564,9 @@ INPUT_ERRORS = [
     (("power", "--N", "2"), {"ring": "int", "series": [1, "2"],
                              "exponent": 1}),
     (("power", "--N", "2"), {"series": [2, 1], "exponent": 1}),
+    (("power", "--N", "2"), [1, 2]),
+    (("power", "--N", "2"), {"ring": "real", "series": [1], "exponent": 1}),
+    (("power", "--N", "2"), {"ring": "int", "series": [], "exponent": 1}),
     (("power", "--N", "2"), {"ring": {"burnside": C2000},
                              "series": [{"coeffs": [1]}],
                              "exponent": {"coeffs": [1]}}),
@@ -535,6 +576,14 @@ INPUT_ERRORS = [
                            "strata": []}),
     (("orbifold-class",), {"gO": TRIV, "gB": C2000, "k": 1,
                            "weights": [1], "strata": []}),
+    (("orbifold-class",), {"gO": Z2, "gB": TRIV, "k": -1, "weights": [],
+                           "strata": []}),
+    (("orbifold-class",), {"gO": Z2, "gB": TRIV, "k": 1, "weights": "1",
+                           "strata": []}),
+    (("orbifold-class",), {"gO": Z2, "gB": TRIV, "k": 1, "weights": [1],
+                           "strata": [{"tuple": 0, "class": {"terms": []}}]}),
+    (("chi",), {"cells": 3}),
+    (("group", "show"), {"type": "product"}),
     (("verify", "theorem1", "--k", "1", "--N", "2"),
      {"size": 2, "gO": Z2, "gB": TRIV, "actO": [[0, 0]], "actB": []}),
 ]
@@ -542,8 +591,12 @@ INPUT_ERRORS = [
 
 @pytest.mark.parametrize("argv, obj", INPUT_ERRORS, ids=[
     "group-field", "chi-k-field", "power-field", "power-unit",
+    "power-not-an-object", "power-ring-name", "power-empty-series",
     "power-ring-budget", "zeta-field", "zeta-ring-budget",
-    "orbifold-class-field", "orbifold-class-ring-budget", "theorem1-field"])
+    "orbifold-class-field", "orbifold-class-ring-budget",
+    "orbifold-class-negative-k", "orbifold-class-weights",
+    "orbifold-class-tuple", "chi-cells", "group-product-factors",
+    "theorem1-field"])
 def test_input_errors_name_the_file_once(capsys, files, argv, obj):
     """An error raised while an input file is read, budget errors of the
     rings it names included, is one line that names the file once."""

@@ -7,7 +7,8 @@ from equichar.errors import InvariantViolation, ResourceLimitError
 from equichar.euler import (chi_k, chi_k_averaging, chi_k_equivariant,
                             chi_k_equivariant_tuples, chi_orb,
                             tuple_class_strata)
-from equichar.groups import cyclic, dihedral, make_group, symmetric
+from equichar.groups import (CyclicGroup, cyclic, dihedral, make_group,
+                             symmetric, whole_subgroup)
 from equichar.gsets import (BiSet, biset_from_single_action, trivial_group,
                             wreath_power)
 from oracles import empty_biset, point_biset
@@ -119,6 +120,25 @@ def test_cross_check_flag_paths(monkeypatch):
     assert chi_k(pt, 1) == 3
     with pytest.raises(InvariantViolation):
         chi_k(pt, 1, cross_check=True)
+
+
+def test_averaging_sum_not_divisible_by_the_order_is_caught():
+    """C3's generator acting by a transposition is no action: the fixed
+    points of 0, g and g·g number 2 + 0 + 2, which 3 does not divide."""
+    X = BiSet(2, cyclic(3), trivial_group(), ((1, 0),), ())
+    with pytest.raises(InvariantViolation, match="averaging sum 4 not"):
+        chi_k_averaging(X, 0)
+
+
+def test_recursion_and_tuple_form_disagreeing_is_caught():
+    """The tuple form reads the group's memo of commuting-tuple classes;
+    with one class dropped from it the two routes disagree.  The group is
+    built here, so no other test shares that memo."""
+    G = CyclicGroup(2)
+    whole_subgroup(G).memo[("tuples", 1)] = [((0,), 1)]
+    X = biset_from_single_action(1, G, ((0,),), side="O")
+    with pytest.raises(InvariantViolation, match="!= tuple form"):
+        chi_k_equivariant(X, 1, cross_check=True)
 
 
 def test_chi_k_on_cellspace():

@@ -17,7 +17,9 @@ from equichar.burnside import BurnsideRing
 from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.euler import chi_k_equivariant
 from equichar.groups import (
+    CyclicGroup,
     FiniteGroup,
+    Subgroup,
     WreathGroup,
     centralizer,
     closure,
@@ -54,6 +56,7 @@ SMALL_DESCRIPTORS = [
      "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]},
     {"type": "wreath", "inner": {"type": "cyclic", "n": 3}, "n": 3},
     {"type": "wreath", "inner": {"type": "symmetric", "n": 3}, "n": 2},
+    {"type": "dihedral", "n": 1},  # D1, of order 2, has one generator
 ]
 
 
@@ -180,6 +183,64 @@ def test_wreath_over_table_budget_multiplies_structurally():
     w = WreathGroup(symmetric(4), 3)  # V^2 = 24^6, about 1.9e8 cells
     assert w._tables is None
     validate_group(w, samples=5_000)
+
+
+def _wreath_act(w, g, x):
+    """((a,σ)·x)_i = a_i·x_{σ⁻¹(i)} on an n-tuple x of inner elements."""
+    vec, r = w.decode(g)
+    back = w.top.inverse_perms[r]
+    return tuple(w.inner.mul(vec[i], x[back[i]]) for i in range(w.n))
+
+
+@pytest.mark.parametrize("inner,n", [(symmetric(5), 2), (cyclic(7), 7)],
+                         ids=["S5wrS2", "C7wrS7"])
+def test_wreath_second_paths_multiply_as_the_action_says(inner, n):
+    """Above 64 inner elements the structural product and the inverse call
+    the inner group's own mul and inv; above _VEC_LIMIT base vectors are
+    coded by divmod.  Sampled products still act as the composite, and
+    codes round-trip."""
+    w = WreathGroup(inner, n)
+    assert w._tables is None
+    assert (w._itab is None, w._vecs is None) == \
+        (inner.order > 64, inner.order ** n > w._VEC_LIMIT)
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = rng.randrange(w.order), rng.randrange(w.order)
+        x = tuple(rng.randrange(inner.order) for _ in range(n))
+        assert w.encode(*w.decode(a)) == a
+        assert _wreath_act(w, w.mul(a, b), x) == \
+            _wreath_act(w, a, _wreath_act(w, b, x))
+        assert w.mul(a, w.inv(a)) == 0
+
+
+def test_wreath_of_a_group_without_descriptor():
+    inner = WreathGroup(cyclic(2), 2)  # built directly: no descriptor
+    w = wreath(inner, 2)
+    assert inner.descriptor is None and w.descriptor is None
+    assert (w.order, w.label) == (8 ** 2 * 2, "C2wrS2wrS2")
+    validate_group(w)
+
+
+def test_generators_that_do_not_generate_are_caught():
+    G = CyclicGroup(4)
+    G.generators = (2,)  # generates {0, 2} only
+    with pytest.raises(InvariantViolation, match="do not generate C4"):
+        G.word(1)
+
+
+@pytest.mark.parametrize("elements,match", [
+    ((0, 1, 2, 3), "orbit size does not divide"),
+    (tuple(range(6)) * 2, "Schreier generators failed")],
+    ids=["order-4", "order-12"])
+def test_centralizer_of_a_miscounted_subgroup_is_caught(elements, match):
+    """S3's generators with a wrong element list: the 3 conjugates of the
+    transposition 1 divide no order 4, and of order 12 they leave a
+    centralizer of order 4 that the Schreier generators, which reach only
+    the true one of order 2, fall short of."""
+    G = symmetric(3)
+    assert G.inv(1) == 1 and len(conjugacy_classes(G)[1]) == 3
+    with pytest.raises(InvariantViolation, match=match):
+        centralizer_in(Subgroup(G, elements, G.generators), 1)
 
 
 def test_conjugacy_classes_s3():
@@ -375,10 +436,8 @@ def test_subgroup_lattice_canonical_order_and_index():
     assert orders == sorted(orders)
     # the index covers every subgroup, including non-representative conjugates
     transpositions = conjugacy_classes(s3)[1]
-    idxs = {lat.index_of(frozenset((0, t))) for t in transpositions}
+    idxs = {lat.class_index[frozenset((0, t))] for t in transpositions}
     assert idxs == {1}
-    with pytest.raises(UsageError):
-        lat.index_of(frozenset((0, 1, 3)))
 
 
 def test_subgroup_budget(monkeypatch):

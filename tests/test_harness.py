@@ -147,9 +147,9 @@ def test_props12_refuses_other_weight_counts_before_any_draw(
     """Only two weights are used (k = 1 and 2), so any other count is
     refused up front: not after every other law has run, and not by
     checking a prefix of them."""
-    calls, power_L = [], harness.power_L
-    monkeypatch.setattr(harness, "power_L",
-                        lambda *a: calls.append(a) or power_L(*a))
+    calls, power = [], harness.power
+    monkeypatch.setattr(harness, "power",
+                        lambda *a: calls.append(a) or power(*a))
     with pytest.raises(UsageError,
                        match=f"need 2 weights, got {len(weights)}"):
         harness.verify_props12(trials=2, N=3, weights=weights)

@@ -10,8 +10,8 @@ from equichar.euler import chi_k_equivariant
 from equichar.groups import cyclic, make_group, symmetric
 from equichar.gsets import BiSet, biset_from_single_action
 from equichar.motivic import (L, OrbifoldDatum, embed, lext, lext_coeff_ring,
-                              orbifold_class_from_datum, phi_k, power_L,
-                              rhs_theorem2, specialize_L, zeta_L)
+                              orbifold_class_from_datum, phi_k, rhs_theorem2,
+                              specialize_L, zeta_L)
 from equichar.powerstruct import (TruncatedSeries, burnside_coeff_ring, power,
                                   rhs_theorem1)
 from oracles import (age, datum_from_biset, empty_biset, exponent_coeff,
@@ -143,8 +143,8 @@ def test_proposition1_substitution_law():
         for _ in range(8):
             A = rand_series(rng, ring, RS3, 5)
             m = rand_element(rng, ring, RS3)
-            lhs = power_L(A.substitute(L(RS3, s), 1), m)
-            rhs = power_L(A, m).substitute(L(RS3, s), 1)
+            lhs = power(A.substitute(L(RS3, s), 1), m)
+            rhs = power(A, m).substitute(L(RS3, s), 1)
             assert lhs.coeffs == rhs.coeffs
 
 
@@ -152,7 +152,7 @@ def test_power_L_unit_exponent():
     ring = lext_coeff_ring(RZ2)
     rng = random.Random(2)
     A = rand_series(rng, ring, RZ2, 5)
-    assert power_L(A, ring.one).coeffs == A.coeffs
+    assert power(A, ring.one).coeffs == A.coeffs
 
 
 def test_specialization_commutes_with_power():
@@ -162,7 +162,7 @@ def test_specialization_commutes_with_power():
     for _ in range(10):
         A = rand_series(rng, ring, RS3, 5)
         m = rand_element(rng, ring, RS3)
-        specialized = power_L(A, m).map_coeffs(plain, specialize_L)
+        specialized = power(A, m).map_coeffs(plain, specialize_L)
         direct = power(A.map_coeffs(plain, specialize_L), specialize_L(m))
         assert specialized.coeffs == direct.coeffs
 
@@ -171,7 +171,7 @@ def test_power_L_rejects_plain_ring():
     from equichar.powerstruct import INT_RING
     A = TruncatedSeries(INT_RING, (1, 1, 0))
     with pytest.raises(UsageError):
-        power_L(A, L(RZ2, 1))
+        power(A, L(RZ2, 1))
 
 
 # -- ages and shifts ---------------------------------------------------------

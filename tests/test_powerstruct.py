@@ -12,7 +12,7 @@ from equichar.powerstruct import (INT_RING, TruncatedSeries,
                                   burnside_coeff_ring, exponent_tuples,
                                   lambda_factorize, lambda_term, power,
                                   rhs_base_series, rhs_theorem1)
-from equichar.motivic import lext, lext_coeff_ring
+from equichar.motivic import L, lext, lext_coeff_ring
 import oracles
 from oracles import (geometric_power_oracle, integer_power_oracle,
                      lambda_oracle, symmetric_power_class)
@@ -158,6 +158,19 @@ def test_burnside_power_unit_exponent_cases():
     A = TruncatedSeries(ring, (ring.one, R.basis(0), R.zero, R.zero))
     assert power(A, R.unit).coeffs == A.coeffs
     assert power(A, R.zero).is_one()
+
+
+def test_power_refuses_an_l_extended_exponent_over_a_burnside_ring():
+    R = burnside_ring(symmetric(3))
+    A = TruncatedSeries(burnside_coeff_ring(R), (R.unit, R.basis(0)))
+    with pytest.raises(UsageError, match="different Burnside rings"):
+        power(A, L(R, 1))
+
+
+def test_power_refuses_a_burnside_exponent_over_the_integers():
+    R = burnside_ring(symmetric(3))
+    with pytest.raises(UsageError, match="not an integer: BurnsideElement"):
+        power(iseries([1, 2]), R.unit)
 
 
 def test_kapranov_zeta_from_power():
