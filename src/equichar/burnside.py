@@ -91,7 +91,10 @@ class BurnsideRing:
     # -- elements ------------------------------------------------------------
 
     def element(self, coeffs) -> BurnsideElement:
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        for c in coeffs:  # bools too, as a JSON true is no coefficient
+            if type(c) is not int:
+                raise UsageError(f"coefficients must be integers, got {c!r}")
         if len(coeffs) != self.n:
             raise UsageError(f"need {self.n} coefficients, got {len(coeffs)}")
         marks = [0] * self.n

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from array import array
 from functools import cached_property, partial
 
@@ -48,7 +49,7 @@ ELEMENT_BUDGET = 1_000_000  # elements a group may enumerate
 
 
 class FiniteGroup:
-    """Group on indices 0..order-1; subclasses provide mul and inv."""
+    """Group on indices 0..order-1; subclasses provide mul."""
 
     def __init__(self, order: int, generators: tuple[int, ...], label: str,
                  descriptor: dict | None = None):
@@ -61,6 +62,17 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    def inv(self, g: int) -> int:
+        """The last power of g before the identity: order(g) products, so
+        callers invert a subgroup's few generators only."""
+        x = g
+        for _ in range(self.order):
+            x, last = self.mul(x, g), x
+            if x == 0:
+                return last
+        raise InvariantViolation(f"no power of {g} within order {self.order} "
+                                 f"is the identity of {self.label}")
 
     # -- word machinery: BFS spanning tree over left multiplication ---------
 
@@ -126,9 +138,6 @@ class CyclicGroup(FiniteGroup):
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.n
 
-    def inv(self, a: int) -> int:
-        return (-a) % self.n
-
 
 class DihedralGroup(FiniteGroup):
     """Order 2n; element f*n + r is rotation r followed by optional flip f."""
@@ -149,11 +158,6 @@ class DihedralGroup(FiniteGroup):
         f2, r2 = divmod(b, n)
         r = (r1 - r2) % n if f1 else (r1 + r2) % n
         return (f1 ^ f2) * n + r
-
-    def inv(self, a: int) -> int:
-        n = self.n
-        f, r = divmod(a, n)
-        return a if f else (-r) % n
 
 
 class ProductGroup(FiniteGroup):
@@ -191,10 +195,6 @@ class ProductGroup(FiniteGroup):
         va, vb = self._decode(a), self._decode(b)
         return self._encode([f.mul(x, y)
                              for f, x, y in zip(self.factors, va, vb)])
-
-    def inv(self, a: int) -> int:
-        return self._encode([f.inv(x)
-                             for f, x in zip(self.factors, self._decode(a))])
 
 
 class PermGroup(FiniteGroup):
@@ -234,22 +234,9 @@ class PermGroup(FiniteGroup):
                              tuple(self.rank[p] for p in gen_perms),
                              label, descriptor)
 
-    @cached_property
-    def inverse_perms(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for p in self.perms:
-            q = [0] * self.degree
-            for i, pi in enumerate(p):
-                q[pi] = i
-            out.append(tuple(q))
-        return tuple(out)
-
     def mul(self, a: int, b: int) -> int:
         pa, pb = self.perms[a], self.perms[b]
         return self.rank[tuple(pa[j] for j in pb)]
-
-    def inv(self, a: int) -> int:
-        return self.rank[self.inverse_perms[a]]
 
 
 class SymmetricGroup(PermGroup):
@@ -280,7 +267,8 @@ class WreathGroup(FiniteGroup):
 
     Within WREATH_TABLE_BUDGET cells the product is three lookups in tables
     built once: top[σ][τ] ranks στ, shift[σ][b] codes b∘σ⁻¹ and base[a][c]
-    codes a·c coordinatewise; larger groups use the structural formula.
+    codes a·c coordinatewise.  Larger groups use the structural formula,
+    which writes a_σ(j)·b_j into slot σ(j) with the inner group's mul.
     """
 
     _VEC_LIMIT = 200_000
@@ -301,12 +289,6 @@ class WreathGroup(FiniteGroup):
         if m ** n <= self._VEC_LIMIT:
             self._vecs = tuple(itertools.product(range(m), repeat=n))
             self._vec_rank = {v: i for i, v in enumerate(self._vecs)}
-        # flat inner multiplication/inverse tables keep mul allocation-light
-        self._itab: list[int] | None = None
-        self._iinv: list[int] | None = None
-        if m <= 64:
-            self._itab = [inner.mul(a, b) for a in range(m) for b in range(m)]
-            self._iinv = [inner.inv(a) for a in range(m)]
         gens = []
         if n > 0:
             for s in inner.generators:
@@ -383,35 +365,17 @@ class WreathGroup(FiniteGroup):
         qa, ra = divmod(a, nf)
         qb, rb = divmod(b, nf)
         va, vb = self._vec_of(qa), self._vec_of(qb)
-        top = self.top
-        pa = top.perms[ra]
-        pa_inv = top.inverse_perms[ra]
-        itab, m = self._itab, self.inner.order
-        if itab is not None:
-            w = tuple(itab[va[i] * m + vb[pa_inv[i]]] for i in range(self.n))
-        else:
-            imul = self.inner.mul
-            w = tuple(imul(va[i], vb[pa_inv[i]]) for i in range(self.n))
-        pb = top.perms[rb]
-        rc = top.rank[tuple(pa[j] for j in pb)]
-        return self._vec_code(w) * nf + rc
-
-    def inv(self, a: int) -> int:
-        q, r = divmod(a, self.nfact)
-        v = self._vec_of(q)
-        p = self.top.perms[r]
-        iinv = self._iinv
-        if iinv is not None:
-            w = tuple(iinv[v[p[i]]] for i in range(self.n))
-        else:
-            w = tuple(self.inner.inv(v[p[i]]) for i in range(self.n))
-        return self._vec_code(w) * self.nfact + self.top.inv(r)
+        imul = self.inner.mul
+        w = [0] * self.n
+        for j, i in enumerate(self.top.perms[ra]):  # slot σ(j): a_σ(j)·b_j
+            w[i] = imul(va[i], vb[j])
+        return self._vec_code(w) * nf + self.top.mul(ra, rb)
 
 
 # ---------------------------------------------------------------------------
 # descriptors
 
-_GROUP_CACHE: dict[str, FiniteGroup] = {}
+_GROUP_CACHE = weakref.WeakValueDictionary()  # key -> group, while held
 
 
 def make_group(descriptor: dict) -> FiniteGroup:
@@ -426,12 +390,12 @@ def make_group(descriptor: dict) -> FiniteGroup:
     if not isinstance(descriptor, dict) or "type" not in descriptor:
         raise UsageError(f"bad group descriptor: {descriptor!r}")
     key = json.dumps(descriptor, sort_keys=True)
-    if key in _GROUP_CACHE:
-        return _GROUP_CACHE[key]
+    g: FiniteGroup | None = _GROUP_CACHE.get(key)
+    if g is not None:
+        return g
     kind = descriptor["type"]
     if kind == "trivial":
-        g: FiniteGroup = CyclicGroup(1, label="triv",
-                                     descriptor={"type": "trivial"})
+        g = CyclicGroup(1, label="triv", descriptor={"type": "trivial"})
     elif kind == "cyclic":
         g = CyclicGroup(_int_field(descriptor, "n", minimum=1))
     elif kind == "symmetric":
@@ -726,7 +690,7 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
         return G._cache["lattice"]
     rows = G.images(G._word_table[3], G.order)  # a·b = rows[a][b]
     left = [row.__getitem__ for row in rows].__getitem__
-    gens, invs = G.generators, [G.inv(s) for s in G.generators]
+    gens, invs = G.generators, [rows[s].index(0) for s in G.generators]
     # x -> s^-1 x s for each generator s: conjugating a subgroup is lookups
     conj = [[rows[y][s] for y in rows[si]] for s, si in zip(gens, invs)]
     class_index: dict[frozenset[int], int] = {}

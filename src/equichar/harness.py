@@ -28,6 +28,8 @@ from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
 WREATH_LIMIT_HIGH_ORDER = 50_000   # k >= 2
 WREATH_LIMIT_LOW_ORDER = 400_000   # k <= 1
 TRIAL_BUDGET = 2_000_000   # trials·(N + 5)^3 for the randomized law checks
+# the law checks' groups, held here so that their rings outlive one check
+_S3, _C2 = symmetric(3), cyclic(2)
 
 
 class DegreeCheck:
@@ -169,11 +171,9 @@ def _axiom_rings(name: str):
     if name == "int":
         return INT_RING, None
     if name == "burnside":
-        return burnside_coeff_ring(burnside_ring(symmetric(3))), \
-            burnside_ring(symmetric(3))
+        return burnside_coeff_ring(burnside_ring(_S3)), burnside_ring(_S3)
     if name == "lext":
-        return lext_coeff_ring(burnside_ring(cyclic(2))), \
-            burnside_ring(cyclic(2))
+        return lext_coeff_ring(burnside_ring(_C2)), burnside_ring(_C2)
     raise UsageError(f"unknown ring {name!r}; pick int, burnside, or lext")
 
 
@@ -249,7 +249,7 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
         raise UsageError(f"need 2 weights, got {len(weights)}")
     check_truncation(N)
     check_trials(trials, N)
-    bring = burnside_ring(symmetric(3))
+    bring = burnside_ring(_S3)
     ring = lext_coeff_ring(bring)
     plain = burnside_coeff_ring(bring)
     rng = random.Random(seed)

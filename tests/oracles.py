@@ -418,7 +418,7 @@ def wreath_power_images(W, g, inner_act, radix):
     W = G≀S_n by ((a,σ)·x)_i = a_i·x_{σ⁻¹(i)}; inner_act(a, v) is the
     action of G on X."""
     vec, r = W.decode(g)
-    sigma_inv = W.top.inverse_perms[r]
+    sigma_inv = sorted(range(W.n), key=W.top.perms[r].__getitem__)
     return [encode_tuple([inner_act(vec[i], t[sigma_inv[i]])
                           for i in range(W.n)], radix)
             for t in itertools.product(range(radix), repeat=W.n)]

@@ -1,6 +1,8 @@
 """Reuse of computed tables of marks: rings and lattices are kept in memory
-per group object, recomputed for a new one, and never written to disk."""
+per group object, recomputed for a new one, and never written to disk.  A
+descriptor names one group object for as long as anything holds it."""
 
+import gc
 import os
 
 import pytest
@@ -11,7 +13,9 @@ from equichar.errors import InvariantViolation
 from equichar.groups import (SubgroupLattice, SymmetricGroup, cyclic,
                              make_group, subgroup_lattice,
                              symmetric)
-from equichar.gsets import BiSet
+import equichar.groups as groups_mod
+from equichar.gsets import BiSet, biset_from_single_action
+from equichar.harness import verify_theorem1
 
 
 def fresh_s3():
@@ -88,3 +92,36 @@ def test_bad_class_list_rejected(edit):
     edit(classes)
     with pytest.raises(InvariantViolation):
         BurnsideRing(G, SubgroupLattice(G, tuple(classes), lat.class_index))
+
+
+@pytest.fixture
+def group_cache(monkeypatch):
+    """An empty descriptor cache of the package's own kind, so groups that
+    other tests hold do not show in it."""
+    cache = type(groups_mod._GROUP_CACHE)()
+    monkeypatch.setattr(groups_mod, "_GROUP_CACHE", cache)
+    return cache
+
+
+def test_a_dropped_group_leaves_the_descriptor_cache(group_cache):
+    d = {"type": "cyclic", "n": 5}
+    G = make_group(d)
+    burnside_ring(G)  # derived structure hangs off G, in a cycle through it
+    gc.collect()
+    assert make_group(d) is G and len(group_cache) == 1
+    del G
+    gc.collect()
+    assert len(group_cache) == 0
+    assert make_group(d).order == 5
+
+
+def test_verify_theorem1_keeps_no_group_alive(group_cache):
+    """C3's regular 3-point set at k = 1, N = 4 builds C3, its wreath
+    powers and the trivial B side; once the input goes, so do they."""
+    X = biset_from_single_action(3, make_group({"type": "cyclic", "n": 3}),
+                                 [(1, 2, 0)], side="O")
+    assert verify_theorem1(X, 1, 4).passed
+    assert len(group_cache) > 0
+    del X
+    gc.collect()
+    assert len(group_cache) == 0

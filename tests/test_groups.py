@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import random
@@ -77,9 +78,6 @@ class TableLoop(FiniteGroup):
     def mul(self, a, b):
         return self.table[a][b]
 
-    def inv(self, a):
-        return self.table[a].index(0)
-
 
 def test_validate_group_rejects_non_associative_multiplication():
     """A loop of order 5: a Latin square with identity 0 and every element
@@ -88,6 +86,59 @@ def test_validate_group_rejects_non_associative_multiplication():
                       (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)))
     with pytest.raises(InvariantViolation, match="associativity"):
         validate_group(loop)
+
+
+class AddMod6(FiniteGroup):
+    """Z/6 by addition, generated by 1: a subclass that provides mul only."""
+
+    def __init__(self):
+        super().__init__(6, (1,), "Z6")
+
+    def mul(self, a, b):
+        return (a + b) % 6
+
+
+def test_a_group_given_by_mul_alone_matches_cyclic_6():
+    """Inverses come from powers of mul, so classes, commuting pairs, the
+    subgroup lattice and the table of marks need nothing else."""
+    G, C6 = AddMod6(), cyclic(6)
+    assert [G.inv(g) for g in G.elements()] == [0, 5, 4, 3, 2, 1]
+    assert conjugacy_classes(G) == conjugacy_classes(C6)
+    assert commuting_tuple_classes(G, 2) == commuting_tuple_classes(C6, 2)
+    lat, lat6 = subgroup_lattice(G), subgroup_lattice(C6)
+    assert [(H.elements, H.generators) for H in lat.classes] == \
+        [(H.elements, H.generators) for H in lat6.classes]
+    assert lat.class_index == lat6.class_index
+    assert BurnsideRing(G, lat).marks_rows == BurnsideRing(C6, lat6).marks_rows
+
+
+class Absorbing(FiniteGroup):
+    """x·y = x or y: no power of 1 is the identity, so this is no group."""
+
+    def __init__(self):
+        super().__init__(3, (1, 2), "absorbing")
+
+    def mul(self, a, b):
+        return a or b
+
+
+def test_inv_refuses_an_element_whose_powers_miss_the_identity():
+    with pytest.raises(InvariantViolation,
+                       match="no power of 1 within order 3 is the identity "
+                             "of absorbing"):
+        Absorbing().inv(1)
+
+
+def test_finite_group_is_the_only_class_that_defines_inv():
+    """One inverse for every group: no package class overrides
+    FiniteGroup.inv with a closed form of its own."""
+    src = pathlib.Path(groups_mod.__file__).parent
+    owners = [f"{path.name}:{cls.name}" for path in sorted(src.glob("*.py"))
+              for cls in ast.walk(ast.parse(path.read_text()))
+              if isinstance(cls, ast.ClassDef)
+              for f in cls.body
+              if isinstance(f, ast.FunctionDef) and f.name == "inv"]
+    assert owners == ["groups.py:FiniteGroup"]
 
 
 def test_validate_group_runs_without_numpy():
@@ -188,21 +239,20 @@ def test_wreath_over_table_budget_multiplies_structurally():
 def _wreath_act(w, g, x):
     """((a,σ)·x)_i = a_i·x_{σ⁻¹(i)} on an n-tuple x of inner elements."""
     vec, r = w.decode(g)
-    back = w.top.inverse_perms[r]
+    back = sorted(range(w.n), key=w.top.perms[r].__getitem__)  # σ⁻¹
     return tuple(w.inner.mul(vec[i], x[back[i]]) for i in range(w.n))
 
 
 @pytest.mark.parametrize("inner,n", [(symmetric(5), 2), (cyclic(7), 7)],
                          ids=["S5wrS2", "C7wrS7"])
 def test_wreath_second_paths_multiply_as_the_action_says(inner, n):
-    """Above 64 inner elements the structural product and the inverse call
-    the inner group's own mul and inv; above _VEC_LIMIT base vectors are
-    coded by divmod.  Sampled products still act as the composite, and
-    codes round-trip."""
+    """Over the table budget the structural product calls the inner
+    group's own mul, and inv takes powers of the product; above _VEC_LIMIT
+    base vectors are coded by divmod.  Sampled products still act as the
+    composite, and codes round-trip."""
     w = WreathGroup(inner, n)
     assert w._tables is None
-    assert (w._itab is None, w._vecs is None) == \
-        (inner.order > 64, inner.order ** n > w._VEC_LIMIT)
+    assert (w._vecs is None) == (inner.order ** n > w._VEC_LIMIT)
     rng = random.Random(5)
     for _ in range(200):
         a, b = rng.randrange(w.order), rng.randrange(w.order)

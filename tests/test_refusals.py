@@ -40,6 +40,12 @@ REFUSALS = [
     ("cell-not-biset", lambda: CellSpace([(0, "point")]),
      "cells must be \\(dim, BiSet\\) pairs"),
     ("element-length", lambda: R2.element((1,)), "need 2 coefficients, got 1"),
+    ("element-float", lambda: R2.element((1.5, 2)),
+     "coefficients must be integers, got 1.5"),
+    ("element-str", lambda: R2.element((1, "2")),
+     "coefficients must be integers, got '2'"),
+    ("element-bool", lambda: R2.element((True, 0)),
+     "coefficients must be integers, got True"),
     ("datum-order", lambda: OrbifoldDatum(C2, R2, -1, (), ()),
      "order must be >= 0, got -1"),
     ("datum-ring", lambda: OrbifoldDatum(C2, R2, 1, (1,), (

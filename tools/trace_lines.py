@@ -8,12 +8,16 @@ for time (leaving tests out can only make the check stricter), then prints
 every executable line of src/equichar that no test ran.  It exits 1 if
 any of them lies outside a `__repr__` body, else 0.
 
+Lines are counted per code object (file, qualified name, first line), so
+a lambda or generator expression whose body never runs is listed even
+though the line that makes it ran.  It needs Python 3.11 or later.
+
 pytest's own result is reported on a line of its own and does not decide
 the exit code: under the tracer's 3-4x slowdown, a test that bounds its
 wall-clock time can fail without any line going unrun.
 """
 
-import ast
+import dis
 import os
 import pathlib
 import sys
@@ -24,40 +28,42 @@ SRC = ROOT / "src" / "equichar"
 LEFT_OUT = "tests/test_acceptance.py::test_criterion_2_theorem1_grid"
 
 
-def executable_lines(path: pathlib.Path) -> set[int]:
-    """Every line some instruction of the module's code objects sits on."""
-    lines, stack = set(), [compile(path.read_text(), str(path), "exec")]
+def key(code: types.CodeType) -> tuple[str, str, int]:
+    return code.co_filename, code.co_qualname, code.co_firstlineno
+
+
+def executable_lines(path: pathlib.Path) -> dict[tuple, set[int]]:
+    """The lines of each of the module's code objects that hold its body:
+    the instructions after the first RESUME, as the prologue before it
+    sits on the def line and fires no line event."""
+    out, stack = {}, [compile(path.read_text(), str(path), "exec")]
     while stack:
         code = stack.pop()
-        lines.update(line for _, _, line in code.co_lines() if line)
+        body = list(dis.get_instructions(code))
+        start = [i.opname for i in body].index("RESUME") + 1
+        out.setdefault(key(code), set()).update(
+            i.positions.lineno for i in body[start:] if i.positions.lineno)
         stack.extend(c for c in code.co_consts
                      if isinstance(c, types.CodeType))
-    return lines
+    return out
 
 
-def repr_lines(path: pathlib.Path) -> set[int]:
-    """The body lines of every __repr__ in the module."""
-    return {line for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.FunctionDef) and node.name == "__repr__"
-            for line in range(node.body[0].lineno, node.end_lineno + 1)}
-
-
-def run_traced() -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code over tier-1 and the lines run in each file."""
+def run_traced() -> tuple[int, dict[tuple, set[int]]]:
+    """pytest's exit code over tier-1 and the lines run in each code
+    object of the package."""
     import pytest
 
     prefix = str(SRC) + os.sep
-    hits: dict[str, set[int]] = {}
+    hits: dict[tuple, set[int]] = {}
 
     def local(frame, event, arg):
         if event == "line":
-            hits[frame.f_code.co_filename].add(frame.f_lineno)
+            hits[key(frame.f_code)].add(frame.f_lineno)
         return local
 
     def call(frame, event, arg):
-        name = frame.f_code.co_filename
-        if name.startswith(prefix):
-            hits.setdefault(name, set())
+        if frame.f_code.co_filename.startswith(prefix):
+            hits.setdefault(key(frame.f_code), set())
             return local
         return None
 
@@ -77,14 +83,16 @@ def main() -> int:
     unrun = outside = 0
     print()
     for path in sorted(SRC.glob("*.py")):
-        reprs = repr_lines(path)
         source = path.read_text().splitlines()
-        ran = hits.get(str(path), set())
-        for line in sorted(executable_lines(path) - ran):
+        missed = sorted((line, k[1])
+                        for k, lines in executable_lines(path).items()
+                        for line in lines - hits.get(k, set()))
+        for line, name in missed:
+            in_repr = "__repr__" in name.split(".")
             unrun += 1
-            tag = "__repr__" if line in reprs else "unrun"
-            outside += line not in reprs
-            print(f"{path.relative_to(ROOT)}:{line}: {tag}: "
+            outside += not in_repr
+            tag = "__repr__" if in_repr else "unrun"
+            print(f"{path.relative_to(ROOT)}:{line}: {tag} in {name}: "
                   f"{source[line - 1].strip()}")
     print(f"{unrun} unrun lines, {outside} outside __repr__ bodies")
     print(f"pytest exit code {code} (reported only; it does not set the "
