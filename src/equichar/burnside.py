@@ -303,9 +303,9 @@ def _exact(a: int, b: int, what: str) -> int:
 
 
 def burnside_ring(G: FiniteGroup) -> BurnsideRing:
-    if "burnside_ring" not in G._cache:
-        G._cache["burnside_ring"] = BurnsideRing(G, subgroup_lattice(G))
-    return G._cache["burnside_ring"]
+    if "burnside_ring" not in G.memo:
+        G.memo["burnside_ring"] = BurnsideRing(G, subgroup_lattice(G))
+    return G.memo["burnside_ring"]
 
 
 def _require_b_set(X: BiSet) -> None:

@@ -21,12 +21,12 @@ from .groups import (
     Subgroup,
     centralizer,
     centralizer_in,
+    check_order,
     commuting_tuple_classes,
     conjugacy_classes_in,
     whole_subgroup,
 )
 from .gsets import BiSet, quotient_by
-from .powerstruct import check_order
 
 ORACLE_GROUP_LIMIT = 400  # averaging / tuple-form oracles stay below this
 
@@ -44,7 +44,7 @@ def _rec_equivariant(X: BiSet, S: tuple[int, ...], H: Subgroup, k: int,
                      ring: BurnsideRing, memo: dict) -> BurnsideElement:
     if not S:
         return ring.zero
-    key = (S, H.elements, k)
+    key = (S, H, k)
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -71,9 +71,9 @@ def tuple_class_strata(X: BiSet, k: int):
     if X.gO.order > ORACLE_GROUP_LIMIT:
         raise ResourceLimitError("tuple-form oracle",
                                  size=X.gO.order, budget=ORACLE_GROUP_LIMIT)
-    ring = burnside_ring(X.gB)
-    out = []
-    for tup, _ in commuting_tuple_classes(X.gO, k):
+    tuples = commuting_tuple_classes(X.gO, k)  # refuses a bad k first
+    ring, out = burnside_ring(X.gB), []
+    for tup, _ in tuples:
         S = X.fixed("O", tup, range(X.size))
         piece = ring.zero if not S else \
             class_of(quotient_by(X, centralizer(X.gO, tup), S))
@@ -91,6 +91,7 @@ def chi_k_equivariant_tuples(X: BiSet, k: int) -> BurnsideElement:
 def chi_k_averaging(X: BiSet, k: int) -> int:
     """Averaging form: (1/|G|) * sum over pairwise-commuting (k+1)-tuples of
     |X^tuple|.  Oracle, gated to small O-side groups; integrality asserted."""
+    check_order(k)
     G = X.gO
     if G.order > ORACLE_GROUP_LIMIT:
         raise ResourceLimitError("averaging oracle",

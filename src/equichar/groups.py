@@ -7,8 +7,9 @@ structural.  Each conjugacy class is walked once, as its orbit under the
 generators with a witness u and its inverse at each point; its least
 member's centralizer, the stabilizer, is rebuilt at once from Schreier
 generators u·s·w^-1 that read those inverses, and the orbit is dropped.
-A Subgroup keeps its classes, centralizers and commuting-tuple classes in
-its own memo; whole_subgroup(G), the one cached on G, is the root.  A
+A group keeps one Subgroup per element set in its memo, so subgroups
+compare by identity and equal centralizers share one memo of classes,
+centralizers and tuple classes; whole_subgroup(G) is the root.  A
 commuting k-tuple is a plain tuple of element indices whose classes recurse
 over classes and centralizers, so every representative commutes.
 
@@ -46,6 +47,15 @@ SYMMETRIC_DEGREE_LIMIT = 8  # 8! = 40320 permutations materialized
 WREATH_TABLE_BUDGET = 1 << 21  # cells of a wreath product's factor tables
 TUPLE_CLASS_BUDGET = 1_000_000  # commuting-tuple classes of one order
 ELEMENT_BUDGET = 1_000_000  # elements a group may enumerate
+ORDER_LIMIT = 100   # the order-k recursions here and above go k deep
+
+
+def check_order(k: int) -> None:
+    """Refuse an order k below 0 or above ORDER_LIMIT, before any work."""
+    if k < 0:
+        raise UsageError(f"order must be >= 0, got {k}")
+    if k > ORDER_LIMIT:
+        raise ResourceLimitError("order k", size=k, budget=ORDER_LIMIT)
 
 
 class FiniteGroup:
@@ -58,7 +68,7 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.label = label
         self.descriptor = descriptor
-        self._cache: dict = {}
+        self.memo: dict = {}
 
     def elements(self) -> range:
         return range(self.order)
@@ -467,9 +477,9 @@ def wreath(inner: FiniteGroup, n: int) -> FiniteGroup:
 # subgroups
 
 class Subgroup:
-    """Subgroup of a parent group: sorted element indices plus a small
-    generating set (at most log2 of the order after reduction), and a memo
-    of its classes, centralizers and tuple classes that == and hash skip."""
+    """A parent group's subgroup: sorted element indices, a small generating
+    set (at most log2 of the order after reduction) and a memo; subgroup()
+    builds one per element set, so subgroups compare by identity."""
 
     __slots__ = ("parent", "elements", "generators", "memo")
 
@@ -477,14 +487,6 @@ class Subgroup:
         self.parent, self.elements = parent, elements
         self.generators = generators
         self.memo: dict = {}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subgroup) and (
-            self.parent, self.elements, self.generators) == (
-            other.parent, other.elements, other.generators)
-
-    def __hash__(self) -> int:
-        return hash((self.parent, self.elements, self.generators))
 
     @property
     def order(self) -> int:
@@ -524,11 +526,18 @@ def extend_subgroup(left, elements, gens, g: int) -> list[int]:
     return out
 
 
+def subgroup(G: FiniteGroup, elements: tuple, generators: tuple) -> Subgroup:
+    """G.memo[elements], built with the first call's generators."""
+    if elements not in G.memo:
+        G.memo[elements] = Subgroup(G, elements, generators)
+    return G.memo[elements]
+
+
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
-    if "whole" not in G._cache:
+    if "whole" not in G.memo:
         G._require_enumerable()
-        G._cache["whole"] = Subgroup(G, tuple(range(G.order)), G.generators)
-    return G._cache["whole"]
+        G.memo["whole"] = subgroup(G, tuple(range(G.order)), G.generators)
+    return G.memo["whole"]
 
 
 def _reduce_generators(mul, candidates, target: int
@@ -631,7 +640,7 @@ def _stabilizer(H: Subgroup, gens, orbit: dict) -> Subgroup:
     if len(elems) != target:
         raise InvariantViolation(
             "Schreier generators failed to reach stabilizer")
-    return Subgroup(H.parent, tuple(sorted(elems)), small)
+    return subgroup(H.parent, tuple(sorted(elems)), small)
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +651,7 @@ def commuting_tuple_classes(G: FiniteGroup, k: int
     """Orbit representatives of commuting k-tuples of element indices under
     simultaneous conjugation, with orbit sizes.  k=0 yields the single
     empty tuple."""
-    if k < 0:
-        raise UsageError(f"tuple order must be >= 0, got {k}")
+    check_order(k)
     return _ctuple_classes(whole_subgroup(G), k)
 
 
@@ -686,8 +694,8 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     if G.order > CAYLEY_TABLE_LIMIT:
         raise ResourceLimitError("subgroup lattice multiplication table",
                                  size=G.order, budget=CAYLEY_TABLE_LIMIT)
-    if "lattice" in G._cache:
-        return G._cache["lattice"]
+    if "lattice" in G.memo:
+        return G.memo["lattice"]
     rows = G.images(G._word_table[3], G.order)  # a·b = rows[a][b]
     left = [row.__getitem__ for row in rows].__getitem__
     gens, invs = G.generators, [rows[s].index(0) for s in G.generators]
@@ -750,14 +758,14 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     reps = []
     for orbit, witness, chain in orbits:
         least, (u, ui) = min(zip(map(sorted, orbit), witness))
-        reps.append(Subgroup(G, tuple(least),
+        reps.append(subgroup(G, tuple(least),
                              tuple(rows[rows[ui][s]][u] for s in chain)))
     order = sorted(range(len(reps)),
                    key=lambda i: (reps[i].order, reps[i].elements))
     remap = {old: new for new, old in enumerate(order)}
     lat = SubgroupLattice(G, tuple(reps[i] for i in order),
                           {fs: remap[i] for fs, i in class_index.items()})
-    G._cache["lattice"] = lat
+    G.memo["lattice"] = lat
     return lat
 
 

@@ -18,12 +18,12 @@ from . import gsets
 from .burnside import burnside_ring, chi_equivariant, class_of
 from .errors import ResourceLimitError, UsageError
 from .euler import ORACLE_GROUP_LIMIT, chi_k_equivariant
-from .groups import SYMMETRIC_DEGREE_LIMIT, cyclic, symmetric
+from .groups import SYMMETRIC_DEGREE_LIMIT, check_order, cyclic, symmetric
 from .gsets import BiSet, symmetric_power, wreath_power
 from .motivic import (L, LExtCoeffRing, _normal, embed, lext_coeff_ring,
                       rhs_theorem2, specialize_L, zeta_L)
 from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
-                          check_order, check_truncation, power, rhs_theorem1)
+                          check_truncation, power, rhs_theorem1)
 
 WREATH_LIMIT_HIGH_ORDER = 50_000   # k >= 2
 WREATH_LIMIT_LOW_ORDER = 400_000   # k <= 1

@@ -21,9 +21,9 @@ from math import ceil, floor, gcd, lcm
 
 from .burnside import BurnsideElement, BurnsideRing
 from .errors import ResourceLimitError, UsageError
-from .groups import FiniteGroup
-from .powerstruct import (INT_RING, TruncatedSeries, check_order,
-                          exponent_tuples, lambda_term, log_coeff, power)
+from .groups import FiniteGroup, check_order
+from .powerstruct import (INT_RING, TruncatedSeries, exponent_tuples,
+                          lambda_term, log_coeff, power)
 
 LAURENT_PRODUCT_BUDGET = 10 ** 8   # term products rebuilding an L-power
 
@@ -291,8 +291,7 @@ class OrbifoldDatum:
 
     def __init__(self, group: FiniteGroup, bring: BurnsideRing, k: int,
                  weights: tuple, strata: tuple):
-        if k < 0:
-            raise UsageError(f"order must be >= 0, got {k}")
+        check_order(k)
         if len(weights) != k:
             raise UsageError(f"need {k} weights, got {len(weights)}")
         self.group, self.bring, self.k = group, bring, k

@@ -30,8 +30,8 @@ from operator import mul
 
 from .burnside import BurnsideElement, BurnsideRing
 from .errors import InvariantViolation, ResourceLimitError, UsageError
+from .groups import check_order
 
-ORDER_LIMIT = 100   # the order-k recursions below and in euler go k deep
 TRUNCATION_LIMIT = 200   # series degree N taken by the CLI and the law checks
 
 
@@ -330,14 +330,6 @@ def exponent_tuples(k: int, N: int):
             yield from rec(rs + (r,), prod * r, weight * r ** len(rs))
             r += 1
     yield from rec((), 1, 1)
-
-
-def check_order(k: int) -> None:
-    """Refuse an order k below 0 or above ORDER_LIMIT, before any work."""
-    if k < 0:
-        raise UsageError(f"order must be >= 0, got {k}")
-    if k > ORDER_LIMIT:
-        raise ResourceLimitError("order k", size=k, budget=ORDER_LIMIT)
 
 
 def check_truncation(N: int) -> None:

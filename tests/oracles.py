@@ -573,6 +573,19 @@ def disjoint_union(X: BiSet, Y: BiSet) -> BiSet:
     return BiSet(size, X.gO, X.gB, actO, actB)
 
 
+def biregular(GO, GB):
+    """GO x GB points; GO moves the first coordinate, GB the second."""
+    size = GO.order * GB.order
+    idx = lambda a, b: a * GB.order + b
+    actO = [tuple(idx(GO.mul(s, a), b)
+                  for a in range(GO.order) for b in range(GB.order))
+            for s in GO.generators]
+    actB = [tuple(idx(a, GB.mul(t, b))
+                  for a in range(GO.order) for b in range(GB.order))
+            for t in GB.generators]
+    return BiSet(size, GO, GB, actO, actB)
+
+
 def empty_biset(gO: FiniteGroup, gB: FiniteGroup) -> BiSet:
     return BiSet(0, gO, gB,
                  [()] * len(gO.generators), [()] * len(gB.generators))

@@ -14,7 +14,7 @@ from equichar.gsets import BiSet, biset_from_single_action, wreath_power
 from equichar.harness import (verify_axioms, verify_lemma1, verify_props12,
                               verify_theorem1)
 from equichar.powerstruct import TruncatedSeries, burnside_coeff_ring, power
-from oracles import (coset_biset, disjoint_union, empty_biset,
+from oracles import (biregular, coset_biset, disjoint_union, empty_biset,
                      geometric_power_oracle, verify_integer_oracle)
 
 
@@ -31,19 +31,6 @@ def o_regular(GO, GB):
             for s in GO.generators]
     actB = [tuple(range(GO.order)) for _ in GB.generators]
     return BiSet(GO.order, GO, GB, actO, actB)
-
-
-def biregular(GO, GB):
-    """GO x GB points; GO moves the first coordinate, GB the second."""
-    size = GO.order * GB.order
-    idx = lambda a, b: a * GB.order + b
-    actO = [tuple(idx(GO.mul(s, a), b)
-                  for a in range(GO.order) for b in range(GB.order))
-            for s in GO.generators]
-    actB = [tuple(idx(a, GB.mul(t, b))
-                  for a in range(GO.order) for b in range(GB.order))
-            for t in GB.generators]
-    return BiSet(size, GO, GB, actO, actB)
 
 
 SWAP = (1, 0, 2)

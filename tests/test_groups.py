@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equichar.burnside import BurnsideRing
+from equichar.burnside import BurnsideRing, burnside_ring
 from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.euler import chi_k_equivariant
 from equichar.groups import (
@@ -39,10 +39,10 @@ from equichar.groups import (
 )
 import equichar.groups as groups_mod
 from equichar.gsets import BiSet, biset_from_single_action, wreath_power
-from oracles import (commuting_tuple_classes_naive, commuting_tuples_naive,
-                     conj, element_order, subgroup_from_generators,
-                     subgroups_up_to_conjugacy, validate_group,
-                     validate_subgroup)
+from oracles import (biregular, commuting_tuple_classes_naive,
+                     commuting_tuples_naive, conj, element_order,
+                     subgroup_from_generators, subgroups_up_to_conjugacy,
+                     validate_group, validate_subgroup)
 
 SMALL_DESCRIPTORS = [
     {"type": "trivial"},
@@ -139,6 +139,24 @@ def test_finite_group_is_the_only_class_that_defines_inv():
               for f in cls.body
               if isinstance(f, ast.FunctionDef) and f.name == "inv"]
     assert owners == ["groups.py:FiniteGroup"]
+
+
+def test_subgroups_are_built_by_one_constructor_and_compare_by_identity():
+    """Subgroup has no value equality, and the package calls Subgroup(...)
+    only inside subgroup(), which keeps one object per element set."""
+    assert not {"__eq__", "__hash__"} & set(vars(Subgroup))
+    src = pathlib.Path(groups_mod.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+
+    def calls(tree):
+        return [c for c in ast.walk(tree) if isinstance(c, ast.Call) and
+                getattr(c.func, "id", getattr(c.func, "attr", "")) ==
+                "Subgroup"]
+    (ctor,) = [f for f in ast.walk(trees["groups.py"])
+               if isinstance(f, ast.FunctionDef) and f.name == "subgroup"]
+    assert [c for tree in trees.values() for c in calls(tree)] == \
+        calls(ctor) and len(calls(ctor)) == 1
 
 
 def test_validate_group_runs_without_numpy():
@@ -427,6 +445,47 @@ def test_central_elements_centralize_the_whole_subgroup():
     assert centralizer_in(whole, w.encode((1, 1, 1), 0)) is whole
 
 
+def test_equal_centralizers_are_one_subgroup():
+    """D200's 103 classes have 4 distinct centralizers: the whole group
+    (of the identity and rotation 100), the rotations, and one group of
+    order 4 per flip class.  Each is one object with one memo; one object
+    per class held each rotation class's 200 indices again, a count that
+    grows as the order squared."""
+    G = groups_mod.DihedralGroup(200)  # a fresh instance: nothing cached
+    whole = whole_subgroup(G)
+    conjugacy_classes(G)
+    cents = [C for key, C in whole.memo.items() if key[0] == "cent"]
+    assert len(cents) == 103 and len({id(C) for C in cents}) == 4
+    assert centralizer_in(whole, 1) is centralizer_in(whole, 2)
+    assert centralizer_in(whole, 2).elements == tuple(range(200))
+
+
+def _results(G, ring_first: bool):
+    """Classes, centralizers, pair classes, k = 2 on the biregular G x G set
+    and G's ring, with the ring built before the rest or after it."""
+    ring = burnside_ring(G) if ring_first else None
+    whole = whole_subgroup(G)
+    classes = conjugacy_classes(G)
+    cents = [centralizer_in(whole, cls[0]).elements for cls in classes]
+    pairs = commuting_tuple_classes(G, 2)
+    chi = chi_k_equivariant(biregular(G, G), 2)
+    ring = ring or burnside_ring(G)
+    return whole.generators, (
+        classes, cents, pairs, chi.marks(), chi.render(), ring.marks_rows,
+        [K.elements for K in ring.lattice.classes])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: groups_mod.SymmetricGroup(3),
+    lambda: WreathGroup(CyclicGroup(2), 3)], ids=["S3", "C2wrS3"])
+def test_results_do_not_depend_on_which_call_built_a_subgroup(build):
+    """A subgroup keeps its first caller's generators: built first, the
+    lattice names the whole group by its chain, not by G's generators.
+    Nothing read off either differs."""
+    (gens_a, a), (gens_b, b) = _results(build(), True), _results(build(), False)
+    assert gens_a != gens_b and a == b
+
+
 def test_commuting_tuple_classes_s3():
     s3 = symmetric(3)
     pairs = commuting_tuple_classes(s3, 2)
@@ -556,7 +615,7 @@ def _lattice_table(G, monkeypatch):
         tables.append(images(perms, size))
         return tables[-1]
     monkeypatch.setattr(G, "images", caught, raising=False)
-    monkeypatch.delitem(G._cache, "lattice", raising=False)
+    monkeypatch.delitem(G.memo, "lattice", raising=False)
     subgroup_lattice(G)
     (table,) = tables
     return table
@@ -664,17 +723,19 @@ def test_tuple_class_budget(monkeypatch):
     assert e.value.size == 6 and e.value.budget == 5
 
 
-def test_subgroup_equality_reads_parent_elements_and_generators():
-    """Equality and hash ignore the memo; generators count."""
-    s3 = symmetric(3)
+def test_a_group_keeps_one_subgroup_per_element_set():
+    """subgroup() hands back the object G holds for an element set, with
+    its first generators and its memo; a Subgroup built outside it equals
+    only itself."""
+    s3 = groups_mod.SymmetricGroup(3)
     whole = whole_subgroup(s3)
-    a, b = (groups_mod.Subgroup(s3, whole.elements, whole.generators)
-            for _ in range(2))
-    groups_mod.conjugacy_classes_in(a)
-    assert a.memo and not b.memo
-    assert a == b and hash(a) == hash(b)
-    assert a != groups_mod.Subgroup(s3, whole.elements, whole.generators[:1])
-    assert a != (s3, whole.elements, whole.generators) and a != "S3"
+    groups_mod.conjugacy_classes_in(whole)
+    again = groups_mod.subgroup(s3, whole.elements, whole.generators[:1])
+    assert again is whole and again.generators == s3.generators
+    assert again.memo
+    other = groups_mod.Subgroup(s3, whole.elements, whole.generators)
+    assert other != whole and not other.memo
+    assert len({whole, again, other}) == 2
 
 
 def test_subgroup_validate():

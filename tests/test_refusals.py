@@ -1,14 +1,16 @@
 """Input refusals of the library calls that no other test reaches: each
-case is refused with UsageError, and its message names the fault."""
+case is refused with UsageError, and its message names the fault; an order
+past ORDER_LIMIT is refused with ResourceLimitError before any work."""
 
 import pytest
 
 from equichar.burnside import burnside_ring
 from equichar.cells import CellSpace
-from equichar.errors import UsageError
+from equichar.errors import ResourceLimitError, UsageError
+from equichar.euler import chi_k_averaging, chi_k_equivariant_tuples
 from equichar.groups import (CyclicGroup, DihedralGroup, SymmetricGroup,
                              WreathGroup, commuting_tuple_classes, cyclic,
-                             symmetric, whole_subgroup)
+                             symmetric, trivial_group, whole_subgroup)
 from equichar.gsets import (BiSet, biset_from_single_action, quotient_by,
                             symmetric_power, wreath_power)
 from equichar.motivic import L, OrbifoldDatum, embed
@@ -17,6 +19,7 @@ from equichar.powerstruct import rhs_theorem1
 C2 = cyclic(2)
 R2, R3 = burnside_ring(C2), burnside_ring(symmetric(3))
 FLIP = biset_from_single_action(2, C2, [(1, 0)], side="O")
+TRIV3 = BiSet(3, trivial_group(), trivial_group(), (), ())
 
 REFUSALS = [
     ("cyclic", lambda: CyclicGroup(0), "cyclic group needs n >= 1"),
@@ -24,7 +27,11 @@ REFUSALS = [
     ("symmetric", lambda: SymmetricGroup(-1), "symmetric group needs n >= 0"),
     ("wreath", lambda: WreathGroup(C2, -1), "wreath product needs n >= 0"),
     ("tuple-order", lambda: commuting_tuple_classes(C2, -1),
-     "tuple order must be >= 0, got -1"),
+     "order must be >= 0, got -1"),
+    ("averaging-order", lambda: chi_k_averaging(TRIV3, -1),
+     "order must be >= 0, got -1"),
+    ("averaging-order-flip", lambda: chi_k_averaging(FLIP, -1),
+     "order must be >= 0, got -1"),
     ("b-perms", lambda: BiSet(2, C2, C2, [(1, 0)], []),
      "need 1 B-side permutations, got 0"),
     ("act-side", lambda: FLIP.act("X", 1, [0]), "side must be 'O' or 'B'"),
@@ -61,6 +68,24 @@ REFUSALS = [
 def test_input_is_refused(call, match):
     with pytest.raises(UsageError, match=match):
         call()
+
+
+@pytest.mark.parametrize("call, k", [
+    (chi_k_averaging, -1), (chi_k_averaging, 3000),
+    (lambda X, k: commuting_tuple_classes(X.gO, k), 5000),
+    (chi_k_equivariant_tuples, 5000)],
+    ids=["averaging-negative", "averaging", "tuples", "equivariant-tuples"])
+def test_an_order_outside_the_limit_is_refused_before_any_work(call, k):
+    """These recursions go k deep: past ORDER_LIMIT they ended in a
+    RecursionError, and at k = -1 the averaging form answered.  The groups
+    are built here, and neither has a word table or memo entry after."""
+    gO, gB = CyclicGroup(2), CyclicGroup(1)
+    X = BiSet(2, gO, gB, [(1, 0)], [])
+    error = UsageError if k < 0 else ResourceLimitError
+    with pytest.raises(error, match="order"):
+        call(X, k)
+    for G in (gO, gB):
+        assert not G.memo and "_word_table" not in vars(G)
 
 
 @pytest.mark.parametrize("x", [R2.unit, L(R2, 1)], ids=["burnside", "lext"])
