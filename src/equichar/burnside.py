@@ -38,7 +38,7 @@ from collections import Counter
 from itertools import chain, compress
 
 from .cells import CellSpace
-from .errors import InvariantViolation, ResourceLimitError, UsageError
+from .errors import InvariantViolation, UsageError, check_budget
 from .gsets import BiSet
 from .groups import FiniteGroup, SubgroupLattice, subgroup_lattice
 
@@ -52,9 +52,7 @@ class BurnsideRing:
         self.group = G
         self.lattice = lattice
         self.n = len(lattice.classes)
-        if self.n > MARKS_CLASS_BUDGET:
-            raise ResourceLimitError("table of marks", size=self.n,
-                                     budget=MARKS_CLASS_BUDGET)
+        check_budget("table of marks", self.n, MARKS_CLASS_BUDGET)
         self.ksets = [K.element_set() for K in lattice.classes]
         for i, kset in enumerate(self.ksets):
             if lattice.class_index.get(kset) != i:

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types.  Every ResourceLimitError is raised by
+check_budget, so each budget admits its own value and each refusal names
+what was refused, its size and the budget."""
 
 from __future__ import annotations
 
@@ -10,12 +12,16 @@ class UsageError(ValueError):
 class ResourceLimitError(RuntimeError):
     """A computation would exceed an explicit budget; carries the offending size."""
 
-    def __init__(self, message: str, size: int | None = None, budget: int | None = None):
-        if size is not None and budget is not None:
-            message = f"{message} (size {size} exceeds budget {budget})"
-        super().__init__(message)
+    def __init__(self, message: str, size: int, budget: int):
+        super().__init__(f"{message} (size {size} exceeds budget {budget})")
         self.size = size
         self.budget = budget
+
+
+def check_budget(what: str, size: int, budget: int) -> None:
+    """Refuse size above budget as ResourceLimitError(what, size, budget)."""
+    if size > budget:
+        raise ResourceLimitError(what, size, budget)
 
 
 class InvariantViolation(RuntimeError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .burnside import BurnsideElement, BurnsideRing, burnside_ring, class_of
 from .cells import CellSpace
-from .errors import InvariantViolation, ResourceLimitError, UsageError
+from .errors import InvariantViolation, UsageError, check_budget
 from .groups import (
     Subgroup,
     centralizer,
@@ -68,9 +68,7 @@ def tuple_class_strata(X: BiSet, k: int):
     """(tuple class rep, chi^{G_B}(X^phi / C(phi))) for every commuting
     k-tuple class [phi] of the O-side group; zero pieces are kept so callers
     see one stratum per class."""
-    if X.gO.order > ORACLE_GROUP_LIMIT:
-        raise ResourceLimitError("tuple-form oracle",
-                                 size=X.gO.order, budget=ORACLE_GROUP_LIMIT)
+    check_budget("tuple-form oracle", X.gO.order, ORACLE_GROUP_LIMIT)
     tuples = commuting_tuple_classes(X.gO, k)  # refuses a bad k first
     ring, out = burnside_ring(X.gB), []
     for tup, _ in tuples:
@@ -93,9 +91,7 @@ def chi_k_averaging(X: BiSet, k: int) -> int:
     |X^tuple|.  Oracle, gated to small O-side groups; integrality asserted."""
     check_order(k)
     G = X.gO
-    if G.order > ORACLE_GROUP_LIMIT:
-        raise ResourceLimitError("averaging oracle",
-                                 size=G.order, budget=ORACLE_GROUP_LIMIT)
+    check_budget("averaging oracle", G.order, ORACLE_GROUP_LIMIT)
     perms = G.images(X.actO, X.size)
 
     def rec(pool: list[int], S: list[int], depth: int) -> int:

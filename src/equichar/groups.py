@@ -5,7 +5,7 @@ permutation closure).  A wreath product within WREATH_TABLE_BUDGET multiplies
 by lookups in three factor tables built with it; other products stay
 structural.  Each conjugacy class is walked once, as its orbit under the
 generators with a witness u and its inverse at each point; its least
-member's centralizer, the stabilizer, is rebuilt at once from Schreier
+member's centralizer is one the walk holds, or is built from Schreier
 generators u·s·w^-1 that read those inverses, and the orbit is dropped.
 A group keeps one Subgroup per element set in its memo, so subgroups
 compare by identity and equal centralizers share one memo of classes,
@@ -38,7 +38,7 @@ import weakref
 from array import array
 from functools import cached_property, partial
 
-from .errors import InvariantViolation, ResourceLimitError, UsageError
+from .errors import InvariantViolation, UsageError, check_budget
 
 SUBGROUP_BUDGET = 4096      # subgroups a lattice may index
 CAYLEY_TABLE_LIMIT = 1024   # group order for the lattice's Cayley table
@@ -54,8 +54,7 @@ def check_order(k: int) -> None:
     """Refuse an order k below 0 or above ORDER_LIMIT, before any work."""
     if k < 0:
         raise UsageError(f"order must be >= 0, got {k}")
-    if k > ORDER_LIMIT:
-        raise ResourceLimitError("order k", size=k, budget=ORDER_LIMIT)
+    check_budget("order k", k, ORDER_LIMIT)
 
 
 class FiniteGroup:
@@ -87,9 +86,8 @@ class FiniteGroup:
     # -- word machinery: BFS spanning tree over left multiplication ---------
 
     def _require_enumerable(self) -> None:  # before anything is allocated
-        if self.order > ELEMENT_BUDGET:
-            raise ResourceLimitError(f"element enumeration of {self.label}",
-                                     size=self.order, budget=ELEMENT_BUDGET)
+        check_budget(f"element enumeration of {self.label}", self.order,
+                     ELEMENT_BUDGET)
 
     @cached_property
     def _word_table(self) -> tuple[list, list, list[int], list[array]]:
@@ -225,10 +223,8 @@ class PermGroup(FiniteGroup):
                     y = tuple(x[j] for j in s)  # x∘s
                     if y not in elems:
                         elems.add(y)
-                        if len(elems) > PERM_CLOSURE_BUDGET:
-                            raise ResourceLimitError(
-                                "permutation closure", size=len(elems),
-                                budget=PERM_CLOSURE_BUDGET)
+                        check_budget("permutation closure", len(elems),
+                                     PERM_CLOSURE_BUDGET)
                         nxt.append(y)
             frontier = nxt
         self._index(degree, tuple(sorted(elems)), gen_perms,
@@ -255,10 +251,7 @@ class SymmetricGroup(PermGroup):
     def __init__(self, n: int):
         if n < 0:
             raise UsageError(f"symmetric group needs n >= 0, got {n}")
-        if n > SYMMETRIC_DEGREE_LIMIT:
-            raise ResourceLimitError(
-                f"symmetric group degree {n}",
-                size=n, budget=SYMMETRIC_DEGREE_LIMIT)
+        check_budget(f"symmetric group degree {n}", n, SYMMETRIC_DEGREE_LIMIT)
         gens = []
         if n >= 2:
             swap = (1, 0) + tuple(range(2, n))
@@ -571,15 +564,17 @@ def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
 
 def conjugacy_classes_in(H: Subgroup) -> list[list[int]]:
     """Conjugacy classes of the subgroup H, as sorted parent-index lists;
-    each least member's centralizer is built from the orbit just walked."""
+    each least member's centralizer is found among H and those this walk
+    built, or else built from the orbit just walked."""
     if "classes" not in H.memo:
         gens = [(s, H.parent.inv(s)) for s in H.generators]
         seen: set[int] = set()
-        out = []
+        out, held = [], {H.order: [H]}
         for x0 in H.elements:
             if x0 not in seen:
                 orbit = _conjugation_orbit(H.parent, gens, x0)
-                H.memo.setdefault(("cent", x0), _stabilizer(H, gens, orbit))
+                if ("cent", x0) not in H.memo:
+                    H.memo[("cent", x0)] = _stabilizer(H, gens, orbit, held)
                 seen.update(orbit)
                 out.append(sorted(orbit))
         H.memo["classes"] = out
@@ -618,21 +613,24 @@ def centralizer_in(H: Subgroup, g: int) -> Subgroup:
     if key not in H.memo:
         gens = [(s, H.parent.inv(s)) for s in H.generators]
         H.memo[key] = _stabilizer(H, gens,
-                                  _conjugation_orbit(H.parent, gens, g))
+                                  _conjugation_orbit(H.parent, gens, g),
+                                  {H.order: [H]})
     return H.memo[key]
 
 
-def _stabilizer(H: Subgroup, gens, orbit: dict) -> Subgroup:
-    """C_H(g) for the first point g of its orbit under the pairs gens,
-    rebuilt from Schreier generators that read the orbit's witness
-    inverses, stopping at the known order |H|/|orbit|.  A central g gets H
-    itself back."""
+def _stabilizer(H: Subgroup, gens, orbit: dict, held: dict) -> Subgroup:
+    """C_H(g) for the first point g of its orbit under the pairs gens.
+    A subgroup of H in held[|H|/|orbit|] whose generators commute with g is
+    C_H(g), as it has its order; else C_H(g) is rebuilt from Schreier
+    generators that read the orbit's witness inverses, stopping at that
+    order, and joins held."""
     target, rem = divmod(H.order, len(orbit))
     if rem:
         raise InvariantViolation("orbit size does not divide subgroup order")
-    if target == H.order:
-        return H
-    mul = H.parent.mul
+    mul, g = H.parent.mul, next(iter(orbit))
+    for C in held.setdefault(target, []):
+        if all(mul(g, s) == mul(s, g) for s in C.generators):
+            return C
     # u·s carries g to s^-1 x s, as does that point's witness
     schreier = (mul(mul(u, s), orbit[mul(mul(si, x), s)][1])
                 for x, (u, _) in orbit.items() for s, si in gens)
@@ -640,7 +638,8 @@ def _stabilizer(H: Subgroup, gens, orbit: dict) -> Subgroup:
     if len(elems) != target:
         raise InvariantViolation(
             "Schreier generators failed to reach stabilizer")
-    return subgroup(H.parent, tuple(sorted(elems)), small)
+    held[target].append(subgroup(H.parent, tuple(sorted(elems)), small))
+    return held[target][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +666,8 @@ def _ctuple_classes(H: Subgroup, k: int) -> list[tuple[tuple[int, ...], int]]:
         C = centralizer_in(H, g)
         for rest, size in _ctuple_classes(C, k - 1):
             out.append(((g,) + rest, len(cls) * size))
-            if len(out) > TUPLE_CLASS_BUDGET:
-                raise ResourceLimitError("commuting tuple classes",
-                                         size=len(out),
-                                         budget=TUPLE_CLASS_BUDGET)
+            check_budget("commuting tuple classes", len(out),
+                         TUPLE_CLASS_BUDGET)
     H.memo[key] = out
     return out
 
@@ -691,9 +688,8 @@ class SubgroupLattice:
 
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     """Every subgroup of G, indexed by its conjugacy class."""
-    if G.order > CAYLEY_TABLE_LIMIT:
-        raise ResourceLimitError("subgroup lattice multiplication table",
-                                 size=G.order, budget=CAYLEY_TABLE_LIMIT)
+    check_budget("subgroup lattice multiplication table", G.order,
+                 CAYLEY_TABLE_LIMIT)
     if "lattice" in G.memo:
         return G.memo["lattice"]
     rows = G.images(G._word_table[3], G.order)  # a·b = rows[a][b]
@@ -722,10 +718,8 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
                     witness.append((rows[u][s], rows[si][ui]))
         orbits.append((orbit, witness, chain))
         by_order.setdefault(len(fs), []).extend(orbit)
-        if len(class_index) > SUBGROUP_BUDGET:
-            raise ResourceLimitError("subgroup enumeration",
-                                     size=len(class_index),
-                                     budget=SUBGROUP_BUDGET)
+        check_budget("subgroup enumeration", len(class_index),
+                     SUBGROUP_BUDGET)
         queue.append((elements, chain))
         return orbit
 

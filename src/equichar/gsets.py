@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .errors import InvariantViolation, ResourceLimitError, UsageError
+from .errors import InvariantViolation, UsageError, check_budget
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -120,9 +120,8 @@ class BiSet:
             group, gens = self._side(side)
             group._require_enumerable()
             cost = group.order * len(gens) * self.size
-            if cost > HOM_CHECK_BUDGET:
-                raise ResourceLimitError(f"{side}-side homomorphism check",
-                                         size=cost, budget=HOM_CHECK_BUDGET)
+            check_budget(f"{side}-side homomorphism check", cost,
+                         HOM_CHECK_BUDGET)
             images = group.images(gens, self.size)
             steps = list(zip(group.generators, gens, group._word_table[3]))
             for x in group.elements():
@@ -174,9 +173,7 @@ def symmetric_power(X: BiSet, k: int) -> BiSet:
     if k < 0:
         raise UsageError(f"symmetric power needs k >= 0, got {k}")
     size = comb(X.size + k - 1, k) if X.size else 0
-    if size > POINT_BUDGET:
-        raise ResourceLimitError("symmetric power points", size=size,
-                                 budget=POINT_BUDGET)
+    check_budget("symmetric power points", size, POINT_BUDGET)
     points = list(itertools.combinations_with_replacement(range(X.size), k))
     rank = {t: i for i, t in enumerate(points)}
 
@@ -198,9 +195,7 @@ def wreath_power(X: BiSet, n: int) -> BiSet:
     if n == 1:
         return X
     size = X.size ** n
-    if size > POINT_BUDGET:
-        raise ResourceLimitError("wreath power points",
-                                 size=size, budget=POINT_BUDGET)
+    check_budget("wreath power points", size, POINT_BUDGET)
     W = wreath(X.gO, n)
     radix = X.size
     points = range(radix)

@@ -16,7 +16,7 @@ from math import comb, factorial
 
 from . import gsets
 from .burnside import burnside_ring, chi_equivariant, class_of
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError, check_budget
 from .euler import ORACLE_GROUP_LIMIT, chi_k_equivariant
 from .groups import SYMMETRIC_DEGREE_LIMIT, check_order, cyclic, symmetric
 from .gsets import BiSet, symmetric_power, wreath_power
@@ -81,9 +81,7 @@ class VerificationReport:
 def check_trials(trials: int, N: int) -> None:
     """Refuse trials·(N + 5)^3, about a trial's cost with its fixed part,
     above TRIAL_BUDGET, before any work."""
-    if trials * (N + 5) ** 3 > TRIAL_BUDGET:
-        raise ResourceLimitError("trials · (N + 5)^3", trials * (N + 5) ** 3,
-                                 TRIAL_BUDGET)
+    check_budget("trials · (N + 5)^3", trials * (N + 5) ** 3, TRIAL_BUDGET)
 
 
 def _check(n, lhs_el, rhs_el, t0) -> DegreeCheck:
@@ -115,17 +113,11 @@ def verify_theorem1(X: BiSet, k: int, N: int,
     wreath_limit = (WREATH_LIMIT_HIGH_ORDER if k >= 2
                     else WREATH_LIMIT_LOW_ORDER)
     for n in range(N + 1):
-        worder = X.gO.order ** n * factorial(n)
-        if worder > wreath_limit:
-            raise ResourceLimitError(f"wreath group order at degree {n}",
-                                     size=worder, budget=wreath_limit)
-        if n > SYMMETRIC_DEGREE_LIMIT:
-            raise ResourceLimitError(f"symmetric group degree {n}",
-                                     size=n, budget=SYMMETRIC_DEGREE_LIMIT)
-        if X.size ** n > gsets.POINT_BUDGET:
-            raise ResourceLimitError(f"wreath power points at degree {n}",
-                                     size=X.size ** n,
-                                     budget=gsets.POINT_BUDGET)
+        check_budget(f"wreath group order at degree {n}",
+                     X.gO.order ** n * factorial(n), wreath_limit)
+        check_budget(f"symmetric group degree {n}", n, SYMMETRIC_DEGREE_LIMIT)
+        check_budget(f"wreath power points at degree {n}", X.size ** n,
+                     gsets.POINT_BUDGET)
     m = chi_k_equivariant(X, k, cross_check=cross_check)
     rhs = rhs_theorem1(m, k, N)
     report = VerificationReport(
@@ -149,10 +141,9 @@ def verify_lemma1(X: BiSet, N: int) -> VerificationReport:
     TRUNCATION_LIMIT and gsets.POINT_BUDGET before any work."""
     check_truncation(N)
     for n in range(N + 1):
-        pts = comb(X.size + n - 1, n) if X.size else 0
-        if pts > gsets.POINT_BUDGET:
-            raise ResourceLimitError(f"symmetric power size at degree {n}",
-                                     size=pts, budget=gsets.POINT_BUDGET)
+        check_budget(f"symmetric power size at degree {n}",
+                     comb(X.size + n - 1, n) if X.size else 0,
+                     gsets.POINT_BUDGET)
     m = chi_equivariant(X)
     rhs = rhs_theorem1(m, 0, N)
     report = VerificationReport(

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .burnside import BurnsideElement, BurnsideRing
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError, check_budget
 from .groups import FiniteGroup, check_order
 from .powerstruct import (INT_RING, TruncatedSeries, exponent_tuples,
                           lambda_term, log_coeff, power)
@@ -251,11 +251,8 @@ def check_laurent_products(A: TruncatedSeries, m: LExtElement) -> None:
     T = laurent_terms(A, m)
     products = A.ring.n * sum(T[i] * T[j - i] for j in range(1, A.N + 1)
                               for i in range(1, j + 1))
-    if products > LAURENT_PRODUCT_BUDGET:
-        raise ResourceLimitError(
-            f"Laurent-term products of the power at N = {A.N}, "
-            "LAURENT_PRODUCT_BUDGET", size=products,
-            budget=LAURENT_PRODUCT_BUDGET)
+    check_budget(f"Laurent-term products of the power at N = {A.N}, "
+                 "LAURENT_PRODUCT_BUDGET", products, LAURENT_PRODUCT_BUDGET)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .burnside import BurnsideElement, BurnsideRing
-from .errors import InvariantViolation, ResourceLimitError, UsageError
+from .errors import InvariantViolation, UsageError, check_budget
 from .groups import check_order
 
 TRUNCATION_LIMIT = 200   # series degree N taken by the CLI and the law checks
@@ -336,9 +336,7 @@ def check_truncation(N: int) -> None:
     """Refuse a truncation N below 0 or above TRUNCATION_LIMIT, before work."""
     if N < 0:
         raise UsageError(f"truncation must be >= 0, got {N}")
-    if N > TRUNCATION_LIMIT:
-        raise ResourceLimitError("truncation N", size=N,
-                                 budget=TRUNCATION_LIMIT)
+    check_budget("truncation N", N, TRUNCATION_LIMIT)
 
 
 def rhs_base_series(k: int, N: int) -> TruncatedSeries:

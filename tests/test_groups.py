@@ -460,6 +460,33 @@ def test_equal_centralizers_are_one_subgroup():
     assert centralizer_in(whole, 2).elements == tuple(range(200))
 
 
+def test_the_class_walk_builds_only_centralizers_it_does_not_hold(
+        monkeypatch):
+    """A subgroup of H with C_H(g)'s order whose generators commute with g
+    is C_H(g): D200's class walk takes H for its 2 central classes, and the
+    rotations, built for rotation 1, for the other 98 rotation classes, so
+    it builds 3 centralizers where rebuilding each took 101.  Every class
+    keeps the centralizer object, and its generators, of a rebuild."""
+    calls = []
+
+    def reduce_(*args, inner=groups_mod._reduce_generators):
+        calls.append(args[2])
+        return inner(*args)
+    monkeypatch.setattr(groups_mod, "_reduce_generators", reduce_)
+    G = groups_mod.DihedralGroup(200)  # a fresh instance: nothing cached
+    whole = whole_subgroup(G)
+    classes = conjugacy_classes(G)
+    assert calls == [200, 4, 4]
+    assert [len(cls) for cls in classes] == [1] + [2] * 99 + [1, 100, 100]
+    cents = [whole.memo[("cent", cls[0])] for cls in classes]
+    assert cents[0] is cents[100] is whole
+    assert all(C is cents[1] for C in cents[1:100])
+    assert [(C.order, C.generators) for C in cents[1:2] + cents[101:]] == [
+        (200, (1,)), (4, (200, 300)), (4, (201, 301))]
+    for cls, C in zip(classes, cents):
+        assert C.elements == _scan_centralizer(whole, cls[0])
+
+
 def _results(G, ring_first: bool):
     """Classes, centralizers, pair classes, k = 2 on the biregular G x G set
     and G's ring, with the ring built before the rest or after it."""

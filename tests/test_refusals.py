@@ -1,12 +1,17 @@
 """Input refusals of the library calls that no other test reaches: each
 case is refused with UsageError, and its message names the fault; an order
-past ORDER_LIMIT is refused with ResourceLimitError before any work."""
+past ORDER_LIMIT is refused with ResourceLimitError before any work; every
+ResourceLimitError is raised by errors.check_budget."""
+
+import ast
+import pathlib
 
 import pytest
 
+import equichar.errors as errors_mod
 from equichar.burnside import burnside_ring
 from equichar.cells import CellSpace
-from equichar.errors import ResourceLimitError, UsageError
+from equichar.errors import ResourceLimitError, UsageError, check_budget
 from equichar.euler import chi_k_averaging, chi_k_equivariant_tuples
 from equichar.groups import (CyclicGroup, DihedralGroup, SymmetricGroup,
                              WreathGroup, commuting_tuple_classes, cyclic,
@@ -93,3 +98,28 @@ def test_ring_elements_meet_plain_numbers_only_as_integers(x):
     assert (x == 1) is False
     with pytest.raises(TypeError):
         2.5 * x
+
+
+def test_a_budget_admits_its_own_value():
+    check_budget("x", 5, 5)
+    with pytest.raises(ResourceLimitError) as e:
+        check_budget("x", 6, 5)
+    assert str(e.value) == "x (size 6 exceeds budget 5)"
+    assert e.value.size == 6 and e.value.budget == 5
+
+
+def test_check_budget_is_the_only_place_a_budget_error_is_made():
+    """One rule for every budget: the package constructs ResourceLimitError
+    only inside errors.check_budget."""
+    src = pathlib.Path(errors_mod.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+
+    def calls(tree):
+        return [c for c in ast.walk(tree) if isinstance(c, ast.Call) and
+                getattr(c.func, "id", getattr(c.func, "attr", "")) ==
+                "ResourceLimitError"]
+    (check,) = [f for f in ast.walk(trees["errors.py"])
+                if isinstance(f, ast.FunctionDef) and f.name == "check_budget"]
+    assert [c for tree in trees.values() for c in calls(tree)] == \
+        calls(check) and len(calls(check)) == 1
