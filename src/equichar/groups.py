@@ -19,12 +19,14 @@ element down that tree; on the rows' own regular action it gives the Cayley
 table that only the lattice builds, of order at most CAYLEY_TABLE_LIMIT, and
 drops.  Subgroups grow by Dimino's coset extension: <H, g> is H's element
 list followed by whole left cosets x·H, each read through x's table row.
-The subgroup lattice is searched over conjugacy-class representatives only:
-each R is extended by a g of prime power order p^a with g^p in R, outside
-every indexed K ⊇ R of prime index, once per double coset R·g·R; a subgroup
-not met before has its whole conjugacy class indexed with conjugators, up to
-SUBGROUP_BUDGET subgroups, and its least conjugate is generated by the
-conjugated chain that found it.
+The subgroup lattice is searched over conjugacy-class representatives by
+Neubüser's cyclic extension: each R is extended by a g of prime power order
+p^a with g^p in R that normalizes R, or that lies with R in G^∞ (a K that is
+not perfect is <M, g> for a normal M of prime index; a perfect K lies in
+G^∞), except inside an indexed K ⊇ R of prime index and once per double
+coset R·g·R; a subgroup not met before has its whole conjugacy class
+indexed with conjugators, up to SUBGROUP_BUDGET subgroups, and its least
+conjugate is generated by the conjugated chain that found it.
 
 Budgets are module constants, read when the guarded work starts.
 """
@@ -723,22 +725,34 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
         queue.append((elements, chain))
         return orbit
 
-    # every K > 1 is <M, g> for a maximal M < K and a g in K \ M of order
-    # p^a with g^p in M (K's prime power elements generate it; of the
-    # p-powers of one outside M, take the last outside M).  With M = R^x
-    # for a queued R, K^(x^-1) = <R, x g x^-1>, so these reach each class.
-    # `covered` holds g with <R, g> indexed: each indexed K ⊇ R of prime
-    # index (R is maximal in K) and each double coset R·g·R extended
+    # R is extended by a zuppo g (least generator of a cyclic subgroup of
+    # order p^a) with g^p in R only if g normalizes R (g·r·g^-1 in R for r
+    # in R's chain) or R and g lie in G^∞.  Each K > 1 is reached as <M, g>,
+    # M < K reached before, g in K \ M (any generator of <g> serves):
+    # - K not perfect has a normal M of prime index q; for any element
+    #   outside M, its q-part g normalizes M, has g^q in M and gives K;
+    # - K perfect lies in G^∞, as do its maximal M and its p-elements g
+    #   with g^p in M, one of which gives K (K's p-elements generate it; of
+    #   the p-powers of one outside M, take the last outside M).
+    # Both hold for <M^x, g^x> (G^∞ is normal), so with M = R^x for a
+    # queued R, K^(x^-1) = <R, x g x^-1> is one of them.  `covered` holds
+    # g with <R, g> indexed: each indexed K ⊇ R of prime index (R is
+    # maximal in K) and each double coset R·g·R extended
     found([0], ())
     zuppos = _prime_power_generators(rows)
-    primes = {p for _, p, _ in zuppos}
+    primes = {p for _, p, _, _ in zuppos}
+    residual = _perfect_residual(rows, left, conj, gens)
     for elements, chain in queue:  # grows as classes are found
         rset, n = frozenset(elements), len(elements)
+        inside = rset <= residual
         covered = set(elements)
         for p in primes:
             covered.update(*filter(rset.issubset, by_order.get(n * p, ())))
-        for g, _, gp in zuppos:
+        for g, _, gp, gi in zuppos:
             if gp not in rset or g in covered:
+                continue
+            if not (inside and g in residual) and any(
+                    rows[rows[g][r]][gi] not in rset for r in chain):
                 continue
             K = extend_subgroup(left, elements, chain, g)
             conjugates = found(K, chain + (g,))
@@ -763,9 +777,30 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     return lat
 
 
+def _perfect_residual(rows, left, conj, gens) -> frozenset[int]:
+    """G^∞, the last term of the derived series, on the Cayley rows: D' is
+    the normal closure in G (conj: x -> s^-1·x·s for G's generators s) of
+    the commutators of D's generators, taken until it stops shrinking."""
+    size, chain = len(rows), gens
+    while True:
+        inv = {a: rows[a].index(0) for a in chain}
+        todo = [rows[rows[a][b]][rows[inv[a]][inv[b]]]  # a b a^-1 b^-1
+                for a, b in itertools.combinations(chain, 2)]
+        derived, members, new_chain = [0], {0}, []
+        for c in todo:  # grows by the conjugates of each generator taken
+            if c not in members:
+                derived = extend_subgroup(left, derived, new_chain, c)
+                members.update(derived)
+                new_chain.append(c)
+                todo.extend(perm[c] for perm in conj)
+        if len(derived) == size:
+            return frozenset(derived)
+        size, chain = len(derived), new_chain
+
+
 def _prime_power_generators(rows: list[list[int]]) -> list[tuple]:
-    """(g, p, g^p) for the least generator g of every cyclic subgroup of
-    prime power order p^a > 1, in increasing order of g."""
+    """(g, p, g^p, g^-1) for the least generator g of every cyclic subgroup
+    of prime power order p^a > 1, in increasing order of g."""
     out: list[tuple] = []
     generating: set[int] = set()
     for g in range(1, len(rows)):
@@ -780,5 +815,5 @@ def _prime_power_generators(rows: list[list[int]]) -> list[tuple]:
                           if math.gcd(k, n) == 1)
         p = next(d for d in range(2, n + 1) if n % d == 0)
         if pow(p, n, n) == 0:  # n divides p^n: n is a power of p
-            out.append((g, p, powers[p % n]))
+            out.append((g, p, powers[p % n], powers[-1]))
     return out

@@ -958,6 +958,24 @@ def test_group_marks_c2_wreath_s4_digest(capsys, files):
         "c38157794e5a9a6f026557f2bb9cb75e12048315ddb155131315e8f38a2b54a2")
 
 
+@pytest.mark.parametrize("group, digest", [
+    ({"type": "symmetric", "n": 6},
+     "ebdf2805f69b7317beee37c35482a8cc21a5e3eaa8f15d76bc57f0b17b242304"),
+    ({"type": "perm", "degree": 6,
+      "generators": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]},
+     "ee4f84fb3761376b43fa274698003e128a5e7feadf007adab257bf478c577b1d"),
+], ids=["S6", "A6"])
+def test_group_marks_digest_of_groups_with_a_perfect_residual(
+        capsys, files, group, digest):
+    """The tables of marks of S6 and A6, whose perfect residuals are A6,
+    hash as they did while every class representative was extended by
+    every element of prime power order, normalizing it or not."""
+    code, out, _ = run(capsys, "group", "marks", "--format", "json",
+                       "--input", files("g.json", group))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 GOLDEN_POWER = json.loads(
     (pathlib.Path(__file__).parent / "golden_power.json").read_text())
 

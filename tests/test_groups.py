@@ -729,6 +729,53 @@ def test_symmetric_lattice_counts(n, classes, subgroups):
     assert len(lat.class_index) == subgroups
 
 
+A5 = {"type": "perm", "degree": 5,
+      "generators": [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]}
+A6 = {"type": "perm", "degree": 6,
+      "generators": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]}
+
+
+@pytest.mark.parametrize("desc, classes, subgroups",
+                         [(A5, 9, 59), (A6, 22, 501)], ids=["A5", "A6"])
+def test_alternating_lattice_counts(desc, classes, subgroups):
+    """Conjugacy classes of subgroups and all subgroups of A5 and A6.
+    Neither has a subgroup of prime index, so every class above the
+    trivial group's is reached inside the perfect residual G^∞ = G."""
+    lat = subgroup_lattice(make_group(desc))
+    assert len(lat.classes) == classes
+    assert len(lat.class_index) == subgroups
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: groups_mod.SymmetricGroup(4), 1),
+    (lambda: WreathGroup(cyclic(2), 3), 1),
+    (lambda: WreathGroup(symmetric(3), 2), 1),
+    (lambda: groups_mod.SymmetricGroup(5), 60),
+    (lambda: groups_mod.SymmetricGroup(6), 360),
+    (lambda: groups_mod.PermGroup(6, [tuple(p) for p in A6["generators"]]),
+     360),
+], ids=["S4", "C2wrS3", "S3wrS2", "S5", "S6", "A6"])
+def test_the_lattice_reads_the_perfect_residual(monkeypatch, build, order):
+    """G^∞, the last term of the derived series, is trivial for solvable
+    groups, the even permutations for S5 and S6, and all of A6."""
+    seen = []
+
+    def residual(*args, inner=groups_mod._perfect_residual):
+        seen.append(inner(*args))
+        return seen[-1]
+    monkeypatch.setattr(groups_mod, "_perfect_residual", residual)
+    G = build()  # a fresh instance: no lattice cached
+    subgroup_lattice(G)
+    assert len(seen) == 1 and len(seen[0]) == order
+    if order > 1:  # S5, S6 and A6: the even permutations
+        assert seen[0] == {i for i, p in enumerate(G.perms) if _is_even(p)}
+
+
+def _is_even(perm) -> bool:
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return inversions % 2 == 0
+
+
 def test_perm_closure_budget(monkeypatch):
     """The closure stops at the first element past the budget."""
     monkeypatch.setattr(groups_mod, "PERM_CLOSURE_BUDGET", 50)
@@ -854,9 +901,9 @@ def all_subgroups_by_upward_closure(G) -> set[frozenset[int]]:
 
 
 @pytest.mark.parametrize("desc", [S4, D4, C2WRS3, S3WRS2, C2_4, D6XC2,
-                                  C3WRS2],
+                                  C3WRS2, A5],
                          ids=["S4", "D4", "C2wrS3", "S3wrS2", "C2^4", "D6xC2",
-                              "C3wrS2"])
+                              "C3wrS2", "A5"])
 def test_lattice_matches_upward_closure(desc):
     G = make_group(desc)
     assert set(subgroup_lattice(G).class_index) == \
@@ -864,19 +911,20 @@ def test_lattice_matches_upward_closure(desc):
 
 
 @pytest.mark.parametrize("build, lattice, reduce", [
-    (lambda: groups_mod.SymmetricGroup(4), 18, 0),
-    (lambda: WreathGroup(cyclic(2), 3), 84, 0),
+    (lambda: groups_mod.SymmetricGroup(4), 14, 0),
+    (lambda: WreathGroup(cyclic(2), 3), 36, 0),
 ], ids=["S4", "C2wrS3"])
 def test_lattice_extension_count(monkeypatch, build, lattice, reduce):
     """Each class representative R is extended only by prime-power-order
-    cyclic generators g with g^p in R, skipping every g in an indexed
-    K ⊇ R of prime index and all but one g per double coset R·g·R, and the
-    representatives' generators are read off the extension chains: the
-    lattice's own calls to extend_subgroup and those under
-    _reduce_generators are pinned.  Extending R by every cyclic generator
-    outside it made 132 and 895 lattice calls; the double-coset cover
-    alone made 43 and 206, plus 19 and 65 calls that re-derived the
-    representatives' generators."""
+    cyclic generators g with g^p in R that normalize R or lie with R in
+    G^∞, skipping every g in an indexed K ⊇ R of prime index and all but
+    one g per double coset R·g·R, and the representatives' generators are
+    read off the extension chains: the lattice's own calls to
+    extend_subgroup, G^∞'s among them, and those under _reduce_generators
+    are pinned.  Extending R by every such g, normalizing R or not, made
+    18 and 84 lattice calls; by every cyclic generator outside it, 132 and
+    895; the double-coset cover alone made 43 and 206, plus 19 and 65
+    calls that re-derived the representatives' generators."""
     counts = {"lattice": 0, "reduce": 0}
     depth = [0]
 
