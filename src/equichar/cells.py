@@ -8,7 +8,7 @@ multiplicative identities through their BiSet cells.
 
 from __future__ import annotations
 
-from .errors import UsageError
+from .errors import UsageError, check_int
 from .gsets import BiSet
 
 
@@ -20,9 +20,7 @@ class CellSpace:
         if not cells:
             raise UsageError("cell space needs at least one cell")
         for d, F in cells:
-            if type(d) is not int or d < 0:
-                raise UsageError(
-                    f"cell dimension must be an integer >= 0, got {d!r}")
+            check_int("cell dimension", d, 0)
             if not isinstance(F, BiSet):
                 raise UsageError("cells must be (dim, BiSet) pairs")
         first = cells[0][1]

@@ -40,7 +40,7 @@ import weakref
 from array import array
 from functools import cached_property, partial
 
-from .errors import InvariantViolation, UsageError, check_budget
+from .errors import InvariantViolation, UsageError, check_budget, check_int
 
 SUBGROUP_BUDGET = 4096      # subgroups a lattice may index
 CAYLEY_TABLE_LIMIT = 1024   # group order for the lattice's Cayley table
@@ -53,9 +53,9 @@ ORDER_LIMIT = 100   # the order-k recursions here and above go k deep
 
 
 def check_order(k: int) -> None:
-    """Refuse an order k below 0 or above ORDER_LIMIT, before any work."""
-    if k < 0:
-        raise UsageError(f"order must be >= 0, got {k}")
+    """Refuse an order k that is not an integer >= 0 or is above
+    ORDER_LIMIT, before any work."""
+    check_int("order", k, 0)
     check_budget("order k", k, ORDER_LIMIT)
 
 
@@ -138,8 +138,7 @@ class FiniteGroup:
 class CyclicGroup(FiniteGroup):
     def __init__(self, n: int, label: str | None = None,
                  descriptor: dict | None = None):
-        if n <= 0:
-            raise UsageError(f"cyclic group needs n >= 1, got {n}")
+        check_int("cyclic group n", n, 1)
         gens = (1,) if n > 1 else ()
         super().__init__(n, gens, label or f"C{n}",
                          descriptor or {"type": "cyclic", "n": n})
@@ -153,8 +152,7 @@ class DihedralGroup(FiniteGroup):
     """Order 2n; element f*n + r is rotation r followed by optional flip f."""
 
     def __init__(self, n: int):
-        if n <= 0:
-            raise UsageError(f"dihedral group needs n >= 1, got {n}")
+        check_int("dihedral group n", n, 1)
         self.n = n
         if n == 1:
             gens: tuple[int, ...] = (1,)
@@ -212,6 +210,7 @@ class PermGroup(FiniteGroup):
 
     def __init__(self, degree: int, gen_perms: list[tuple[int, ...]],
                  descriptor: dict | None = None):
+        check_int("permutation group degree", degree, 0)
         ident = tuple(range(degree))
         for p in gen_perms:
             if len(p) != degree or sorted(p) != list(range(degree)):
@@ -251,8 +250,7 @@ class SymmetricGroup(PermGroup):
     """S_n on permutation ranks, lexicographic order; identity is rank 0."""
 
     def __init__(self, n: int):
-        if n < 0:
-            raise UsageError(f"symmetric group needs n >= 0, got {n}")
+        check_int("symmetric group n", n, 0)
         check_budget(f"symmetric group degree {n}", n, SYMMETRIC_DEGREE_LIMIT)
         gens = []
         if n >= 2:
@@ -280,8 +278,7 @@ class WreathGroup(FiniteGroup):
 
     def __init__(self, inner: FiniteGroup, n: int,
                  descriptor: dict | None = None):
-        if n < 0:
-            raise UsageError(f"wreath product needs n >= 0, got {n}")
+        check_int("wreath product n", n, 0)
         self.inner = inner
         self.n = n
         self.top = SymmetricGroup(n)
@@ -402,38 +399,30 @@ def make_group(descriptor: dict) -> FiniteGroup:
     if kind == "trivial":
         g = CyclicGroup(1, label="triv", descriptor={"type": "trivial"})
     elif kind == "cyclic":
-        g = CyclicGroup(_int_field(descriptor, "n", minimum=1))
+        g = CyclicGroup(descriptor.get("n"))
     elif kind == "symmetric":
-        g = SymmetricGroup(_int_field(descriptor, "n", minimum=0))
+        g = SymmetricGroup(descriptor.get("n"))
     elif kind == "dihedral":
-        g = DihedralGroup(_int_field(descriptor, "n", minimum=1))
+        g = DihedralGroup(descriptor.get("n"))
     elif kind == "product":
         factors = descriptor.get("factors")
         if not isinstance(factors, list):
             raise UsageError("product descriptor needs a 'factors' list")
         g = ProductGroup(tuple(make_group(f) for f in factors), descriptor)
     elif kind == "perm":
-        degree = _int_field(descriptor, "degree", minimum=0)
         gens = descriptor.get("generators")
         if not is_int_lists(gens):
             raise UsageError("perm descriptor needs a 'generators' list "
                              "of integer lists")
-        g = PermGroup(degree, [tuple(p) for p in gens], descriptor)
+        g = PermGroup(descriptor.get("degree"), [tuple(p) for p in gens],
+                      descriptor)
     elif kind == "wreath":
-        n = _int_field(descriptor, "n", minimum=0)
-        inner = make_group(descriptor.get("inner"))
-        g = WreathGroup(inner, n, descriptor)
+        g = WreathGroup(make_group(descriptor.get("inner")),
+                        descriptor.get("n"), descriptor)
     else:
         raise UsageError(f"unknown group type {kind!r}")
     _GROUP_CACHE[key] = g
     return g
-
-
-def _int_field(d: dict, name: str, minimum: int) -> int:
-    v = d.get(name)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise UsageError(f"descriptor field {name!r} must be an integer >= {minimum}")
-    return v
 
 
 def is_int_lists(v) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .errors import InvariantViolation, UsageError, check_budget
+from .errors import InvariantViolation, UsageError, check_budget, check_int
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -35,8 +35,7 @@ class BiSet:
 
     def __init__(self, size: int, gO: FiniteGroup, gB: FiniteGroup,
                  actO, actB):
-        if type(size) is not int or size < 0:
-            raise UsageError(f"size must be an integer >= 0, got {size!r}")
+        check_int("size", size, 0)
         actO = tuple(tuple(p) for p in actO)
         actB = tuple(tuple(p) for p in actB)
         if len(actO) != len(gO.generators):
@@ -170,8 +169,7 @@ def quotient_by(X: BiSet, K: Subgroup | None = None,
 def symmetric_power(X: BiSet, k: int) -> BiSet:
     """Unordered k-element multisets with both diagonal actions; more than
     POINT_BUDGET of them is refused before any is listed."""
-    if k < 0:
-        raise UsageError(f"symmetric power needs k >= 0, got {k}")
+    check_int("symmetric power k", k, 0)
     size = comb(X.size + k - 1, k) if X.size else 0
     check_budget("symmetric power points", size, POINT_BUDGET)
     points = list(itertools.combinations_with_replacement(range(X.size), k))
@@ -190,8 +188,7 @@ def wreath_power(X: BiSet, n: int) -> BiSet:
     """X^n with the wreath product gO≀S_n acting on the O side
     ((a,σ)·x)_i = a_i·x_{σ⁻¹(i)} and gB acting diagonally; more than
     POINT_BUDGET points is refused before the wreath group is built."""
-    if n < 0:
-        raise UsageError(f"wreath power needs n >= 0, got {n}")
+    check_int("wreath power n", n, 0)
     if n == 1:
         return X
     size = X.size ** n

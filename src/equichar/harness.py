@@ -16,7 +16,7 @@ from math import comb, factorial
 
 from . import gsets
 from .burnside import burnside_ring, chi_equivariant, class_of
-from .errors import UsageError, check_budget
+from .errors import UsageError, check_budget, check_int, parse_fraction
 from .euler import ORACLE_GROUP_LIMIT, chi_k_equivariant
 from .groups import SYMMETRIC_DEGREE_LIMIT, check_order, cyclic, symmetric
 from .gsets import BiSet, symmetric_power, wreath_power
@@ -186,8 +186,8 @@ def verify_axioms(ring_name: str, trials: int = 100, N: int = 6,
                   seed: int = 0) -> VerificationReport:
     """Randomized exact check of the four power-structure axioms plus
     finite determinacy over the chosen coefficient ring."""
-    if N < 1 or trials < 1:
-        raise UsageError("axioms need N >= 1 and trials >= 1")
+    check_int("truncation", N, 1)
+    check_int("trials", trials, 1)
     check_truncation(N)
     check_trials(trials, N)
     ring, bring = _axiom_rings(ring_name)
@@ -234,11 +234,10 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
     the zeta scaling rule, the L -> 1 specialization, and the weightless
     degeneration of the L-weighted Macdonald product, with the given two
     weights when there are any."""
-    if N < 0 or trials < 1:
-        raise UsageError("props12 needs N >= 0 and trials >= 1")
+    check_int("trials", trials, 1)
+    check_truncation(N)
     if weights is not None and len(weights) != 2:
         raise UsageError(f"need 2 weights, got {len(weights)}")
-    check_truncation(N)
     check_trials(trials, N)
     bring = burnside_ring(_S3)
     ring = lext_coeff_ring(bring)
@@ -248,7 +247,7 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
         "props12", {"trials": trials, "N": N, "seed": seed,
                     "ring": f"A({bring.group.label})[L^Q]"})
     if weights is not None:
-        report.params["weights"] = [str(Fraction(w)) for w in weights]
+        report.params["weights"] = [str(parse_fraction(w)) for w in weights]
 
     svals = (Fraction(1, 2), Fraction(1), Fraction(2))
 

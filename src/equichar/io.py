@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .burnside import BurnsideElement, BurnsideRing, burnside_ring
 from .cells import CellSpace
-from .errors import InvariantViolation, ResourceLimitError, UsageError
+from .errors import (InvariantViolation, ResourceLimitError, UsageError,
+                     parse_fraction)
 from .groups import is_int_lists, make_group
 from .gsets import BiSet
 from .motivic import LExtElement, OrbifoldDatum, lext
@@ -55,17 +56,6 @@ def _field(obj, name):
     if not isinstance(obj, dict) or name not in obj:
         raise UsageError(f"missing field {name!r}")
     return obj[name]
-
-
-def parse_fraction(v) -> Fraction:
-    try:
-        if isinstance(v, bool):
-            raise ValueError
-        if isinstance(v, (int, str)):
-            return Fraction(v)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise UsageError(f"bad rational {v!r}")
 
 
 def format_fraction(q: Fraction):
@@ -152,8 +142,6 @@ def datum_from_json(obj) -> OrbifoldDatum:
     gB = make_group(_field(obj, "gB"))
     bring = burnside_ring(gB)
     k = _field(obj, "k")
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise UsageError("\"k\" must be an integer")
     weights = _field(obj, "weights")
     raw_strata = _field(obj, "strata")
     if not isinstance(weights, list) or not isinstance(raw_strata, list):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .burnside import BurnsideElement, BurnsideRing
-from .errors import UsageError, check_budget
+from .errors import UsageError, check_budget, check_int, parse_fraction
 from .groups import FiniteGroup, check_order
 from .powerstruct import (INT_RING, TruncatedSeries, exponent_tuples,
                           lambda_term, log_coeff, power)
@@ -127,7 +127,7 @@ def _normal(bring: BurnsideRing, D: int, pairs) -> LExtElement:
 
 def lext(bring: BurnsideRing, pairs) -> LExtElement:
     """The element sum of L^q * c over (rational q, c) pairs."""
-    pairs = [(Fraction(q), c) for q, c in pairs]
+    pairs = [(parse_fraction(q), c) for q, c in pairs]
     D = lcm(*(q.denominator for q, _ in pairs))
     return _normal(bring, D, [(q.numerator * (D // q.denominator), c)
                               for q, c in pairs])
@@ -141,7 +141,7 @@ def embed(x: BurnsideElement) -> LExtElement:
 
 
 def L(bring: BurnsideRing, q=1) -> LExtElement:
-    return lext(bring, ((Fraction(q), bring.unit),))
+    return lext(bring, ((q, bring.unit),))
 
 
 def specialize_L(a: LExtElement) -> BurnsideElement:
@@ -262,14 +262,13 @@ def phi_k(rs, phis) -> Fraction:
     """phi_1(r_1 - 1) + phi_2 r_1 (r_2 - 1) + ... +
     phi_k r_1...r_{k-1} (r_k - 1)."""
     rs = tuple(rs)
-    phis = tuple(Fraction(p) for p in phis)
+    phis = tuple(map(parse_fraction, phis))
     if len(rs) != len(phis):
         raise UsageError(f"{len(rs)} indices vs {len(phis)} weights")
     total = Fraction(0)
     prefix = 1
     for r, p in zip(rs, phis):
-        if r < 1:
-            raise UsageError(f"indices must be >= 1, got {r}")
+        check_int("phi_k index", r, 1)
         total += p * prefix * (r - 1)
         prefix *= r
     return total
@@ -292,14 +291,14 @@ class OrbifoldDatum:
         if len(weights) != k:
             raise UsageError(f"need {k} weights, got {len(weights)}")
         self.group, self.bring, self.k = group, bring, k
-        self.weights = tuple(Fraction(p) for p in weights)
+        self.weights = tuple(map(parse_fraction, weights))
         norm = []
         for tup, cls, shift in strata:
             if not isinstance(cls, LExtElement) or cls.ring is not bring:
                 raise UsageError("stratum class not in the datum's ring")
             tup = tuple(tup)
             _check_tuple_label(group, tup, k)
-            norm.append((tup, cls, Fraction(shift)))
+            norm.append((tup, cls, parse_fraction(shift)))
         self.strata = tuple(norm)
         if all(p >= 0 for p in self.weights):
             for _, _, shift in self.strata:
@@ -335,15 +334,15 @@ def rhs_theorem2(m, k: int, d, weights=None, N: int = 6) -> TruncatedSeries:
     """prod over r_1..r_k with product <= N of
     (1 - L^{Phi_k(r)d/2} t^{r_1...r_k})^{r_2 r_3^2 ... r_k^{k-1}},
     raised to -m under the L-extended power structure."""
-    if k < 1:
-        raise UsageError(f"order must be >= 1, got {k}")
+    check_int("order", k, 1)
     check_order(k)
-    d = Fraction(d)
+    check_int("truncation", N, 0)
+    d = parse_fraction(d)
     if d < 0:
         raise UsageError(f"dimension must be >= 0, got {d}")
     if weights is None:
         weights = (1,) * k
-    weights = tuple(Fraction(p) for p in weights)
+    weights = tuple(map(parse_fraction, weights))
     if len(weights) != k:
         raise UsageError(f"need {k} weights, got {len(weights)}")
     if isinstance(m, BurnsideElement):

@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .burnside import BurnsideElement, BurnsideRing
-from .errors import InvariantViolation, UsageError, check_budget
+from .errors import InvariantViolation, UsageError, check_budget, check_int
 from .groups import check_order
 
 TRUNCATION_LIMIT = 200   # series degree N taken by the CLI and the law checks
@@ -83,7 +83,7 @@ class IntRing:
 
     @staticmethod
     def entries(c) -> tuple:
-        if not isinstance(c, int):
+        if type(c) is not int:
             raise UsageError(f"not an integer: {type(c).__name__}")
         return 1, [c]
 
@@ -222,8 +222,7 @@ class TruncatedSeries:
     def substitute(self, c, r: int) -> TruncatedSeries:
         """t -> c * t^r.  At each mark, with x the entry of c, the logs of
         f(x·t^r) are r·sum h_m x^m t^(r·m)."""
-        if r < 1:
-            raise UsageError(f"substitution power must be >= 1, got {r}")
+        check_int("substitution power", r, 1)
         ring = self.ring
         Dc, cs = ring.entries(ring.one * c)
         D, logs = lcm(self.D, Dc), []
@@ -237,6 +236,7 @@ class TruncatedSeries:
         return TruncatedSeries.from_logs(ring, D, logs)
 
     def truncate(self, M: int) -> TruncatedSeries:
+        check_int("truncation", M, 0)
         if M > self.N:
             raise UsageError(f"cannot extend truncation {self.N} to {M}")
         return TruncatedSeries.from_logs(self.ring, self.D,
@@ -259,8 +259,8 @@ class TruncatedSeries:
 
 def lambda_term(ring, c, i: int, N: int) -> TruncatedSeries:
     """lambda_c(t^i) truncated at N, in closed form (see the module doc)."""
-    if i < 1:
-        raise UsageError(f"lambda-term power must be >= 1, got {i}")
+    check_int("lambda-term power", i, 1)
+    check_int("truncation", N, 0)
     D, xs = ring.entries(c)
     return _reconstruct(ring, D, [(i, xs)], N)
 
@@ -306,7 +306,7 @@ def power(A: TruncatedSeries, m) -> TruncatedSeries:
     entry by entry at each mark; an integer m stands for m·1, and an m
     from another coefficient ring is refused."""
     ring = A.ring
-    Dm, ms = ring.entries(m * ring.one if isinstance(m, int) else m)
+    Dm, ms = ring.entries(m * ring.one if type(m) is int else m)
     D = lcm(A.D, Dm)
     ms = _lift(ms, D // Dm)
     return _reconstruct(ring, D, [
@@ -333,9 +333,9 @@ def exponent_tuples(k: int, N: int):
 
 
 def check_truncation(N: int) -> None:
-    """Refuse a truncation N below 0 or above TRUNCATION_LIMIT, before work."""
-    if N < 0:
-        raise UsageError(f"truncation must be >= 0, got {N}")
+    """Refuse a truncation N that is not an integer >= 0 or is above
+    TRUNCATION_LIMIT, before work."""
+    check_int("truncation", N, 0)
     check_budget("truncation N", N, TRUNCATION_LIMIT)
 
 
@@ -350,6 +350,7 @@ def rhs_theorem1(m, k: int, N: int) -> TruncatedSeries:
     """The Macdonald right-hand side: the base product raised to -m under
     the power structure of m's ring (integers or a Burnside ring)."""
     check_order(k)
+    check_int("truncation", N, 0)
     base = rhs_base_series(k, N)
     if isinstance(m, int):
         return power(base, -m)

@@ -612,7 +612,7 @@ def test_flag_errors_do_not_name_the_file(capsys, files):
     path = files("in.json", {"ring": "int", "series": [1], "exponent": 1})
     code, out, err = run(capsys, "power", "--N", "-1", "--input", path)
     assert code == 1 and out == ""
-    assert err == "error: truncation must be >= 0, got -1\n"
+    assert err == "error: truncation must be an integer >= 0, got -1\n"
     code, out, err = run(capsys, "verify", "props12", "--trials", "1",
                          "--weights", "1,x")
     assert code == 1 and out == ""
@@ -621,12 +621,12 @@ def test_flag_errors_do_not_name_the_file(capsys, files):
 
 @pytest.mark.parametrize("argv, err", [
     (("verify", "theorem1", "--k", "1", "--N", "-1"),
-     "error: truncation must be >= 0, got -1\n"),
+     "error: truncation must be an integer >= 0, got -1\n"),
     (("verify", "theorem1", "--k", "-1", "--N", "2"),
-     "error: order must be >= 0, got -1\n"),
+     "error: order must be an integer >= 0, got -1\n"),
     (("verify", "lemma1", "--N", "-1"),
-     "error: truncation must be >= 0, got -1\n"),
-    (("power", "--N", "-1"), "error: truncation must be >= 0, got -1\n"),
+     "error: truncation must be an integer >= 0, got -1\n"),
+    (("power", "--N", "-1"), "error: truncation must be an integer >= 0, got -1\n"),
 ], ids=["theorem1-N", "theorem1-k", "lemma1-N", "power-N"])
 def test_negative_order_or_truncation_has_one_message(capsys, files, argv,
                                                       err):

@@ -129,7 +129,7 @@ def test_no_fraction_in_arithmetic(monkeypatch):
 
     monkeypatch.setattr(motivic, "Fraction", boom)
     with pytest.raises(AssertionError):
-        lext(bring, ((1, bring.unit),))
+        embed(bring.unit)
     assert [a + b for a in els for b in els] == sums
     assert [a - b for a in els for b in els] == diffs
     assert [a * b for a in els for b in els] == prods

@@ -1,10 +1,12 @@
 """Input refusals of the library calls that no other test reaches: each
 case is refused with UsageError, and its message names the fault; an order
 past ORDER_LIMIT is refused with ResourceLimitError before any work; every
-ResourceLimitError is raised by errors.check_budget."""
+ResourceLimitError is raised by errors.check_budget, and every "integer >= m"
+refusal by errors.check_int."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -12,31 +14,39 @@ import equichar.errors as errors_mod
 from equichar.burnside import burnside_ring
 from equichar.cells import CellSpace
 from equichar.errors import ResourceLimitError, UsageError, check_budget
-from equichar.euler import chi_k_averaging, chi_k_equivariant_tuples
-from equichar.groups import (CyclicGroup, DihedralGroup, SymmetricGroup,
-                             WreathGroup, commuting_tuple_classes, cyclic,
-                             symmetric, trivial_group, whole_subgroup)
+from equichar.euler import chi_k, chi_k_averaging, chi_k_equivariant_tuples
+from equichar.groups import (CyclicGroup, DihedralGroup, PermGroup,
+                             SymmetricGroup, WreathGroup,
+                             commuting_tuple_classes, cyclic, symmetric,
+                             trivial_group, whole_subgroup)
 from equichar.gsets import (BiSet, biset_from_single_action, quotient_by,
                             symmetric_power, wreath_power)
-from equichar.motivic import L, OrbifoldDatum, embed
-from equichar.powerstruct import rhs_theorem1
+from equichar.harness import verify_axioms, verify_lemma1, verify_props12
+from equichar.motivic import L, OrbifoldDatum, embed, lext, phi_k, rhs_theorem2
+from equichar.powerstruct import (INT_RING, TruncatedSeries, lambda_term,
+                                  power, rhs_theorem1)
 
 C2 = cyclic(2)
 R2, R3 = burnside_ring(C2), burnside_ring(symmetric(3))
 FLIP = biset_from_single_action(2, C2, [(1, 0)], side="O")
 TRIV3 = BiSet(3, trivial_group(), trivial_group(), (), ())
+SERIES_Z = TruncatedSeries(INT_RING, (1, 2, 3))
 
 REFUSALS = [
-    ("cyclic", lambda: CyclicGroup(0), "cyclic group needs n >= 1"),
-    ("dihedral", lambda: DihedralGroup(0), "dihedral group needs n >= 1"),
-    ("symmetric", lambda: SymmetricGroup(-1), "symmetric group needs n >= 0"),
-    ("wreath", lambda: WreathGroup(C2, -1), "wreath product needs n >= 0"),
+    ("cyclic", lambda: CyclicGroup(0),
+     "cyclic group n must be an integer >= 1, got 0"),
+    ("dihedral", lambda: DihedralGroup(0),
+     "dihedral group n must be an integer >= 1, got 0"),
+    ("symmetric", lambda: SymmetricGroup(-1),
+     "symmetric group n must be an integer >= 0, got -1"),
+    ("wreath", lambda: WreathGroup(C2, -1),
+     "wreath product n must be an integer >= 0, got -1"),
     ("tuple-order", lambda: commuting_tuple_classes(C2, -1),
-     "order must be >= 0, got -1"),
+     "order must be an integer >= 0, got -1"),
     ("averaging-order", lambda: chi_k_averaging(TRIV3, -1),
-     "order must be >= 0, got -1"),
+     "order must be an integer >= 0, got -1"),
     ("averaging-order-flip", lambda: chi_k_averaging(FLIP, -1),
-     "order must be >= 0, got -1"),
+     "order must be an integer >= 0, got -1"),
     ("b-perms", lambda: BiSet(2, C2, C2, [(1, 0)], []),
      "need 1 B-side permutations, got 0"),
     ("act-side", lambda: FLIP.act("X", 1, [0]), "side must be 'O' or 'B'"),
@@ -45,9 +55,9 @@ REFUSALS = [
     ("quotient", lambda: quotient_by(FLIP, whole_subgroup(cyclic(3))),
      "subgroup belongs to a different group"),
     ("symmetric-power", lambda: symmetric_power(FLIP, -1),
-     "symmetric power needs k >= 0"),
+     "symmetric power k must be an integer >= 0, got -1"),
     ("wreath-power", lambda: wreath_power(FLIP, -1),
-     "wreath power needs n >= 0"),
+     "wreath power n must be an integer >= 0, got -1"),
     ("no-cells", lambda: CellSpace([]), "at least one cell"),
     ("cell-not-biset", lambda: CellSpace([(0, "point")]),
      "cells must be \\(dim, BiSet\\) pairs"),
@@ -59,13 +69,82 @@ REFUSALS = [
     ("element-bool", lambda: R2.element((True, 0)),
      "coefficients must be integers, got True"),
     ("datum-order", lambda: OrbifoldDatum(C2, R2, -1, (), ()),
-     "order must be >= 0, got -1"),
+     "order must be an integer >= 0, got -1"),
     ("datum-ring", lambda: OrbifoldDatum(C2, R2, 1, (1,), (
         ((0,), embed(R3.unit), 0),)), "stratum class not in the datum's ring"),
     ("rhs-exponent", lambda: rhs_theorem1("m", 1, 3),
      "unsupported exponent type str"),
     ("embed", lambda: embed(3), "cannot embed int"),
+    ("int-coefficient-bool", lambda: TruncatedSeries(INT_RING, (True, 2)),
+     "not an integer: bool"),
+    ("int-power-bool", lambda: power(SERIES_Z, True), "not an integer: bool"),
 ]
+
+# Every check_int site, as (id, call of the checked integer, what the
+# message names, least value admitted).  Each refuses an int below the
+# least value, a float and a bool; an id that REFUSALS already has is
+# there with its int below the least value.
+INT_SITES = [
+    ("cyclic", CyclicGroup, "cyclic group n", 1),
+    ("dihedral", DihedralGroup, "dihedral group n", 1),
+    ("symmetric", SymmetricGroup, "symmetric group n", 0),
+    ("wreath", lambda n: WreathGroup(C2, n), "wreath product n", 0),
+    ("perm", lambda d: PermGroup(d, []), "permutation group degree", 0),
+    ("tuple-order", lambda k: commuting_tuple_classes(C2, k), "order", 0),
+    ("chi-k", lambda k: chi_k(TRIV3, k), "order", 0),
+    ("averaging-order", lambda k: chi_k_averaging(TRIV3, k), "order", 0),
+    ("datum-order", lambda k: OrbifoldDatum(C2, R2, k, (), ()), "order", 0),
+    ("rhs2-order", lambda k: rhs_theorem2(embed(R2.unit), k, 0), "order", 1),
+    ("size", lambda n: BiSet(n, C2, C2, [], []), "size", 0),
+    ("symmetric-power", lambda k: symmetric_power(FLIP, k),
+     "symmetric power k", 0),
+    ("wreath-power", lambda n: wreath_power(FLIP, n), "wreath power n", 0),
+    ("dim", lambda d: CellSpace([(d, FLIP)]), "cell dimension", 0),
+    ("lemma1-N", lambda N: verify_lemma1(FLIP, N), "truncation", 0),
+    ("axioms-N", lambda N: verify_axioms("int", 1, N), "truncation", 1),
+    ("axioms-trials", lambda t: verify_axioms("int", t, 1), "trials", 1),
+    ("props12-N", lambda N: verify_props12(1, N), "truncation", 0),
+    ("props12-trials", lambda t: verify_props12(t, 1), "trials", 1),
+    ("phi-index", lambda r: phi_k((r,), (1,)), "phi_k index", 1),
+    ("substitute", lambda r: SERIES_Z.substitute(1, r), "substitution power",
+     1),
+    ("lambda-term", lambda i: lambda_term(INT_RING, 1, i, 2),
+     "lambda-term power", 1),
+    ("lambda-term-N", lambda N: lambda_term(INT_RING, 1, 1, N),
+     "truncation", 0),
+    ("truncate", SERIES_Z.truncate, "truncation", 0),
+    ("rhs1-N", lambda N: rhs_theorem1(1, 1, N), "truncation", 0),
+    ("rhs2-N", lambda N: rhs_theorem2(embed(R2.unit), 1, 0, None, N),
+     "truncation", 0),
+]
+OLD_IDS = {c[0] for c in REFUSALS}
+REFUSALS += [
+    (f"{name}-{kind}", lambda call=call, v=v: call(v),
+     f"^{re.escape(f'{what} must be an integer >= {least}, got {v!r}')}$")
+    for name, call, what, least in INT_SITES
+    for kind, v in (("below", least - 1), ("float", least + 1.5),
+                    ("bool", True))
+    if not (kind == "below" and name in OLD_IDS)]
+
+# A rational from a caller is an int, a Fraction or a "p/q" string: a float
+# would become a binary fraction and a bool an integer.
+REFUSALS += [
+    (name, call, f"^bad rational {re.escape(repr(v))}$")
+    for v in (0.1, True)
+    for name, call in [
+        (f"L-{v}", lambda v=v: L(R2, v)),
+        (f"lext-{v}", lambda v=v: lext(R2, ((v, R2.unit),))),
+        (f"phi-weight-{v}", lambda v=v: phi_k((2,), (v,))),
+        (f"datum-weight-{v}", lambda v=v: OrbifoldDatum(C2, R2, 1, (v,), ())),
+        (f"datum-shift-{v}", lambda v=v: OrbifoldDatum(
+            C2, R2, 1, (1,), (((0,), embed(R2.unit), v),))),
+        (f"rhs2-dimension-{v}",
+         lambda v=v: rhs_theorem2(embed(R2.unit), 1, v)),
+        (f"rhs2-weight-{v}",
+         lambda v=v: rhs_theorem2(embed(R2.unit), 1, 1, (v,))),
+        (f"props12-weight-{v}",
+         lambda v=v: verify_props12(1, 1, weights=(v, 1))),
+    ]]
 
 
 @pytest.mark.parametrize("call, match", [c[1:] for c in REFUSALS],
@@ -123,3 +202,35 @@ def test_check_budget_is_the_only_place_a_budget_error_is_made():
                 if isinstance(f, ast.FunctionDef) and f.name == "check_budget"]
     assert [c for tree in trees.values() for c in calls(tree)] == \
         calls(check) and len(calls(check)) == 1
+
+
+def test_check_int_is_the_only_place_an_integer_bound_is_refused():
+    """One rule for every "integer >= m": outside errors.py, no UsageError
+    is raised straight under an if that compares a name with an integer
+    constant.  Only the two sign checks of rationals are exempt; a range
+    check such as 0 <= idx < n names both its bounds and is not one."""
+    exempt = {("rhs_theorem2", "d"), ("OrbifoldDatum", "shift")}
+    src = pathlib.Path(errors_mod.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.If) or not any(
+                        isinstance(s, ast.Raise) and
+                        isinstance(s.exc, ast.Call) and
+                        getattr(s.exc.func, "id", "") == "UsageError"
+                        for s in node.body):
+                    continue
+                for c in ast.walk(node.test):
+                    if isinstance(c, ast.Compare) and len(c.ops) == 1:
+                        sides = (c.left, c.comparators[0])
+                        names = [x.id for x in sides
+                                 if isinstance(x, ast.Name)]
+                        if names and any(
+                                isinstance(x, ast.Constant) and
+                                type(x.value) is int for x in sides):
+                            found.add((getattr(top, "name", path.name),
+                                       names[0]))
+    assert found == exempt
