@@ -38,7 +38,7 @@ from collections import Counter
 from itertools import chain, compress
 
 from .cells import CellSpace
-from .errors import InvariantViolation, UsageError, check_budget
+from .errors import InvariantViolation, UsageError, check_budget, exact_div
 from .gsets import BiSet
 from .groups import FiniteGroup, SubgroupLattice, subgroup_lattice
 
@@ -82,8 +82,8 @@ class BurnsideRing:
             if order > k:  # classes ascend by order: none further lies in K
                 break
             inside = 0 if k % order else sum(map(kset.issuperset, conj))
-            row.append(inside and _exact(self.group.order * inside,
-                                         len(conj) * k, "a mark"))
+            row.append(inside and exact_div(self.group.order * inside,
+                                            len(conj) * k, "a mark"))
         return tuple(row) + (0,) * (self.n - len(row))
 
     # -- elements ------------------------------------------------------------
@@ -102,6 +102,9 @@ class BurnsideRing:
         return BurnsideElement(self, tuple(marks), coeffs)
 
     def basis(self, i: int) -> BurnsideElement:
+        if type(i) is not int or not 0 <= i < self.n:
+            raise UsageError(f"index must name one of the {self.n} basis "
+                             f"classes, got {i!r}")
         return self.element(tuple(1 if j == i else 0 for j in range(self.n)))
 
     @property
@@ -166,12 +169,12 @@ class BurnsideRing:
     def _orbits(self, h: int, k: int) -> Counter:
         """{d: the number of K-orbits of size d on G/H_h}, for K = H_k."""
         conj, kset = self.conjugates[h], self.ksets[k]
-        share = _exact(self.group.order, len(conj) * len(self.ksets[h]),
-                       "cosets per conjugate")
+        share = exact_div(self.group.order, len(conj) * len(self.ksets[h]),
+                          "cosets per conjugate")
         orbits = Counter()
         for meet, m in Counter(len(kset & c) for c in conj).items():
-            d = _exact(len(kset), meet, "an orbit size")
-            orbits[d] = _exact(share * m, d, "an orbit count")
+            d = exact_div(len(kset), meet, "an orbit size")
+            orbits[d] = exact_div(share * m, d, "an orbit count")
         return orbits
 
     def _down_sets(self) -> list[tuple[int, ...]]:
@@ -263,7 +266,7 @@ class BurnsideElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return BurnsideElement(self.ring,
                                    tuple(other * a for a in self._marks))
         self._check(other)
@@ -272,7 +275,7 @@ class BurnsideElement:
             a * b for a, b in zip(self._marks, other._marks)))
 
     def __rmul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return self.__mul__(other)
         return NotImplemented
 
@@ -290,14 +293,6 @@ class BurnsideElement:
 
     def __repr__(self) -> str:
         return f"<A({self.ring.group.label}) {self.render()}>"
-
-
-def _exact(a: int, b: int, what: str) -> int:
-    """a / b, which must be an integer."""
-    q, rem = divmod(a, b)
-    if rem:
-        raise InvariantViolation(f"{what} is not an integer: {a}/{b}")
-    return q
 
 
 def burnside_ring(G: FiniteGroup) -> BurnsideRing:

@@ -18,7 +18,8 @@ from . import harness, io
 from .burnside import burnside_ring
 from .cells import CellSpace
 from .cells import chi as cells_chi
-from .errors import InvariantViolation, ResourceLimitError, UsageError
+from .errors import (InvariantViolation, ResourceLimitError, UsageError,
+                     parse_fraction)
 from .euler import ORACLE_GROUP_LIMIT, chi_k, chi_k_equivariant
 from .groups import conjugacy_classes, make_group
 from .motivic import (L, LExtElement, check_laurent_products, embed,
@@ -194,8 +195,7 @@ def _series_input(obj, N):
     render = lambda c: c.render()
     if choice == "int":
         def parse(v):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise UsageError("integer coefficient expected")
+            INT_RING.entries(v)   # refuses all but an int
             return v
         ring, render = INT_RING, str
     elif isinstance(choice, dict) and "burnside" in choice:
@@ -221,11 +221,8 @@ def _series_input(obj, N):
 def _zeta_input(obj):
     """The generator L^exp * [G/H_index] of a zeta input."""
     bring = burnside_ring(make_group(io._field(obj, "group")))
-    idx = io._field(obj, "index")
-    if type(idx) is not int or not 0 <= idx < bring.n:
-        raise UsageError(f"index must name one of the {bring.n} basis classes")
-    q = io.parse_fraction(obj["exp"]) if "exp" in obj else 0
-    return L(bring, q) * embed(bring.basis(idx))
+    b = embed(bring.basis(io._field(obj, "index")))
+    return L(bring, obj.get("exp", 0)) * b
 
 
 def _cmd_power(args) -> int:
@@ -259,7 +256,7 @@ def _parse_weights(raw):
     if raw is None:
         return None
     try:
-        return tuple(io.parse_fraction(part.strip())
+        return tuple(parse_fraction(part.strip())
                      for part in raw.split(","))
     except UsageError as e:
         raise UsageError(f"--weights: {e}") from e

@@ -4,10 +4,16 @@ value and each refusal names what was refused, its size and the budget.
 Every "integer >= m" refusal (an order, degree, size, dimension, power,
 truncation or trial count) is raised by check_int in one wording,
 "<what> must be an integer >= <m>, got <value>", which a bool or a float
-never passes.  parse_fraction reads a caller's rational, refusing bools and
-floats too."""
+never passes.  check_perm refuses a permutation of a set or group action,
+and parse_fraction reads a caller's rational, both refusing bools and
+floats too.  The library entry points call these on the values they are
+given, so io and the CLI check only the shape of their JSON.  exact_div
+divides where a remainder would mean a wrong table or series, and raises
+InvariantViolation if there is one."""
 
 from __future__ import annotations
+
+from operator import countOf
 
 
 class UsageError(ValueError):
@@ -35,6 +41,14 @@ def check_int(what: str, v, minimum: int) -> None:
         raise UsageError(f"{what} must be an integer >= {minimum}, got {v!r}")
 
 
+def check_perm(p, n: int) -> None:
+    """Refuse p unless it is a list or tuple of ints (not bools) that lists
+    each of 0..n-1 once; the type test is one pass in C."""
+    if not (isinstance(p, (list, tuple)) and len(p) == n and
+            countOf(map(type, p), int) == n and set(p) == set(range(n))):
+        raise UsageError(f"not a permutation of {n} points: {p!r}")
+
+
 def parse_fraction(v) -> Fraction:
     """v as a Fraction: an int, a Fraction or a string such as "1/2".
     fractions is imported here, so the Burnside ring alone never loads it."""
@@ -51,3 +65,11 @@ def parse_fraction(v) -> Fraction:
 
 class InvariantViolation(RuntimeError):
     """Internal consistency failure (dual-path disagreement, non-integral solve)."""
+
+
+def exact_div(a: int, b: int, what: str = "a quotient") -> int:
+    """a / b, which must be an integer."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise InvariantViolation(f"{what} is not an integer: {a}/{b}")
+    return q

@@ -40,7 +40,8 @@ import weakref
 from array import array
 from functools import cached_property, partial
 
-from .errors import InvariantViolation, UsageError, check_budget, check_int
+from .errors import (InvariantViolation, UsageError, check_budget, check_int,
+                     check_perm)
 
 SUBGROUP_BUDGET = 4096      # subgroups a lattice may index
 CAYLEY_TABLE_LIMIT = 1024   # group order for the lattice's Cayley table
@@ -211,10 +212,13 @@ class PermGroup(FiniteGroup):
     def __init__(self, degree: int, gen_perms: list[tuple[int, ...]],
                  descriptor: dict | None = None):
         check_int("permutation group degree", degree, 0)
-        ident = tuple(range(degree))
+        if not isinstance(gen_perms, (list, tuple)):
+            raise UsageError("permutation generators must be a list, "
+                             f"got {gen_perms!r}")
         for p in gen_perms:
-            if len(p) != degree or sorted(p) != list(range(degree)):
-                raise UsageError(f"not a permutation of degree {degree}: {p}")
+            check_perm(p, degree)
+        gen_perms = tuple(map(tuple, gen_perms))
+        ident = tuple(range(degree))
         elems = {ident}
         frontier = [ident]
         while frontier:
@@ -410,11 +414,7 @@ def make_group(descriptor: dict) -> FiniteGroup:
             raise UsageError("product descriptor needs a 'factors' list")
         g = ProductGroup(tuple(make_group(f) for f in factors), descriptor)
     elif kind == "perm":
-        gens = descriptor.get("generators")
-        if not is_int_lists(gens):
-            raise UsageError("perm descriptor needs a 'generators' list "
-                             "of integer lists")
-        g = PermGroup(descriptor.get("degree"), [tuple(p) for p in gens],
+        g = PermGroup(descriptor.get("degree"), descriptor.get("generators"),
                       descriptor)
     elif kind == "wreath":
         g = WreathGroup(make_group(descriptor.get("inner")),
@@ -423,12 +423,6 @@ def make_group(descriptor: dict) -> FiniteGroup:
         raise UsageError(f"unknown group type {kind!r}")
     _GROUP_CACHE[key] = g
     return g
-
-
-def is_int_lists(v) -> bool:
-    """Whether a JSON value is a list of lists of integers."""
-    return isinstance(v, list) and all(
-        isinstance(p, list) and all(type(x) is int for x in p) for p in v)
 
 
 def trivial_group() -> FiniteGroup:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .errors import InvariantViolation, UsageError, check_budget, check_int
+from .errors import (InvariantViolation, UsageError, check_budget, check_int,
+                     check_perm)
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -36,22 +37,19 @@ class BiSet:
     def __init__(self, size: int, gO: FiniteGroup, gB: FiniteGroup,
                  actO, actB):
         check_int("size", size, 0)
-        actO = tuple(tuple(p) for p in actO)
-        actB = tuple(tuple(p) for p in actB)
-        if len(actO) != len(gO.generators):
-            raise UsageError(
-                f"need {len(gO.generators)} O-side permutations, got {len(actO)}")
-        if len(actB) != len(gB.generators):
-            raise UsageError(
-                f"need {len(gB.generators)} B-side permutations, got {len(actB)}")
-        for p in actO + actB:
-            if len(p) != size or sorted(p) != list(range(size)):
-                raise UsageError(f"not a permutation of {size} points: {p}")
+        for side, G, perms in (("O", gO, actO), ("B", gB, actB)):
+            if not isinstance(perms, (list, tuple)):
+                raise UsageError(f"act{side} must be a list, got {perms!r}")
+            if len(perms) != len(G.generators):
+                raise UsageError(f"need {len(G.generators)} {side}-side "
+                                 f"permutations, got {len(perms)}")
+            for p in perms:
+                check_perm(p, size)
         self.size = size
         self.gO = gO
         self.gB = gB
-        self.actO = actO
-        self.actB = actB
+        self.actO = tuple(map(tuple, actO))
+        self.actB = tuple(map(tuple, actB))
 
     def _side(self, side: str):
         if side == "O":
@@ -107,10 +105,10 @@ class BiSet:
         return out
 
     def validate(self) -> None:
-        """Permutation well-formedness, commutation of the two actions, and
-        the generator assignments extending to group homomorphisms: every
-        Cayley relation s·x is checked on the whole set, and a side whose
-        check would pass HOM_CHECK_BUDGET is refused."""
+        """Commutation of the two actions, and the generator assignments
+        extending to group homomorphisms: every Cayley relation s·x is
+        checked on the whole set, and a side whose check would pass
+        HOM_CHECK_BUDGET is refused."""
         for a in self.actO:
             for b in self.actB:
                 if any(a[b[p]] != b[a[p]] for p in range(self.size)):

@@ -71,7 +71,7 @@ class LExtElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return _normal(self.ring, self.D,
                            [(e, other * c) for e, c in self.pairs])
         self._check(other)
@@ -81,7 +81,7 @@ class LExtElement:
                                       for f, d in other._lift(D)])
 
     def __rmul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return self * other
         return NotImplemented
 

@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .burnside import BurnsideElement, BurnsideRing
-from .errors import InvariantViolation, UsageError, check_budget, check_int
+from .errors import UsageError, check_budget, check_int, exact_div
 from .groups import check_order
 
 TRUNCATION_LIMIT = 200   # series degree N taken by the CLI and the law checks
@@ -77,6 +77,7 @@ class IntRing:
     one_entry, zero_entry = 1, 0
     dot = staticmethod(lambda xs, ys: sum(map(mul, xs, ys)))
     axpy = staticmethod(lambda x, k, y: x + k * y)
+    div = staticmethod(exact_div)   # x / j, which must be exact
     entry = staticmethod(lambda poly: poly.get(0, 0))
     check_products = staticmethod(lambda: None)
     element = staticmethod(lambda D, entries: entries[0])
@@ -90,14 +91,6 @@ class IntRing:
     @staticmethod
     def add_psi(cols, pos: int, k: int, xs, r: int) -> None:
         cols[0][pos] += k * xs[0]
-
-    @staticmethod
-    def div(x: int, j: int) -> int:
-        """x / j, which must be exact."""
-        q, rem = divmod(x, j)
-        if rem:
-            raise InvariantViolation(f"{x} is not divisible by {j}")
-        return q
 
 
 INT_RING = IntRing()
@@ -352,7 +345,7 @@ def rhs_theorem1(m, k: int, N: int) -> TruncatedSeries:
     check_order(k)
     check_int("truncation", N, 0)
     base = rhs_base_series(k, N)
-    if isinstance(m, int):
+    if type(m) is int:
         return power(base, -m)
     if isinstance(m, BurnsideElement):   # n·[G/G] has every mark n
         ring = burnside_coeff_ring(m.ring)

@@ -586,6 +586,26 @@ INPUT_ERRORS = [
     (("group", "show"), {"type": "product"}),
     (("verify", "theorem1", "--k", "1", "--N", "2"),
      {"size": 2, "gO": Z2, "gB": TRIV, "actO": [[0, 0]], "actB": []}),
+    (("chi-orb",), {"size": 2, "gO": Z2, "gB": TRIV, "actO": 5,
+                    "actB": []}),
+    (("chi-orb",), {"size": 2, "gO": Z2, "gB": TRIV, "actO": [[1.0, 0.0]],
+                    "actB": []}),
+    (("group", "show"), {"type": "perm", "degree": 2, "generators": 5}),
+    (("group", "show"),
+     {"type": "perm", "degree": 2, "generators": [[1.0, 0.0]]}),
+    (("power", "--N", "2"), {"ring": {"burnside": Z2},
+                             "series": [{"coeffs": [0.5, 1]}],
+                             "exponent": {"coeffs": [1, 0]}}),
+    (("power", "--N", "2"), {"ring": {"lext": Z2},
+                             "series": [{"terms": [{"exp": 0.5,
+                                                    "coeffs": [0, 1]}]}],
+                             "exponent": {"terms": []}}),
+    (("zeta", "--N", "2"), {"group": Z2, "index": 1, "exp": 0.5}),
+    (("orbifold-class",), {"gO": Z2, "gB": TRIV, "k": 1, "weights": [0.5],
+                           "strata": []}),
+    (("orbifold-class",), {"gO": Z2, "gB": TRIV, "k": 1, "weights": [1],
+                           "strata": [{"tuple": [0], "shift": True,
+                                       "class": {"terms": []}}]}),
 ]
 
 
@@ -596,7 +616,10 @@ INPUT_ERRORS = [
     "orbifold-class-field", "orbifold-class-ring-budget",
     "orbifold-class-negative-k", "orbifold-class-weights",
     "orbifold-class-tuple", "chi-cells", "group-product-factors",
-    "theorem1-field"])
+    "theorem1-field", "biset-act-not-a-list", "biset-float-perm",
+    "perm-generators-not-a-list", "perm-float-generator",
+    "power-float-coeff", "power-float-exp", "zeta-float-exp",
+    "orbifold-class-float-weight", "orbifold-class-bool-shift"])
 def test_input_errors_name_the_file_once(capsys, files, argv, obj):
     """An error raised while an input file is read, budget errors of the
     rings it names included, is one line that names the file once."""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from equichar import io
+from equichar import errors, io
 from equichar.burnside import burnside_ring
 from equichar.cells import CellSpace
 from equichar.errors import UsageError
@@ -86,18 +86,18 @@ def test_burnside_element_roundtrip():
 
 def test_burnside_element_wrong_length():
     R = burnside_ring(symmetric(3))
-    with pytest.raises(UsageError, match="4 integer"):
+    with pytest.raises(UsageError, match="need 4 coefficients, got 2"):
         io.burnside_from_json({"coeffs": [1, 2]}, R)
 
 
 def test_parse_fraction():
     from fractions import Fraction
-    assert io.parse_fraction("3/2") == Fraction(3, 2)
-    assert io.parse_fraction(2) == Fraction(2)
+    assert errors.parse_fraction("3/2") == Fraction(3, 2)
+    assert errors.parse_fraction(2) == Fraction(2)
     with pytest.raises(UsageError):
-        io.parse_fraction(True)
+        errors.parse_fraction(True)
     with pytest.raises(UsageError):
-        io.parse_fraction("x/y")
+        errors.parse_fraction("x/y")
 
 
 def test_format_fraction():

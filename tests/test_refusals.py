@@ -2,7 +2,8 @@
 case is refused with UsageError, and its message names the fault; an order
 past ORDER_LIMIT is refused with ResourceLimitError before any work; every
 ResourceLimitError is raised by errors.check_budget, and every "integer >= m"
-refusal by errors.check_int."""
+refusal by errors.check_int.  The library checks every value it is given,
+so io and the CLI read rationals only through it."""
 
 import ast
 import pathlib
@@ -78,7 +79,36 @@ REFUSALS = [
     ("int-coefficient-bool", lambda: TruncatedSeries(INT_RING, (True, 2)),
      "not an integer: bool"),
     ("int-power-bool", lambda: power(SERIES_Z, True), "not an integer: bool"),
+    ("rhs-exponent-bool", lambda: rhs_theorem1(True, 1, 3),
+     "unsupported exponent type bool"),
+    ("burnside-times-bool", lambda: R2.unit * True,
+     "elements of different Burnside rings"),
+    ("lext-times-bool", lambda: L(R2, 1) * True, "mixed L-extended rings"),
 ]
+
+# A permutation is a list or tuple of ints listing each of 0..n-1 once: a
+# bool or a float equal to an index is no index.
+REFUSALS += [
+    (f"{name}-{kind}", call, f"^{re.escape(message)}$")
+    for kind, perms, message in [
+        ("bool", [(True, False)],
+         "not a permutation of 2 points: (True, False)"),
+        ("float", [(1.0, 0.0)], "not a permutation of 2 points: (1.0, 0.0)"),
+        ("not-a-list", [5], "not a permutation of 2 points: 5")]
+    for name, call in [
+        ("biset-perm", lambda perms=perms: BiSet(2, C2, trivial_group(),
+                                                 perms, ())),
+        ("perm-group-generator", lambda perms=perms: PermGroup(2, perms))]]
+REFUSALS += [
+    ("biset-act-not-a-list", lambda: BiSet(2, C2, trivial_group(), 5, ()),
+     "^actO must be a list, got 5$"),
+    ("perm-group-generators-not-a-list", lambda: PermGroup(2, 5),
+     "^permutation generators must be a list, got 5$"),
+]
+REFUSALS += [
+    (f"basis-{i}", lambda i=i: R2.basis(i),
+     f"^index must name one of the 2 basis classes, got {i!r}$")
+    for i in (2, -1, True)]
 
 # Every check_int site, as (id, call of the checked integer, what the
 # message names, least value admitted).  Each refuses an int below the
@@ -179,6 +209,14 @@ def test_ring_elements_meet_plain_numbers_only_as_integers(x):
         2.5 * x
 
 
+@pytest.mark.parametrize("x", [R2.unit, L(R2, 1)], ids=["burnside", "lext"])
+def test_a_bool_is_no_integer_scalar(x):
+    """True * x has no product, as 2.5 * x has none; x * True is refused
+    by the ring check (a REFUSALS row)."""
+    with pytest.raises(TypeError):
+        True * x
+
+
 def test_a_budget_admits_its_own_value():
     check_budget("x", 5, 5)
     with pytest.raises(ResourceLimitError) as e:
@@ -234,3 +272,19 @@ def test_check_int_is_the_only_place_an_integer_bound_is_refused():
                             found.add((getattr(top, "name", path.name),
                                        names[0]))
     assert found == exempt
+
+
+def test_io_and_cli_read_rationals_only_through_the_library():
+    """A rational is parsed by the library call it is handed to: io.py
+    never calls parse_fraction, and cli.py only in _parse_weights, whose
+    message adds the --weights prefix."""
+    src = pathlib.Path(errors_mod.__file__).parent
+    callers = set()
+    for name in ("io.py", "cli.py"):
+        for top in ast.parse((src / name).read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", "")) == \
+                        "parse_fraction":
+                    callers.add((name, getattr(top, "name", None)))
+    assert callers == {("cli.py", "_parse_weights")}
