@@ -6,7 +6,8 @@ so an element is stored by its mark vector and +, -, integer scaling and *
 work entry by entry.  The table of marks is lower triangular with positive
 diagonal in the canonical order, so the basis coefficients are recovered by
 exact integer back-substitution, which runs only when they are observed
-(`coeffs`, `render`, JSON output) and for `from_marks`.  A quotient that is not an integer raises
+(`coeffs`, `render`, JSON output) and for `from_marks`.  Every quotient is
+taken by `exact_div`, so one that is not an integer raises
 `InvariantViolation`.  Before the first product in a ring, the product of
 every pair of basis mark rows is back-substituted once; integral results
 for all pairs make every product in the ring integral, so a wrong table
@@ -17,9 +18,12 @@ The marks come from containment alone.  The g with H^g ⊆ K number
 |N_G(H)| = |G| / #conjugates(H) per conjugate of H inside K, and each
 fixed coset gK holds |K| of them, so
 
-    |(G/K)^H| = |G| · #{H' ~ H : H' ⊆ K} / (#conjugates(H) · |K|),
+    |(G/K)^H| = |G| · #{H' ~ H : H' ⊆ K} / (#conjugates(H) · |K|)
+              = |G| · #{K' ~ K : H ⊆ K'} / (#conjugates(K) · |K|),
 
-counted by subset tests over the lattice's index of every subgroup.
+as #conjugates(K)·#{H' ⊆ K} and #conjugates(H)·#{K' ⊇ H} both count the
+pairs H' ⊆ K' of conjugates.  The second count tests H's generators against
+each conjugate of K in the lattice's index.
 
 The K-orbits of each size on G/H are counted from the same lists (double
 cosets, tom Dieck, LNM 766): the coset gH has K-orbit size
@@ -63,8 +67,8 @@ class BurnsideRing:
         self.conjugates = [[] for _ in range(self.n)]
         for elements, i in lattice.class_index.items():
             self.conjugates[i].append(elements)
-        orders = [H.order for H in lattice.classes]
-        self.marks_rows = tuple(self._marks_row(i, orders)
+        held = [(H.order, frozenset(H.generators)) for H in lattice.classes]
+        self.marks_rows = tuple(self._marks_row(i, held)
                                 for i in range(self.n))
         for i, row in enumerate(self.marks_rows):
             if row[i] <= 0 or any(row[j] for j in range(i + 1, self.n)):
@@ -72,18 +76,19 @@ class BurnsideRing:
         self._products_checked = False
         self._memo: dict = {}
 
-    def _marks_row(self, i: int, orders) -> tuple[int, ...]:
+    def _marks_row(self, i: int, held) -> tuple[int, ...]:
         """|(G/K)^H| for K the i-th class and every class H, from the
-        conjugates of H contained in K; orders[j] is the j-th class's
-        subgroup order, and the row is 0 from the first class above |K|."""
-        kset, k = self.ksets[i], orders[i]
+        conjugates of K that hold H's generators; held[j] is the j-th
+        class's (order, generator set), and the row is 0 from the first
+        class above |K|."""
+        conj, k = self.conjugates[i], held[i][0]
         row = []
-        for conj, order in zip(self.conjugates, orders):
+        for order, gens in held:
             if order > k:  # classes ascend by order: none further lies in K
                 break
-            inside = 0 if k % order else sum(map(kset.issuperset, conj))
-            row.append(inside and exact_div(self.group.order * inside,
-                                            len(conj) * k, "a mark"))
+            holding = 0 if k % order else sum(map(gens.issubset, conj))
+            row.append(holding and exact_div(self.group.order * holding,
+                                             len(conj) * k, "a mark"))
         return tuple(row) + (0,) * (self.n - len(row))
 
     # -- elements ------------------------------------------------------------
@@ -126,16 +131,12 @@ class BurnsideRing:
         residue, down = list(marks), self._down_sets()
         coeffs = [0] * self.n
         for i in range(self.n - 1, -1, -1):
-            if not residue[i]:
-                continue
-            row = self.marks_rows[i]
-            q, r = divmod(residue[i], row[i])
-            if r:
-                raise InvariantViolation(
-                    f"mark vector {tuple(marks)} is not integral over the basis")
-            coeffs[i] = q
-            for j in down[i]:
-                residue[j] -= q * row[j]
+            if residue[i]:
+                row = self.marks_rows[i]
+                q = coeffs[i] = exact_div(residue[i], row[i],
+                                          "a basis coefficient")
+                for j in down[i]:
+                    residue[j] -= q * row[j]
         return tuple(coeffs)
 
     def check_products(self) -> None:
@@ -150,11 +151,8 @@ class BurnsideRing:
             for j in range(i + 1):
                 residue = {m: rows[i][m] * rows[j][m] for m in down[j]}
                 for h in reversed(down[j]):
-                    q, r = divmod(residue[h], rows[h][h])
-                    if r:
-                        raise InvariantViolation(
-                            f"the product of basis rows {j}, {i} is not "
-                            "integral")
+                    q = exact_div(residue[h], rows[h][h],
+                                  "a basis coefficient of a product")
                     for m in down[h] if q else ():
                         residue[m] -= q * rows[h][m]
         self._products_checked = True
@@ -203,12 +201,9 @@ class BurnsideRing:
                 for h in down[K]:
                     psi = sum(d * c for d, c in self._orbits(h, K).items()
                               if r % d == 0)
-                    q, rem = divmod(psi - sum(  # u vanishes off down(h)
-                        rows[h][M] * u[M] for M in down[h]), rows[h][h])
-                    if rem:
-                        raise InvariantViolation(
-                            f"Adams matrix U^{r} is not integral at {K}, {h}")
-                    u[h] = q
+                    u[h] = exact_div(psi - sum(  # u vanishes off down(h)
+                        rows[h][M] * u[M] for M in down[h]), rows[h][h],
+                        "an Adams matrix entry")
                 out.append(tuple((M, u[M]) for M in down[K] if u[M]))
             self._memo[key] = out
         return self._memo[key]

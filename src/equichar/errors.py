@@ -7,9 +7,11 @@ truncation or trial count) is raised by check_int in one wording,
 never passes.  check_perm refuses a permutation of a set or group action,
 and parse_fraction reads a caller's rational, both refusing bools and
 floats too.  The library entry points call these on the values they are
-given, so io and the CLI check only the shape of their JSON.  exact_div
-divides where a remainder would mean a wrong table or series, and raises
-InvariantViolation if there is one."""
+given, so io and the CLI check only the shape of their JSON.  Every
+quotient that must be exact (a mark, a basis coefficient, an Adams entry, a
+centralizer order, an averaged count, a series coefficient) is taken by
+exact_div, which refuses a non-integral one as InvariantViolation
+"<what> is not an integer: a/b"."""
 
 from __future__ import annotations
 
@@ -43,10 +45,21 @@ def check_int(what: str, v, minimum: int) -> None:
 
 def check_perm(p, n: int) -> None:
     """Refuse p unless it is a list or tuple of ints (not bools) that lists
-    each of 0..n-1 once; the type test is one pass in C."""
-    if not (isinstance(p, (list, tuple)) and len(p) == n and
-            countOf(map(type, p), int) == n and set(p) == set(range(n))):
-        raise UsageError(f"not a permutation of {n} points: {p!r}")
+    each of 0..n-1 once; the type test is one pass in C.  The message names
+    the first fault by a type, a length, a position or a missing point, so
+    it stays short whatever p holds."""
+    if not isinstance(p, (list, tuple)):
+        fault = f"{type(p).__name__}, not a list"
+    elif len(p) != n:
+        fault = f"length {len(p)}"
+    elif countOf(map(type, p), int) != n:
+        i = next(i for i, v in enumerate(p) if type(v) is not int)
+        fault = f"entry {i} is a {type(p[i]).__name__}"
+    elif set(p) != set(range(n)):
+        fault = f"{min(set(range(n)).difference(p))} is missing"
+    else:
+        return
+    raise UsageError(f"not a permutation of {n} points: {fault}")
 
 
 def parse_fraction(v) -> Fraction:

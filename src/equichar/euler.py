@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .burnside import BurnsideElement, BurnsideRing, burnside_ring, class_of
 from .cells import CellSpace
-from .errors import InvariantViolation, UsageError, check_budget
+from .errors import InvariantViolation, UsageError, check_budget, exact_div
 from .groups import (
     Subgroup,
     centralizer,
@@ -104,12 +104,8 @@ def chi_k_averaging(X: BiSet, k: int) -> int:
             total += rec(sub_pool, Sg, depth - 1)
         return total
 
-    grand = rec(list(G.elements()), list(range(X.size)), k + 1)
-    q, r = divmod(grand, G.order)
-    if r:
-        raise InvariantViolation(
-            f"averaging sum {grand} not divisible by |G|={G.order}")
-    return q
+    return exact_div(rec(list(G.elements()), list(range(X.size)), k + 1),
+                     G.order, "the averaging sum over |G|")
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from array import array
 from functools import cached_property, partial
 
 from .errors import (InvariantViolation, UsageError, check_budget, check_int,
-                     check_perm)
+                     check_perm, exact_div)
 
 SUBGROUP_BUDGET = 4096      # subgroups a lattice may index
 CAYLEY_TABLE_LIMIT = 1024   # group order for the lattice's Cayley table
@@ -218,20 +218,16 @@ class PermGroup(FiniteGroup):
         for p in gen_perms:
             check_perm(p, degree)
         gen_perms = tuple(map(tuple, gen_perms))
-        ident = tuple(range(degree))
-        elems = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in gen_perms:
-                    y = tuple(x[j] for j in s)  # x∘s
-                    if y not in elems:
-                        elems.add(y)
-                        check_budget("permutation closure", len(elems),
-                                     PERM_CLOSURE_BUDGET)
-                        nxt.append(y)
-            frontier = nxt
+        elems = [tuple(range(degree))]
+        seen = set(elems)
+        for x in elems:  # grows breadth-first
+            for s in gen_perms:
+                y = tuple(map(x.__getitem__, s))  # x∘s
+                if y not in seen:
+                    seen.add(y)
+                    check_budget("permutation closure", len(seen),
+                                 PERM_CLOSURE_BUDGET)
+                    elems.append(y)
         self._index(degree, tuple(sorted(elems)), gen_perms,
                     f"perm{degree}:{len(elems)}", descriptor)
 
@@ -246,8 +242,8 @@ class PermGroup(FiniteGroup):
                              label, descriptor)
 
     def mul(self, a: int, b: int) -> int:
-        pa, pb = self.perms[a], self.perms[b]
-        return self.rank[tuple(pa[j] for j in pb)]
+        return self.rank[tuple(map(self.perms[a].__getitem__,
+                                   self.perms[b]))]
 
 
 class SymmetricGroup(PermGroup):
@@ -609,9 +605,7 @@ def _stabilizer(H: Subgroup, gens, orbit: dict, held: dict) -> Subgroup:
     C_H(g), as it has its order; else C_H(g) is rebuilt from Schreier
     generators that read the orbit's witness inverses, stopping at that
     order, and joins held."""
-    target, rem = divmod(H.order, len(orbit))
-    if rem:
-        raise InvariantViolation("orbit size does not divide subgroup order")
+    target = exact_div(H.order, len(orbit), "a centralizer order")
     mul, g = H.parent.mul, next(iter(orbit))
     for C in held.setdefault(target, []):
         if all(mul(g, s) == mul(s, g) for s in C.generators):

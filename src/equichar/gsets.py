@@ -89,17 +89,12 @@ class BiSet:
                 continue
             orb = [p0]
             seen.add(p0)
-            frontier = [p0]
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for m in gen_maps:
-                        q = m[p]
-                        if q not in seen:
-                            seen.add(q)
-                            orb.append(q)
-                            nxt.append(q)
-                frontier = nxt
+            for p in orb:  # grows as the orbit does
+                for m in gen_maps:
+                    q = m[p]
+                    if q not in seen:
+                        seen.add(q)
+                        orb.append(q)
             orb.sort()
             out.append(orb)
         return out

@@ -16,12 +16,12 @@ from math import comb, factorial
 
 from . import gsets
 from .burnside import burnside_ring, chi_equivariant, class_of
-from .errors import UsageError, check_budget, check_int, parse_fraction
+from .errors import UsageError, check_budget, check_int
 from .euler import ORACLE_GROUP_LIMIT, chi_k_equivariant
 from .groups import SYMMETRIC_DEGREE_LIMIT, check_order, cyclic, symmetric
 from .gsets import BiSet, symmetric_power, wreath_power
 from .motivic import (L, LExtCoeffRing, _normal, embed, lext_coeff_ring,
-                      rhs_theorem2, specialize_L, zeta_L)
+                      read_weights, rhs_theorem2, specialize_L, zeta_L)
 from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
                           check_truncation, power, rhs_theorem1)
 
@@ -236,8 +236,8 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
     weights when there are any."""
     check_int("trials", trials, 1)
     check_truncation(N)
-    if weights is not None and len(weights) != 2:
-        raise UsageError(f"need 2 weights, got {len(weights)}")
+    if weights is not None:
+        weights = read_weights(weights, 2)
     check_trials(trials, N)
     bring = burnside_ring(_S3)
     ring = lext_coeff_ring(bring)
@@ -247,7 +247,7 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
         "props12", {"trials": trials, "N": N, "seed": seed,
                     "ring": f"A({bring.group.label})[L^Q]"})
     if weights is not None:
-        report.params["weights"] = [str(parse_fraction(w)) for w in weights]
+        report.params["weights"] = list(map(str, weights))
 
     svals = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -272,7 +272,7 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
 
     def degenerations():
         for k in (1, 2):
-            w = tuple(weights)[:k] if weights else None
+            w = weights[:k] if weights else None
             for _ in range(max(1, trials // 10)):
                 m = bring.element([rng.randint(-2, 2) for _ in range(bring.n)])
                 t2 = rhs_theorem2(embed(m), k, 0, w, N)

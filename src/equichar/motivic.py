@@ -21,7 +21,7 @@ from math import ceil, floor, gcd, lcm
 
 from .burnside import BurnsideElement, BurnsideRing
 from .errors import UsageError, check_budget, check_int, parse_fraction
-from .groups import FiniteGroup, check_order
+from .groups import ORDER_LIMIT, FiniteGroup, check_order
 from .powerstruct import (INT_RING, TruncatedSeries, exponent_tuples,
                           lambda_term, log_coeff, power)
 
@@ -137,7 +137,7 @@ def embed(x: BurnsideElement) -> LExtElement:
     """A Burnside class at exponent zero."""
     if not isinstance(x, BurnsideElement):
         raise UsageError(f"cannot embed {type(x).__name__}")
-    return lext(x.ring, ((Fraction(0), x),))
+    return _normal(x.ring, 1, ((0, x),))
 
 
 def L(bring: BurnsideRing, q=1) -> LExtElement:
@@ -258,17 +258,27 @@ def check_laurent_products(A: TruncatedSeries, m: LExtElement) -> None:
 # ---------------------------------------------------------------------------
 # shifts
 
+def read_weights(weights, k: int) -> tuple:
+    """The k weights phi_1..phi_k as Fractions; any other count is refused."""
+    weights = tuple(weights)
+    if len(weights) != k:
+        raise UsageError(f"need {k} weights, got {len(weights)}")
+    return tuple(map(parse_fraction, weights))
+
+
 def phi_k(rs, phis) -> Fraction:
     """phi_1(r_1 - 1) + phi_2 r_1 (r_2 - 1) + ... +
     phi_k r_1...r_{k-1} (r_k - 1)."""
     rs = tuple(rs)
-    phis = tuple(map(parse_fraction, phis))
-    if len(rs) != len(phis):
-        raise UsageError(f"{len(rs)} indices vs {len(phis)} weights")
-    total = Fraction(0)
-    prefix = 1
-    for r, p in zip(rs, phis):
+    for r in rs:
         check_int("phi_k index", r, 1)
+    return _phi(rs, read_weights(phis, len(rs)))
+
+
+def _phi(rs: tuple, phis: tuple) -> Fraction:
+    """phi_k of positive indices rs and read weights phis."""
+    total, prefix = Fraction(0), 1
+    for r, p in zip(rs, phis):
         total += p * prefix * (r - 1)
         prefix *= r
     return total
@@ -288,10 +298,8 @@ class OrbifoldDatum:
     def __init__(self, group: FiniteGroup, bring: BurnsideRing, k: int,
                  weights: tuple, strata: tuple):
         check_order(k)
-        if len(weights) != k:
-            raise UsageError(f"need {k} weights, got {len(weights)}")
         self.group, self.bring, self.k = group, bring, k
-        self.weights = tuple(map(parse_fraction, weights))
+        self.weights = read_weights(weights, k)
         norm = []
         for tup, cls, shift in strata:
             if not isinstance(cls, LExtElement) or cls.ring is not bring:
@@ -335,23 +343,19 @@ def rhs_theorem2(m, k: int, d, weights=None, N: int = 6) -> TruncatedSeries:
     (1 - L^{Phi_k(r)d/2} t^{r_1...r_k})^{r_2 r_3^2 ... r_k^{k-1}},
     raised to -m under the L-extended power structure."""
     check_int("order", k, 1)
-    check_order(k)
+    check_budget("order k", k, ORDER_LIMIT)
     check_int("truncation", N, 0)
     d = parse_fraction(d)
     if d < 0:
         raise UsageError(f"dimension must be >= 0, got {d}")
-    if weights is None:
-        weights = (1,) * k
-    weights = tuple(map(parse_fraction, weights))
-    if len(weights) != k:
-        raise UsageError(f"need {k} weights, got {len(weights)}")
+    weights = read_weights((1,) * k if weights is None else weights, k)
     if isinstance(m, BurnsideElement):
         m = embed(m)
     if not isinstance(m, LExtElement):
         raise UsageError(f"unsupported exponent type {type(m).__name__}")
     ring = lext_coeff_ring(m.ring)
     # every mark of L^q·[G/G] is L^q, so all columns are the one product
-    shifts = [(phi_k(rs, weights) * d / 2, prod, weight)
+    shifts = [(_phi(rs, weights) * d / 2, prod, weight)
               for rs, prod, weight in exponent_tuples(k, N)]
     D = lcm(*(q.denominator for q, _, _ in shifts))
     factors = [((q.numerator * D // q.denominator, prod), -w)

@@ -686,6 +686,16 @@ def test_malformed_input_exits_1(capsys, files, argv, obj):
 FLIP = {"size": 2, "gO": Z2, "gB": TRIV, "actO": [[1, 0]], "actB": []}
 
 
+def test_a_long_bad_permutation_is_refused_in_one_short_line(capsys, files):
+    """The message names the first missing point, not the whole list."""
+    path = files("big.json", {"size": 1000, "gO": Z2, "gB": TRIV,
+                              "actO": [[0] * 1000], "actB": []})
+    code, out, err = run(capsys, "chi", "--input", path)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error: ") and len(err.encode()) < 200
+    assert "not a permutation of 1000 points: 1 is missing" in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("size", True), ("size", -3), ("size", 2.0), ("size", "2"),
     ("dim", 1.5), ("dim", "0"), ("dim", True),

@@ -129,7 +129,7 @@ def test_no_fraction_in_arithmetic(monkeypatch):
 
     monkeypatch.setattr(motivic, "Fraction", boom)
     with pytest.raises(AssertionError):
-        embed(bring.unit)
+        L(bring, 1).terms
     assert [a + b for a in els for b in els] == sums
     assert [a - b for a in els for b in els] == diffs
     assert [a * b for a in els for b in els] == prods

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from equichar import motivic
 from equichar.burnside import burnside_ring
 from equichar.errors import ResourceLimitError, UsageError
 from equichar.euler import chi_k_equivariant
@@ -304,6 +305,16 @@ def test_rhs_theorem2_argument_errors():
     with pytest.raises(ResourceLimitError):
         rhs_theorem2(embed(RZ2.unit), 1200, 0, None, 2)
     assert time.perf_counter() - t0 < 1
+
+
+def test_rhs_theorem2_reads_each_rational_once(monkeypatch):
+    """d and the two weights, each read once: not once per exponent tuple
+    (66 of them at N = 20), and embed's exponent 0 is no rational to read."""
+    calls, parse = [], motivic.parse_fraction
+    monkeypatch.setattr(motivic, "parse_fraction",
+                        lambda v: calls.append(v) or parse(v))
+    rhs_theorem2(embed(RZ2.unit), 2, 1, None, 20)
+    assert len(calls) <= 4
 
 
 def test_rhs_theorem2_accepts_burnside_exponent():

@@ -1,9 +1,10 @@
 """Input refusals of the library calls that no other test reaches: each
 case is refused with UsageError, and its message names the fault; an order
 past ORDER_LIMIT is refused with ResourceLimitError before any work; every
-ResourceLimitError is raised by errors.check_budget, and every "integer >= m"
-refusal by errors.check_int.  The library checks every value it is given,
-so io and the CLI read rationals only through it."""
+ResourceLimitError is raised by errors.check_budget, every "integer >= m"
+refusal by errors.check_int, and every exact quotient is taken by
+errors.exact_div.  The library checks every value it is given, so io and
+the CLI read rationals only through it."""
 
 import ast
 import pathlib
@@ -92,9 +93,12 @@ REFUSALS += [
     (f"{name}-{kind}", call, f"^{re.escape(message)}$")
     for kind, perms, message in [
         ("bool", [(True, False)],
-         "not a permutation of 2 points: (True, False)"),
-        ("float", [(1.0, 0.0)], "not a permutation of 2 points: (1.0, 0.0)"),
-        ("not-a-list", [5], "not a permutation of 2 points: 5")]
+         "not a permutation of 2 points: entry 0 is a bool"),
+        ("float", [(1.0, 0.0)],
+         "not a permutation of 2 points: entry 0 is a float"),
+        ("not-a-list", [5], "not a permutation of 2 points: int, not a list"),
+        ("length", [(0,)], "not a permutation of 2 points: length 1"),
+        ("repeat", [(0, 0)], "not a permutation of 2 points: 1 is missing")]
     for name, call in [
         ("biset-perm", lambda perms=perms: BiSet(2, C2, trivial_group(),
                                                  perms, ())),
@@ -288,3 +292,33 @@ def test_io_and_cli_read_rationals_only_through_the_library():
                         "parse_fraction":
                     callers.add((name, getattr(top, "name", None)))
     assert callers == {("cli.py", "_parse_weights")}
+
+
+def test_exact_div_is_the_only_place_a_quotient_is_checked():
+    """One rule for every exact quotient: outside errors.py, no function
+    both calls divmod and raises InvariantViolation, so a remainder that
+    means a wrong table or series is refused by errors.exact_div."""
+    src = pathlib.Path(errors_mod.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for f in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {getattr(c.func, "id", getattr(c.func, "attr", ""))
+                     for c in ast.walk(f) if isinstance(c, ast.Call)}
+            if "divmod" in names and "InvariantViolation" in names:
+                found.append(f"{path.name}:{f.name}")
+    assert found == []
+
+
+def test_a_wrong_weight_count_is_refused_in_one_wording():
+    """A datum, Theorem 2's product and phi_k read weights alike."""
+    for call in (lambda w: OrbifoldDatum(C2, R2, 2, w, ()),
+                 lambda w: rhs_theorem2(embed(R2.unit), 2, 0, w, 2),
+                 lambda w: phi_k((1, 2), w)):
+        for weights in ((1,), (1, 2, 3)):
+            with pytest.raises(UsageError, match=f"^need 2 weights, got "
+                                                 f"{len(weights)}$"):
+                call(weights)
