@@ -15,10 +15,14 @@ over classes and centralizers, so every representative commutes.
 
 Words come from one breadth-first tree of left multiplication, kept with the
 generator rows s·x that found it.  images maps a whole set under every
-element down that tree; on the rows' own regular action it gives the Cayley
-table that only the lattice builds, of order at most CAYLEY_TABLE_LIMIT, and
-drops.  Subgroups grow by Dimino's coset extension: <H, g> is H's element
-list followed by whole left cosets x·H, each read through x's table row.
+element down that tree.  The subgroup lattice reads its Cayley table,
+of order at most CAYLEY_TABLE_LIMIT, off the same tree for the one call.
+A byte holds 0..255, so up to order 256 its rows are bytes, each one
+translate of its parent's row, and every set it maps (a coset, a conjugate,
+a double coset) is one bytes.translate through a 256-byte row or
+conjugation table; larger groups keep list rows, images of the regular
+action, and map.  Subgroups grow by Dimino's coset extension: <H, g> is
+H's elements followed by whole left cosets x·H, each read through x's row.
 The subgroup lattice is searched over conjugacy-class representatives by
 Neubüser's cyclic extension: each R is extended by a g of prime power order
 p^a with g^p in R that normalizes R, or that lies with R in G^∞ (a K that is
@@ -315,12 +319,12 @@ class WreathGroup(FiniteGroup):
         shifts = [list(map(sum, itertools.product(
             *(range(0, m * w, w) for w in (m ** (n - 1 - i) for i in pa)))))
             for pa in top.perms]
+        table = [[inner.mul(a, c) for c in range(m)] for a in range(m)]
         codes = list(range(m ** n))  # one shared int object per code
         base = [[0]]
         for k in range(n):  # each pass prefixes a coordinate of weight m^k
             size = m ** k
-            base = [[codes[p + x]
-                     for p in [inner.mul(a, c) * size for c in range(m)]
+            base = [[codes[p + x] for p in [ac * size for ac in table[a]]
                      for x in base[rest]]
                     for a in range(m) for rest in range(size)]
         return tops, shifts, base
@@ -475,28 +479,27 @@ def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
     return tuple(sorted(_reduce_generators(G.mul, gens, G.order)[0]))
 
 
-def extend_subgroup(left, elements, gens, g: int) -> list[int]:
-    """Elements of <H, g>, where H = <gens> has the given element list and
-    left(x) is x's left-multiplication map (a row of the group's table, or
-    partial(G.mul, x)).  Dimino's coset extension: H's elements, then
-    whole left cosets x·H; a generator s times a coset representative x
-    that falls outside the list opens (s·x)·H, so the list ends closed under
-    left multiplication.  One product per new element plus one per coset
-    and generator."""
-    base = tuple(elements)
-    seen = set(base)
+def extend_subgroup(left, image, elements, gens, g: int):
+    """Elements of <H, g>, where H = <gens> has the given elements, left(x)
+    maps one element y to x·y and image(x, elements) maps a set of the
+    elements' kind (a list, or bytes) to x·elements.  Dimino's coset
+    extension: H's elements, then whole left cosets x·H; a generator s
+    times a coset representative x that falls outside the list opens
+    (s·x)·H, so the list ends closed under left multiplication.  One
+    product per new element plus one per coset and generator."""
+    seen = set(elements)
     steps = [left(s) for s in gens]
     steps.append(left(g))
-    out, pos = list(base), 0
+    out, pos = elements[:], 0  # += extends a list copy, or makes new bytes
     while pos < len(out):
         x = out[pos]  # stands for its coset, as s·(x·H) = (s·x)·H
         for step in steps if pos else steps[-1:]:  # H's own gens keep H
             sx = step(x)
             if sx not in seen:
-                coset = list(map(left(sx), base))
+                coset = image(sx, elements)
                 seen.update(coset)
-                out.extend(coset)
-        pos += len(base)
+                out += coset
+        pos += len(elements)
     return out
 
 
@@ -523,10 +526,11 @@ def _reduce_generators(mul, candidates, target: int
     current = [0]
     members = {0}
     left = partial(partial, mul)  # left(x) = partial(mul, x)
+    image = lambda x, elements: list(map(left(x), elements))  # x·elements
     for c in candidates:
         if c in members:
             continue
-        current = extend_subgroup(left, current, small, c)
+        current = extend_subgroup(left, image, current, small, c)
         members.update(current)
         small.append(c)
         if len(current) == target:
@@ -671,29 +675,35 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
                  CAYLEY_TABLE_LIMIT)
     if "lattice" in G.memo:
         return G.memo["lattice"]
-    rows = G.images(G._word_table[3], G.order)  # a·b = rows[a][b]
+    rows, image = _cayley_table(G)  # a·b = rows[a][b]
     left = [row.__getitem__ for row in rows].__getitem__
+    times = lambda x, elements: image(elements, rows[x])  # x·elements
     gens, invs = G.generators, [rows[s].index(0) for s in G.generators]
-    # x -> s^-1 x s for each generator s: conjugating a subgroup is lookups
-    conj = [[rows[y][s] for y in rows[si]] for s, si in zip(gens, invs)]
+    # x -> s^-1 (x s) for each generator s: column s, and any padding, of
+    # the rows' own kind sent through row s^-1
+    kind = type(rows[0])
+    conj = [image(kind([*(row[s] for row in rows), *rows[0][G.order:]]),
+                  rows[si]) for s, si in zip(gens, invs)]
     class_index: dict[frozenset[int], int] = {}
     orbits: list[tuple[list, list, tuple[int, ...]]] = []
     by_order: dict[int, list[frozenset[int]]] = {}
-    queue: list[tuple[list[int], tuple[int, ...]]] = []
+    queue: list[tuple] = []  # (elements, chain) of each class found
 
-    def found(elements: list[int], chain: tuple[int, ...]) -> list:
+    def found(elements, chain: tuple[int, ...]) -> list:
         """The conjugates of <chain>, a new class indexed and queued."""
         fs = frozenset(elements)
         if fs in class_index:
             return orbits[class_index[fs]][0]
         idx = class_index[fs] = len(orbits)
-        orbit, witness = [fs], [(0, 0)]
-        for cur, (u, ui) in zip(orbit, witness):  # grow until closed
+        orbit, sets, witness = [fs], [elements], [(0, 0)]
+        for cur, (u, ui) in zip(sets, witness):  # grow until closed
             for perm, s, si in zip(conj, gens, invs):
-                img = frozenset(map(perm.__getitem__, cur))
-                if img not in class_index:
-                    class_index[img] = idx
-                    orbit.append(img)
+                img = image(cur, perm)
+                key = frozenset(img)
+                if key not in class_index:
+                    class_index[key] = idx
+                    orbit.append(key)
+                    sets.append(img)
                     witness.append((rows[u][s], rows[si][ui]))
         orbits.append((orbit, witness, chain))
         by_order.setdefault(len(fs), []).extend(orbit)
@@ -715,10 +725,10 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     # queued R, K^(x^-1) = <R, x g x^-1> is one of them.  `covered` holds
     # g with <R, g> indexed: each indexed K ⊇ R of prime index (R is
     # maximal in K) and each double coset R·g·R extended
-    found([0], ())
+    found(rows[0][:1], ())  # the identity row begins with the identity
     zuppos = _prime_power_generators(rows)
     primes = {p for _, p, _, _ in zuppos}
-    residual = _perfect_residual(rows, left, conj, gens)
+    residual = _perfect_residual(rows, left, times, conj, gens)
     for elements, chain in queue:  # grows as classes are found
         rset, n = frozenset(elements), len(elements)
         inside = rset <= residual
@@ -731,14 +741,14 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
             if not (inside and g in residual) and any(
                     rows[rows[g][r]][gi] not in rset for r in chain):
                 continue
-            K = extend_subgroup(left, elements, chain, g)
+            K = extend_subgroup(left, times, elements, chain, g)
             conjugates = found(K, chain + (g,))
             if len(K) // n in primes:
                 covered.update(*filter(rset.issubset, conjugates))
                 continue
-            gR = list(map(rows[g].__getitem__, elements))
+            gR = times(g, elements)
             for r in elements:  # R·g·R
-                covered.update(map(rows[r].__getitem__, gR))
+                covered.update(image(gR, rows[r]))
     # canonical order: (order, least conjugate), generated by conjugated chain
     reps = []
     for orbit, witness, chain in orbits:
@@ -754,7 +764,26 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     return lat
 
 
-def _perfect_residual(rows, left, conj, gens) -> frozenset[int]:
+def _cayley_table(G: FiniteGroup) -> tuple[list, object]:
+    """(rows, image): G's Cayley table, rows[a][b] = a·b, and
+    image(elements, perm), the elements sent through a map perm of G's
+    elements such as a row, both of the rows' kind.  A byte holds 0..255,
+    so up to order 256 each row is bytes, padded to a 256-byte table by
+    the points it fixes and read off the word tree by one translate per
+    element, and an image is one bytes.translate; larger groups keep list
+    rows (G.images of the left-regular action) and map."""
+    parent, letter, nodes, gen_rows = G._word_table
+    if G.order > 256:
+        return (G.images(gen_rows, G.order),
+                lambda elements, perm: list(map(perm.__getitem__, elements)))
+    steps = [bytes([*row, *range(G.order, 256)]) for row in gen_rows]
+    rows = [bytes(range(256))] + [None] * (G.order - 1)
+    for y in nodes[1:]:
+        rows[y] = rows[parent[y]].translate(steps[letter[y]])
+    return rows, bytes.translate
+
+
+def _perfect_residual(rows, left, times, conj, gens) -> frozenset[int]:
     """G^∞, the last term of the derived series, on the Cayley rows: D' is
     the normal closure in G (conj: x -> s^-1·x·s for G's generators s) of
     the commutators of D's generators, taken until it stops shrinking."""
@@ -763,10 +792,10 @@ def _perfect_residual(rows, left, conj, gens) -> frozenset[int]:
         inv = {a: rows[a].index(0) for a in chain}
         todo = [rows[rows[a][b]][rows[inv[a]][inv[b]]]  # a b a^-1 b^-1
                 for a, b in itertools.combinations(chain, 2)]
-        derived, members, new_chain = [0], {0}, []
+        derived, members, new_chain = rows[0][:1], {0}, []
         for c in todo:  # grows by the conjugates of each generator taken
             if c not in members:
-                derived = extend_subgroup(left, derived, new_chain, c)
+                derived = extend_subgroup(left, times, derived, new_chain, c)
                 members.update(derived)
                 new_chain.append(c)
                 todo.extend(perm[c] for perm in conj)
@@ -775,7 +804,7 @@ def _perfect_residual(rows, left, conj, gens) -> frozenset[int]:
         size, chain = len(derived), new_chain
 
 
-def _prime_power_generators(rows: list[list[int]]) -> list[tuple]:
+def _prime_power_generators(rows: list) -> list[tuple]:
     """(g, p, g^p, g^-1) for the least generator g of every cyclic subgroup
     of prime power order p^a > 1, in increasing order of g."""
     out: list[tuple] = []

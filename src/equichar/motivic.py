@@ -21,7 +21,7 @@ from math import ceil, floor, gcd, lcm
 
 from .burnside import BurnsideElement, BurnsideRing
 from .errors import UsageError, check_budget, check_int, parse_fraction
-from .groups import ORDER_LIMIT, FiniteGroup, check_order
+from .groups import FiniteGroup, check_order
 from .powerstruct import (INT_RING, TruncatedSeries, exponent_tuples,
                           lambda_term, log_coeff, power)
 
@@ -342,8 +342,7 @@ def rhs_theorem2(m, k: int, d, weights=None, N: int = 6) -> TruncatedSeries:
     """prod over r_1..r_k with product <= N of
     (1 - L^{Phi_k(r)d/2} t^{r_1...r_k})^{r_2 r_3^2 ... r_k^{k-1}},
     raised to -m under the L-extended power structure."""
-    check_int("order", k, 1)
-    check_budget("order k", k, ORDER_LIMIT)
+    check_order(k)
     check_int("truncation", N, 0)
     d = parse_fraction(d)
     if d < 0:

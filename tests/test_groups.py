@@ -238,6 +238,22 @@ def test_wreath_tables_match_structural_product_s3_wr_s4():
             == [w._mul_structural(a, b) for a, b in pairs])
 
 
+def test_wreath_factor_tables_multiply_each_inner_pair_once(monkeypatch):
+    """base is read off one m×m product table of the inner group: 36
+    inner products for S3≀S2, where a product per pair and per prefix
+    made m²(m^n - 1)/(m - 1) = 252."""
+    S3 = groups_mod.SymmetricGroup(3)  # a fresh instance to count on
+    calls = []
+
+    def counted(a, b, mul=S3.mul):
+        calls.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(S3, "mul", counted, raising=False)
+    w = WreathGroup(S3, 2)
+    assert w._tables is not None
+    assert sorted(calls) == [(a, c) for a in range(6) for c in range(6)]
+
+
 def test_wreath_table_budget_is_inclusive(monkeypatch):
     cells = 6 ** 2 + 48 + 8 ** 2  # C2 wr S3: n!^2 + |W| + V^2
     monkeypatch.setattr(groups_mod, "WREATH_TABLE_BUDGET", cells)
@@ -634,18 +650,19 @@ TABLE_FAMILIES = [
 
 
 def _lattice_table(G, monkeypatch):
-    """The Cayley table subgroup_lattice builds for G, caught as G.images
-    returns it."""
-    tables, images = [], G.images
+    """The Cayley table subgroup_lattice builds for G, caught as
+    _cayley_table returns it, each row read as a list up to G's order (a
+    byte row is padded to 256 bytes)."""
+    tables, build = [], groups_mod._cayley_table
 
-    def caught(perms, size):
-        tables.append(images(perms, size))
+    def caught(group):
+        tables.append(build(group))
         return tables[-1]
-    monkeypatch.setattr(G, "images", caught, raising=False)
+    monkeypatch.setattr(groups_mod, "_cayley_table", caught)
     monkeypatch.delitem(G.memo, "lattice", raising=False)
     subgroup_lattice(G)
-    (table,) = tables
-    return table
+    ((table, _),) = tables
+    return [list(row[:G.order]) for row in table]
 
 
 @pytest.mark.parametrize("build", TABLE_FAMILIES,
@@ -727,6 +744,28 @@ def test_symmetric_lattice_counts(n, classes, subgroups):
     lat = subgroup_lattice(symmetric(n))
     assert len(lat.classes) == classes
     assert len(lat.class_index) == subgroups
+
+
+@pytest.mark.parametrize("build, n, classes, subgroups", [
+    (lambda: dihedral(128), 128, 23, 263),
+    (lambda: dihedral(129), 129, 8, 180),
+    (lambda: cyclic(256), None, 9, 9),
+], ids=["D128", "D129", "C256"])
+def test_lattice_counts_at_the_byte_row_boundary(build, n, classes,
+                                                 subgroups):
+    """Up to order 256 the lattice's Cayley rows are bytes, above it
+    lists.  D_n has τ(n) + σ(n) subgroups (the rotations' one per divisor
+    d of n, and d dihedral ones of rotation index d); C256 has one per
+    divisor of 256."""
+    G = build()
+    rows, _ = groups_mod._cayley_table(G)
+    assert type(rows[0]) is (bytes if G.order <= 256 else list)
+    lat = subgroup_lattice(G)
+    assert len(lat.classes) == classes
+    assert len(lat.class_index) == subgroups
+    if n is not None:
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert subgroups == len(divisors) + sum(divisors)
 
 
 A5 = {"type": "perm", "degree": 5,
@@ -968,6 +1007,8 @@ def test_coset_extension_matches_bfs(desc, picks):
     assert frozenset(closure(G, gens)) == bfs_closure(G, gens)
     if gens:
         H = list(closure(G, gens[:-1]))
-        K = extend_subgroup(partial(partial, G.mul), H, gens[:-1], gens[-1])
+        left = partial(partial, G.mul)
+        K = extend_subgroup(left, lambda x, els: list(map(left(x), els)),
+                            H, gens[:-1], gens[-1])
         assert K[:len(H)] == H and len(set(K)) == len(K)
         assert frozenset(K) == bfs_closure(G, gens)

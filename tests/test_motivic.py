@@ -292,9 +292,21 @@ def test_rhs_theorem2_degenerations():
             assert all(q == 0 for q, _ in c.terms)
 
 
+def test_rhs_theorem2_order_zero_degenerates_to_theorem1():
+    """At k = 0 the only exponent tuple is the empty one, with Phi_0 = 0:
+    every coefficient is at L^0, whatever d, and is Theorem 1's."""
+    m = RS3.element([1, -1, 2, 0])
+    t1 = rhs_theorem1(m, 0, 4)
+    for d in (0, 1, 2):
+        series = rhs_theorem2(embed(m), 0, d, None, 4)
+        for c, expected in zip(series.coeffs, t1.coeffs, strict=True):
+            assert specialize_L(c) == expected
+            assert all(q == 0 for q, _ in c.terms)
+
+
 def test_rhs_theorem2_argument_errors():
     with pytest.raises(UsageError):
-        rhs_theorem2(embed(RZ2.unit), 0, 2, None, 3)
+        rhs_theorem2(embed(RZ2.unit), -1, 2, None, 3)
     with pytest.raises(UsageError):
         rhs_theorem2(embed(RZ2.unit), 1, -2, None, 3)
     with pytest.raises(UsageError):

@@ -128,7 +128,7 @@ INT_SITES = [
     ("chi-k", lambda k: chi_k(TRIV3, k), "order", 0),
     ("averaging-order", lambda k: chi_k_averaging(TRIV3, k), "order", 0),
     ("datum-order", lambda k: OrbifoldDatum(C2, R2, k, (), ()), "order", 0),
-    ("rhs2-order", lambda k: rhs_theorem2(embed(R2.unit), k, 0), "order", 1),
+    ("rhs2-order", lambda k: rhs_theorem2(embed(R2.unit), k, 0), "order", 0),
     ("size", lambda n: BiSet(n, C2, C2, [], []), "size", 0),
     ("symmetric-power", lambda k: symmetric_power(FLIP, k),
      "symmetric power k", 0),
