@@ -92,7 +92,7 @@ def chi_k_averaging(X: BiSet, k: int) -> int:
     check_order(k)
     G = X.gO
     check_budget("averaging oracle", G.order, ORACLE_GROUP_LIMIT)
-    perms = G.images(X.actO, X.size)
+    perms = G.images(X.actO, X.size)[0]
 
     def rec(pool: list[int], S: list[int], depth: int) -> int:
         if depth == 0:

@@ -14,15 +14,14 @@ commuting k-tuple is a plain tuple of element indices whose classes recurse
 over classes and centralizers, so every representative commutes.
 
 Words come from one breadth-first tree of left multiplication, kept with the
-generator rows s·x that found it.  images maps a whole set under every
-element down that tree.  The subgroup lattice reads its Cayley table,
-of order at most CAYLEY_TABLE_LIMIT, off the same tree for the one call.
-A byte holds 0..255, so up to order 256 its rows are bytes, each one
-translate of its parent's row, and every set it maps (a coset, a conjugate,
-a double coset) is one bytes.translate through a 256-byte row or
-conjugation table; larger groups keep list rows, images of the regular
-action, and map.  Subgroups grow by Dimino's coset extension: <H, g> is
-H's elements followed by whole left cosets x·H, each read through x's row.
+generator rows s·x that found it.  images, the one walk down that tree,
+maps a whole set under every element as bytes padded to 256 (up to 256
+points, each one translate of its parent's map) or lists (above), with
+the image call for that kind.  The subgroup lattice's Cayley table, of
+order at most CAYLEY_TABLE_LIMIT, is images of the left-regular action,
+and each set it maps (a coset, a conjugate, a double coset) is one image
+call through a row or conjugation table.  Subgroups grow by Dimino's
+coset extension: <H, g> is H's elements and whole left cosets x·H.
 The subgroup lattice is searched over conjugacy-class representatives by
 Neubüser's cyclic extension: each R is extended by a g of prime power order
 p^a with g^p in R that normalizes R, or that lies with R in G^∞ (a K that is
@@ -42,7 +41,7 @@ import json
 import math
 import weakref
 from array import array
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import (InvariantViolation, UsageError, check_budget, check_int,
                      check_perm, exact_div)
@@ -125,16 +124,27 @@ class FiniteGroup:
             g = parent[g]
         return tuple(out)
 
-    def images(self, perms, size: int) -> list[list[int]]:
-        """out[g][p] = g·p for every element g, when generator i acts on
-        0..size-1 by perms[i]: one pass over the word tree, as the images
-        of s·x are x's images sent through s's permutation."""
+    def images(self, perms, size: int) -> tuple[list, object]:
+        """(maps, image) when generator i acts on 0..size-1 by perms[i]:
+        maps[g][p] = g·p, one pass down the word tree (s·x maps by s after
+        x), and image(points, m) sends points through a map m.  A byte holds
+        0..255: up to 256 points a map is bytes padded to 256 by the points
+        it fixes, and image is one translate; above 256, a list."""
         parent, letter, nodes, _ = self._word_table
-        steps = [list(p).__getitem__ for p in perms]
-        out = [list(range(size))] + [None] * (self.order - 1)
-        for y in nodes[1:]:
-            out[y] = list(map(steps[letter[y]], out[parent[y]]))
-        return out
+        maps = [None] * self.order
+        if size > 256:
+            image = lambda points, m: list(map(m.__getitem__, points))
+            steps = [list(p).__getitem__ for p in perms]
+            maps[0] = list(range(size))
+            for y in nodes[1:]:  # mapped inline: no Python call per node
+                maps[y] = list(map(steps[letter[y]], maps[parent[y]]))
+        else:
+            image = bytes.translate
+            steps = [bytes([*p, *range(size, 256)]) for p in perms]
+            maps[0] = bytes(range(256))
+            for y in nodes[1:]:
+                maps[y] = maps[parent[y]].translate(steps[letter[y]])
+        return maps, image
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label} order={self.order}>"
@@ -479,24 +489,23 @@ def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
     return tuple(sorted(_reduce_generators(G.mul, gens, G.order)[0]))
 
 
-def extend_subgroup(left, image, elements, gens, g: int):
-    """Elements of <H, g>, where H = <gens> has the given elements, left(x)
-    maps one element y to x·y and image(x, elements) maps a set of the
-    elements' kind (a list, or bytes) to x·elements.  Dimino's coset
+def extend_subgroup(rows, image, elements, gens, g: int):
+    """Elements of <H, g>, where H = <gens> has the given elements, rows[x]
+    is x's map, rows[x][y] = x·y, and image(points, rows[x]) sends a set
+    of the elements' kind (a list, or bytes) to x·points.  Dimino's coset
     extension: H's elements, then whole left cosets x·H; a generator s
     times a coset representative x that falls outside the list opens
     (s·x)·H, so the list ends closed under left multiplication.  One
     product per new element plus one per coset and generator."""
     seen = set(elements)
-    steps = [left(s) for s in gens]
-    steps.append(left(g))
+    steps = [rows[s] for s in (*gens, g)]
     out, pos = elements[:], 0  # += extends a list copy, or makes new bytes
     while pos < len(out):
         x = out[pos]  # stands for its coset, as s·(x·H) = (s·x)·H
         for step in steps if pos else steps[-1:]:  # H's own gens keep H
-            sx = step(x)
+            sx = step[x]
             if sx not in seen:
-                coset = image(sx, elements)
+                coset = image(elements, rows[sx])
                 seen.update(coset)
                 out += coset
         pos += len(elements)
@@ -517,6 +526,16 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
     return G.memo["whole"]
 
 
+class _Left:
+    """_Left(mul, x)[y] = mul(x, y): x's map, for a group without a table."""
+
+    def __init__(self, mul, x):
+        self.mul, self.x = mul, x
+
+    def __getitem__(self, y):
+        return self.mul(self.x, y)
+
+
 def _reduce_generators(mul, candidates, target: int
                        ) -> tuple[list[int], tuple[int, ...]]:
     """Elements and generators of the subgroup grown from the candidates
@@ -525,12 +544,12 @@ def _reduce_generators(mul, candidates, target: int
     small: list[int] = []
     current = [0]
     members = {0}
-    left = partial(partial, mul)  # left(x) = partial(mul, x)
-    image = lambda x, elements: list(map(left(x), elements))  # x·elements
+    rows = _Left(_Left, mul)  # rows[x] = _Left(mul, x)
+    image = lambda points, m: list(map(mul, itertools.repeat(m.x), points))
     for c in candidates:
         if c in members:
             continue
-        current = extend_subgroup(left, image, current, small, c)
+        current = extend_subgroup(rows, image, current, small, c)
         members.update(current)
         small.append(c)
         if len(current) == target:
@@ -675,9 +694,7 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
                  CAYLEY_TABLE_LIMIT)
     if "lattice" in G.memo:
         return G.memo["lattice"]
-    rows, image = _cayley_table(G)  # a·b = rows[a][b]
-    left = [row.__getitem__ for row in rows].__getitem__
-    times = lambda x, elements: image(elements, rows[x])  # x·elements
+    rows, image = G.images(G._word_table[3], G.order)  # a·b = rows[a][b]
     gens, invs = G.generators, [rows[s].index(0) for s in G.generators]
     # x -> s^-1 (x s) for each generator s: column s, and any padding, of
     # the rows' own kind sent through row s^-1
@@ -728,7 +745,7 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     found(rows[0][:1], ())  # the identity row begins with the identity
     zuppos = _prime_power_generators(rows)
     primes = {p for _, p, _, _ in zuppos}
-    residual = _perfect_residual(rows, left, times, conj, gens)
+    residual = _perfect_residual(rows, image, conj, gens)
     for elements, chain in queue:  # grows as classes are found
         rset, n = frozenset(elements), len(elements)
         inside = rset <= residual
@@ -741,12 +758,12 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
             if not (inside and g in residual) and any(
                     rows[rows[g][r]][gi] not in rset for r in chain):
                 continue
-            K = extend_subgroup(left, times, elements, chain, g)
+            K = extend_subgroup(rows, image, elements, chain, g)
             conjugates = found(K, chain + (g,))
             if len(K) // n in primes:
                 covered.update(*filter(rset.issubset, conjugates))
                 continue
-            gR = times(g, elements)
+            gR = image(elements, rows[g])
             for r in elements:  # R·g·R
                 covered.update(image(gR, rows[r]))
     # canonical order: (order, least conjugate), generated by conjugated chain
@@ -764,26 +781,7 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     return lat
 
 
-def _cayley_table(G: FiniteGroup) -> tuple[list, object]:
-    """(rows, image): G's Cayley table, rows[a][b] = a·b, and
-    image(elements, perm), the elements sent through a map perm of G's
-    elements such as a row, both of the rows' kind.  A byte holds 0..255,
-    so up to order 256 each row is bytes, padded to a 256-byte table by
-    the points it fixes and read off the word tree by one translate per
-    element, and an image is one bytes.translate; larger groups keep list
-    rows (G.images of the left-regular action) and map."""
-    parent, letter, nodes, gen_rows = G._word_table
-    if G.order > 256:
-        return (G.images(gen_rows, G.order),
-                lambda elements, perm: list(map(perm.__getitem__, elements)))
-    steps = [bytes([*row, *range(G.order, 256)]) for row in gen_rows]
-    rows = [bytes(range(256))] + [None] * (G.order - 1)
-    for y in nodes[1:]:
-        rows[y] = rows[parent[y]].translate(steps[letter[y]])
-    return rows, bytes.translate
-
-
-def _perfect_residual(rows, left, times, conj, gens) -> frozenset[int]:
+def _perfect_residual(rows, image, conj, gens) -> frozenset[int]:
     """G^∞, the last term of the derived series, on the Cayley rows: D' is
     the normal closure in G (conj: x -> s^-1·x·s for G's generators s) of
     the commutators of D's generators, taken until it stops shrinking."""
@@ -795,7 +793,7 @@ def _perfect_residual(rows, left, times, conj, gens) -> frozenset[int]:
         derived, members, new_chain = rows[0][:1], {0}, []
         for c in todo:  # grows by the conjugates of each generator taken
             if c not in members:
-                derived = extend_subgroup(left, times, derived, new_chain, c)
+                derived = extend_subgroup(rows, image, derived, new_chain, c)
                 members.update(derived)
                 new_chain.append(c)
                 todo.extend(perm[c] for perm in conj)

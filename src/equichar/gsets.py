@@ -4,8 +4,8 @@ A BiSet carries a left action of an "orbifold side" group gO and a left
 action of a "Burnside side" group gB, stored as one permutation per group
 generator.  BiSet.act maps just the points a scan keeps along an element's
 word, and BiSet.fixed and BiSet.orbits_on are built on it; only the
-averaging oracle and validate map the whole set under every element, by one
-walk of the word tree, FiniteGroup.images.
+averaging oracle and validate map the whole set under every element, by the
+one word-tree walk, FiniteGroup.images, in bytes or list maps as it picks.
 
 A fixed set X^g under the centralizer C(g) is not a BiSet of its own: it is
 a tuple of the parent's point indices acted on by a parent-indexed
@@ -114,12 +114,13 @@ class BiSet:
             cost = group.order * len(gens) * self.size
             check_budget(f"{side}-side homomorphism check", cost,
                          HOM_CHECK_BUDGET)
-            images = group.images(gens, self.size)
+            maps, image = group.images(gens, self.size)
             steps = list(zip(group.generators, gens, group._word_table[3]))
             for x in group.elements():
                 for s, perm, row in steps:  # row[x] = s·x, as the tree has it
-                    if images[row[x]] != list(
-                            map(perm.__getitem__, images[x])):
+                    # x = 0 checks maps[s] is perm; then it stands for perm
+                    if (maps[row[x]] != image(maps[x], maps[s]) if x else
+                            list(maps[s][:self.size]) != list(perm)):
                         raise InvariantViolation(
                             f"{side}-side action is not a homomorphism at "
                             f"({x}, {s})")

@@ -13,9 +13,10 @@ with their own + - *.  `validate_group` checks the group axioms on a flat
 Cayley table of G.mul products (the package builds such a table only for
 a subgroup lattice, and there row from row, relying on the associativity
 checked here), and `validate_subgroup` checks a subgroup's closure by all
-|H|² products.  `wreath_power_images` applies the wreath action to one
-encoded n-tuple at a time, where the package builds each generator's
-images as digit sums.
+|H|² products.  `mackey_mismatches` multiplies the table of marks' basis
+rows by Mackey's double coset formula over the lattice's subgroups.
+`wreath_power_images` applies the wreath action to one encoded n-tuple at
+a time, where the package builds each generator's images as digit sums.
 
 Independent power oracles: a closed multinomial formula over the integers
 (`integer_power_oracle`) and a configuration-space enumeration over A(G)
@@ -33,6 +34,7 @@ package reads off the subgroup lattice only below each class, and
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -336,6 +338,43 @@ def validate_subgroup(H):
                 raise InvariantViolation("subgroup not closed under product")
     if closure(G, H.generators) != H.elements:
         raise InvariantViolation("stored generators do not generate subgroup")
+
+
+def mackey_mismatches(ring) -> list[tuple[int, int]]:
+    """The basis pairs (i, j), j <= i, whose pointwise product of mark rows
+    is not the marks of Mackey's product formula (tom Dieck, LNM 766;
+    Pfeiffer, Experiment. Math. 6 (1997)).  [G/H]·[G/K] is the sum over
+    the double cosets HgK of [G/(H ∩ gKg^-1)]; summed over the conjugates
+    K' of K instead, class c gets the coefficient
+    Σ |N_G(K)|·|H ∩ K'| / (|H|·|K|) over the K' with H ∩ K' in c.  It
+    reads the lattice's subgroups and the ring's marks, not how the marks
+    were made; a coefficient that is not an integer is a mismatch too."""
+    lattice, rows = ring.lattice, ring.marks_rows
+    conjugates = [[] for _ in rows]
+    for elements, c in lattice.class_index.items():
+        conjugates[c].append(elements)
+    bad = []
+    for i, H in enumerate(lattice.classes):
+        hset = H.element_set()
+        for j, K in enumerate(lattice.classes[:i + 1]):
+            meets = Counter()
+            for other in conjugates[j]:
+                meet = hset & other
+                meets[lattice.class_index[meet]] += len(meet)
+            normalizer = ring.group.order // len(conjugates[j])
+            # every H ∩ K' has order at most |K|, so its class is at most j,
+            # and the rows, lower triangular as the ring checks, vanish
+            # right of column j
+            marks = [0] * (j + 1)
+            for c, total in meets.items():
+                q, r = divmod(normalizer * total, H.order * K.order)
+                marks = [m + q * x for m, x in zip(marks, rows[c])]
+                if r:
+                    marks = None
+                    break
+            if marks != [a * b for a, b in zip(rows[i][:j + 1], rows[j])]:
+                bad.append((i, j))
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 from collections import Counter
 
 import pytest
@@ -12,8 +14,9 @@ from equichar.errors import InvariantViolation, ResourceLimitError, UsageError
 from equichar.groups import (SubgroupLattice, SymmetricGroup, cyclic,
                              dihedral, make_group, subgroup_lattice, symmetric)
 from equichar.gsets import BiSet, biset_from_single_action, trivial_group
-from oracles import (coset_biset, disjoint_union, empty_biset, orbit_counts,
-                     point_biset, product, symmetric_power_class)
+from oracles import (coset_biset, disjoint_union, empty_biset,
+                     mackey_mismatches, orbit_counts, point_biset, product,
+                     symmetric_power_class)
 
 
 def b_regular(G):
@@ -29,6 +32,37 @@ def test_marks_z2():
 def test_marks_s3():
     rows = [list(r) for r in burnside_ring(symmetric(3)).marks_rows]
     assert rows == [[6, 0, 0, 0], [3, 1, 0, 0], [2, 0, 2, 0], [1, 1, 1, 1]]
+
+
+GOLDEN_GROUPS = [(case["name"], case["group"]) for case in json.loads(
+    (pathlib.Path(__file__).parent / "golden_marks.json").read_text())]
+A6 = {"type": "perm", "degree": 6,
+      "generators": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]}
+
+
+@pytest.mark.parametrize("desc", [desc for _, desc in GOLDEN_GROUPS] + [
+    A6, {"type": "symmetric", "n": 6},
+    {"type": "wreath", "inner": {"type": "cyclic", "n": 2}, "n": 4},
+], ids=[name for name, _ in GOLDEN_GROUPS] + ["A6", "S6", "C2wrS4"])
+def test_marks_obey_the_mackey_product_formula(desc):
+    """Every product of two basis rows of the table of marks is the marks
+    of the sum Mackey's formula gives from the lattice's subgroups; the
+    golden groups include S5."""
+    assert mackey_mismatches(burnside_ring(make_group(desc))) == []
+
+
+def test_mackey_formula_catches_a_mark_check_products_passes():
+    """Adding 1 to S5's mark of [G/G] at class 17 leaves every product of
+    basis rows integral, so check_products passes the table; Mackey's
+    formula finds the two products the change breaks."""
+    G = symmetric(5)
+    ring = BurnsideRing(G, subgroup_lattice(G))
+    assert mackey_mismatches(ring) == []
+    rows = [list(row) for row in ring.marks_rows]
+    rows[18][17] += 1
+    ring.marks_rows = tuple(map(tuple, rows))
+    ring.check_products()
+    assert mackey_mismatches(ring) == [(18, 17), (18, 18)]
 
 
 def test_marks_lower_triangular_positive_diagonal():

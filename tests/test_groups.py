@@ -8,7 +8,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -649,20 +648,25 @@ TABLE_FAMILIES = [
 ]
 
 
-def _lattice_table(G, monkeypatch):
-    """The Cayley table subgroup_lattice builds for G, caught as
-    _cayley_table returns it, each row read as a list up to G's order (a
-    byte row is padded to 256 bytes)."""
-    tables, build = [], groups_mod._cayley_table
+def _lattice_rows(G, monkeypatch):
+    """The Cayley rows subgroup_lattice builds for G, caught as its one
+    G.images call returns them."""
+    tables, build = [], G.images
 
-    def caught(group):
-        tables.append(build(group))
+    def caught(perms, size):
+        tables.append(build(perms, size))
         return tables[-1]
-    monkeypatch.setattr(groups_mod, "_cayley_table", caught)
+    monkeypatch.setattr(G, "images", caught, raising=False)
     monkeypatch.delitem(G.memo, "lattice", raising=False)
     subgroup_lattice(G)
-    ((table, _),) = tables
-    return [list(row[:G.order]) for row in table]
+    ((rows, _),) = tables
+    return rows
+
+
+def _lattice_table(G, monkeypatch):
+    """The lattice's Cayley table, each row read as a list up to G's order
+    (a byte row is padded to 256 bytes)."""
+    return [list(row[:G.order]) for row in _lattice_rows(G, monkeypatch)]
 
 
 @pytest.mark.parametrize("build", TABLE_FAMILIES,
@@ -687,7 +691,8 @@ def test_images_match_act_and_table_rows(build, monkeypatch):
     G = build()
     gen_rows = [[G.mul(s, b) for b in G.elements()] for s in G.generators]
     X = BiSet(G.order, G, trivial_group(), gen_rows, ())
-    images = G.images(gen_rows, G.order)
+    maps, _ = G.images(gen_rows, G.order)
+    images = [list(m[:G.order]) for m in maps]
     assert images == [X.act("O", g, G.elements()) for g in G.elements()]
     assert images == _lattice_table(G, monkeypatch)
 
@@ -702,9 +707,33 @@ def test_images_match_act_on_a_wreath_power():
     P = wreath_power(BiSet(6, S3, S3, actO, actB), 2)
     P.validate()
     for side, group, perms in (("O", P.gO, P.actO), ("B", P.gB, P.actB)):
-        images = group.images(perms, P.size)
-        assert images == [P.act(side, g, range(P.size))
-                          for g in group.elements()]
+        maps, _ = group.images(perms, P.size)
+        assert [list(m[:P.size]) for m in maps] == [
+            P.act(side, g, range(P.size)) for g in group.elements()]
+
+
+@pytest.mark.parametrize("n, kind", [(256, bytes), (257, list)],
+                         ids=["C256", "C257"])
+def test_images_kind_at_the_byte_boundary(n, kind):
+    """Up to 256 points each map images hands back is bytes, above it a
+    list, and either kind reads back as act's images of the regular
+    action; image composes two maps of that kind.  C4 sending its
+    generator to a 3-cycle of 0..2, padded by fixed points to n, breaks
+    only the Cayley relation 1·3 = 0, and validate refuses it on either
+    kind."""
+    G = cyclic(n)
+    X = BiSet(n, G, trivial_group(), [[*range(1, n), 0]], ())
+    maps, image = G.images(X.actO, n)
+    assert {type(m) for m in maps} == {kind}
+    assert [list(m[:n]) for m in maps] == [X.act("O", g, range(n))
+                                           for g in G.elements()]
+    assert image(maps[1], maps[1]) == maps[2]
+    three_cycle = BiSet(n, cyclic(4), trivial_group(),
+                        [[1, 2, 0, *range(3, n)]], ())
+    with pytest.raises(InvariantViolation,
+                       match=r"^O-side action is not a homomorphism "
+                             r"at \(3, 1\)$"):
+        three_cycle.validate()
 
 
 def test_table_rows_match_structural_wreath_mul(monkeypatch):
@@ -752,13 +781,13 @@ def test_symmetric_lattice_counts(n, classes, subgroups):
     (lambda: cyclic(256), None, 9, 9),
 ], ids=["D128", "D129", "C256"])
 def test_lattice_counts_at_the_byte_row_boundary(build, n, classes,
-                                                 subgroups):
+                                                 subgroups, monkeypatch):
     """Up to order 256 the lattice's Cayley rows are bytes, above it
     lists.  D_n has τ(n) + σ(n) subgroups (the rotations' one per divisor
     d of n, and d dihedral ones of rotation index d); C256 has one per
     divisor of 256."""
     G = build()
-    rows, _ = groups_mod._cayley_table(G)
+    rows = _lattice_rows(G, monkeypatch)
     assert type(rows[0]) is (bytes if G.order <= 256 else list)
     lat = subgroup_lattice(G)
     assert len(lat.classes) == classes
@@ -1007,8 +1036,8 @@ def test_coset_extension_matches_bfs(desc, picks):
     assert frozenset(closure(G, gens)) == bfs_closure(G, gens)
     if gens:
         H = list(closure(G, gens[:-1]))
-        left = partial(partial, G.mul)
-        K = extend_subgroup(left, lambda x, els: list(map(left(x), els)),
+        rows = [[G.mul(x, y) for y in G.elements()] for x in G.elements()]
+        K = extend_subgroup(rows, lambda els, row: [row[y] for y in els],
                             H, gens[:-1], gens[-1])
         assert K[:len(H)] == H and len(set(K)) == len(K)
         assert frozenset(K) == bfs_closure(G, gens)
