@@ -124,6 +124,8 @@ class BurnsideRing:
     def from_marks(self, marks) -> BurnsideElement:
         """The element with these marks, checked to lie in A(G) at once."""
         marks = tuple(marks)
+        if len(marks) != self.n:
+            raise UsageError(f"need {self.n} marks, got {len(marks)}")
         return BurnsideElement(self, marks, self.back_substitute(marks))
 
     def back_substitute(self, marks) -> tuple[int, ...]:

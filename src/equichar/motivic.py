@@ -1,12 +1,15 @@
 """Burnside coefficients extended by rational powers of a formal symbol L.
 
 Elements of A(G)[L^{±1/D}] are finite sums of L^q * (Burnside class) with
-qD integral.  An element holds its least D and integer pairs (e, c) meaning
-L^(e/D) * c, so + and * add integers over lcm(D1, D2); exponents are
-`Fraction`s only where they enter or leave (`lext`, `L`, `terms`, rendering
-and shifts) and in the slopes `laurent_terms` bounds a power by.  The
-lambda-structure extends the Burnside one by the scaling rule
-zeta_{L^q b}(t) = zeta_b(L^q t), which makes the substitution law
+qD integral.  An element is held at its marks, as a Burnside element and a
+series column are: its least D and, per subgroup class, a Laurent
+polynomial {e: mark} in L^(1/D), so +, - and * run mark by mark over
+lcm(D1, D2) through the handle's `axpy` and `dot`.  Its pairs (e, c),
+meaning L^(e/D) * c, are back-substituted when read (`pairs`, `terms`).
+Exponents are `Fraction`s only where they enter or leave (`lext`, `L`,
+`terms`, rendering and shifts) and in the slopes `laurent_terms` bounds a
+power by.  The lambda-structure extends the Burnside one by the scaling
+rule zeta_{L^q b}(t) = zeta_b(L^q t), which makes the substitution law
 (A(L^s t))^m = (A(t))^m |_{t -> L^s t} hold for the factorization power.
 
 Geometric classes (of varieties, quotients, fixed loci) are never computed
@@ -22,7 +25,7 @@ from math import ceil, floor, gcd, lcm
 from .burnside import BurnsideElement, BurnsideRing
 from .errors import UsageError, check_budget, check_int, parse_fraction
 from .groups import FiniteGroup, check_order
-from .powerstruct import (INT_RING, TruncatedSeries, exponent_tuples,
+from .powerstruct import (INT_RING, TruncatedSeries, _lift, exponent_tuples,
                           lambda_term, log_coeff, power)
 
 LAURENT_PRODUCT_BUDGET = 10 ** 8   # term products rebuilding an L-power
@@ -32,14 +35,24 @@ LAURENT_PRODUCT_BUDGET = 10 ** 8   # term products rebuilding an L-power
 # the extended ring
 
 class LExtElement:
-    """Finite sum of L^(e/D) * c with c in A(G), held as D and integer
-    pairs (e, c): sorted by e, no zero c, gcd(D, every e) = 1, and D = 1
-    for zero."""
+    """Finite sum of L^(e/D) * c with c in A(G), held at its marks: D and
+    cols, per class a Laurent polynomial {e: mark} with no zero entry, never
+    mutated; gcd(D, every e) = 1 and D = 1 for zero.  `pairs`, the (e, c)
+    sorted by e with no zero c, is back-substituted on first read and kept,
+    as `BurnsideElement.coeffs` is."""
 
-    __slots__ = ("ring", "D", "pairs")
+    __slots__ = ("ring", "D", "cols", "_pairs")
 
-    def __init__(self, ring: BurnsideRing, D: int, pairs: tuple):
-        self.ring, self.D, self.pairs = ring, D, pairs
+    def __init__(self, ring: BurnsideRing, D: int, cols: tuple):
+        self.ring, self.D, self.cols, self._pairs = ring, D, cols, None
+
+    @property
+    def pairs(self) -> tuple:
+        if self._pairs is None:
+            self._pairs = tuple(
+                (e, self.ring.from_marks([x.get(e, 0) for x in self.cols]))
+                for e in sorted(set().union(*self.cols)))
+        return self._pairs
 
     @property
     def terms(self) -> tuple:
@@ -48,61 +61,52 @@ class LExtElement:
 
     def __eq__(self, other):
         return isinstance(other, LExtElement) and self.ring is other.ring \
-            and self.D == other.D and self.pairs == other.pairs
+            and self.D == other.D and self.cols == other.cols
 
     def __hash__(self) -> int:
-        return hash((self.D, self.pairs))
+        return hash((self.D, *map(frozenset, map(dict.items, self.cols))))
 
-    def _lift(self, D: int) -> tuple:
-        k = D // self.D
-        return self.pairs if k == 1 else \
-            tuple((e * k, c) for e, c in self.pairs)
-
-    def __add__(self, other: LExtElement) -> LExtElement:
+    def _over(self, other) -> tuple:
+        """lcm(D1, D2) and both elements' columns over it, zipped."""
         self._check(other)
         D = lcm(self.D, other.D)
-        return _normal(self.ring, D, self._lift(D) + other._lift(D))
+        return D, zip(_lift(self.cols, D // self.D),
+                      _lift(other.cols, D // other.D))
+
+    def __add__(self, other: LExtElement, k: int = 1) -> LExtElement:
+        D, xys = self._over(other)
+        return _normal(self.ring, D, [LExtCoeffRing.axpy(x, k, y)
+                                      for x, y in xys])
 
     def __neg__(self) -> LExtElement:
-        return LExtElement(self.ring, self.D,
-                           tuple((e, -c) for e, c in self.pairs))
+        return self * -1
 
     def __sub__(self, other: LExtElement) -> LExtElement:
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         if type(other) is int:
-            return _normal(self.ring, self.D,
-                           [(e, other * c) for e, c in self.pairs])
-        self._check(other)
-        D = lcm(self.D, other.D)
-        return _normal(self.ring, D, [(e + f, c * d)
-                                      for e, c in self._lift(D)
-                                      for f, d in other._lift(D)])
+            return _normal(self.ring, self.D, [LExtCoeffRing.axpy({}, other, x)
+                                               for x in self.cols])
+        D, xys = self._over(other)
+        self.ring.check_products()
+        return _normal(self.ring, D, [LExtCoeffRing.dot((x,), (y,))
+                                      for x, y in xys])
 
     def __rmul__(self, other):
-        if type(other) is int:
-            return self * other
-        return NotImplemented
+        return self * other if type(other) is int else NotImplemented
 
     def __bool__(self) -> bool:
-        return bool(self.pairs)
+        return any(self.cols)
 
     def render(self) -> str:
-        if not self.pairs:
-            return "0"
         parts = []
         for q, c in self.terms:
-            if q == 0:
-                parts.append(c.render())
-            else:
-                head = "L" if q == 1 else \
-                    (f"L^{q}" if q.denominator == 1 else f"L^({q})")
-                if c == self.ring.unit:
-                    parts.append(head)
-                else:
-                    parts.append(f"{head}*({c.render()})")
-        return " + ".join(parts)
+            head = "L" if q == 1 else \
+                (f"L^{q}" if q.denominator == 1 else f"L^({q})")
+            parts.append(c.render() if q == 0 else head if c == self.ring.unit
+                         else f"{head}*({c.render()})")
+        return " + ".join(parts) or "0"
 
     def _check(self, other) -> None:
         if not isinstance(other, LExtElement) or other.ring is not self.ring:
@@ -112,32 +116,34 @@ class LExtElement:
         return f"<LExt {self.render()}>"
 
 
-def _normal(bring: BurnsideRing, D: int, pairs) -> LExtElement:
-    """L^(e/D)-pairs merged by e, zeros dropped, sorted, D made minimal."""
-    acc: dict = {}
-    for e, c in pairs:
-        prev = acc.get(e)
-        acc[e] = c if prev is None else prev + c
-    out = sorted((e, c) for e, c in acc.items() if c)
-    g = gcd(D, *[e for e, _ in out]) if D > 1 else 1
+def _normal(bring: BurnsideRing, D: int, cols) -> LExtElement:
+    """The element with these {e: mark} columns over L^(1/D), D minimal."""
+    g = gcd(D, *(e for x in cols for e in x)) if D > 1 else 1
     if g > 1:
-        out = [(e // g, c) for e, c in out]
-    return LExtElement(bring, D // g, tuple(out))
+        cols = [{e // g: c for e, c in x.items()} for x in cols]
+    return LExtElement(bring, D // g, tuple(cols))
 
 
 def lext(bring: BurnsideRing, pairs) -> LExtElement:
-    """The element sum of L^q * c over (rational q, c) pairs."""
+    """The element sum of L^q * c over (rational q, c in bring) pairs."""
     pairs = [(parse_fraction(q), c) for q, c in pairs]
     D = lcm(*(q.denominator for q, _ in pairs))
-    return _normal(bring, D, [(q.numerator * (D // q.denominator), c)
-                              for q, c in pairs])
+    cols = [{} for _ in range(bring.n)]
+    for q, c in pairs:
+        if not isinstance(c, BurnsideElement) or c.ring is not bring:
+            raise UsageError("elements of different Burnside rings")
+        e = q.numerator * (D // q.denominator)
+        for x, mark in zip(cols, c.marks()):
+            x[e] = x.get(e, 0) + mark
+    return _normal(bring, D, [LExtCoeffRing.entry(x) for x in cols])
 
 
 def embed(x: BurnsideElement) -> LExtElement:
     """A Burnside class at exponent zero."""
     if not isinstance(x, BurnsideElement):
         raise UsageError(f"cannot embed {type(x).__name__}")
-    return _normal(x.ring, 1, ((0, x),))
+    return LExtElement(x.ring, 1, tuple({0: m} if m else {}
+                                        for m in x.marks()))
 
 
 def L(bring: BurnsideRing, q=1) -> LExtElement:
@@ -146,7 +152,7 @@ def L(bring: BurnsideRing, q=1) -> LExtElement:
 
 def specialize_L(a: LExtElement) -> BurnsideElement:
     """The ring map L -> 1 onto A(G)."""
-    return sum((c for _, c in a.pairs), a.ring.zero)
+    return a.ring.from_marks([sum(x.values()) for x in a.cols])
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +161,7 @@ def specialize_L(a: LExtElement) -> BurnsideElement:
 class LExtCoeffRing:
     """Generators are pairs (exponent q, basis class index); lambda-terms
     follow the scaling rule zeta_{L^q b}(t) = zeta_b(L^q t).  A
-    coefficient's column entry at class K is the Laurent polynomial
-    {e: mark at K} in L^(1/D)."""
+    coefficient's column entries are its `cols`."""
 
     one_entry, zero_entry = {0: 1}, {}
 
@@ -182,15 +187,12 @@ class LExtCoeffRing:
 
     def entries(self, c: LExtElement):
         self.one._check(c)
-        return c.D, [self.entry({e: x.marks()[k] for e, x in c.pairs})
-                     for k in range(self.n)]
+        return c.D, c.cols
 
     def element(self, D: int, entries) -> LExtElement:
-        es = sorted(set().union(*entries))   # no entry holds a zero
-        g = gcd(D, *es)
-        return LExtElement(self.bring, D // g, tuple(
-            (e // g, self.bring.from_marks([x.get(e, 0) for x in entries]))
-            for e in es))
+        out = _normal(self.bring, D, entries)
+        out.pairs   # back-substitutes every exponent, so checks it integral
+        return out
 
     def add_psi(self, cols, pos: int, k: int, xs, r: int) -> None:
         for h, row in zip(cols, self.bring.adams(r)):
@@ -217,10 +219,7 @@ def lext_coeff_ring(bring: BurnsideRing) -> LExtCoeffRing:
 def zeta_L(b: LExtElement, N: int) -> TruncatedSeries:
     """zeta of a single generator L^q*[G/H]: coefficient of t^k is
     L^{qk} * class_of(S^k(G/H)), the lambda-term of the generator."""
-    if len(b.pairs) != 1:
-        raise UsageError("zeta_L needs a single L^q*[G/H] generator")
-    c = b.pairs[0][1]
-    if sorted(c.coeffs) != [0] * (c.ring.n - 1) + [1]:
+    if [sorted(c.coeffs) for _, c in b.pairs] != [[0] * (b.ring.n - 1) + [1]]:
         raise UsageError("zeta_L needs a single L^q*[G/H] generator")
     return lambda_term(lext_coeff_ring(b.ring), b, 1, N)
 
@@ -234,10 +233,10 @@ def laurent_terms(A: TruncatedSeries, m: LExtElement) -> list:
     D = lcm(A.D, m.D)
     slopes = [Fraction(e * (D // A.D), i) for h in A.logs
               for i, x in enumerate(h, start=1) for e in x]
-    if not slopes or not m.pairs:   # A^m = 1
+    es = [e * (D // m.D) for x in m.cols for e in x]
+    if not slopes or not es:   # A^m = 1
         return [1] * (A.N + 1)
-    lo, hi = min(slopes), max(slopes)
-    u, v = (e * (D // m.D) for e in (m.pairs[0][0], m.pairs[-1][0]))
+    lo, hi, u, v = min(slopes), max(slopes), min(es), max(es)
     return [1] + [floor(j * hi + max(v, j * v)) -
                   ceil(j * lo + min(u, j * u)) + 1
                   for j in range(1, A.N + 1)]

@@ -139,6 +139,16 @@ def test_from_marks_rejects_non_realizable():
         R.from_marks((1, 2))
 
 
+def test_from_marks_refuses_another_length():
+    """A mark vector has one entry per subgroup class: a longer one is not
+    read as its first n entries, nor a shorter one left to an IndexError."""
+    R = burnside_ring(symmetric(3))
+    for marks in ([6, 0, 0, 0, 0], [1, 1, 1], []):
+        with pytest.raises(UsageError,
+                           match=f"^need 4 marks, got {len(marks)}$"):
+            R.from_marks(marks)
+
+
 def test_class_of_transitive_sets():
     G = symmetric(3)
     R = burnside_ring(G)

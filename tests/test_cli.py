@@ -765,7 +765,8 @@ def test_an_l_extended_power_above_the_budget_is_refused_quickly(capsys,
                                                                 files):
     """On the S3 input of the L-extended goldens, whose t^j entries hold
     up to 6j + 1 Laurent terms, N = 100 would take over a minute; it is
-    refused after the input is read, before any series work."""
+    refused after the input is read and its log columns built, before the
+    power is factored or rebuilt."""
     case = next(c for c in GOLDEN_LEXT if c["name"] == "power-lext-S3-text")
     path = files("in.json", case["input"])
     t0 = time.perf_counter()

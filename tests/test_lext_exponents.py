@@ -1,6 +1,8 @@
 """Integer exponents over D in A(G)[L^(1/D)]: normal form, agreement with
-the `Fraction`-keyed reference merge, and no `Fraction` in the arithmetic."""
+the `Fraction`-keyed reference merge, no `Fraction` in the arithmetic, and
+elements held at their marks."""
 
+import copy
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -8,11 +10,13 @@ from math import gcd
 import pytest
 
 from equichar import motivic
-from equichar.burnside import burnside_ring
-from equichar.groups import cyclic, symmetric
-from equichar.motivic import L, embed, lext, lext_coeff_ring
+from equichar.burnside import (BurnsideElement, BurnsideRing,
+                               burnside_ring)
+from equichar.errors import InvariantViolation, UsageError
+from equichar.groups import cyclic, subgroup_lattice, symmetric
+from equichar.motivic import L, embed, lext, lext_coeff_ring, specialize_L
 from equichar.powerstruct import (TruncatedSeries, exp_column, lambda_term,
-                                  power)
+                                  lambda_factorize, power)
 from oracles import lext_lambda_reference, lext_reference
 
 RINGS = {"C2": burnside_ring(cyclic(2)), "S3": burnside_ring(symmetric(3))}
@@ -134,3 +138,75 @@ def test_no_fraction_in_arithmetic(monkeypatch):
     assert [a - b for a in els for b in els] == diffs
     assert [a * b for a in els for b in els] == prods
     assert (A.mul(B), power(A, m), power(B, -m), A.pow_int(-2)) == series
+
+
+def test_arithmetic_runs_on_marks_alone(monkeypatch):
+    """+, -, integer scaling and * never back-substitute, add or multiply
+    a Burnside element: the pairs of an element are read only when asked
+    for, and then once."""
+    bring = RINGS["S3"]
+    rng = random.Random(37)
+    els = [lext(bring, rand_pairs(rng, bring)) for _ in range(6)]
+    expected = [(a + b, a - b, a * b, -a, 3 * a) for a in els for b in els]
+
+    def boom(*args):
+        raise AssertionError("a Burnside element in L-extended arithmetic")
+
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__sub__", "__mul__", "__neg__"):
+            patch.setattr(BurnsideElement, name, boom)
+        patch.setattr(BurnsideRing, "from_marks", boom)
+        patch.setattr(BurnsideRing, "back_substitute", boom)
+        got = [(a + b, a - b, a * b, -a, 3 * a) for a in els for b in els]
+    assert got == expected
+    assert all(x._pairs is None for row in got for x in row)
+    x = got[7][2]
+    assert x.pairs is x.pairs and x._pairs is x.pairs
+
+
+def test_columns_are_never_mutated():
+    """No element's columns, and no shared entry of the handle, change
+    under element arithmetic, series building, powers, factorization and
+    substitution, including elements read back off a series."""
+    bring = RINGS["S3"]
+    ring = lext_coeff_ring(bring)
+    rng = random.Random(41)
+    els = [lext(bring, rand_pairs(rng, bring)) for _ in range(6)]
+    els += [ring.one, ring.zero, L(bring, F(1, 2))]
+    A = TruncatedSeries(ring, [ring.one] + els[:4])
+    read = list(power(A, els[4]).coeffs) + lambda_factorize(A)
+    els += read
+    before = copy.deepcopy([x.cols for x in els])
+    for a in els:
+        for b in els[:6]:
+            a + b, a - b, a * b, -a, 2 * a, specialize_L(a), a.pairs
+    B = TruncatedSeries(ring, [ring.one] + read[1:5])
+    B.mul(A).coeffs, power(B, els[5]).coeffs, lambda_factorize(B)
+    A.substitute(els[-1], 2).coeffs, lambda_term(ring, els[8], 2, 4).coeffs
+    assert [x.cols for x in els] == before
+    assert (ring.one_entry, ring.zero_entry) == ({0: 1}, {})
+
+
+def test_lext_refuses_a_class_of_another_ring():
+    """A class of A(S3) is no coefficient of A(C2)[L^Q], nor is an integer
+    or an L-extended element: each is refused, not summed."""
+    C2, S3 = RINGS["C2"], RINGS["S3"]
+    for c in (S3.basis(0), 1, L(C2, 1)):
+        with pytest.raises(UsageError,
+                           match="^elements of different Burnside rings$"):
+            lext(C2, [(0, c)])
+    assert lext(C2, [(0, C2.basis(0))]).render() == "[G/e]"
+
+
+def test_element_products_check_the_table_first():
+    """On a table of marks not closed under products, a product of two
+    L-extended elements raises, even where its own marks back-substitute
+    integrally ([G/e]^2 = 2·[G/e])."""
+    G = cyclic(2)
+    R = BurnsideRing(G, subgroup_lattice(G))
+    R.marks_rows = ((2, 0), (1, 2))
+    half, b = L(R, F(1, 2)), embed(R.basis(0))
+    for x, y in ((half, half), (b, b)):
+        with pytest.raises(InvariantViolation):
+            x * y
+    assert not R._products_checked
