@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import cached_property
 from itertools import chain, compress
 
 from .cells import CellSpace
@@ -112,11 +113,11 @@ class BurnsideRing:
                              f"classes, got {i!r}")
         return self.element(tuple(1 if j == i else 0 for j in range(self.n)))
 
-    @property
+    @cached_property   # elements are never mutated, so one is shared
     def zero(self) -> BurnsideElement:
         return self.element((0,) * self.n)
 
-    @property
+    @cached_property
     def unit(self) -> BurnsideElement:
         """[G/G]: the one-point G-set."""
         return self.basis(self.n - 1)

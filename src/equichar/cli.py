@@ -188,7 +188,8 @@ def _cmd_chi_k_eq(args) -> int:
 
 def _series_input(obj, N):
     """A power input's series padded or cut to t^N, its exponent, and the
-    renderer of its coefficient ring."""
+    renderer of its coefficient ring; an L-extended power is checked
+    against LAURENT_PRODUCT_BUDGET before the series is built."""
     if not isinstance(obj, dict):
         raise UsageError("expected a JSON object")
     choice = obj.get("ring", "int")
@@ -214,8 +215,10 @@ def _series_input(obj, N):
         raise UsageError("\"series\" must be a nonempty list")
     coeffs = [parse(v) for v in raw][:N + 1]
     coeffs += [ring.zero] * (N + 1 - len(coeffs))
-    return (TruncatedSeries(ring, tuple(coeffs)),
-            parse(io._field(obj, "exponent")), render)
+    m = parse(io._field(obj, "exponent"))
+    if isinstance(m, LExtElement):
+        check_laurent_products(coeffs, m)
+    return TruncatedSeries(ring, tuple(coeffs)), m, render
 
 
 def _zeta_input(obj):
@@ -228,8 +231,6 @@ def _zeta_input(obj):
 def _cmd_power(args) -> int:
     check_truncation(args.N)
     A, m, render = io.read(args.input, partial(_series_input, N=args.N))
-    if isinstance(m, LExtElement):
-        check_laurent_products(A, m)
     out = power(A, m)
     _emit(args, io.render_series(out, render),
           io.series_to_json(out, render))

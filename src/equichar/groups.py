@@ -183,41 +183,39 @@ class DihedralGroup(FiniteGroup):
         return (f1 ^ f2) * n + r
 
 
+def digits_to_index(digits, radices) -> int:
+    """The mixed-radix index of digits over radices, last digit fastest."""
+    x = 0
+    for d, r in zip(digits, radices):
+        x = x * r + d
+    return x
+
+
+def index_to_digits(x: int, radices) -> tuple[int, ...]:
+    """The digits of index x over radices, last digit fastest."""
+    out = []
+    for r in reversed(radices):
+        x, d = divmod(x, r)
+        out.append(d)
+    return tuple(reversed(out))
+
+
 class ProductGroup(FiniteGroup):
     """Direct product, mixed-radix indexing with the last factor fastest."""
 
     def __init__(self, factors: tuple[FiniteGroup, ...],
                  descriptor: dict | None = None):
         self.factors = tuple(factors)
-        order = 1
-        for f in self.factors:
-            order *= f.order
-        self._radices = tuple(f.order for f in self.factors)
-        gens = []
-        for pos, f in enumerate(self.factors):
-            for s in f.generators:
-                vec = [0] * len(self.factors)
-                vec[pos] = s
-                gens.append(self._encode(vec))
+        r = self._radices = tuple(f.order for f in self.factors)
+        gens = [digits_to_index([0] * pos + [s] + [0] * (len(r) - 1 - pos), r)
+                for pos, f in enumerate(self.factors) for s in f.generators]
         label = "x".join(f.label for f in self.factors) if self.factors else "triv"
-        super().__init__(order, tuple(gens), label, descriptor)
-
-    def _encode(self, vec) -> int:
-        x = 0
-        for v, r in zip(vec, self._radices):
-            x = x * r + v
-        return x
-
-    def _decode(self, x: int) -> list[int]:
-        out = [0] * len(self._radices)
-        for i in range(len(self._radices) - 1, -1, -1):
-            x, out[i] = divmod(x, self._radices[i])
-        return out
+        super().__init__(math.prod(r), tuple(gens), label, descriptor)
 
     def mul(self, a: int, b: int) -> int:
-        va, vb = self._decode(a), self._decode(b)
-        return self._encode([f.mul(x, y)
-                             for f, x, y in zip(self.factors, va, vb)])
+        r = self._radices
+        return digits_to_index([f.mul(x, y) for f, x, y in zip(
+            self.factors, index_to_digits(a, r), index_to_digits(b, r))], r)
 
 
 class PermGroup(FiniteGroup):
@@ -299,21 +297,16 @@ class WreathGroup(FiniteGroup):
         self.nfact = self.top.order
         order = inner.order ** n * self.nfact
         m = inner.order
+        self._radices = (m,) * n
         # dense digit tables keep mul cheap for the sizes we enumerate over
         self._vecs: tuple[tuple[int, ...], ...] | None = None
         self._vec_rank: dict[tuple[int, ...], int] | None = None
         if m ** n <= self._VEC_LIMIT:
             self._vecs = tuple(itertools.product(range(m), repeat=n))
             self._vec_rank = {v: i for i, v in enumerate(self._vecs)}
-        gens = []
-        if n > 0:
-            for s in inner.generators:
-                vec = [0] * n
-                vec[0] = s
-                gens.append(self.encode(vec, 0))
-            zero = [0] * n
-            for t in self.top.generators:
-                gens.append(self.encode(zero, t))
+        gens = [self.encode([s] + [0] * (n - 1), 0)
+                for s in (inner.generators if n else ())]
+        gens += [self.encode([0] * n, t) for t in self.top.generators]
         label = f"{inner.label}wrS{n}"
         super().__init__(order, tuple(gens), label, descriptor)
         fits = self.nfact ** 2 + order + m ** (2 * n) <= WREATH_TABLE_BUDGET
@@ -342,20 +335,12 @@ class WreathGroup(FiniteGroup):
     def _vec_of(self, q: int) -> tuple[int, ...]:
         if self._vecs is not None:
             return self._vecs[q]
-        m = self.inner.order
-        out = [0] * self.n
-        for i in range(self.n - 1, -1, -1):
-            q, out[i] = divmod(q, m)
-        return tuple(out)
+        return index_to_digits(q, self._radices)
 
     def _vec_code(self, vec) -> int:
         if self._vec_rank is not None:
             return self._vec_rank[tuple(vec)]
-        m = self.inner.order
-        x = 0
-        for v in vec:
-            x = x * m + v
-        return x
+        return digits_to_index(vec, self._radices)
 
     def encode(self, vec, perm_rank: int) -> int:
         return self._vec_code(vec) * self.nfact + perm_rank

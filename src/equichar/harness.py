@@ -20,7 +20,7 @@ from .errors import UsageError, check_budget, check_int
 from .euler import ORACLE_GROUP_LIMIT, chi_k_equivariant
 from .groups import SYMMETRIC_DEGREE_LIMIT, check_order, cyclic, symmetric
 from .gsets import BiSet, symmetric_power, wreath_power
-from .motivic import (L, LExtCoeffRing, _normal, embed, lext_coeff_ring,
+from .motivic import (L, LExtCoeffRing, LExtElement, embed, lext_coeff_ring,
                       read_weights, rhs_theorem2, specialize_L, zeta_L)
 from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
                           check_truncation, power, rhs_theorem1)
@@ -42,10 +42,8 @@ class DegreeCheck:
 class VerificationReport:
     __slots__ = ("identity", "params", "degrees")
 
-    def __init__(self, identity: str, params: dict,
-                 degrees: list[DegreeCheck] | None = None):
-        self.identity, self.params = identity, params
-        self.degrees = [] if degrees is None else degrees
+    def __init__(self, identity: str, params: dict):
+        self.identity, self.params, self.degrees = identity, params, []
 
     @property
     def passed(self) -> bool:
@@ -174,7 +172,8 @@ def _random_element(rng, ring, bring):
     burn = bring.element([rng.randint(-2, 2) for _ in range(bring.n)])
     if isinstance(ring, LExtCoeffRing):   # L^(e/2)·burn, at its marks
         e = rng.choice((0, 1, 2, -1))
-        return _normal(bring, 2, [{e: m} if m else {} for m in burn.marks()])
+        return LExtElement(bring, 2, [{e: m} if m else {}
+                                      for m in burn.marks()])
     return burn
 
 

@@ -2,10 +2,11 @@
 
 Elements of A(G)[L^{±1/D}] are finite sums of L^q * (Burnside class) with
 qD integral.  An element is held at its marks, as a Burnside element and a
-series column are: its least D and, per subgroup class, a Laurent
-polynomial {e: mark} in L^(1/D), so +, - and * run mark by mark over
-lcm(D1, D2) through the handle's `axpy` and `dot`.  Its pairs (e, c),
-meaning L^(e/D) * c, are back-substituted when read (`pairs`, `terms`).
+series column are: its least D, to which `LExtElement` reduces any D it is
+built with, and, per subgroup class, a Laurent polynomial {e: mark} in
+L^(1/D), so +, - and * run mark by mark over lcm(D1, D2) through the
+handle's `axpy` and `dot`.  Its pairs (e, c), meaning L^(e/D) * c, are
+back-substituted when read (`pairs`, `terms`).
 Exponents are `Fraction`s only where they enter or leave (`lext`, `L`,
 `terms`, rendering and shifts) and in the slopes `laurent_terms` bounds a
 power by.  The lambda-structure extends the Burnside one by the scaling
@@ -20,13 +21,13 @@ only does the exact ring and series bookkeeping on top of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, lcm
 
 from .burnside import BurnsideElement, BurnsideRing
 from .errors import UsageError, check_budget, check_int, parse_fraction
 from .groups import FiniteGroup, check_order
 from .powerstruct import (INT_RING, TruncatedSeries, _lift, exponent_tuples,
-                          lambda_term, log_coeff, power)
+                          lambda_term, least_denominator, log_coeff, power)
 
 LAURENT_PRODUCT_BUDGET = 10 ** 8   # term products rebuilding an L-power
 
@@ -37,14 +38,16 @@ LAURENT_PRODUCT_BUDGET = 10 ** 8   # term products rebuilding an L-power
 class LExtElement:
     """Finite sum of L^(e/D) * c with c in A(G), held at its marks: D and
     cols, per class a Laurent polynomial {e: mark} with no zero entry, never
-    mutated; gcd(D, every e) = 1 and D = 1 for zero.  `pairs`, the (e, c)
-    sorted by e with no zero c, is back-substituted on first read and kept,
-    as `BurnsideElement.coeffs` is."""
+    mutated.  The constructor takes any D and reduces it to the least one
+    (`least_denominator`), so gcd(D, every e) = 1 and D = 1 for zero.
+    `pairs`, the (e, c) sorted by e with no zero c, is back-substituted on
+    first read and kept, as `BurnsideElement.coeffs` is."""
 
     __slots__ = ("ring", "D", "cols", "_pairs")
 
-    def __init__(self, ring: BurnsideRing, D: int, cols: tuple):
-        self.ring, self.D, self.cols, self._pairs = ring, D, cols, None
+    def __init__(self, ring: BurnsideRing, D: int, cols):
+        D, (cols,) = least_denominator(D, (cols,))
+        self.ring, self.D, self.cols, self._pairs = ring, D, tuple(cols), None
 
     @property
     def pairs(self) -> tuple:
@@ -75,8 +78,8 @@ class LExtElement:
 
     def __add__(self, other: LExtElement, k: int = 1) -> LExtElement:
         D, xys = self._over(other)
-        return _normal(self.ring, D, [LExtCoeffRing.axpy(x, k, y)
-                                      for x, y in xys])
+        return LExtElement(self.ring, D, [LExtCoeffRing.axpy(x, k, y)
+                                          for x, y in xys])
 
     def __neg__(self) -> LExtElement:
         return self * -1
@@ -86,12 +89,12 @@ class LExtElement:
 
     def __mul__(self, other):
         if type(other) is int:
-            return _normal(self.ring, self.D, [LExtCoeffRing.axpy({}, other, x)
-                                               for x in self.cols])
+            return LExtElement(self.ring, self.D, [
+                LExtCoeffRing.axpy({}, other, x) for x in self.cols])
         D, xys = self._over(other)
         self.ring.check_products()
-        return _normal(self.ring, D, [LExtCoeffRing.dot((x,), (y,))
-                                      for x, y in xys])
+        return LExtElement(self.ring, D, [LExtCoeffRing.dot((x,), (y,))
+                                          for x, y in xys])
 
     def __rmul__(self, other):
         return self * other if type(other) is int else NotImplemented
@@ -116,14 +119,6 @@ class LExtElement:
         return f"<LExt {self.render()}>"
 
 
-def _normal(bring: BurnsideRing, D: int, cols) -> LExtElement:
-    """The element with these {e: mark} columns over L^(1/D), D minimal."""
-    g = gcd(D, *(e for x in cols for e in x)) if D > 1 else 1
-    if g > 1:
-        cols = [{e // g: c for e, c in x.items()} for x in cols]
-    return LExtElement(bring, D // g, tuple(cols))
-
-
 def lext(bring: BurnsideRing, pairs) -> LExtElement:
     """The element sum of L^q * c over (rational q, c in bring) pairs."""
     pairs = [(parse_fraction(q), c) for q, c in pairs]
@@ -135,15 +130,14 @@ def lext(bring: BurnsideRing, pairs) -> LExtElement:
         e = q.numerator * (D // q.denominator)
         for x, mark in zip(cols, c.marks()):
             x[e] = x.get(e, 0) + mark
-    return _normal(bring, D, [LExtCoeffRing.entry(x) for x in cols])
+    return LExtElement(bring, D, [LExtCoeffRing.entry(x) for x in cols])
 
 
 def embed(x: BurnsideElement) -> LExtElement:
     """A Burnside class at exponent zero."""
     if not isinstance(x, BurnsideElement):
         raise UsageError(f"cannot embed {type(x).__name__}")
-    return LExtElement(x.ring, 1, tuple({0: m} if m else {}
-                                        for m in x.marks()))
+    return LExtElement(x.ring, 1, [{0: m} if m else {} for m in x.marks()])
 
 
 def L(bring: BurnsideRing, q=1) -> LExtElement:
@@ -190,7 +184,7 @@ class LExtCoeffRing:
         return c.D, c.cols
 
     def element(self, D: int, entries) -> LExtElement:
-        out = _normal(self.bring, D, entries)
+        out = LExtElement(self.bring, D, entries)
         out.pairs   # back-substitutes every exponent, so checks it integral
         return out
 
@@ -224,33 +218,37 @@ def zeta_L(b: LExtElement, N: int) -> TruncatedSeries:
     return lambda_term(lext_coeff_ring(b.ring), b, 1, N)
 
 
-def laurent_terms(A: TruncatedSeries, m: LExtElement) -> list:
+def laurent_terms(coeffs, m: LExtElement) -> list:
     """Bounds T_0..T_N on the Laurent terms an entry of A^m holds at each
-    degree.  Over D = lcm(A.D, m.D), A's t^i log entries, and so its
-    factor entries b_i, have exponents within i·[lo, hi]; m's lie within
-    [u, v]; and lambda_{L^q b}(t^i) puts r·q on t^(i·r).  So the t^j
-    exponents of A^m lie within [j·lo + min(u, j·u), j·hi + max(v, j·v)]."""
-    D = lcm(A.D, m.D)
-    slopes = [Fraction(e * (D // A.D), i) for h in A.logs
-              for i, x in enumerate(h, start=1) for e in x]
+    degree, for A the series with coefficients coeffs = c_0..c_N.  Each of
+    c_j and A's t^j log entry is a polynomial in the other (j·c_j = sum
+    h_i·c_(j-i)), so over D = lcm(m.D, every c_j.D) both have exponents
+    within j·[lo, hi] for the same least and greatest slopes, and so do
+    A's factor entries b_j; m's lie within [u, v]; and lambda_{L^q b}(t^i)
+    puts r·q on t^(i·r).  So the t^j exponents of A^m lie within
+    [j·lo + min(u, j·u), j·hi + max(v, j·v)]."""
+    D = lcm(m.D, *(c.D for c in coeffs))
+    slopes = [Fraction(e * (D // c.D), j) for j, c in enumerate(coeffs)
+              if j for x in c.cols for e in x]
     es = [e * (D // m.D) for x in m.cols for e in x]
     if not slopes or not es:   # A^m = 1
-        return [1] * (A.N + 1)
+        return [1] * len(coeffs)
     lo, hi, u, v = min(slopes), max(slopes), min(es), max(es)
     return [1] + [floor(j * hi + max(v, j * v)) -
                   ceil(j * lo + min(u, j * u)) + 1
-                  for j in range(1, A.N + 1)]
+                  for j in range(1, len(coeffs))]
 
 
-def check_laurent_products(A: TruncatedSeries, m: LExtElement) -> None:
-    """Refuse A^m, before any work, when rebuilding its coefficients from
-    its logs could take more than LAURENT_PRODUCT_BUDGET products of
-    Laurent terms: at each of the n marks, the t^j entry sums g_i·f_(j-i)
-    over i = 1..j, at most T_i·T_(j-i) term products (`laurent_terms`)."""
-    T = laurent_terms(A, m)
-    products = A.ring.n * sum(T[i] * T[j - i] for j in range(1, A.N + 1)
+def check_laurent_products(coeffs, m: LExtElement) -> None:
+    """Refuse A^m, for A the series with coefficients coeffs = c_0..c_N,
+    before any series work, when rebuilding its coefficients from its logs
+    could take more than LAURENT_PRODUCT_BUDGET products of Laurent terms:
+    at each of the n marks, the t^j entry sums g_i·f_(j-i) over i = 1..j,
+    at most T_i·T_(j-i) term products (`laurent_terms`)."""
+    T, N = laurent_terms(coeffs, m), len(coeffs) - 1
+    products = m.ring.n * sum(T[i] * T[j - i] for j in range(1, N + 1)
                               for i in range(1, j + 1))
-    check_budget(f"Laurent-term products of the power at N = {A.N}, "
+    check_budget(f"Laurent-term products of the power at N = {N}, "
                  "LAURENT_PRODUCT_BUDGET", products, LAURENT_PRODUCT_BUDGET)
 
 

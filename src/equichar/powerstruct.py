@@ -133,6 +133,14 @@ def _lift(entries, k: int) -> list:
         [{e * k: c for e, c in x.items()} for x in entries]
 
 
+def least_denominator(D: int, cols) -> tuple:
+    """D and columns of {e: c} entries over L^(1/D), both divided by g =
+    gcd(D, every e); integer entries come with D = 1 and stay as they are."""
+    g = gcd(D, *(e for h in cols for x in h for e in x)) if D > 1 else 1
+    return (D, cols) if g == 1 else (D // g, [
+        [{e // g: c for e, c in x.items()} for x in h] for h in cols])
+
+
 class TruncatedSeries:
     """1 + c_1 t + ... + c_N t^N over a coefficient-ring handle, held as
     one log column [h_1..h_N] per mark over one least exponent denominator
@@ -161,10 +169,7 @@ class TruncatedSeries:
         return out
 
     def _set(self, ring, D: int, logs) -> None:
-        g = gcd(D, *(e for h in logs for x in h for e in x)) if D > 1 else 1
-        if g > 1:
-            D, logs = D // g, [[{e // g: c for e, c in x.items()} for x in h]
-                               for h in logs]
+        D, logs = least_denominator(D, logs)
         self.ring, self.D, self.N, self.logs = ring, D, len(logs[0]), logs
         self._coeffs = self._factors = None
 

@@ -110,6 +110,13 @@ def test_unit_and_regular():
     assert R.basis(0).marks() == (6, 0, 0, 0)
 
 
+def test_unit_and_zero_are_built_once():
+    R = burnside_ring(symmetric(3))
+    assert R.unit is R.unit and R.zero is R.zero
+    assert R.unit == R.basis(R.n - 1) and R.unit.coeffs == (0, 0, 0, 1)
+    assert R.zero.marks() == (0, 0, 0, 0) and R.zero.coeffs == (0, 0, 0, 0)
+
+
 def test_ring_arithmetic_via_marks():
     R = burnside_ring(symmetric(3))
     e = R.basis(0)

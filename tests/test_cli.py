@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from equichar import cli, gsets, harness
+from equichar import cli, gsets, harness, powerstruct
 from equichar.cli import main
 from equichar.errors import InvariantViolation, ResourceLimitError
 from equichar.groups import make_group
@@ -761,19 +761,24 @@ def test_a_truncation_above_the_limit_is_refused_quickly(capsys, files):
         assert time.perf_counter() - t0 < 1
 
 
-def test_an_l_extended_power_above_the_budget_is_refused_quickly(capsys,
-                                                                files):
+def test_an_l_extended_power_above_the_budget_is_refused_quickly(
+        capsys, files, monkeypatch):
     """On the S3 input of the L-extended goldens, whose t^j entries hold
     up to 6j + 1 Laurent terms, N = 100 would take over a minute; it is
-    refused after the input is read and its log columns built, before the
-    power is factored or rebuilt."""
+    refused from the parsed coefficients while the input is read, so the
+    error names the file, before any log column is built."""
     case = next(c for c in GOLDEN_LEXT if c["name"] == "power-lext-S3-text")
     path = files("in.json", case["input"])
+    logs = []
+    monkeypatch.setattr(powerstruct, "log_column",
+                        lambda *a: logs.append(a) or [])
     t0 = time.perf_counter()
     assert run(capsys, "power", "--input", path, "--N", "100") == (
-        1, "", "error: Laurent-term products of the power at N = 100, "
-        "LAURENT_PRODUCT_BUDGET (size 620079400 exceeds budget 100000000)\n")
+        1, "", f"error: {path}: Laurent-term products of the power at "
+        "N = 100, LAURENT_PRODUCT_BUDGET (size 620079400 exceeds budget "
+        "100000000)\n")
     assert time.perf_counter() - t0 < 1
+    assert logs == []
 
 
 def test_trials_above_the_budget_are_refused_quickly(capsys):

@@ -92,7 +92,7 @@ def test_laurent_terms_bound_every_entry_of_the_power(name):
         coeffs += [ring.zero] * (N - len(coeffs))
         A = TruncatedSeries(ring, [ring.one] + coeffs)
         m = lext(bring, rand_pairs(rng, bring))
-        T = motivic.laurent_terms(A, m)
+        T = motivic.laurent_terms([ring.one] + coeffs, m)
         out = power(A, m).logs
         for col in [exp_column(ring, h) for h in out] + [[{}] + h
                                                         for h in out]:

@@ -6,7 +6,7 @@ Run from anywhere; it takes about two minutes.  It runs the tier-1 suite
 in this process under a sys.settrace line tracer, leaving out criterion 2
 for time (leaving tests out can only make the check stricter), then prints
 every executable line of src/equichar that no test ran.  It exits 1 if
-any of them lies outside a `__repr__` body, else 0.
+there is any, else 0.
 
 Lines are counted per code object (file, qualified name, first line), so
 a lambda or generator expression whose body never runs is listed even
@@ -80,7 +80,7 @@ def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
     code, hits = run_traced()
-    unrun = outside = 0
+    unrun = 0
     print()
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text().splitlines()
@@ -88,16 +88,13 @@ def main() -> int:
                         for k, lines in executable_lines(path).items()
                         for line in lines - hits.get(k, set()))
         for line, name in missed:
-            in_repr = "__repr__" in name.split(".")
             unrun += 1
-            outside += not in_repr
-            tag = "__repr__" if in_repr else "unrun"
-            print(f"{path.relative_to(ROOT)}:{line}: {tag} in {name}: "
+            print(f"{path.relative_to(ROOT)}:{line}: unrun in {name}: "
                   f"{source[line - 1].strip()}")
-    print(f"{unrun} unrun lines, {outside} outside __repr__ bodies")
+    print(f"{unrun} unrun lines")
     print(f"pytest exit code {code} (reported only; it does not set the "
           "exit code)")
-    return 1 if outside else 0
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":
