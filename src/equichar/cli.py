@@ -16,16 +16,13 @@ from functools import partial
 
 from . import harness, io
 from .burnside import burnside_ring
-from .cells import CellSpace
 from .cells import chi as cells_chi
 from .errors import (InvariantViolation, ResourceLimitError, UsageError,
                      parse_fraction)
 from .euler import ORACLE_GROUP_LIMIT, chi_k, chi_k_equivariant
 from .groups import conjugacy_classes, make_group
-from .motivic import (L, LExtElement, check_laurent_products, embed,
-                      lext_coeff_ring, orbifold_class_from_datum, zeta_L)
-from .powerstruct import (INT_RING, TruncatedSeries, burnside_coeff_ring,
-                          check_truncation, power)
+from .motivic import orbifold_class_from_datum, zeta_L
+from .powerstruct import check_truncation, power
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,51 +183,10 @@ def _cmd_chi_k_eq(args) -> int:
     return 0
 
 
-def _series_input(obj, N):
-    """A power input's series padded or cut to t^N, its exponent, and the
-    renderer of its coefficient ring; an L-extended power is checked
-    against LAURENT_PRODUCT_BUDGET before the series is built."""
-    if not isinstance(obj, dict):
-        raise UsageError("expected a JSON object")
-    choice = obj.get("ring", "int")
-    render = lambda c: c.render()
-    if choice == "int":
-        def parse(v):
-            INT_RING.entries(v)   # refuses all but an int
-            return v
-        ring, render = INT_RING, str
-    elif isinstance(choice, dict) and "burnside" in choice:
-        bring = burnside_ring(make_group(choice["burnside"]))
-        ring = burnside_coeff_ring(bring)
-        parse = partial(io.burnside_from_json, ring=bring)
-    elif isinstance(choice, dict) and "lext" in choice:
-        bring = burnside_ring(make_group(choice["lext"]))
-        ring = lext_coeff_ring(bring)
-        parse = partial(io.lext_from_json, ring=bring)
-    else:
-        raise UsageError("ring must be \"int\", {\"burnside\": <group>}, "
-                         "or {\"lext\": <group>}")
-    raw = obj.get("series")
-    if not isinstance(raw, list) or not raw:
-        raise UsageError("\"series\" must be a nonempty list")
-    coeffs = [parse(v) for v in raw][:N + 1]
-    coeffs += [ring.zero] * (N + 1 - len(coeffs))
-    m = parse(io._field(obj, "exponent"))
-    if isinstance(m, LExtElement):
-        check_laurent_products(coeffs, m)
-    return TruncatedSeries(ring, tuple(coeffs)), m, render
-
-
-def _zeta_input(obj):
-    """The generator L^exp * [G/H_index] of a zeta input."""
-    bring = burnside_ring(make_group(io._field(obj, "group")))
-    b = embed(bring.basis(io._field(obj, "index")))
-    return L(bring, obj.get("exp", 0)) * b
-
-
 def _cmd_power(args) -> int:
     check_truncation(args.N)
-    A, m, render = io.read(args.input, partial(_series_input, N=args.N))
+    A, m, render = io.read(args.input,
+                           partial(io.power_input_from_json, N=args.N))
     out = power(A, m)
     _emit(args, io.render_series(out, render),
           io.series_to_json(out, render))
@@ -239,7 +195,7 @@ def _cmd_power(args) -> int:
 
 def _cmd_zeta(args) -> int:
     check_truncation(args.N)
-    out = zeta_L(io.read(args.input, _zeta_input), args.N)
+    out = zeta_L(io.read(args.input, io.zeta_input_from_json), args.N)
     render = lambda c: c.render()
     _emit(args, io.render_series(out, render),
           io.series_to_json(out, render))
@@ -263,18 +219,10 @@ def _parse_weights(raw):
         raise UsageError(f"--weights: {e}") from e
 
 
-def _finite_set(obj, identity: str):
-    """A biset input; a cell space is refused as input to the identity."""
-    X = io.space_from_json(obj)
-    if isinstance(X, CellSpace):
-        raise UsageError(f"{identity} verification needs a finite set, "
-                         f"not a cell space")
-    return X
-
-
 def _cmd_verify(args) -> int:
     if args.identity in ("theorem1", "lemma1"):
-        X = io.read(args.input, partial(_finite_set, identity=args.identity))
+        X = io.read(args.input, partial(io.finite_set_from_json,
+                                       identity=args.identity))
     if args.identity == "theorem1":
         report = harness.verify_theorem1(X, args.k, args.N,
                                          cross_check=args.cross_check)

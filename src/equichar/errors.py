@@ -7,7 +7,7 @@ truncation or trial count) is raised by check_int in one wording,
 never passes.  check_perm refuses a permutation of a set or group action,
 and parse_fraction reads a caller's rational, both refusing bools and
 floats too.  The library entry points call these on the values they are
-given, so io and the CLI check only the shape of their JSON.  Every
+given, so io checks only the shape of its JSON.  Every
 quotient that must be exact (a mark, a basis coefficient, an Adams entry, a
 centralizer order, an averaged count, a series coefficient) is taken by
 exact_div, which refuses a non-integral one as InvariantViolation

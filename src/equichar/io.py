@@ -10,27 +10,32 @@ Schemas:
   datum:     {"gO": <group>, "gB": <group>, "k": 1, "weights": ["1"],
               "strata": [{"tuple": [...], "class": <L-element>,
                           "shift": "1/2"}]}
+  power:     {"ring": "int" | {"burnside": <group>} | {"lext": <group>},
+              "series": [<int|element|L-element>, ...], "exponent": <same>}
+  zeta:      {"group": <group>, "index": 0, "exp": "1/2"}; "exp" defaults to 0
 
 Rationals travel as strings ("1/2") or integers.  Loaders take decoded
 JSON and check only its shape, that a field is present and a list is a
-list: every value (size, permutation, coefficient, rational, order) is
-checked by the library constructor it is handed to.  They name no file:
-`read` opens an input file and names it once in any UsageError or
-ResourceLimitError raised while it is loaded or parsed.
+list: every value is checked by the library constructor it is handed to,
+and a power input against LAURENT_PRODUCT_BUDGET before its series is
+built.  They name no file: `read` opens an input file and names it once in
+any UsageError or ResourceLimitError raised while it is loaded or parsed.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 
 from .burnside import BurnsideElement, BurnsideRing, burnside_ring
 from .cells import CellSpace
 from .errors import InvariantViolation, ResourceLimitError, UsageError
 from .groups import make_group
 from .gsets import BiSet
-from .motivic import LExtElement, OrbifoldDatum, lext
-from .powerstruct import TruncatedSeries
+from .motivic import (L, LExtElement, OrbifoldDatum, check_laurent_products,
+                      embed, lext, lext_coeff_ring)
+from .powerstruct import INT_RING, TruncatedSeries, burnside_coeff_ring
 
 
 def read(path: str, parse):
@@ -60,6 +65,13 @@ def _field(obj, name):
     return obj[name]
 
 
+def _list(obj, name):
+    value = _field(obj, name)
+    if not isinstance(value, list):
+        raise UsageError(f'"{name}" must be a list')
+    return value
+
+
 def format_fraction(q: Fraction):
     return int(q) if q.denominator == 1 else str(q)
 
@@ -81,11 +93,8 @@ def biset_from_json(obj) -> BiSet:
 
 
 def cellspace_from_json(obj) -> CellSpace:
-    raw = _field(obj, "cells")
-    if not isinstance(raw, list):
-        raise UsageError("\"cells\" must be a list")
     cells = []
-    for cell in raw:
+    for cell in _list(obj, "cells"):
         dim = _field(cell, "dim")
         cells.append((dim, biset_from_json(_field(cell, "biset"))))
     try:
@@ -101,6 +110,15 @@ def space_from_json(obj):
     return biset_from_json(obj)
 
 
+def finite_set_from_json(obj, identity: str):
+    """A biset input; a cell space is refused as input to the identity."""
+    X = space_from_json(obj)
+    if isinstance(X, CellSpace):
+        raise UsageError(f"{identity} verification needs a finite set, "
+                         f"not a cell space")
+    return X
+
+
 # -- ring elements -----------------------------------------------------------
 
 def burnside_to_json(x: BurnsideElement) -> dict:
@@ -110,10 +128,7 @@ def burnside_to_json(x: BurnsideElement) -> dict:
 
 
 def burnside_from_json(obj, ring: BurnsideRing) -> BurnsideElement:
-    coeffs = _field(obj, "coeffs")
-    if not isinstance(coeffs, list):
-        raise UsageError("\"coeffs\" must be a list")
-    return ring.element(coeffs)
+    return ring.element(_list(obj, "coeffs"))
 
 
 def lext_to_json(a: LExtElement) -> dict:
@@ -123,11 +138,8 @@ def lext_to_json(a: LExtElement) -> dict:
 
 
 def lext_from_json(obj, ring: BurnsideRing) -> LExtElement:
-    terms = _field(obj, "terms")
-    if not isinstance(terms, list):
-        raise UsageError("\"terms\" must be a list")
     el = lext(ring, [(_field(term, "exp"), burnside_from_json(term, ring))
-                     for term in terms])
+                     for term in _list(obj, "terms")])
     if "D" in obj and (type(obj["D"]) is not int or obj["D"] != el.D):
         raise UsageError(f"\"D\" must be {el.D}, not {obj['D']!r}")
     return el
@@ -138,21 +150,60 @@ def datum_from_json(obj) -> OrbifoldDatum:
     gB = make_group(_field(obj, "gB"))
     bring = burnside_ring(gB)
     k = _field(obj, "k")
-    weights = _field(obj, "weights")
-    raw_strata = _field(obj, "strata")
-    if not isinstance(weights, list) or not isinstance(raw_strata, list):
-        raise UsageError("\"weights\" and \"strata\" must be lists")
+    weights = _list(obj, "weights")
     strata = []
-    for s in raw_strata:
-        tup = _field(s, "tuple")
-        if not isinstance(tup, list):
-            raise UsageError("a stratum's \"tuple\" must be a list")
+    for s in _list(obj, "strata"):
+        tup = _list(s, "tuple")
         cls = lext_from_json(_field(s, "class"), bring)
         strata.append((tup, cls, s.get("shift", 0)))
     return OrbifoldDatum(gO, bring, k, weights, tuple(strata))
 
 
+def zeta_input_from_json(obj) -> LExtElement:
+    """The generator L^exp * [G/H_index] of a zeta input."""
+    bring = burnside_ring(make_group(_field(obj, "group")))
+    b = embed(bring.basis(_field(obj, "index")))
+    return L(bring, obj.get("exp", 0)) * b
+
+
 # -- series ------------------------------------------------------------------
+
+def power_input_from_json(obj, N):
+    """A power input's series padded or cut to t^N, its exponent, and the
+    renderer of its coefficient ring; an L-extended power is checked
+    against LAURENT_PRODUCT_BUDGET before the series is built."""
+    if not isinstance(obj, dict):
+        raise UsageError("expected a JSON object")
+    choice = obj.get("ring", "int")
+    render = lambda c: c.render()
+    if isinstance(choice, dict) and "burnside" in choice and "lext" in choice:
+        raise UsageError("ring names both \"burnside\" and \"lext\"")
+    if choice == "int":
+        def parse(v):
+            INT_RING.entries(v)   # refuses all but an int
+            return v
+        ring, render = INT_RING, str
+    elif isinstance(choice, dict) and "burnside" in choice:
+        bring = burnside_ring(make_group(choice["burnside"]))
+        ring = burnside_coeff_ring(bring)
+        parse = partial(burnside_from_json, ring=bring)
+    elif isinstance(choice, dict) and "lext" in choice:
+        bring = burnside_ring(make_group(choice["lext"]))
+        ring = lext_coeff_ring(bring)
+        parse = partial(lext_from_json, ring=bring)
+    else:
+        raise UsageError("ring must be \"int\", {\"burnside\": <group>}, "
+                         "or {\"lext\": <group>}")
+    raw = _list(obj, "series")
+    if not raw:
+        raise UsageError("\"series\" must be a nonempty list")
+    coeffs = [parse(v) for v in raw][:N + 1]
+    coeffs += [ring.zero] * (N + 1 - len(coeffs))
+    m = parse(_field(obj, "exponent"))
+    if isinstance(m, LExtElement):
+        check_laurent_products(coeffs, m)
+    return TruncatedSeries(ring, tuple(coeffs)), m, render
+
 
 def render_series(A: TruncatedSeries, render_coeff) -> str:
     parts = []

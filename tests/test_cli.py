@@ -174,6 +174,21 @@ def test_power_burnside_json(capsys, files):
     assert json.loads(out) == ["[G/G]", "2*[G/e]", "[G/e] + 2*[G/G]"]
 
 
+def test_power_refuses_a_ring_naming_both_burnside_and_lext(capsys, files):
+    """A "ring" object with both keys names no one coefficient ring: one
+    error line with the path, where an extra unknown key is ignored."""
+    p = files("p.json", {"ring": {"burnside": Z2, "lext": Z2},
+                         "series": [{"coeffs": [0, 1]}],
+                         "exponent": {"coeffs": [0, 1]}})
+    code, out, err = run(capsys, "power", "--input", p, "--N", "1")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err == f"error: {p}: ring names both \"burnside\" and \"lext\"\n"
+    q = files("q.json", {"ring": {"burnside": Z2, "note": 1},
+                         "series": [{"coeffs": [0, 1]}],
+                         "exponent": {"coeffs": [0, 1]}})
+    assert run(capsys, "power", "--input", q, "--N", "1")[0] == 0
+
+
 def test_zeta_plain_and_scaled(capsys, files):
     p = files("z.json", {"group": Z2, "index": 0})
     code, out, _ = run(capsys, "zeta", "--input", p, "--N", "3")

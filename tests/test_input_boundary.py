@@ -8,6 +8,7 @@ outside `io` the `--input` value is used only as the path handed to
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "equichar"
 
@@ -43,3 +44,25 @@ def test_input_flag_only_reaches_io_read():
                   if isinstance(node, ast.Attribute) and node.attr == "input"
                   and id(node) not in read_paths]
     assert not stray, f"--input used outside io.read: {stray}"
+
+
+def test_io_parses_every_input():
+    """Each `io.read(path, parse)` outside io.py passes as `parse` either
+    `make_group`, a reader of io, or a `partial` of one: the JSON input
+    schemas are known to io alone."""
+    parsers = []
+    for module, tree in _trees():
+        if module == "io.py":
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "io.read"):
+                continue
+            parse = node.args[1]
+            if (isinstance(parse, ast.Call)
+                    and ast.unparse(parse.func) == "partial"):
+                parse = parse.args[0]
+            parsers.append((f"{module}:{node.lineno}", ast.unparse(parse)))
+    stray = [p for p in parsers
+             if p[1] != "make_group" and not re.fullmatch(r"io\.\w+", p[1])]
+    assert parsers and not stray, f"inputs parsed outside io: {stray}"

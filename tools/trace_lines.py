@@ -79,13 +79,15 @@ def run_traced() -> tuple[int, dict[tuple, set[int]]]:
 def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
+    # read before the run, so a source edited while it runs is not
+    # reported as unrun
+    sources = {path: (path.read_text().splitlines(), executable_lines(path))
+               for path in sorted(SRC.glob("*.py"))}
     code, hits = run_traced()
     unrun = 0
     print()
-    for path in sorted(SRC.glob("*.py")):
-        source = path.read_text().splitlines()
-        missed = sorted((line, k[1])
-                        for k, lines in executable_lines(path).items()
+    for path, (source, executable) in sources.items():
+        missed = sorted((line, k[1]) for k, lines in executable.items()
                         for line in lines - hits.get(k, set()))
         for line, name in missed:
             unrun += 1
