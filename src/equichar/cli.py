@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 2 when a verification ran and failed, 1 for
 usage errors (bad flags, malformed input files, budget violations).
 
+Each verb handler returns (text, JSON value, exit code).  `main` alone
+writes stdout, once, in the --format asked for, and every `error:` line;
+notes, such as which cross-check ran, go to stderr.
+
 Output is deterministic for a fixed (input, seed): text and JSON reports
 omit wall-clock milliseconds unless --timings is passed.
 """
@@ -106,13 +110,6 @@ def build_parser() -> _Parser:
     return p
 
 
-def _emit(args, text_value, json_value) -> None:
-    if args.format == "json":
-        print(json.dumps(json_value, sort_keys=True))
-    else:
-        print(text_value)
-
-
 def _note_cross_check(args, X, form: str) -> None:
     """After a requested cross-check: the oracle it ran, or why not."""
     if not args.cross_check:
@@ -123,90 +120,74 @@ def _note_cross_check(args, X, form: str) -> None:
           f"note: cross-checked against the {form} oracle", file=sys.stderr)
 
 
-# -- verb handlers -----------------------------------------------------------
+# -- verb handlers: each returns (text, JSON value, exit code) ----------------
 
-def _cmd_group(args) -> int:
+def _cmd_group(args) -> tuple:
     G = io.read(args.input, make_group)
     if args.action == "show":
-        _emit(args,
-              f"{G.label}: order {G.order}, {len(G.generators)} generators",
-              {"label": G.label, "order": G.order,
-               "generators": len(G.generators)})
-        return 0
+        return (f"{G.label}: order {G.order}, {len(G.generators)} generators",
+                {"label": G.label, "order": G.order,
+                 "generators": len(G.generators)}, 0)
     if args.action == "classes":
         classes = conjugacy_classes(G)
         sizes = [len(c) for c in classes]
-        _emit(args, f"{len(classes)} conjugacy classes, sizes {sizes}",
-              {"count": len(classes), "sizes": sizes,
-               "representatives": [c[0] for c in classes]})
-        return 0
+        return (f"{len(classes)} conjugacy classes, sizes {sizes}",
+                {"count": len(classes), "sizes": sizes,
+                 "representatives": [c[0] for c in classes]}, 0)
     ring = burnside_ring(G)
     if args.action == "subgroups":
         rows = [{"name": ring.basis_name(i),
                  "order": ring.lattice.classes[i].order,
                  "index": G.order // ring.lattice.classes[i].order}
                 for i in range(ring.n)]
-        _emit(args,
-              "\n".join(f"{r['name']}: order {r['order']} index {r['index']}"
-                        for r in rows),
-              rows)
-        return 0
+        return ("\n".join(f"{r['name']}: order {r['order']} index {r['index']}"
+                          for r in rows), rows, 0)
     # marks
     names = [ring.basis_name(i) for i in range(ring.n)]
     text = "\n".join(f"{names[i]:>8} " +
                      " ".join(f"{v:>4}" for v in row)
                      for i, row in enumerate(ring.marks_rows))
-    _emit(args, text, {"basis": names,
-                       "marks": [list(r) for r in ring.marks_rows]})
-    return 0
+    return text, {"basis": names,
+                  "marks": [list(r) for r in ring.marks_rows]}, 0
 
 
-def _cmd_chi(args) -> int:
+def _cmd_chi(args) -> tuple:
     value = cells_chi(io.read(args.input, io.space_from_json))
-    _emit(args, str(value), value)
-    return 0
+    return str(value), value, 0
 
 
-def _cmd_chi_k(args) -> int:
+def _cmd_chi_k(args) -> tuple:
     X = io.read(args.input, io.space_from_json)
     value = chi_k(X, args.k, cross_check=args.cross_check)
     _note_cross_check(args, X, "averaging form")
-    _emit(args, str(value), value)
-    return 0
+    return str(value), value, 0
 
 
-def _cmd_chi_k_eq(args) -> int:
+def _cmd_chi_k_eq(args) -> tuple:
     X = io.read(args.input, io.space_from_json)
     el = chi_k_equivariant(X, args.k, cross_check=args.cross_check)
     _note_cross_check(args, X, "tuple form")
-    _emit(args, el.render(), io.burnside_to_json(el))
-    return 0
+    return el.render(), io.burnside_to_json(el), 0
 
 
-def _cmd_power(args) -> int:
+def _cmd_power(args) -> tuple:
     check_truncation(args.N)
     A, m, render = io.read(args.input,
                            partial(io.power_input_from_json, N=args.N))
     out = power(A, m)
-    _emit(args, io.render_series(out, render),
-          io.series_to_json(out, render))
-    return 0
+    return io.render_series(out, render), io.series_to_json(out, render), 0
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args) -> tuple:
     check_truncation(args.N)
     out = zeta_L(io.read(args.input, io.zeta_input_from_json), args.N)
     render = lambda c: c.render()
-    _emit(args, io.render_series(out, render),
-          io.series_to_json(out, render))
-    return 0
+    return io.render_series(out, render), io.series_to_json(out, render), 0
 
 
-def _cmd_orbifold_class(args) -> int:
-    datum = io.read(args.input, io.datum_from_json)
-    el = orbifold_class_from_datum(datum)
-    _emit(args, el.render(), io.lext_to_json(el))
-    return 0
+def _cmd_orbifold_class(args) -> tuple:
+    el = orbifold_class_from_datum(io.read(args.input, io.datum_from_json))
+    return el.render(), io.lext_to_json(el), 0
 
 
 def _parse_weights(raw):
@@ -219,7 +200,7 @@ def _parse_weights(raw):
         raise UsageError(f"--weights: {e}") from e
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     if args.identity in ("theorem1", "lemma1"):
         X = io.read(args.input, partial(io.finite_set_from_json,
                                        identity=args.identity))
@@ -234,12 +215,8 @@ def _cmd_verify(args) -> int:
     else:
         report = harness.verify_props12(args.trials, args.N, args.seed,
                                         weights=_parse_weights(args.weights))
-    if args.format == "json":
-        print(json.dumps(report.to_json(timings=args.timings),
-                         sort_keys=True))
-    else:
-        print(report.render(timings=args.timings))
-    return 0 if report.passed else 2
+    return (report.render(timings=args.timings),
+            report.to_json(timings=args.timings), 0 if report.passed else 2)
 
 
 _HANDLERS = {
@@ -258,13 +235,16 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.verb](args)
+        text, value, code = _HANDLERS[args.verb](args)
     except (UsageError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except InvariantViolation as e:
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return 1
+    print(json.dumps(value, sort_keys=True) if args.format == "json"
+          else text)
+    return code
 
 
 if __name__ == "__main__":

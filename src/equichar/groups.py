@@ -322,7 +322,8 @@ class WreathGroup(FiniteGroup):
         shifts = [list(map(sum, itertools.product(
             *(range(0, m * w, w) for w in (m ** (n - 1 - i) for i in pa)))))
             for pa in top.perms]
-        table = [[inner.mul(a, c) for c in range(m)] for a in range(m)]
+        # G≀S_0 makes no base pass, so it needs no inner product
+        table = [[inner.mul(a, c) for c in range(m)] for a in range(n and m)]
         codes = list(range(m ** n))  # one shared int object per code
         base = [[0]]
         for k in range(n):  # each pass prefixes a coordinate of weight m^k

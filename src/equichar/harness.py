@@ -82,11 +82,6 @@ def check_trials(trials: int, N: int) -> None:
     check_budget("trials · (N + 5)^3", trials * (N + 5) ** 3, TRIAL_BUDGET)
 
 
-def _check(n, lhs_el, rhs_el, t0) -> DegreeCheck:
-    return DegreeCheck(n, lhs_el.render(), rhs_el.render(),
-                       lhs_el == rhs_el, (time.perf_counter() - t0) * 1000)
-
-
 def _tally(report, label, unit, outcomes) -> None:
     """Append how many outcomes hold, timed over drawing and checking."""
     t0 = time.perf_counter()
@@ -95,6 +90,21 @@ def _tally(report, label, unit, outcomes) -> None:
     report.degrees.append(DegreeCheck(
         len(report.degrees) + 1, label, f"{good}/{len(results)} {unit}",
         good == len(results), (time.perf_counter() - t0) * 1000))
+
+
+def _degree_checks(identity, params, m, k, N, lhs_of) -> VerificationReport:
+    """lhs_of(n) against the degree-n coefficient of rhs_theorem1(m, k, N)
+    for n = 0..N, each degree timed over its left side and the compare."""
+    rhs = rhs_theorem1(m, k, N)
+    report = VerificationReport(
+        identity, {**params, "N": N, "exponent": m.render()})
+    for n in range(N + 1):
+        t0 = time.perf_counter()
+        lhs, rhs_el = lhs_of(n), rhs.coeffs[n]
+        report.degrees.append(DegreeCheck(
+            n, lhs.render(), rhs_el.render(), lhs == rhs_el,
+            (time.perf_counter() - t0) * 1000))
+    return report
 
 
 def verify_theorem1(X: BiSet, k: int, N: int,
@@ -116,16 +126,12 @@ def verify_theorem1(X: BiSet, k: int, N: int,
         check_budget(f"symmetric group degree {n}", n, SYMMETRIC_DEGREE_LIMIT)
         check_budget(f"wreath power points at degree {n}", X.size ** n,
                      gsets.POINT_BUDGET)
-    m = chi_k_equivariant(X, k, cross_check=cross_check)
-    rhs = rhs_theorem1(m, k, N)
-    report = VerificationReport(
-        "theorem1",
-        {"k": k, "N": N, "gO": X.gO.label, "gB": X.gB.label,
-         "size": X.size, "exponent": m.render()})
-    for n in range(N + 1):
-        t0 = time.perf_counter()
-        lhs = chi_k_equivariant(wreath_power(X, n), k, cross_check=cross_check)
-        report.degrees.append(_check(n, lhs, rhs.coeffs[n], t0))
+    report = _degree_checks(
+        "theorem1", {"k": k, "gO": X.gO.label, "gB": X.gB.label,
+                     "size": X.size},
+        chi_k_equivariant(X, k, cross_check=cross_check), k, N,
+        lambda n: chi_k_equivariant(wreath_power(X, n), k,
+                                    cross_check=cross_check))
     if cross_check:
         report.params["cross_checked"] = [
             n for n in range(N + 1)
@@ -142,16 +148,9 @@ def verify_lemma1(X: BiSet, N: int) -> VerificationReport:
         check_budget(f"symmetric power size at degree {n}",
                      comb(X.size + n - 1, n) if X.size else 0,
                      gsets.POINT_BUDGET)
-    m = chi_equivariant(X)
-    rhs = rhs_theorem1(m, 0, N)
-    report = VerificationReport(
-        "lemma1", {"N": N, "gB": X.gB.label, "size": X.size,
-                   "exponent": m.render()})
-    for n in range(N + 1):
-        t0 = time.perf_counter()
-        lhs = class_of(symmetric_power(X, n))
-        report.degrees.append(_check(n, lhs, rhs.coeffs[n], t0))
-    return report
+    return _degree_checks("lemma1", {"gB": X.gB.label, "size": X.size},
+                          chi_equivariant(X), 0, N,
+                          lambda n: class_of(symmetric_power(X, n)))
 
 
 # -- randomized law checks ---------------------------------------------------

@@ -253,6 +253,21 @@ def test_wreath_factor_tables_multiply_each_inner_pair_once(monkeypatch):
     assert sorted(calls) == [(a, c) for a in range(6) for c in range(6)]
 
 
+def test_wreath_over_s0_multiplies_no_inner_pair(monkeypatch):
+    """G≀S_0 has one element and makes no base pass, so building it needs
+    no product of G, where an m×m inner table would take 36 for S3."""
+    S3 = groups_mod.SymmetricGroup(3)  # a fresh instance to count on
+    calls = []
+
+    def counted(a, b, mul=S3.mul):
+        calls.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(S3, "mul", counted, raising=False)
+    w = WreathGroup(S3, 0)
+    assert calls == []
+    assert w.order == 1 and w._tables is not None and w.mul(0, 0) == 0
+
+
 def test_wreath_table_budget_is_inclusive(monkeypatch):
     cells = 6 ** 2 + 48 + 8 ** 2  # C2 wr S3: n!^2 + |W| + V^2
     monkeypatch.setattr(groups_mod, "WREATH_TABLE_BUDGET", cells)

@@ -1,10 +1,13 @@
-"""Only `io.read` names an input file.
+"""Only `io.read` names an input file, and only `cli.main` writes stdout.
 
 Every `--input` verb reads through `io.read(path, parse)`, which prefixes
 the file name once to any usage or budget error raised while the file is
 loaded or parsed.  So no other function in the package takes a `path`, and
 outside `io` the `--input` value is used only as the path handed to
-`io.read`, never formatted into a message."""
+`io.read`, never formatted into a message.
+
+Every verb handler returns its text, JSON value and exit code, and `main`
+prints the one that --format asks for; everything else goes to stderr."""
 
 import ast
 import pathlib
@@ -66,3 +69,26 @@ def test_io_parses_every_input():
     stray = [p for p in parsers
              if p[1] != "make_group" and not re.fullmatch(r"io\.\w+", p[1])]
     assert parsers and not stray, f"inputs parsed outside io: {stray}"
+
+
+def test_only_main_prints_to_stdout():
+    """Every `print` in the package outside `cli.main` passes
+    `file=sys.stderr`, `main` has one that does not, and nothing touches
+    `sys.stdout` itself."""
+    to_stdout, direct = [], []
+    for module, tree in _trees():
+        owner = {}  # node -> name of the top-level function around it
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "stdout":
+                direct.append(f"{module}:{node.lineno}")
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "print"
+                    and not any(kw.arg == "file"
+                                and ast.unparse(kw.value) == "sys.stderr"
+                                for kw in node.keywords)):
+                to_stdout.append((module, owner.get(id(node))))
+    assert not direct, f"sys.stdout used directly: {direct}"
+    assert to_stdout == [("cli.py", "main")], to_stdout
