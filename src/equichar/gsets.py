@@ -28,7 +28,8 @@ from .groups import (
 )
 
 POINT_BUDGET = 1_000_000
-HOM_CHECK_BUDGET = 2_000_000  # order·generators·points, per checked side
+# cells the homomorphism check's maps hold, per side: order·max(points, 256)
+HOM_CHECK_BUDGET = 2_000_000
 
 
 class BiSet:
@@ -102,8 +103,9 @@ class BiSet:
     def validate(self) -> None:
         """Commutation of the two actions, and the generator assignments
         extending to group homomorphisms: every Cayley relation s·x is
-        checked on the whole set, and a side whose check would pass
-        HOM_CHECK_BUDGET is refused."""
+        checked on the whole set, and a side whose maps would hold more
+        than HOM_CHECK_BUDGET cells is refused: a bytes map holds 256
+        whatever the point count, a list map one per point."""
         for a in self.actO:
             for b in self.actB:
                 if any(a[b[p]] != b[a[p]] for p in range(self.size)):
@@ -111,8 +113,8 @@ class BiSet:
         for side in ("O", "B"):
             group, gens = self._side(side)
             group._require_enumerable()
-            cost = group.order * len(gens) * self.size
-            check_budget(f"{side}-side homomorphism check", cost,
+            check_budget(f"{side}-side homomorphism check map cells, "
+                         "HOM_CHECK_BUDGET", group.order * max(self.size, 256),
                          HOM_CHECK_BUDGET)
             maps, image = group.images(gens, self.size)
             steps = list(zip(group.generators, gens, group._word_table[3]))

@@ -248,22 +248,24 @@ def verify_props12(trials: int = 100, N: int = 5, seed: int = 0,
     if weights is not None:
         report.params["weights"] = list(map(str, weights))
 
-    svals = (Fraction(1, 2), Fraction(1), Fraction(2))
+    shifts = [L(bring, s) for s in (Fraction(1, 2), Fraction(1), Fraction(2))]
 
     def draws():
         for _ in range(trials):
             yield (_random_series(rng, ring, bring, N),
                    _random_element(rng, ring, bring))
 
+    def zeta_scalings():
+        for b in map(embed, map(bring.basis, range(bring.n))):
+            zeta = zeta_L(b, N)
+            for Ls in shifts:
+                yield zeta_L(Ls * b, N) == zeta.substitute(Ls, 1)
+
     _tally(report, "(A(L^s t))^m = (A(t))^m | t->L^s t", "trials",
-           (power(A.substitute(L(bring, s), 1), m) ==
-            power(A, m).substitute(L(bring, s), 1)
-            for s, (A, m) in zip(itertools.cycle(svals), draws())))
+           (power(A.substitute(Ls, 1), m) == power(A, m).substitute(Ls, 1)
+            for Ls, (A, m) in zip(itertools.cycle(shifts), draws())))
     _tally(report, "zeta_{L^s b}(t) = zeta_b(L^s t)", "generators",
-           (zeta_L(L(bring, s) * b, N) ==
-            zeta_L(b, N).substitute(L(bring, s), 1)
-            for b in map(embed, map(bring.basis, range(bring.n)))
-            for s in svals))
+           zeta_scalings())
     _tally(report, "L -> 1 commutes with the power", "trials",
            (power(A, m).map_coeffs(plain, specialize_L) ==
             power(A.map_coeffs(plain, specialize_L), specialize_L(m))

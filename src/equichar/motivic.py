@@ -5,8 +5,10 @@ qD integral.  An element is held at its marks, as a Burnside element and a
 series column are: its least D, to which `LExtElement` reduces any D it is
 built with, and, per subgroup class, a Laurent polynomial {e: mark} in
 L^(1/D), so +, - and * run mark by mark over lcm(D1, D2) through the
-handle's `axpy` and `dot`.  Its pairs (e, c), meaning L^(e/D) * c, are
-back-substituted when read (`pairs`, `terms`).
+handle's `axpy` and `dot`.  Its basis coefficients are back-substituted
+in one pass over every exponent when read (`coeffs`), which is how a
+series' factor is checked integral, and its pairs (e, c), meaning
+L^(e/D) * c, are built from them only to be read (`pairs`, `terms`).
 Exponents are `Fraction`s only where they enter or leave (`lext`, `L`,
 `terms`, rendering and shifts) and in the slopes `laurent_terms` bounds a
 power by.  The lambda-structure extends the Burnside one by the scaling
@@ -24,7 +26,8 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from .burnside import BurnsideElement, BurnsideRing
-from .errors import UsageError, check_budget, check_int, parse_fraction
+from .errors import (UsageError, check_budget, check_int, exact_div,
+                     parse_fraction)
 from .groups import FiniteGroup, check_order
 from .powerstruct import (INT_RING, TruncatedSeries, _lift, exponent_tuples,
                           lambda_term, least_denominator, log_coeff, power)
@@ -40,20 +43,41 @@ class LExtElement:
     cols, per class a Laurent polynomial {e: mark} with no zero entry, never
     mutated.  The constructor takes any D and reduces it to the least one
     (`least_denominator`), so gcd(D, every e) = 1 and D = 1 for zero.
-    `pairs`, the (e, c) sorted by e with no zero c, is back-substituted on
-    first read and kept, as `BurnsideElement.coeffs` is."""
+    `coeffs`, per class {e: basis coefficient}, is back-substituted on
+    first read and kept, as `BurnsideElement.coeffs` is, and `pairs`, the
+    (e, c) sorted by e with no zero c, is built from it when read."""
 
-    __slots__ = ("ring", "D", "cols", "_pairs")
+    __slots__ = ("ring", "D", "cols", "_coeffs", "_pairs")
 
     def __init__(self, ring: BurnsideRing, D: int, cols):
         D, (cols,) = least_denominator(D, (cols,))
-        self.ring, self.D, self.cols, self._pairs = ring, D, tuple(cols), None
+        self.ring, self.D, self.cols = ring, D, tuple(cols)
+        self._coeffs = self._pairs = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """Per class, {e: coefficient of [G/H]}, by one back-substitution
+        over the table of marks for every exponent at once."""
+        if self._coeffs is None:
+            rows, down = self.ring.marks_rows, self.ring._down_sets()
+            residue, out = [dict(x) for x in self.cols], [{}] * self.ring.n
+            for i, row in reversed([*enumerate(rows)]):
+                q = out[i] = {e: exact_div(r, row[i], "a basis coefficient")
+                              for e, r in residue[i].items() if r}
+                for j in down[i][:-1] if q else ():   # the classes below i
+                    x, mark = residue[j], row[j]
+                    for e, c in q.items():
+                        x[e] = x.get(e, 0) - c * mark
+            self._coeffs = tuple(out)
+        return self._coeffs
 
     @property
     def pairs(self) -> tuple:
         if self._pairs is None:
             self._pairs = tuple(
-                (e, self.ring.from_marks([x.get(e, 0) for x in self.cols]))
+                (e, BurnsideElement(
+                    self.ring, tuple(x.get(e, 0) for x in self.cols),
+                    tuple(x.get(e, 0) for x in self.coeffs)))
                 for e in sorted(set().union(*self.cols)))
         return self._pairs
 
@@ -171,7 +195,13 @@ class LExtCoeffRing:
 
     @staticmethod
     def dot(xs, ys) -> dict:
-        """sum of x*y over paired {e: int} Laurent polynomials."""
+        """sum of x*y over paired {e: int} Laurent polynomials; a single
+        pair with a one-term side, L^e times a mark, is a shift."""
+        if len(xs) == 1:
+            x, y = (ys[0], xs[0]) if len(ys[0]) == 1 else (xs[0], ys[0])
+            if len(x) == 1:
+                [(e, c)] = x.items()
+                return {e + f: c * d for f, d in y.items()}
         acc: dict = {}
         for x, y in zip(xs, ys):
             for e, c in x.items():
@@ -185,10 +215,15 @@ class LExtCoeffRing:
 
     def element(self, D: int, entries) -> LExtElement:
         out = LExtElement(self.bring, D, entries)
-        out.pairs   # back-substitutes every exponent, so checks it integral
+        out.coeffs   # one pass checks every exponent integral; no `pairs`
         return out
 
     def add_psi(self, cols, pos: int, k: int, xs, r: int) -> None:
+        if r == 1:   # psi^1 is the identity, U^1 = I
+            for h, x in zip(cols, xs):
+                if x:
+                    h[pos] = self.axpy(h[pos], k, x)
+            return
         for h, row in zip(cols, self.bring.adams(r)):
             acc = dict(h[pos])   # copied: entries may be shared
             for M, u in row:

@@ -19,8 +19,10 @@ orbits of size d of K on b, so its t^(i·r) log coefficient is i·psi^r_K(b),
 psi^r_K(b) = sum_(d|r) d·n_d, with L^q·b putting L^(q·r) on it; psi^r is
 an integer matrix on marks (`BurnsideRing.adams`).  The factor entries b_i
 are read off the logs once per series, each checked integral over the
-basis by back-substitution, and `power` multiplies m's entries into them
-at each mark; a non-integral value raises, as does any inexact division.
+basis by back-substitution (for an L-extended b_i, one pass over its
+per-class Laurent columns covers every exponent, and no (e, c) `pairs` are
+built), and `power` multiplies m's entries into them at each mark; a
+non-integral value raises, as does any inexact division.
 """
 
 from __future__ import annotations
@@ -135,8 +137,13 @@ def _lift(entries, k: int) -> list:
 
 def least_denominator(D: int, cols) -> tuple:
     """D and columns of {e: c} entries over L^(1/D), both divided by g =
-    gcd(D, every e); integer entries come with D = 1 and stay as they are."""
-    g = gcd(D, *(e for h in cols for x in h for e in x)) if D > 1 else 1
+    gcd(D, every e), which stops at the first e coprime to D; integer
+    entries come with D = 1 and stay as they are."""
+    g = D
+    for e in (e for h in cols for x in h for e in x) if D > 1 else ():
+        g = gcd(g, e)
+        if g == 1:
+            break
     return (D, cols) if g == 1 else (D // g, [
         [{e // g: c for e, c in x.items()} for x in h] for h in cols])
 

@@ -63,17 +63,19 @@ def test_homomorphism_check_is_exhaustive():
 
 
 def test_homomorphism_check_above_its_budget_is_refused(monkeypatch):
-    """Order · generators · points above HOM_CHECK_BUDGET is refused with
-    the limit named, before any element's images are built."""
+    """Map cells above HOM_CHECK_BUDGET are refused with the constant
+    named, before any element's images are built.  On 3 points each of
+    S3's 6 maps is bytes padded to 256, so the check holds 6·256 cells."""
     def no_walk(*args):
         raise AssertionError("images built above the budget")
 
-    monkeypatch.setattr(gsets_mod, "HOM_CHECK_BUDGET", 35)
+    monkeypatch.setattr(gsets_mod, "HOM_CHECK_BUDGET", 6 * 256 - 1)
     monkeypatch.setattr(FiniteGroup, "images", no_walk)
     X = BiSet(3, symmetric(3), trivial_group(), [(1, 0, 2), (1, 2, 0)], ())
     with pytest.raises(ResourceLimitError,
-                       match=r"^O-side homomorphism check "
-                             r"\(size 36 exceeds budget 35\)$"):
+                       match=r"^O-side homomorphism check map cells, "
+                             r"HOM_CHECK_BUDGET "
+                             r"\(size 1536 exceeds budget 1535\)$"):
         X.validate()
 
 

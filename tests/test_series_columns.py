@@ -171,11 +171,15 @@ def test_non_integral_mark_column_fails_factorization(degree):
     """Marks (1, 0) on A(C2) would need half of [G/e]: the factor exponent
     built from that column is not integral over the basis, so factoring
     the series raises, and so does every power of it, by the unit or by
-    [G/e], whose multiples of that factor would be integral."""
+    [G/e], whose multiples of that factor would be integral.  An
+    L-extended coefficient whose first exponent is integral and whose
+    second is not raises too: the check reaches every exponent."""
     bad = BurnsideElement(C2, (1, 0))
+    lring, G_e = lext_coeff_ring(C2), embed(C2.basis(0))
     for ring, x, m in ((burnside_coeff_ring(C2), bad, C2.basis(0)),
-                       (lext_coeff_ring(C2), lext(C2, [(F(1, 2), bad)]),
-                        embed(C2.basis(0)))):
+                       (lring, lext(C2, [(F(1, 2), bad)]), G_e),
+                       (lring, lext(C2, [(0, C2.basis(0)), (F(1, 2), bad)]),
+                        G_e)):
         coeffs = [ring.one] + [ring.zero] * 4
         coeffs[degree] = x
         A = TruncatedSeries(ring, coeffs)
@@ -186,6 +190,18 @@ def test_non_integral_mark_column_fails_factorization(degree):
         for exponent in (ring.one, m):
             with pytest.raises(InvariantViolation):
                 power(TruncatedSeries(ring, coeffs), exponent)
+
+
+def test_lext_factors_are_checked_without_pairs():
+    """A factor walk checks each L-extended b_i integral and builds no
+    `pairs`; they are built only when read, and match the element
+    engine's factors."""
+    rng = random.Random("lext-factor-pairs")
+    A, a = rand_series(rng, RINGS["A(C2)[L^Q]"], 6)
+    factors = lambda_factorize(A)
+    assert all(b._pairs is None for b in factors)
+    assert [b.pairs for b in factors] == \
+        [b.pairs for b in factorize_reference(a)]
 
 
 @pytest.mark.parametrize("name", RINGS)
