@@ -6,13 +6,15 @@ so an element is stored by its mark vector and +, -, integer scaling and *
 work entry by entry.  The table of marks is lower triangular with positive
 diagonal in the canonical order, so the basis coefficients are recovered by
 exact integer back-substitution, which runs only when they are observed
-(`coeffs`, `render`, JSON output) and for `from_marks`.  Every quotient is
-taken by `exact_div`, so one that is not an integer raises
-`InvariantViolation`.  Before the first product in a ring, the product of
-every pair of basis mark rows is back-substituted once; integral results
-for all pairs make every product in the ring integral, so a wrong table
-cannot pass silently.  Row K vanishes off K's down-set, the classes
-subconjugate to K (checked closed under ⊆), and so do the solves below.
+(`coeffs`, `render`, JSON output) and for `from_marks`, and columns of
+{key: mark} dicts for every key in one pass (`back_substitute_columns`).
+Every quotient is taken by `exact_div`, so one that is not an integer
+raises `InvariantViolation`.  Before the first product in a ring, the
+products of every pair of basis mark rows are back-substituted once, one
+column solve per row; integral results for all pairs make every product in
+the ring integral, so a wrong table cannot pass silently.  Row K vanishes
+off K's down-set, the classes subconjugate to K (checked closed under ⊆),
+and so do the solves below.
 
 The marks come from containment alone.  The g with H^g ⊆ K number
 |N_G(H)| = |G| / #conjugates(H) per conjugate of H inside K, and each
@@ -142,22 +144,36 @@ class BurnsideRing:
                     residue[j] -= q * row[j]
         return tuple(coeffs)
 
+    def back_substitute_columns(self, cols, what="a basis coefficient"):
+        """Per class, {key: basis coefficient} of cols, per class a
+        {key: mark} dict: every key in one pass; a remainder raises."""
+        residue, down = [dict(x) for x in cols], self._down_sets()
+        out = [{}] * self.n
+        for i in range(self.n - 1, -1, -1):
+            row = self.marks_rows[i]
+            q = out[i] = {e: exact_div(r, row[i], what)
+                          for e, r in residue[i].items() if r}
+            for j in down[i][:-1] if q else ():   # the classes below i
+                x, mark = residue[j], row[j]
+                for e, c in q.items():
+                    x[e] = x.get(e, 0) - c * mark
+        return tuple(out)
+
     def check_products(self) -> None:
         """Back-substitute the product of every pair of basis mark rows
-        j <= i on down(j), off which it and each row it subtracts vanish.
-        Products are integer combinations of these, so once they are
-        integral every product in the ring is."""
+        j <= i, one column solve per row i keyed by j.  Products are
+        integer combinations of these, so once they are integral every
+        product in the ring is."""
         if self._products_checked:
             return
-        rows, down = self.marks_rows, self._down_sets()
-        for i in range(self.n):
-            for j in range(i + 1):
-                residue = {m: rows[i][m] * rows[j][m] for m in down[j]}
-                for h in reversed(down[j]):
-                    q = exact_div(residue[h], rows[h][h],
-                                  "a basis coefficient of a product")
-                    for m in down[h] if q else ():
-                        residue[m] -= q * rows[h][m]
+        down, at = self._down_sets(), [{} for _ in range(self.n)]
+        for i, row in enumerate(self.marks_rows):
+            cols = [{}] * self.n   # read only: the solve copies its columns
+            for m in down[i]:      # at[m]: {j: row j's mark at m} for j <= i
+                at[m][i] = a = row[m]
+                cols[m] = {j: a * b for j, b in at[m].items()}
+            self.back_substitute_columns(cols,
+                                         "a basis coefficient of a product")
         self._products_checked = True
 
     def basis_name(self, i: int) -> str:

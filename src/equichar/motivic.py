@@ -5,15 +5,16 @@ qD integral.  An element is held at its marks, as a Burnside element and a
 series column are: its least D, to which `LExtElement` reduces any D it is
 built with, and, per subgroup class, a Laurent polynomial {e: mark} in
 L^(1/D), so +, - and * run mark by mark over lcm(D1, D2) through the
-handle's `axpy` and `dot`.  Its basis coefficients are back-substituted
-in one pass over every exponent when read (`coeffs`), which is how a
-series' factor is checked integral, and its pairs (e, c), meaning
-L^(e/D) * c, are built from them only to be read (`pairs`, `terms`).
-Exponents are `Fraction`s only where they enter or leave (`lext`, `L`,
-`terms`, rendering and shifts) and in the slopes `laurent_terms` bounds a
-power by.  The lambda-structure extends the Burnside one by the scaling
-rule zeta_{L^q b}(t) = zeta_b(L^q t), which makes the substitution law
-(A(L^s t))^m = (A(t))^m |_{t -> L^s t} hold for the factorization power.
+handle's `axpy` and `dot`.  Its basis coefficients are solved for every
+exponent in one pass of the ring's `back_substitute_columns` when read
+(`coeffs`), which is how a series' factor is checked integral, and its
+pairs (e, c), meaning L^(e/D) * c, are built from them only to be read
+(`pairs`, `terms`).  Exponents are `Fraction`s only where they enter or
+leave (`lext`, `L`, `terms`, rendering and shifts) and in the slopes
+`laurent_terms` bounds a power by.  The lambda-structure extends the
+Burnside one by the scaling rule zeta_{L^q b}(t) = zeta_b(L^q t), which
+makes the substitution law (A(L^s t))^m = (A(t))^m |_{t -> L^s t} hold for
+the factorization power.
 
 Geometric classes (of varieties, quotients, fixed loci) are never computed
 here: orbifold data carry user-supplied classes and shifts, and this module
@@ -26,8 +27,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from .burnside import BurnsideElement, BurnsideRing
-from .errors import (UsageError, check_budget, check_int, exact_div,
-                     parse_fraction)
+from .errors import UsageError, check_budget, check_int, parse_fraction
 from .groups import FiniteGroup, check_order
 from .powerstruct import (INT_RING, TruncatedSeries, _lift, exponent_tuples,
                           lambda_term, least_denominator, log_coeff, power)
@@ -43,8 +43,8 @@ class LExtElement:
     cols, per class a Laurent polynomial {e: mark} with no zero entry, never
     mutated.  The constructor takes any D and reduces it to the least one
     (`least_denominator`), so gcd(D, every e) = 1 and D = 1 for zero.
-    `coeffs`, per class {e: basis coefficient}, is back-substituted on
-    first read and kept, as `BurnsideElement.coeffs` is, and `pairs`, the
+    `coeffs`, per class {e: basis coefficient}, is the ring's column solve
+    on first read and kept, as `BurnsideElement.coeffs` is, and `pairs`, the
     (e, c) sorted by e with no zero c, is built from it when read."""
 
     __slots__ = ("ring", "D", "cols", "_coeffs", "_pairs")
@@ -56,19 +56,9 @@ class LExtElement:
 
     @property
     def coeffs(self) -> tuple:
-        """Per class, {e: coefficient of [G/H]}, by one back-substitution
-        over the table of marks for every exponent at once."""
+        """Per class, {e: coefficient of [G/H]}, every e solved at once."""
         if self._coeffs is None:
-            rows, down = self.ring.marks_rows, self.ring._down_sets()
-            residue, out = [dict(x) for x in self.cols], [{}] * self.ring.n
-            for i, row in reversed([*enumerate(rows)]):
-                q = out[i] = {e: exact_div(r, row[i], "a basis coefficient")
-                              for e, r in residue[i].items() if r}
-                for j in down[i][:-1] if q else ():   # the classes below i
-                    x, mark = residue[j], row[j]
-                    for e, c in q.items():
-                        x[e] = x.get(e, 0) - c * mark
-            self._coeffs = tuple(out)
+            self._coeffs = self.ring.back_substitute_columns(self.cols)
         return self._coeffs
 
     @property
@@ -219,11 +209,6 @@ class LExtCoeffRing:
         return out
 
     def add_psi(self, cols, pos: int, k: int, xs, r: int) -> None:
-        if r == 1:   # psi^1 is the identity, U^1 = I
-            for h, x in zip(cols, xs):
-                if x:
-                    h[pos] = self.axpy(h[pos], k, x)
-            return
         for h, row in zip(cols, self.bring.adams(r)):
             acc = dict(h[pos])   # copied: entries may be shared
             for M, u in row:

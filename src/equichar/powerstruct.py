@@ -16,13 +16,14 @@ r·h_m·c^m on t^(r·m).  Columns are rebuilt from the logs (`exp_column`)
 only to pack the coefficients for rendering, JSON and hashing.
 At a class K, lambda_b(t^i) is prod_d (1 - t^(i·d))^(-n_d) over the n_d
 orbits of size d of K on b, so its t^(i·r) log coefficient is i·psi^r_K(b),
-psi^r_K(b) = sum_(d|r) d·n_d, with L^q·b putting L^(q·r) on it; psi^r is
-an integer matrix on marks (`BurnsideRing.adams`).  The factor entries b_i
-are read off the logs once per series, each checked integral over the
-basis by back-substitution (for an L-extended b_i, one pass over its
-per-class Laurent columns covers every exponent, and no (e, c) `pairs` are
-built), and `power` multiplies m's entries into them at each mark; a
-non-integral value raises, as does any inexact division.
+psi^r_K(b) = sum_(d|r) d·n_d, with L^q·b putting L^(q·r) on it; psi^r is an
+integer matrix on marks (`BurnsideRing.adams`) and psi^1 = I, which
+`_reconstruct` adds itself.  The factor entries b_i are read off the logs
+once per series, each checked integral over the basis by the ring's
+back-substitution (for an L-extended b_i, one column solve covers every
+exponent, and no (e, c) `pairs` are built), and `power` multiplies m's
+entries into them at each mark; a non-integral value raises, as does any
+inexact division.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class IntRing:
     """Exact integers; single lambda-generator 1 with zeta = 1/(1-t).  Z is
     A(1): one column of the integer entries A(G) shares.  Every handle has
     zero, one, label, n, the entry ops one_entry, zero_entry, dot, axpy,
-    div, entry and add_psi (k·psi^r(xs) added at pos of each mark column,
-    L-exponents times r), and entries, element and check_products."""
+    div, entry and add_psi (k·psi^r(xs), r >= 2, added at pos of each mark
+    column, L-exponents times r), and entries, element and check_products."""
 
     zero, one, label, n = 0, 1, "Z", 1
     one_entry, zero_entry = 1, 0
@@ -275,8 +276,10 @@ def _reconstruct(ring, D: int, factors, N: int) -> TruncatedSeries:
     written as log columns: b_i puts i·psi^r(b_i) on t^(i·r)."""
     logs = [[ring.zero_entry] * N for _ in range(ring.n)]
     for i, xs in factors:
-        if any(xs):
-            for r in range(1, N // i + 1):
+        if i <= N and any(xs):
+            for h, x in zip(logs, xs):   # psi^1 is the identity
+                h[i - 1] = ring.axpy(h[i - 1], i, x)
+            for r in range(2, N // i + 1):
                 ring.add_psi(logs, i * r - 1, i, xs, r)
     return TruncatedSeries.from_logs(ring, D, logs)
 

@@ -469,6 +469,43 @@ def test_down_sets_not_closed_under_inclusion_raise():
             solve()
 
 
+def _refusal(solve) -> str | None:
+    """The message of the InvariantViolation solve() raises, or None."""
+    try:
+        solve()
+    except InvariantViolation as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("desc", ADAMS_GROUPS.values(), ids=ADAMS_GROUPS)
+def test_closure_check_refuses_as_back_substitution_does(desc):
+    """Raise one mark by 1 or by |G|, on the diagonal or off it on a
+    down-set, so the down-sets stay as they are: check_products refuses
+    the table exactly when the integer back_substitute refuses the marks of
+    some product of basis rows j <= i, and names a product when it does.
+    Every +1 on these groups is refused and most +|G| are not."""
+    G = make_group(desc)
+    lattice = subgroup_lattice(G)
+    outcomes = set()
+    for h, row in enumerate(burnside_ring(G).marks_rows):
+        for k, delta in ((k, d) for k, mark in enumerate(row) if mark
+                         for d in (1, G.order)):
+            R = BurnsideRing(G, lattice)
+            rows = [list(r) for r in R.marks_rows]
+            rows[h][k] += delta
+            R.marks_rows = rows = tuple(map(tuple, rows))
+            expected = any(_refusal(lambda: R.back_substitute(
+                [a * b for a, b in zip(rows[i], rows[j])]))
+                for i in range(R.n) for j in range(i + 1))
+            message = _refusal(R.check_products)
+            assert (message is not None) == expected, (h, k, delta)
+            assert message is None or \
+                message.startswith("a basis coefficient of a product")
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 ORBIT_GROUPS = {
     "S4": {"type": "symmetric", "n": 4},
     "D4": {"type": "dihedral", "n": 4},

@@ -12,7 +12,8 @@ exactly the reviewed places in REVIEWED:
   degree's milliseconds and the `round` of `--timings` JSON.
 
 A place added to REVIEWED is recorded in CHANGES.md.  The goldens' inputs
-and outputs, including each JSON stdout they hold, hold no float either."""
+and outputs, including each JSON stdout they hold, hold no float either.
+Exact division over the table of marks is done by `burnside.py` alone."""
 
 import ast
 import json
@@ -94,3 +95,13 @@ def test_goldens_hold_no_float(name):
     stdout a golden holds is escaped text, so neither shows in the file."""
     text = (ROOT / name).read_text()
     assert json.loads(text) and not FLOAT_TEXT.findall(text)
+
+
+def test_only_burnside_solves_over_the_table_of_marks():
+    """Every back-substitution reads the ring's down-sets, so no module but
+    `burnside.py` names `_down_sets`."""
+    naming = {path.name for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if "_down_sets" in (getattr(node, "attr", None),
+                                  getattr(node, "id", None))}
+    assert naming == {"burnside.py"}

@@ -111,6 +111,38 @@ def test_lambda_term_needs_positive_power():
             lambda_term(INT_RING, 1, i, 4)
 
 
+def _handle(name):
+    """A coefficient-ring handle and a coefficient in it."""
+    R = burnside_ring(symmetric(3))
+    x = R.basis(1) + 2 * R.basis(2)
+    return {"Z": (INT_RING, 3),
+            "A(S3)": (burnside_coeff_ring(R), x),
+            "A(S3)[L^Q]": (lext_coeff_ring(R),
+                           lext(R, [(Fraction(1, 2), x), (-1, R.unit)]))}[name]
+
+
+@pytest.mark.parametrize("name", ["Z", "A(S3)", "A(S3)[L^Q]"])
+def test_psi_one_is_added_by_the_series_engine(name, monkeypatch):
+    """psi^1 is the identity, so the engine adds the r = 1 term of each
+    lambda-term itself and a handle's add_psi is asked for r >= 2 only;
+    lambda_c(t^(N+1)) truncated at N is 1."""
+    ring, c = _handle(name)
+    add_psi = ring.add_psi
+
+    def checked(cols, pos, k, xs, r):
+        assert r != 1, "add_psi asked for psi^1"
+        add_psi(cols, pos, k, xs, r)
+
+    monkeypatch.setattr(ring, "add_psi", checked)
+    N = 5
+    A = lambda_term(ring, c, 1, N).mul(lambda_term(ring, c, 2, N))
+    assert lambda_factorize(A) == [c, c] + [ring.zero] * (N - 2)
+    assert lambda_factorize(power(A, c)) == \
+        [c * c, c * c] + [ring.zero] * (N - 2)
+    for i, M in ((N + 1, N), (1, 0)):
+        assert lambda_term(ring, c, i, M).is_one()
+
+
 @settings(max_examples=60, deadline=None)
 @given(int_coeffs, int_coeffs,
        st.integers(min_value=-5, max_value=5),
